@@ -2,9 +2,7 @@
 
 Outputs are deterministic: every listing is sorted.  Failures print one
 JSON object on stderr ({"error": kind, "message": text}) and exit with
-status 1; argparse usage problems keep the usual status 2.  The
-environment variable STRANDHOPF_THREADS caps worker counts for the
-enumeration helpers.
+status 1; argparse usage problems keep the usual status 2.
 """
 
 from __future__ import annotations
@@ -199,7 +197,7 @@ def _cmd_enumerate(args):
     boundary_graph = None
     if args.boundary:
         with open(args.boundary, encoding="utf-8") as f:
-            boundary_graph = io.document_to_one_graph(json.loads(f.read()))
+            boundary_graph = io.loads_one_graph(f.read())
     ts = series.enumerate_diagrams(theory, args.max_edges,
                                    connected=args.connected,
                                    boundary_graph=boundary_graph)
@@ -242,6 +240,14 @@ def _cmd_export_dot(args):
 # argument parsing
 
 
+def _edge_bound(text):
+    """argparse type of ``--max-edges``: a non-negative integer."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {n}")
+    return n
+
+
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="strandhopf",
@@ -281,14 +287,14 @@ def _build_parser():
     sp = add("enumerate", _cmd_enumerate,
              help="stream diagram classes as JSON lines")
     sp.add_argument("--theory", required=True)
-    sp.add_argument("--max-edges", type=int, required=True)
+    sp.add_argument("--max-edges", type=_edge_bound, required=True)
     sp.add_argument("--connected", action="store_true")
     sp.add_argument("--boundary", help="1-graph document file")
 
     sp = add("central-check", _cmd_central_check,
              help="verify the coproduct central identity up to a bound")
     sp.add_argument("--theory", required=True)
-    sp.add_argument("--max-edges", type=int, required=True)
+    sp.add_argument("--max-edges", type=_edge_bound, required=True)
 
     sp = add("export-dot", _cmd_export_dot, help="DOT rendering")
     sp.add_argument("file")

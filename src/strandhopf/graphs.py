@@ -116,24 +116,11 @@ class OneGraph:
         return len(self.edge_pairs())
 
     def components(self):
-        """Vertex sets of connected components (isolated vertices included)."""
-        parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.edge_pairs():
-            ra, rb = find(self.attach[a]), find(self.attach[b])
-            if ra != rb:
-                parent[ra] = rb
-        groups = {}
-        for v in self.vertices:
-            groups.setdefault(find(v), []).append(v)
-        return tuple(frozenset(g) for _, g in
-                     sorted(groups.items(), key=lambda kv: _label_key(kv[0])))
+        """Vertex sets of connected components (isolated vertices included),
+        in the order of their least vertices."""
+        pairs = ((self.attach[a], self.attach[b]) for a, b in self.edge_pairs())
+        return tuple(frozenset(g) for g in _connected_groups(self.vertices,
+                                                             pairs))
 
     def induced(self, vs):
         vs = set(vs)
@@ -141,28 +128,6 @@ class OneGraph:
         return OneGraph(tuple(sorted(vs, key=_label_key)), hs,
                         {h: self.attach[h] for h in hs},
                         {h: self.pairing[h] for h in hs})
-
-    def relabel(self, vmap=None, hmap=None):
-        vmap = vmap or {}
-        hmap = hmap or {}
-        fv = lambda v: vmap.get(v, v)
-        fh = lambda h: hmap.get(h, h)
-        return OneGraph(tuple(fv(v) for v in self.vertices),
-                        tuple(fh(h) for h in self.half_edges),
-                        {fh(h): fv(v) for h, v in self.attach.items()},
-                        {fh(h): fh(k) for h, k in self.pairing.items()})
-
-
-def one_graph_disjoint_union(graphs, prefix=True):
-    """Disjoint union; with ``prefix`` labels become ``"{i}:{label}"``."""
-    vs, hs, at, pr = [], [], {}, {}
-    for i, g in enumerate(graphs):
-        f = (lambda x, i=i: f"{i}:{x}") if prefix else (lambda x: x)
-        vs.extend(f(v) for v in g.vertices)
-        hs.extend(f(h) for h in g.half_edges)
-        at.update({f(h): f(v) for h, v in g.attach.items()})
-        pr.update({f(h): f(k) for h, k in g.pairing.items()})
-    return OneGraph(vs, hs, at, pr)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +166,7 @@ class TwoGraph:
         self._h_at = None
         self._s_at = None
         self._faces = None
-        self._code = None
+        self._canon = None   # (code, representative, |Aut|), set by iso
 
     @classmethod
     def make(cls, vertices, half_edges, strands, nu, mu,
@@ -256,38 +221,50 @@ class TwoGraph:
         return len(self.strands_at(h))
 
 
+def _mapped_fields(G, fv, fh, fs):
+    """Constructor arguments of ``G`` (a 2-graph or a 1-graph) with its
+    vertex, half-edge and strand labels sent through ``fv``, ``fh``,
+    ``fs``; label lists become lists, structure maps dicts."""
+    vs = [fv(v) for v in G.vertices]
+    hs = [fh(h) for h in G.half_edges]
+    if isinstance(G, OneGraph):
+        return (vs, hs, {fh(h): fv(v) for h, v in G.attach.items()},
+                {fh(h): fh(k) for h, k in G.pairing.items()})
+    return (vs, hs, [fs(s) for s in G.strands],
+            {fh(h): fv(v) for h, v in G.nu.items()},
+            {fs(s): fh(h) for s, h in G.mu.items()},
+            {fh(h): fh(k) for h, k in G.iota.items()},
+            {fs(s): fs(t) for s, t in G.sigma1.items()},
+            {fs(s): fs(t) for s, t in G.sigma2.items()})
+
+
 def relabel(G, vmap=None, hmap=None, smap=None):
+    """Copy of a 2-graph or 1-graph with labels renamed through the maps;
+    labels missing from a map are kept."""
     vmap = vmap or {}
     hmap = hmap or {}
     smap = smap or {}
-    fv = lambda v: vmap.get(v, v)
-    fh = lambda h: hmap.get(h, h)
-    fs = lambda s: smap.get(s, s)
-    return TwoGraph(tuple(fv(v) for v in G.vertices),
-                    tuple(fh(h) for h in G.half_edges),
-                    tuple(fs(s) for s in G.strands),
-                    {fh(h): fv(v) for h, v in G.nu.items()},
-                    {fs(s): fh(h) for s, h in G.mu.items()},
-                    {fh(h): fh(k) for h, k in G.iota.items()},
-                    {fs(s): fs(t) for s, t in G.sigma1.items()},
-                    {fs(s): fs(t) for s, t in G.sigma2.items()})
+    return type(G)(*_mapped_fields(G, lambda v: vmap.get(v, v),
+                                   lambda h: hmap.get(h, h),
+                                   lambda s: smap.get(s, s)))
 
 
 def disjoint_union(graphs, prefix=True):
-    """Disjoint union of 2-graphs; labels get a ``"{i}:"`` prefix by default."""
-    vs, hs, ss = [], [], []
-    nu, mu, io, s1, s2 = {}, {}, {}, {}, {}
+    """Disjoint union of 2-graphs, or of 1-graphs; labels get a ``"{i}:"``
+    prefix by default."""
+    kind, acc = TwoGraph, ([], [], [], {}, {}, {}, {}, {})
     for i, g in enumerate(graphs):
         f = (lambda x, i=i: f"{i}:{x}") if prefix else (lambda x: x)
-        vs.extend(f(v) for v in g.vertices)
-        hs.extend(f(h) for h in g.half_edges)
-        ss.extend(f(s) for s in g.strands)
-        nu.update({f(h): f(v) for h, v in g.nu.items()})
-        mu.update({f(s): f(h) for s, h in g.mu.items()})
-        io.update({f(h): f(k) for h, k in g.iota.items()})
-        s1.update({f(s): f(t) for s, t in g.sigma1.items()})
-        s2.update({f(s): f(t) for s, t in g.sigma2.items()})
-    return TwoGraph(vs, hs, ss, nu, mu, io, s1, s2)
+        parts = _mapped_fields(g, f, f, f)
+        if i == 0:
+            kind, acc = type(g), parts
+            continue
+        for a, p in zip(acc, parts):
+            if isinstance(a, dict):
+                a.update(p)
+            else:
+                a.extend(p)
+    return kind(*acc)
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +508,10 @@ def _contract_edges(G, edges):
     return TwoGraph(new_vertices, new_h, new_s, nu, mu, iota, sigma1, sigma2)
 
 
-def _component_vertex_sets(G, edge_pairs):
-    parent = {v: v for v in G.vertices}
+def _connected_groups(nodes, pairs):
+    """Union-find: the classes of ``nodes`` joined by ``pairs``, each a
+    list in ``nodes`` order, listed in the order of their first members."""
+    parent = {u: u for u in nodes}
 
     def find(x):
         while parent[x] != x:
@@ -540,14 +519,21 @@ def _component_vertex_sets(G, edge_pairs):
             x = parent[x]
         return x
 
-    for a, b in edge_pairs:
-        ra, rb = find(G.nu[a]), find(G.nu[b])
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
     groups = {}
-    for v in G.vertices:
-        groups.setdefault(find(v), []).append(v)
-    return [frozenset(g) for g in groups.values()]
+    for u in nodes:
+        groups.setdefault(find(u), []).append(u)
+    return list(groups.values())
+
+
+def _component_vertex_sets(G, edge_pairs):
+    """Vertex sets of the components of ``G`` restricted to
+    ``edge_pairs``, in the order of their least vertices."""
+    pairs = ((G.nu[a], G.nu[b]) for a, b in edge_pairs)
+    return [frozenset(g) for g in _connected_groups(G.vertices, pairs)]
 
 
 def residue(G):
@@ -579,14 +565,12 @@ def boundary_components(G):
 
 
 def connected_components(G):
-    comps = _component_vertex_sets(G, G.edge_pairs())
-    comps.sort(key=lambda vs: _label_key(min(vs, key=_label_key)))
     out = []
-    for vs in comps:
+    for vs in _component_vertex_sets(G, G.edge_pairs()):
         hs = [h for h in G.half_edges if G.nu[h] in vs]
         hset = set(hs)
         ss = [s for s in G.strands if G.mu[s] in hset]
-        out.append(TwoGraph(tuple(sorted(vs, key=_label_key)), hs, ss,
+        out.append(TwoGraph(vs, hs, ss,
                             {h: G.nu[h] for h in hs},
                             {s: G.mu[s] for s in ss},
                             {h: G.iota[h] for h in hs},
@@ -793,24 +777,9 @@ def from_coloured_graph(nodes, coloured_edges, external_nodes=()):
             raise GraphError(f"not properly coloured: colour-0 clash at {u!r}")
 
     # vertices = components after deleting colour-0 edges
-    parent = {u: u for u in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b, c in rest:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    comp = {}
-    for u in nodes:
-        comp.setdefault(find(u), []).append(u)
     vlabel = {}
-    for members in comp.values():
-        tag = f"v:{min(members, key=_label_key)}"
+    for members in _connected_groups(nodes, ((a, b) for a, b, c in rest)):
+        tag = f"v:{members[0]}"
         for u in members:
             vlabel[u] = tag
 

@@ -179,14 +179,18 @@ def el_unit(c=1):
     return {UNIT_MONOMIAL: c} if c else {}
 
 
-def el_graph(G, c=1):
-    """The element of a (possibly disconnected) graph: the product of its
-    connected components' classes."""
+def _el_of_components(G, exponent, c):
     mono = {}
     for comp in connected_components(G):
         code = intern_graph(comp)
-        mono[code] = mono.get(code, 0) + 1
+        mono[code] = mono.get(code, 0) + exponent
     return {tuple(sorted(mono.items())): Fraction(c)}
+
+
+def el_graph(G, c=1):
+    """The element of a (possibly disconnected) graph: the product of its
+    connected components' classes."""
+    return _el_of_components(G, 1, c)
 
 
 def el_residue_inverse(G, c=1):
@@ -194,11 +198,7 @@ def el_residue_inverse(G, c=1):
     edgeless)."""
     if G.n_edges():
         raise ValueError("inverses exist for edgeless classes only")
-    mono = {}
-    for comp in connected_components(G):
-        code = intern_graph(comp)
-        mono[code] = mono.get(code, 0) - 1
-    return {tuple(sorted(mono.items())): Fraction(c)}
+    return _el_of_components(G, -1, c)
 
 
 def el_add(a, b):
@@ -230,17 +230,23 @@ def _mono_mul(m1, m2):
     return tuple(sorted(d.items()))
 
 
-def el_mul(a, b):
+def _product(a, b, mono_mul):
+    """Bilinear product of two combinations given the product of their
+    monomials."""
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            m = _mono_mul(m1, m2)
+            m = mono_mul(m1, m2)
             c = out.get(m, Fraction(0)) + c1 * c2
             if c:
                 out[m] = c
             else:
                 out.pop(m, None)
     return out
+
+
+def el_mul(a, b):
+    return _product(a, b, _mono_mul)
 
 
 def el_eq(a, b):
@@ -251,28 +257,12 @@ def el_eq(a, b):
 # tensor elements: dict[(mono_left, mono_right)] -> Fraction
 
 
-def tens_add(a, b):
-    out = dict(a)
-    for m, c in b.items():
-        c2 = out.get(m, Fraction(0)) + c
-        if c2:
-            out[m] = c2
-        else:
-            out.pop(m, None)
-    return out
+def _tens_mono_mul(t1, t2):
+    return (_mono_mul(t1[0], t2[0]), _mono_mul(t1[1], t2[1]))
 
 
 def tens_mul(a, b):
-    out = {}
-    for (l1, r1), c1 in a.items():
-        for (l2, r2), c2 in b.items():
-            m = (_mono_mul(l1, l2), _mono_mul(r1, r2))
-            c = out.get(m, Fraction(0)) + c1 * c2
-            if c:
-                out[m] = c
-            else:
-                out.pop(m, None)
-    return out
+    return _product(a, b, _tens_mono_mul)
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +311,8 @@ def coproduct_of_monomial(mono):
 def coproduct_of_element(el):
     out = {}
     for mono, c in el.items():
-        out = tens_add(out, {k: v * c
-                             for k, v in coproduct_of_monomial(mono).items()})
+        out = el_add(out, {k: v * c
+                           for k, v in coproduct_of_monomial(mono).items()})
     return out
 
 
@@ -496,20 +486,25 @@ class Renormalization:
             return self._ct[code]
         if G.n_edges() == 0:
             out = LaurentPoly.constant(1)
-            self._ct[code] = out
-            return out
+        else:
+            out = -self.R(self._subgraph_sum(G, proper=True))
+        self._ct[code] = out
+        return out
+
+    def _subgraph_sum(self, G, proper):
+        """Sum over the subgraphs of ``G`` (the proper ones with
+        ``proper``) of the counterterms of the subgraph's components times
+        ``phi`` of the contraction."""
         total = LaurentPoly()
         for sub in subgraphs(G):
-            if sub.is_full:
+            if proper and sub.is_full:
                 continue
             term = LaurentPoly.constant(1)
             for comp in connected_components(sub.materialize()):
                 term = term * self.counterterm_connected(comp)
             term = term * self.phi(sub.contract())
             total = total + term
-        out = -self.R(total)
-        self._ct[code] = out
-        return out
+        return total
 
     def counterterm(self, G):
         out = LaurentPoly.constant(1)
@@ -520,14 +515,7 @@ class Renormalization:
     def renormalized(self, G):
         """Convolution of the counterterm character with ``phi``; pole-free
         when ``R`` is the minimal-subtraction projection."""
-        total = LaurentPoly()
-        for sub in subgraphs(G):
-            term = LaurentPoly.constant(1)
-            for comp in connected_components(sub.materialize()):
-                term = term * self.counterterm_connected(comp)
-            term = term * self.phi(sub.contract())
-            total = total + term
-        return total
+        return self._subgraph_sum(G, proper=False)
 
 
 def clear_caches():

@@ -43,15 +43,44 @@ def graph_to_document(G):
     }
 
 
-def _pair_list(doc, key, known):
-    pairs = doc[key]
-    if not isinstance(pairs, list):
-        raise DocumentError(f"{key} must be a list of pairs")
+def _is_label(x):
+    return isinstance(x, (str, int, float))
+
+
+def _list(doc, key, what):
+    value = doc[key]
+    if not isinstance(value, list):
+        raise DocumentError(f"{key} must be a list of {what}")
+    return value
+
+
+def _labels(doc, key):
+    labels = _list(doc, key, "labels")
+    if not all(_is_label(x) for x in labels):
+        raise DocumentError(f"{key} labels must be strings or numbers")
+    return labels
+
+
+def _entries(doc, key, fields):
+    """The ``key`` list of ``{fields}`` objects as tuples of labels."""
     out = []
-    for p in pairs:
+    for entry in _list(doc, key, "objects"):
+        if not isinstance(entry, dict) or set(entry) != set(fields):
+            raise DocumentError(f"{key} entries must be "
+                                f"{{{', '.join(fields)}}}")
+        labels = tuple(entry[f] for f in fields)
+        if not all(_is_label(x) for x in labels):
+            raise DocumentError(f"{key} labels must be strings or numbers")
+        out.append(labels)
+    return out
+
+
+def _pair_list(doc, key, known):
+    out = []
+    for p in _list(doc, key, "pairs"):
         if not isinstance(p, list) or len(p) != 2:
             raise DocumentError(f"{key} entries must be two-element lists")
-        if p[0] not in known or p[1] not in known:
+        if not all(_is_label(x) and x in known for x in p):
             raise DocumentError(f"{key} pair {p} uses unknown labels")
         out.append(tuple(p))
     return out
@@ -63,25 +92,15 @@ def document_to_graph(doc):
     missing = [k for k in _GRAPH_KEYS if k not in doc]
     if missing:
         raise DocumentError("missing keys: " + ", ".join(missing))
-    if not isinstance(doc["vertices"], list):
-        raise DocumentError("vertices must be a list of labels")
-    vertices = list(doc["vertices"])
-    half_edges, nu = [], {}
-    for entry in doc["half_edges"]:
-        if not isinstance(entry, dict) or set(entry) != {"id", "vertex"}:
-            raise DocumentError("half_edges entries must be {id, vertex}")
-        half_edges.append(entry["id"])
-        nu[entry["id"]] = entry["vertex"]
-    strands, mu = [], {}
-    for entry in doc["strands"]:
-        if not isinstance(entry, dict) or set(entry) != {"id", "half_edge"}:
-            raise DocumentError("strands entries must be {id, half_edge}")
-        strands.append(entry["id"])
-        mu[entry["id"]] = entry["half_edge"]
+    vertices = _labels(doc, "vertices")
+    nu = _entries(doc, "half_edges", ("id", "vertex"))
+    mu = _entries(doc, "strands", ("id", "half_edge"))
+    half_edges = [h for h, _ in nu]
+    strands = [s for s, _ in mu]
     iota = _pair_list(doc, "iota", set(half_edges))
     s1 = _pair_list(doc, "sigma1", set(strands))
     s2 = _pair_list(doc, "sigma2", set(strands))
-    return TwoGraph.make(vertices, half_edges, strands, nu, mu,
+    return TwoGraph.make(vertices, half_edges, strands, dict(nu), dict(mu),
                          iota, s1, s2)
 
 
@@ -91,6 +110,10 @@ def dumps_graph(G):
 
 def loads_graph(text):
     return document_to_graph(_loads(text))
+
+
+def loads_one_graph(text):
+    return document_to_one_graph(_loads(text))
 
 
 def read_graph(path):
@@ -129,15 +152,12 @@ def document_to_one_graph(doc):
                if k not in doc]
     if missing:
         raise DocumentError("missing keys: " + ", ".join(missing))
-    half_edges, attach = [], {}
-    for entry in doc["half_edges"]:
-        if not isinstance(entry, dict) or set(entry) != {"id", "vertex"}:
-            raise DocumentError("half_edges entries must be {id, vertex}")
-        half_edges.append(entry["id"])
-        attach[entry["id"]] = entry["vertex"]
+    vertices = _labels(doc, "vertices")
+    attach = _entries(doc, "half_edges", ("id", "vertex"))
+    half_edges = [h for h, _ in attach]
     pairing = _pair_list(doc, "pairing", set(half_edges))
     try:
-        return OneGraph.make(doc["vertices"], half_edges, attach, pairing)
+        return OneGraph.make(vertices, half_edges, dict(attach), pairing)
     except GraphError as exc:
         raise DocumentError(str(exc)) from None
 
@@ -204,7 +224,10 @@ def document_to_theory(doc):
     if doc["class"] not in ("map", "coloured", "generic"):
         raise DocumentError("class must be map, coloured or generic")
     edge_weights = []
-    for entry in doc["propagators"]:
+    for entry in _list(doc, "propagators", "objects"):
+        if not isinstance(entry, dict) or "graph" not in entry \
+                or "weight" not in entry:
+            raise DocumentError("propagator entries need graph and weight")
         g = document_to_one_graph(entry["graph"])
         if len(g.vertices) != 2 or g.external():
             raise DocumentError("propagator graphs have two vertices and "
@@ -212,8 +235,9 @@ def document_to_theory(doc):
         edge_weights.append((g.n_edges(),
                              _fraction(entry["weight"], "propagator weight")))
     types = []
-    for entry in doc["vertices"]:
-        if "graph" not in entry or "weight" not in entry:
+    for entry in _list(doc, "vertices", "objects"):
+        if not isinstance(entry, dict) or "graph" not in entry \
+                or "weight" not in entry:
             raise DocumentError("vertex entries need graph and weight")
         types.append(DressedType(
             graph=document_to_one_graph(entry["graph"]),

@@ -26,8 +26,13 @@ alone, and the automorphism order is that count times m! per leg class,
 m! per parallel-edge class and m! * 2^m per loop class (the loops
 permute and each can be reversed).
 
-Disconnected graphs are canonized per component; automorphism orders
-combine with the wreath product rule (m! per repeated factor).
+Graphs of both kinds are canonized per connected component, and one
+combine step assembles the result: the code of a disconnected graph is
+"U(...)" over the sorted component codes, its representative the
+disjoint union of the component representatives in that order, and its
+automorphism order the wreath product of the component orders (m! per
+repeated factor).  A 2-graph caches the resulting (code,
+representative, order) triple on itself.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ import itertools
 from math import factorial
 
 from .graphs import (GraphError, OneGraph, TwoGraph, connected_components,
-                     faces, relabel, _label_key, _pairs_of_involution)
+                     disjoint_union, faces, relabel, _label_key,
+                     _pairs_of_involution)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +333,31 @@ def _canon_connected_two(G, strand_colour=None, half_mark=None):
     return repr(code), R, naut
 
 
+def _combine(parts, empty):
+    """(code, representative, |Aut|) of a graph of either kind from those
+    of its connected components; ``empty`` represents the graph with no
+    components.  Several components combine into "U(...)" over the sorted
+    codes, the disjoint union of the representatives in that order, and
+    the wreath product order."""
+    if not parts:
+        return "empty", empty, 1
+    if len(parts) == 1:
+        return parts[0]
+    parts.sort(key=lambda t: t[0])
+    return ("U(" + ",".join(p[0] for p in parts) + ")",
+            disjoint_union([p[1] for p in parts]),
+            _wreath([(p[0], p[2]) for p in parts]))
+
+
+def _canon_two(G):
+    """The (code, representative, |Aut|) triple of a 2-graph, cached on
+    ``G``."""
+    if G._canon is None:
+        G._canon = _combine([_canon_connected_two(c)
+                             for c in connected_components(G)], G)
+    return G._canon
+
+
 def canonical_form(G):
     """Canonical code string plus an isomorphic relabelled graph.
 
@@ -335,47 +366,20 @@ def canonical_form(G):
     its strand labels are deterministic for a given input and canonical
     up to parallel-face exchange, which is always an automorphism.
     """
-    if G._code is not None and G.__dict__.get("_canon_rep") is not None:
-        return G._code, G._canon_rep
-    comps = connected_components(G)
-    if not comps:
-        G._code, G._canon_rep, G._naut = "empty", G, 1
-        return G._code, G._canon_rep
-    if len(comps) == 1:
-        code, R, naut = _canon_connected_two(comps[0])
-        G._code = code
-        G._canon_rep = R
-        G._naut = naut
-        return code, R
-    parts = sorted((_canon_connected_two(c) for c in comps),
-                   key=lambda t: t[0])
-    code = "U(" + ",".join(p[0] for p in parts) + ")"
-    from .graphs import disjoint_union
-    R = disjoint_union([p[1] for p in parts], prefix=True)
-    G._code = code
-    G._canon_rep = R
-    G._naut = _wreath([(p[0], p[2]) for p in parts])
-    return code, R
+    return _canon_two(G)[:2]
 
 
 def canonical_code(G, strand_colour=None, half_mark=None):
     if strand_colour is None and half_mark is None:
-        if G._code is None:
-            canonical_form(G)
-        return G._code
-    comps = connected_components(G)
-    if not comps:
-        return "empty"
+        return _canon_two(G)[0]
     parts = []
-    for c in comps:
+    for c in connected_components(G):
         sc = None if strand_colour is None else \
             {s: strand_colour[s] for s in c.strands}
         hm = None if half_mark is None else \
             {h: half_mark[h] for h in c.half_edges}
-        parts.append(_canon_connected_two(c, sc, hm)[0])
-    if len(parts) == 1:
-        return parts[0]
-    return "U(" + ",".join(sorted(parts)) + ")"
+        parts.append(_canon_connected_two(c, sc, hm))
+    return _combine(parts, G)[0]
 
 
 def _wreath(coded_auts):
@@ -392,16 +396,7 @@ def _wreath(coded_auts):
 def automorphism_count(G):
     """Order of the automorphism group (label permutations preserving all
     five structure maps)."""
-    if G.__dict__.get("_naut") is None:
-        comps = connected_components(G)
-        if len(comps) <= 1:
-            canonical_form(G)
-        else:
-            parts = [_canon_connected_two(c) for c in comps]
-            G._naut = _wreath([(p[0], p[2]) for p in parts])
-            if G._code is None:
-                G._code = "U(" + ",".join(sorted(p[0] for p in parts)) + ")"
-    return G._naut
+    return _canon_two(G)[2]
 
 
 def are_isomorphic(G1, G2):
@@ -440,38 +435,25 @@ def _canon_connected_one(g):
         for mem in members:
             for h in (mem[::-1] if flip else mem):
                 hmap[h] = f"h{len(hmap)}"
-    R = g.relabel(vmap, hmap)
+    R = relabel(g, vmap, hmap)
     return _serial_one(R), R, naut
 
 
-def _one_components(g):
-    return [g.induced(vs) for vs in g.components()]
+def _canon_one(g):
+    return _combine([_canon_connected_one(g.induced(vs))
+                     for vs in g.components()], g)
 
 
 def one_graph_canonical_form(g):
-    comps = _one_components(g)
-    if not comps:
-        return "empty", g
-    if len(comps) == 1:
-        code, R, _ = _canon_connected_one(comps[0])
-        return code, R
-    parts = sorted((_canon_connected_one(c) for c in comps),
-                   key=lambda t: t[0])
-    from .graphs import one_graph_disjoint_union
-    return ("U(" + ",".join(p[0] for p in parts) + ")",
-            one_graph_disjoint_union([p[1] for p in parts], prefix=True))
+    return _canon_one(g)[:2]
 
 
 def one_graph_code(g):
-    return one_graph_canonical_form(g)[0]
+    return _canon_one(g)[0]
 
 
 def one_graph_automorphism_count(g):
-    comps = _one_components(g)
-    if not comps:
-        return 1
-    parts = [_canon_connected_one(c) for c in comps]
-    return _wreath([(p[0], p[2]) for p in parts])
+    return _canon_one(g)[2]
 
 
 def one_graphs_isomorphic(g1, g2):
@@ -485,9 +467,7 @@ def boundary_multiset_code(entries):
 
 def boundary_multiset_aut_count(entries):
     """|Aut| of a multiset of 1-graphs: wreath of the entry groups."""
-    parts = [(one_graph_code(g), one_graph_automorphism_count(g))
-             for g in entries]
-    return _wreath(parts)
+    return _wreath([_canon_one(g)[::2] for g in entries])
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .graphs import (GraphError, OneGraph, TwoGraph, _label_key, boundary,
-                     connected_components, faces, internal_face_count,
-                     is_bridgeless, vertex_graph)
+from .graphs import (GraphError, OneGraph, TwoGraph, _connected_groups,
+                     _label_key, boundary, connected_components, faces,
+                     internal_face_count, is_bridgeless, vertex_graph)
 from . import hopf, iso, series
 from .series import DressedType
 
@@ -364,26 +364,11 @@ def _coloured_graph_degree(nodes, match_by_colour):
     if len(colours) <= 2:
         return Fraction(0)
     # split into connected components first
-    parent = {n: n for n in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for m in match_by_colour.values():
-        for a, b in m.items():
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    comp = {}
-    for n in nodes:
-        comp.setdefault(find(n), []).append(n)
+    pairs = (p for m in match_by_colour.values() for p in m.items())
 
     total = Fraction(0)
     n_colours = len(colours)
-    for members in comp.values():
+    for members in _connected_groups(nodes, pairs):
         v = len(members)
         e = Fraction(v * n_colours, 2)
         for cyc in _cyclic_orders(colours):
@@ -415,6 +400,15 @@ def _count_cycles_in(members, ma, mb):
     return count
 
 
+def _colour_matchings(sections, attach, pair, col, r):
+    """One matching of carriers per colour 1..r: each ``pair``-joined
+    couple of sections of a colour matches their ``attach`` carriers."""
+    match = {c: {} for c in range(1, r + 1)}
+    for s in sections:
+        match[col[s]][attach[s]] = attach[pair[s]]
+    return match
+
+
 def gurau_degree(G, colouring=None):
     """Total jacket genus of a closed uniformly stranded graph.
 
@@ -428,13 +422,8 @@ def gurau_degree(G, colouring=None):
         return Fraction(0)
     col = infer_colouring(G) if colouring is None else colouring
     r = G.strand_degree(G.half_edges[0])
-    match = {0: {h: G.iota[h] for h in G.half_edges}}
-    for c in range(1, r + 1):
-        m = {}
-        for s in G.strands:
-            if col[s] == c:
-                m[G.mu[s]] = G.mu[G.sigma1[s]]
-        match[c] = m
+    match = _colour_matchings(G.strands, G.mu, G.sigma1, col, r)
+    match[0] = {h: G.iota[h] for h in G.half_edges}
     return _coloured_graph_degree(list(G.half_edges), match)
 
 
@@ -447,13 +436,7 @@ def boundary_gurau_degree(G, colouring=None):
     if not b.vertices:
         return Fraction(0)
     r = G.strand_degree(G.half_edges[0])
-    match = {}
-    for c in range(1, r + 1):
-        m = {}
-        for s in b.half_edges:
-            if col[s] == c:
-                m[b.attach[s]] = b.attach[b.pairing[s]]
-        match[c] = m
+    match = _colour_matchings(b.half_edges, b.attach, b.pairing, col, r)
     return _coloured_graph_degree(list(b.vertices), match)
 
 
@@ -480,46 +463,9 @@ def _incidence_components(G):
 
     A multi-trace vertex graph does not tie its components together, so
     this can be finer than the vertex-level component split."""
-    parent = {h: h for h in G.half_edges}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for h in G.half_edges:
-        union(h, G.iota[h])
-    for s in G.strands:
-        union(G.mu[s], G.mu[G.sigma1[s]])
-    comp = {}
-    for h in G.half_edges:
-        comp.setdefault(find(h), []).append(h)
-    return list(comp.values())
-
-
-def _count_boundary_circles(legs, pa, pb):
-    """Cycles of the alternating walk of two leg pairings."""
-    seen = set()
-    count = 0
-    for n in legs:
-        if n in seen:
-            continue
-        count += 1
-        cur = n
-        while True:
-            seen.add(cur)
-            cur = pa[cur]
-            seen.add(cur)
-            cur = pb[cur]
-            if cur == n:
-                break
-    return count
+    strand_pairs = ((G.mu[s], G.mu[G.sigma1[s]]) for s in G.strands)
+    return _connected_groups(G.half_edges,
+                             itertools.chain(G.iota.items(), strand_pairs))
 
 
 def _closed_cycles_0c(members, mc, iot, externals):
@@ -570,19 +516,11 @@ def open_jacket_degree(G, colouring=None):
         return Fraction(0)
     col = infer_colouring(G) if colouring is None else colouring
     r = G.strand_degree(G.half_edges[0])
-    match = {}
-    for c in range(1, r + 1):
-        m = {}
-        for s in G.strands:
-            if col[s] == c:
-                m[G.mu[s]] = G.mu[G.sigma1[s]]
-        match[c] = m
+    match = _colour_matchings(G.strands, G.mu, G.sigma1, col, r)
     externals = set(G.external_half_edges())
-    pcol = {c: {} for c in range(1, r + 1)}
     if externals:
         b = boundary(G)
-        for s in b.half_edges:
-            pcol[col[s]][b.attach[s]] = b.attach[b.pairing[s]]
+        pcol = _colour_matchings(b.half_edges, b.attach, b.pairing, col, r)
     total = Fraction(0)
     for members in _incidence_components(G):
         n = len(members)
@@ -602,7 +540,7 @@ def open_jacket_degree(G, colouring=None):
             if legs:
                 i0 = cyc.index(0)
                 ca, cb = cyc[i0 - 1], cyc[(i0 + 1) % len(cyc)]
-                bj = _count_boundary_circles(legs, pcol[ca], pcol[cb])
+                bj = _count_cycles_in(legs, pcol[ca], pcol[cb])
             else:
                 bj = 0
             chi = n - e_tot + fj

@@ -20,7 +20,6 @@ for diagram series coefficient by coefficient.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +27,8 @@ from .graphs import (GraphError, OneGraph, TwoGraph, boundary,
                      connected_components, disjoint_union, is_bridgeless,
                      is_connected, vertex_graph, _label_key)
 from . import iso
-from .rewrite import instantiate_vertex_type, subgraphs, _with_edges
+from .rewrite import (instantiate_vertex_type, subgraphs, _glue_options,
+                      _with_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +108,13 @@ def instantiate_dressed(dt, tag):
 
 def _edge_options(klass, G, dressing, h1, h2):
     """sigma2 choices for joining ``h1`` and ``h2``, or [] if incompatible."""
+    if klass == "generic":
+        return _glue_options(G, (h1, h2))
     col, par, ori = dressing
     s1 = G.strands_at(h1)
     s2 = G.strands_at(h2)
     if len(s1) != len(s2):
         return []
-    if klass == "generic":
-        return [tuple(zip(s1, perm)) for perm in itertools.permutations(s2)]
     if klass == "coloured":
         if par is not None and par[h1] == par[h2]:
             return []
@@ -436,11 +436,3 @@ def check_central_identity(theory, max_edges, bridgeless_only=False):
     return CentralIdentityReport(not mismatches, max_edges, len(classes),
                                  len(set(lhs) | set(rhs)), mismatches,
                                  multi_trace, bridgeless_only)
-
-
-def thread_count():
-    """Worker count from STRANDHOPF_THREADS (>= 1)."""
-    try:
-        return max(1, int(os.environ.get("STRANDHOPF_THREADS", "1")))
-    except ValueError:
-        return 1

@@ -1,10 +1,14 @@
 """JSON document round trips, DOT export, and the command line surface."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import strandhopf
 from strandhopf import boundary, canonical_code, cli, io, preset
 from strandhopf import fixtures
 from strandhopf.io import DocumentError
@@ -46,6 +50,18 @@ def test_graph_document_errors():
     bad = dict(doc, sigma2=doc["sigma2"] + [["only_one"]])
     with pytest.raises(DocumentError, match="two-element"):
         io.document_to_graph(bad)
+    with pytest.raises(DocumentError, match="list of objects"):
+        io.document_to_graph(dict(doc, half_edges=5))
+    v = doc["vertices"][0]
+    for label in ([1], {"x": 1}):
+        bad = dict(doc, half_edges=[{"id": label, "vertex": v}])
+        with pytest.raises(DocumentError, match="strings or numbers"):
+            io.document_to_graph(bad)
+        with pytest.raises(DocumentError, match="strings or numbers"):
+            io.document_to_graph(dict(doc, vertices=[label]))
+        bad = dict(doc, iota=doc["iota"] + [[label, "e1"]])
+        with pytest.raises(DocumentError, match="unknown labels"):
+            io.document_to_graph(bad)
 
 
 def test_one_graph_round_trip_and_errors():
@@ -88,6 +104,9 @@ def test_theory_document_errors():
     with pytest.raises(DocumentError, match="two vertices"):
         io.document_to_theory(bad)
     bad = dict(doc, vertices=[{"graph": doc["vertices"][0]["graph"]}])
+    with pytest.raises(DocumentError, match="graph and weight"):
+        io.document_to_theory(bad)
+    bad = dict(doc, propagators=[{"weight": 1}])
     with pytest.raises(DocumentError, match="graph and weight"):
         io.document_to_theory(bad)
 
@@ -297,3 +316,27 @@ def test_cli_error_exits(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+    for command in ("enumerate", "central-check"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--theory", "gw4", "--max-edges", "-1"])
+        assert exc.value.code == 2
+    assert "at least 0" in capsys.readouterr().err
+
+    bad = _write(tmp_path, "bad_boundary.json", "{ nope")
+    assert cli.main(["enumerate", "--theory", "gw4", "--max-edges", "1",
+                     "--boundary", bad]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "document"
+
+
+def test_cli_output_independent_of_hash_seed():
+    src = os.path.dirname(os.path.dirname(strandhopf.__file__))
+    for args in (["enumerate", "--theory", "gw4", "--max-edges", "2"],
+                 ["central-check", "--theory", "mq3", "--max-edges", "1"]):
+        outs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            run = subprocess.run([sys.executable, "-m", "strandhopf.cli"]
+                                 + args, env=env, capture_output=True,
+                                 timeout=300, check=True)
+            outs.append(run.stdout)
+        assert outs[0] and outs[0] == outs[1], args

@@ -17,7 +17,7 @@ from strandhopf.iso import one_graph_code
 from strandhopf.models import (Theory, melonic_quartic_type, polygon_type,
                                vertex_weight_tensorial)
 from strandhopf.rewrite import _with_edges
-from strandhopf.series import instantiate_dressed, thread_count
+from strandhopf.series import instantiate_dressed
 
 
 def profile(series):
@@ -142,14 +142,3 @@ def test_central_identity_small_bounds():
 
     rep = check_central_identity(preset("gw4"), 1, bridgeless_only=True)
     assert rep.passed and rep.bridgeless_only
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("STRANDHOPF_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("STRANDHOPF_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("STRANDHOPF_THREADS", "0")
-    assert thread_count() == 1
-    monkeypatch.setenv("STRANDHOPF_THREADS", "nope")
-    assert thread_count() == 1
