@@ -585,14 +585,14 @@ def is_connected(G):
 
 def is_bridgeless(G):
     """True when no single edge disconnects its component (1PI)."""
-    for e in G.edge_pairs():
+    edges = G.edge_pairs()
+    before = len(_component_vertex_sets(G, edges))
+    for e in edges:
         a, b = e
         if G.nu[a] == G.nu[b]:
             continue
-        rest = [p for p in G.edge_pairs() if p != e]
-        before = len(_component_vertex_sets(G, G.edge_pairs()))
-        after = len(_component_vertex_sets(G, rest))
-        if after > before:
+        rest = [p for p in edges if p != e]
+        if len(_component_vertex_sets(G, rest)) > before:
             return False
     return True
 

@@ -7,9 +7,10 @@ monomials; a monomial maps canonical codes to integer exponents, negative
 exponents being reserved for residue codes.
 
 The coproduct sums over wide subgraphs, pairing each subgraph (as a
-product of its connected components) with the contraction by it.  The
-antipode follows the usual triangular recursion, using a residue inverse
-in place of division by the group-like part.
+product of its connected components) with the contraction by it; the
+antipode and the counterterms read its cached table.  The antipode follows
+the usual triangular recursion, using a residue inverse in place of
+division by the group-like part.
 
 Renormalization works for any character into Laurent polynomials and any
 Rota-Baxter projection; the toy minimal-subtraction character sends a
@@ -295,16 +296,13 @@ def coproduct_of_monomial(mono):
     residue classes stay group-like."""
     out = {(UNIT_MONOMIAL, UNIT_MONOMIAL): Fraction(1)}
     for code, e in mono:
-        G = graph_of_code(code)
         if e < 0:
             m = ((code, -1),)
             t = {(m, m): Fraction(1)}
-            for _ in range(-e):
-                out = tens_mul(out, t)
         else:
-            t = coproduct(G)
-            for _ in range(e):
-                out = tens_mul(out, t)
+            t = coproduct(graph_of_code(code))
+        for _ in range(abs(e)):
+            out = tens_mul(out, t)
     return out
 
 
@@ -341,15 +339,11 @@ def antipode(G):
     """Antipode of a graph class as an algebra element.
 
     Edgeless classes are group-like, so their antipode is the formal
-    inverse; otherwise the triangular recursion over proper subgraphs
-    applies, multiplied by the inverse residue class.
+    inverse; otherwise the triangular recursion over the proper coproduct
+    terms applies, multiplied by the inverse residue class.
     """
     if isinstance(G, TwoGraph):
-        comps = connected_components(G)
-        out = el_unit()
-        for c in comps:
-            out = el_mul(out, _antipode_connected(c))
-        return out
+        G = el_graph(G)
     return antipode_of_element(G)
 
 
@@ -359,17 +353,14 @@ def _antipode_connected(G):
         return _ANTIPODE_CACHE[code]
     if G.n_edges() == 0:
         out = el_residue_inverse(G)
-        _ANTIPODE_CACHE[code] = out
-        return out
-    total = el_zero()
-    for sub in subgraphs(G):
-        if sub.is_full:
-            continue
-        left = el_unit()
-        for comp in connected_components(sub.materialize()):
-            left = el_mul(left, _antipode_connected(comp))
-        total = el_add(total, el_mul(left, el_graph(sub.contract())))
-    out = el_scale(el_mul(total, el_residue_inverse(residue(G))), -1)
+    else:
+        full = ((code, 1),)
+        total = el_zero()
+        for (lm, rm), c in coproduct(G).items():
+            if lm != full:
+                total = el_add(total, el_mul(antipode_of_element({lm: c}),
+                                             {rm: Fraction(1)}))
+        out = el_scale(el_mul(total, el_residue_inverse(residue(G))), -1)
     _ANTIPODE_CACHE[code] = out
     return out
 
@@ -380,14 +371,9 @@ def antipode_of_element(el):
         term = el_unit(c)
         for code, e in mono:
             G = graph_of_code(code)
-            if e < 0:
-                s = el_graph(G)
-                for _ in range(-e):
-                    term = el_mul(term, s)
-            else:
-                s = _antipode_connected(G)
-                for _ in range(e):
-                    term = el_mul(term, s)
+            s = el_graph(G) if e < 0 else _antipode_connected(G)
+            for _ in range(abs(e)):
+                term = el_mul(term, s)
         out = el_add(out, term)
     return out
 
@@ -432,19 +418,27 @@ class Character:
         return self.on_element(x)
 
 
+def _convolution_sum(phi, psi, G, proper=False):
+    """Sum of ``phi`` (x) ``psi`` over the coproduct terms of ``G``; with
+    ``proper`` the term ``G`` (x) residue is left out."""
+    full = ((intern_graph(G), 1),)
+    total = LaurentPoly()
+    for (lm, rm), c in coproduct(G).items():
+        if proper and lm == full:
+            continue
+        term = LaurentPoly.constant(c)
+        for code, e in lm:
+            term = term * phi.on_code(code, e)
+        for code, e in rm:
+            term = term * psi.on_code(code, e)
+        total = total + term
+    return total
+
+
 def convolve(phi, psi):
     """Convolution product of two characters."""
-    def fn(G):
-        total = LaurentPoly()
-        for (lm, rm), c in coproduct(G).items():
-            term = LaurentPoly.constant(c)
-            for code, e in lm:
-                term = term * phi.on_code(code, e)
-            for code, e in rm:
-                term = term * psi.on_code(code, e)
-            total = total + term
-        return total
-    return Character(fn, name=f"({phi.name}*{psi.name})")
+    return Character(lambda G: _convolution_sum(phi, psi, G),
+                     name=f"({phi.name}*{psi.name})")
 
 
 def character_inverse(phi):
@@ -478,44 +472,25 @@ class Renormalization:
     def __init__(self, phi, R=ms_projection):
         self.phi = phi
         self.R = R
-        self._ct = {}
+        self.counterterms = Character(self._counterterm_value,
+                                      name=f"S_R[{phi.name}]")
+
+    def _counterterm_value(self, G):
+        if G.n_edges() == 0:
+            return LaurentPoly.constant(1)
+        return -self.R(_convolution_sum(self.counterterms, self.phi, G,
+                                        proper=True))
 
     def counterterm_connected(self, G):
-        code = intern_graph(G)
-        if code in self._ct:
-            return self._ct[code]
-        if G.n_edges() == 0:
-            out = LaurentPoly.constant(1)
-        else:
-            out = -self.R(self._subgraph_sum(G, proper=True))
-        self._ct[code] = out
-        return out
-
-    def _subgraph_sum(self, G, proper):
-        """Sum over the subgraphs of ``G`` (the proper ones with
-        ``proper``) of the counterterms of the subgraph's components times
-        ``phi`` of the contraction."""
-        total = LaurentPoly()
-        for sub in subgraphs(G):
-            if proper and sub.is_full:
-                continue
-            term = LaurentPoly.constant(1)
-            for comp in connected_components(sub.materialize()):
-                term = term * self.counterterm_connected(comp)
-            term = term * self.phi(sub.contract())
-            total = total + term
-        return total
+        return self.counterterms.on_connected(G)
 
     def counterterm(self, G):
-        out = LaurentPoly.constant(1)
-        for comp in connected_components(G):
-            out = out * self.counterterm_connected(comp)
-        return out
+        return self.counterterms(G)
 
     def renormalized(self, G):
         """Convolution of the counterterm character with ``phi``; pole-free
         when ``R`` is the minimal-subtraction projection."""
-        return self._subgraph_sum(G, proper=False)
+        return _convolution_sum(self.counterterms, self.phi, G)
 
 
 def clear_caches():

@@ -11,7 +11,11 @@ output.  Labels must be JSON scalars (strings or numbers) of one sortable
 type per label kind.
 
 Theory documents carry the enumeration class, dimension, the propagator
-graphs with weights, and the dressed vertex types.
+graphs with weights, and the dressed vertex types.  A vertex type may
+carry a non-negative integer ``cost`` and ``colour``, ``parity`` and
+``orient`` marks: lists of [label, value] pairs with one pair per
+half-edge (``colour``, ``orient``) or per vertex (``parity``) of its
+1-graph.
 """
 
 from __future__ import annotations
@@ -170,8 +174,15 @@ def _num(x):
 def _fraction(v, what):
     try:
         return Fraction(v)
-    except (ValueError, TypeError, ZeroDivisionError):
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
         raise DocumentError(f"{what} must be a rational number") from None
+
+
+def _integer(v, what):
+    x = _fraction(v, what)
+    if x.denominator != 1:
+        raise DocumentError(f"{what} must be an integer")
+    return int(x)
 
 
 def _marks_out(marks):
@@ -180,9 +191,16 @@ def _marks_out(marks):
     return [[k, v] for k, v in sorted(dict(marks).items())]
 
 
-def _marks_in(value):
+def _marks_in(entry, key, labels):
+    value = entry.get(key)
     if value is None:
         return None
+    if not isinstance(value, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(map(_is_label, p))
+            for p in value):
+        raise DocumentError(f"{key} must be a list of [label, value] pairs")
+    if {k for k, _ in value} != set(labels):
+        raise DocumentError(f"{key} labels must match the vertex graph")
     return tuple((k, v) for k, v in value)
 
 
@@ -239,13 +257,17 @@ def document_to_theory(doc):
         if not isinstance(entry, dict) or "graph" not in entry \
                 or "weight" not in entry:
             raise DocumentError("vertex entries need graph and weight")
+        g = document_to_one_graph(entry["graph"])
+        cost = _integer(entry.get("cost", 0), "cost")
+        if cost < 0:
+            raise DocumentError("cost must be at least 0")
         types.append(DressedType(
-            graph=document_to_one_graph(entry["graph"]),
+            graph=g,
             weight=_fraction(entry["weight"], "vertex weight"),
-            cost=int(entry.get("cost", 0)),
-            colour=_marks_in(entry.get("colour")),
-            parity=_marks_in(entry.get("parity")),
-            orient=_marks_in(entry.get("orient")),
+            cost=cost,
+            colour=_marks_in(entry, "colour", g.half_edges),
+            parity=_marks_in(entry, "parity", g.vertices),
+            orient=_marks_in(entry, "orient", g.half_edges),
             name=str(entry.get("name", "")),
         ))
     rank = doc.get("rank")
@@ -255,7 +277,7 @@ def document_to_theory(doc):
                   dimension=_fraction(doc["dimension"], "dimension"),
                   types=tuple(types),
                   edge_weights=tuple(edge_weights),
-                  rank=None if rank is None else int(rank),
+                  rank=None if rank is None else _integer(rank, "rank"),
                   zeta=None if zeta is None else _fraction(zeta, "zeta"))
 
 

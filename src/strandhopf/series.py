@@ -26,9 +26,8 @@ from fractions import Fraction
 from .graphs import (GraphError, OneGraph, TwoGraph, boundary,
                      connected_components, disjoint_union, is_bridgeless,
                      is_connected, vertex_graph, _label_key)
-from . import iso
-from .rewrite import (instantiate_vertex_type, subgraphs, _glue_options,
-                      _with_edges)
+from . import hopf, iso
+from .rewrite import instantiate_vertex_type, _glue_options, _with_edges
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +368,9 @@ def check_central_identity(theory, max_edges, bridgeless_only=False):
     contraction-closed universe of the theory.
 
     Both sides are tables keyed by (left component classes, right class):
-    the left side expands the coproduct of every universe member weighted
-    by 1/|Aut|, the right side counts boundary-matched assignments of
-    universe members to the right factor's vertices.  With
+    the left side reads the coproduct table of every universe member
+    weighted by 1/|Aut|, the right side counts boundary-matched
+    assignments of universe members to the right factor's vertices.  With
     ``bridgeless_only`` both tensor legs are projected to bridgeless
     classes.
     """
@@ -384,15 +383,15 @@ def check_central_identity(theory, max_edges, bridgeless_only=False):
 
     lhs = {}
     for code, cls in keep.items():
-        aut = cls.automorphisms
-        for sub in subgraphs(cls.graph):
-            comps = connected_components(sub.materialize())
-            if bridgeless_only and any(not is_bridgeless(c) for c in comps):
+        weight = Fraction(1, cls.automorphisms)
+        for (lm, rm), c in hopf.coproduct(cls.graph).items():
+            if bridgeless_only and any(
+                    not is_bridgeless(hopf.graph_of_code(k)) for k, _ in lm):
                 continue
-            left = tuple(sorted(iso.canonical_code(c) for c in comps))
-            right = iso.canonical_code(sub.contract())
+            left = tuple(k for k, e in lm for _ in range(e))
+            (right, _), = rm
             key = (left, right)
-            lhs[key] = lhs.get(key, Fraction(0)) + Fraction(1, aut)
+            lhs[key] = lhs.get(key, Fraction(0)) + c * weight
 
     by_boundary = {}
     for cls in keep.values():

@@ -207,6 +207,8 @@ def test_connectivity_and_bridges():
     two = disjoint_union([g, m])
     assert not is_connected(two)
     assert len(connected_components(two)) == 2
+    assert not is_bridgeless(two)  # the chain's bridge next to the fish
+    assert is_bridgeless(disjoint_union([g, t]))
 
 
 def test_map_constructor_matches_face_oracle():

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import oracles
-from strandhopf import fixtures
+from strandhopf import fixtures, preset
 from strandhopf import (
     LaurentPoly,
     Renormalization,
@@ -18,9 +18,13 @@ from strandhopf import (
     residue,
     toy_ms_character,
 )
+from strandhopf.graphs import connected_components, internal_face_count
 from strandhopf.hopf import (UNIT_MONOMIAL, coproduct_of_monomial, el_add,
-                             el_eq, el_graph, el_mul, el_scale, el_unit,
-                             el_zero, graph_of_code, intern_graph)
+                             el_eq, el_graph, el_mul, el_residue_inverse,
+                             el_scale, el_unit, el_zero, graph_of_code,
+                             intern_graph)
+from strandhopf.rewrite import subgraphs
+from strandhopf.series import enumerate_diagrams
 
 CORPUS = fixtures.all_fixtures()
 SMALL = {n: g for n, g in CORPUS.items() if g.n_edges() <= 3}
@@ -187,3 +191,75 @@ def test_character_inverse_convolves_to_counit():
     assert e(g).is_zero()                     # counit of a graph with edges
     assert e(residue(g)).is_one()
     assert e(fixtures.quartic_tadpole("same")).is_zero()
+
+
+# reference recursions straight over the subgraph lattice, independent of
+# the coproduct table the library derives them from
+
+
+def _reference_antipode(G, memo):
+    """Antipode of a connected graph by the recursion over its proper
+    wide subgraphs."""
+    code = intern_graph(G)
+    if code not in memo:
+        if not G.n_edges():
+            memo[code] = el_residue_inverse(G)
+            return memo[code]
+        total = el_zero()
+        for sub in subgraphs(G):
+            if sub.is_full:
+                continue
+            left = el_unit()
+            for comp in connected_components(sub.materialize()):
+                left = el_mul(left, _reference_antipode(comp, memo))
+            total = el_add(total, el_mul(left, el_graph(sub.contract())))
+        memo[code] = el_scale(
+            el_mul(total, el_residue_inverse(residue(G))), -1)
+    return memo[code]
+
+
+def _reference_counterterm(phi, G, memo):
+    code = intern_graph(G)
+    if code not in memo:
+        if not G.n_edges():
+            memo[code] = LaurentPoly.constant(1)
+        else:
+            memo[code] = -ms_projection(
+                _reference_subgraph_sum(phi, G, memo, proper=True))
+    return memo[code]
+
+
+def _reference_subgraph_sum(phi, G, memo, proper):
+    total = LaurentPoly()
+    for sub in subgraphs(G):
+        if proper and sub.is_full:
+            continue
+        term = phi(sub.contract())
+        for comp in connected_components(sub.materialize()):
+            term = term * _reference_counterterm(phi, comp, memo)
+        total = total + term
+    return total
+
+
+def test_antipode_and_counterterms_match_subgraph_recursion():
+    # degree E - F: most graphs here diverge, some converge, and most
+    # counterterms subtract subdivergences
+    phi = toy_ms_character(lambda G: G.n_edges() - internal_face_count(G))
+    ren = Renormalization(phi)
+    graphs = list(SMALL.items()) + [
+        (t.code, t.graph) for t in enumerate_diagrams(preset("gw4"), 2).terms]
+    s_memo, ct_memo = {}, {}
+    nested = 0
+    for name, g in graphs:
+        s = el_unit()
+        ct = LaurentPoly.constant(1)
+        for comp in connected_components(g):
+            s = el_mul(s, _reference_antipode(comp, s_memo))
+            ct = ct * _reference_counterterm(phi, comp, ct_memo)
+        assert el_eq(antipode(g), s), name
+        assert ren.counterterm(g) == ct, name
+        assert ren.renormalized(g) == _reference_subgraph_sum(
+            phi, g, ct_memo, proper=False), name
+        if len(connected_components(g)) == 1:
+            nested += ct != -phi(g).pole_part()
+    assert nested > len(graphs) // 2

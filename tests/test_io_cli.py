@@ -109,6 +109,18 @@ def test_theory_document_errors():
     bad = dict(doc, propagators=[{"weight": 1}])
     with pytest.raises(DocumentError, match="graph and weight"):
         io.document_to_theory(bad)
+    with pytest.raises(DocumentError, match="rank"):
+        io.document_to_theory(dict(doc, rank="x"))
+    vertex = doc["vertices"][0]
+    for key, value in (("cost", "x"), ("cost", 1.7), ("cost", 1e400),
+                       ("cost", -2),
+                       ("colour", 5), ("parity", 5), ("orient", 5),
+                       ("orient", [[1, 2, 3]]), ("colour", [7]),
+                       ("parity", [[[1], 0]]), ("orient", [["nope", 1]]),
+                       ("orient", [])):
+        bad = dict(doc, vertices=[dict(vertex, **{key: value})])
+        with pytest.raises(DocumentError, match=key):
+            io.document_to_theory(bad)
 
 
 def test_dot_export_modes():
@@ -326,6 +338,20 @@ def test_cli_error_exits(tmp_path, capsys):
     assert cli.main(["enumerate", "--theory", "gw4", "--max-edges", "1",
                      "--boundary", bad]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "document"
+
+    doc = io.theory_to_document(preset("gw4"))
+    vertex = doc["vertices"][0]
+    for bad_doc in (dict(doc, rank="x"),
+                    dict(doc, vertices=[dict(vertex, cost=1.7)]),
+                    dict(doc, vertices=[dict(vertex, orient=5)]),
+                    dict(doc, vertices=[dict(vertex, orient=[[1, 2, 3]])]),
+                    dict(doc, vertices=[dict(vertex, orient=[["x", 1]])])):
+        bad = _write(tmp_path, "bad_theory.json", json.dumps(bad_doc))
+        assert cli.main(["enumerate", "--theory", bad, "--max-edges",
+                         "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "document"
 
 
 def test_cli_output_independent_of_hash_seed():
