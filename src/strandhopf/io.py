@@ -7,8 +7,10 @@ A graph document is a JSON object
 
 whose pair lists omit involution fixed points.  Serialization sorts keys
 and all label lists, so parse then serialize is byte-identical on its own
-output.  Labels must be JSON scalars (strings or numbers) of one sortable
-type per label kind.
+output.  Labels are JSON strings or numbers other than NaN and the
+infinities.  Labels of different types may mix within one list: lists
+sort by type name first (floats, then integers, then strings) and by
+value within a type, so a mixed document round-trips byte for byte too.
 
 Theory documents carry the enumeration class, dimension, the propagator
 graphs with weights, and the dressed vertex types.  A vertex type may
@@ -21,9 +23,10 @@ half-edge (``colour``, ``orient``) or per vertex (``parity``) of its
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
-from .graphs import GraphError, OneGraph, TwoGraph
+from .graphs import GraphError, OneGraph, TwoGraph, _sorted_labels
 from .series import DressedType
 from .models import Theory
 
@@ -48,7 +51,10 @@ def graph_to_document(G):
 
 
 def _is_label(x):
-    return isinstance(x, (str, int, float))
+    """Strings, integers and finite floats; NaN equals nothing, not even
+    itself, so it cannot name anything."""
+    return isinstance(x, (str, int)) or \
+        (isinstance(x, float) and math.isfinite(x))
 
 
 def _list(doc, key, what):
@@ -58,11 +64,15 @@ def _list(doc, key, what):
     return value
 
 
-def _labels(doc, key):
-    labels = _list(doc, key, "labels")
-    if not all(_is_label(x) for x in labels):
-        raise DocumentError(f"{key} labels must be strings or numbers")
+def _checked(key, labels):
+    if not all(map(_is_label, labels)):
+        raise DocumentError(f"{key} labels must be strings or numbers "
+                            "other than NaN and infinities")
     return labels
+
+
+def _labels(doc, key):
+    return _checked(key, _list(doc, key, "labels"))
 
 
 def _entries(doc, key, fields):
@@ -72,10 +82,7 @@ def _entries(doc, key, fields):
         if not isinstance(entry, dict) or set(entry) != set(fields):
             raise DocumentError(f"{key} entries must be "
                                 f"{{{', '.join(fields)}}}")
-        labels = tuple(entry[f] for f in fields)
-        if not all(_is_label(x) for x in labels):
-            raise DocumentError(f"{key} labels must be strings or numbers")
-        out.append(labels)
+        out.append(_checked(key, tuple(entry[f] for f in fields)))
     return out
 
 
@@ -188,7 +195,8 @@ def _integer(v, what):
 def _marks_out(marks):
     if marks is None:
         return None
-    return [[k, v] for k, v in sorted(dict(marks).items())]
+    marks = dict(marks)
+    return [[k, marks[k]] for k in _sorted_labels(marks)]
 
 
 def _marks_in(entry, key, labels):

@@ -11,9 +11,13 @@ section, plus one relation node per sigma2 step (sigma1 steps and
 attachment maps become direct edges; sigma2 needs relation nodes because
 a section pair can be joined by both involutions at once).  A partition
 refinement with individualization search over that encoding yields a
-canonical labelling; the number of leaves attaining the minimal code
-equals the quotient automorphism order, since the group acts freely and
-transitively on them.
+canonical labelling, the first leaf of minimal code in depth-first
+order, and the quotient automorphism order.  The search prunes itself
+with the automorphisms it meets: two leaves of equal code differ by one,
+and a child in the orbit of an explored sibling is skipped along the
+first path, so the order comes from orbit-stabilizer along that path
+(the product, over its nodes, of the orbit size of the child it takes)
+instead of from one leaf per automorphism.
 
 1-graphs (boundaries, vertex graphs) are canonized through a
 multiplicity quotient in the same spirit.  The legs at one vertex, the
@@ -21,8 +25,8 @@ loops at one vertex and the parallel edges between one pair of distinct
 vertices are interchangeable wholesale, so each such class becomes a
 single node carrying its kind and multiplicity m, adjacent to its one or
 two vertices; the encoding has one node per vertex and one per class.
-The leaf count of the search is then the order of the vertex action
-alone, and the automorphism order is that count times m! per leg class,
+The order the search returns is then that of the vertex action alone,
+and the automorphism order is that order times m! per leg class,
 m! per parallel-edge class and m! * 2^m per loop class (the loops
 permute and each can be reversed).
 
@@ -41,8 +45,8 @@ import itertools
 from math import factorial
 
 from .graphs import (GraphError, OneGraph, TwoGraph, connected_components,
-                     disjoint_union, faces, relabel, _label_key,
-                     _pairs_of_involution)
+                     disjoint_union, faces, relabel, _connected_groups,
+                     _label_key, _pairs_of_involution)
 
 
 # ---------------------------------------------------------------------------
@@ -50,73 +54,145 @@ from .graphs import (GraphError, OneGraph, TwoGraph, connected_components,
 
 
 def _refine(n, adj, colors):
+    """Equitable refinement of ``colors`` (ranks 0..k-1 of the cells).
+
+    Each round a node's new colour is the rank of its old colour plus
+    the sorted colours of its neighbours; a node alone in its cell keeps
+    its rank from the old colour alone, so it needs no neighbour
+    signature.  The colouring is stable once no cell splits.
+    """
     while True:
-        sigs = []
-        for i in range(n):
-            ns = sorted(colors[j] for j in adj[i])
-            sigs.append((colors[i], tuple(ns)))
-        order = {s: k for k, s in enumerate(sorted(set(sigs)))}
-        new = [order[s] for s in sigs]
-        if new == colors:
+        size = [0] * n
+        for c in colors:
+            size[c] += 1
+        sigs = [(c, tuple(sorted([colors[j] for j in adj[i]])))
+                if size[c] > 1 else (c,)
+                for i, c in enumerate(colors)]
+        distinct = set(sigs)
+        if len(distinct) == n - size.count(0):
             return colors
-        colors = new
+        order = {s: k for k, s in enumerate(sorted(distinct))}
+        colors = [order[s] for s in sigs]
+
+
+def _target_cell(colors):
+    """Members of the first (lowest-colour) non-singleton cell, in node
+    order, or None when the colouring is discrete."""
+    size = [0] * len(colors)
+    for c in colors:
+        size[c] += 1
+    target = next((c for c, m in enumerate(size) if m > 1), None)
+    if target is None:
+        return None
+    return [i for i, c in enumerate(colors) if c == target]
+
+
+def _individualize(colors, i):
+    """The colouring with node ``i`` split off in front of its cell."""
+    t = colors[i]
+    return [c + 1 if c > t or (c == t and j != i) else c
+            for j, c in enumerate(colors)]
 
 
 def _canon_search(descs, adj):
-    """Minimal leaf code, one minimal labelling, and the leaf count.
+    """Minimal leaf code, the first minimal labelling in depth-first
+    order, and the automorphism order of the encoded graph.
 
-    Every member of the first non-singleton cell is individualized in
-    turn, with no pruning, so the minimal-code leaves are exactly the
-    automorphism orbit of the canonical labelling.
+    Individualization-refinement search pruned by automorphisms (McKay &
+    Piperno 2014).  A leaf whose code equals that of the first leaf
+    zeta or of the best leaf so far gives an automorphism.  The nodes on
+    zeta's path are processed deepest first, so every leaf met while a
+    node is processed lies below it; since refinement keeps the order of
+    cells, the node's individualized prefix sits at the same positions
+    in all those leaves, and every automorphism recorded so far fixes
+    the prefix pointwise.  At each such node a child in the orbit of an
+    already explored child is skipped (its subtree is the image of an
+    explored one), and the subtree of a child is left as soon as it
+    yields a leaf equivalent to zeta (it is then the image of the first
+    child's subtree).  The orbit of the first child is then complete, so
+    |Aut| is the product of those orbit sizes over the path
+    (orbit-stabilizer).  A leaf equivalent only to the best leaf does
+    not end its subtree: a better leaf may follow.  Every skipped
+    subtree is the image of an earlier explored one, so the first
+    minimal leaf of the unpruned search is always visited and the result
+    equals that search's.
     """
     n = len(descs)
     order = {d: k for k, d in enumerate(sorted(set(descs)))}
-    init = [order[d] for d in descs]
-    best_code = [None]
-    best_perm = [None]
-    count = [0]
+    colors = _refine(n, adj, [order[d] for d in descs])
+    path = []  # (colouring, cell) of the nodes on zeta's path
+    cell = _target_cell(colors)
+    while cell is not None:
+        path.append((colors, cell))
+        colors = _refine(n, adj, _individualize(colors, cell[0]))
+        cell = _target_cell(colors)
 
-    def leaf(colors):
-        pos = sorted(range(n), key=lambda i: colors[i])
-        rank = [0] * n
-        for p, i in enumerate(pos):
-            rank[i] = p
+    def leaf_of(colors):
+        """(edge code, labelling) of a discrete colouring, whose colours
+        are the positions 0..n-1; the node part of the code is the same
+        sorted descs at every leaf."""
+        pos = [0] * n
         edges = []
-        for i in range(n):
-            ri = rank[i]
+        for i, ri in enumerate(colors):
+            pos[ri] = i
             for j in adj[i]:
-                if rank[j] > ri:
-                    edges.append((ri, rank[j]))
+                if colors[j] > ri:
+                    edges.append((ri, colors[j]))
         edges.sort()
-        code = (tuple(descs[i] for i in pos), tuple(edges))
-        if best_code[0] is None or code < best_code[0]:
-            best_code[0] = code
-            best_perm[0] = pos
-            count[0] = 1
-        elif code == best_code[0]:
-            count[0] += 1
+        return edges, pos
 
-    def rec(colors):
-        colors = _refine(n, adj, colors)
-        sizes = {}
-        for c in colors:
-            sizes[c] = sizes.get(c, 0) + 1
-        target = None
-        for c in sorted(sizes):
-            if sizes[c] > 1:
-                target = c
-                break
-        if target is None:
-            leaf(colors)
-            return
-        for i in range(n):
-            if colors[i] == target:
-                child = [(colors[j], 0 if j == i else 1) for j in range(n)]
-                order2 = {s: k for k, s in enumerate(sorted(set(child)))}
-                rec([order2[s] for s in child])
+    zeta = leaf_of(colors)
+    best = zeta
+    gens = []
 
-    rec(init)
-    return best_code[0], best_perm[0], count[0]
+    def visit(colors):
+        """Search below a node off the first path; True once a leaf
+        equivalent to zeta is found."""
+        nonlocal best
+        cell = _target_cell(colors)
+        if cell is None:
+            edges, pos = leaf_of(colors)
+            for ref in (zeta, best):
+                if edges == ref[0]:
+                    gens.append(_leaf_map(ref[1], pos))
+                    return ref is zeta
+            if edges < best[0]:
+                best = (edges, pos)
+            return False
+        return any(visit(_refine(n, adj, _individualize(colors, i)))
+                   for i in cell)
+
+    count = 1
+    for colors, cell in reversed(path):
+        explored, seen = [cell[0]], None
+        for w in cell[1:]:
+            if seen != len(gens):
+                seen, orbits = len(gens), _orbits(cell, gens)
+            if orbits[w] in {orbits[x] for x in explored}:
+                continue
+            explored.append(w)
+            visit(_refine(n, adj, _individualize(colors, w)))
+        orbits = _orbits(cell, gens)
+        count *= sum(1 for i in cell if orbits[i] == 0)
+    code = (tuple(descs[i] for i in best[1]), tuple(best[0]))
+    return code, best[1], count
+
+
+def _orbits(cell, gens):
+    """Orbit number of each member of ``cell`` under the automorphisms
+    ``gens``, which map the cell onto itself; cell[0] is in orbit 0."""
+    pairs = [(i, g[i]) for g in gens for i in cell]
+    return {i: k for k, group in enumerate(_connected_groups(cell, pairs))
+            for i in group}
+
+
+def _leaf_map(ref_pos, pos):
+    """The automorphism taking the leaf labelled ``ref_pos`` onto the
+    leaf labelled ``pos`` with the same code."""
+    g = [0] * len(pos)
+    for a, b in zip(ref_pos, pos):
+        g[a] = b
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +377,7 @@ def _canon_connected_two(G, strand_colour=None, half_mark=None):
     """
     descs, adj, nodes, classes = _encode_two_graph(G, strand_colour,
                                                    half_mark)
-    code, perm, nleaves = _canon_search(descs, adj)
-    naut = nleaves
+    code, perm, naut = _canon_search(descs, adj)
     for kind, m, a, members in classes:
         naut *= factorial(m) * a ** (m - 1)
     rank = {p: k for k, p in enumerate(perm)}

@@ -3,7 +3,9 @@
 Everything here recomputes library results from the raw definitions,
 without sharing code with the package: faces by chasing the two strand
 involutions, automorphisms by enumerating label bijections, map genus
-from the rotation data.  Slow on purpose; only used on small inputs.
+from the rotation data, canonical labellings by an individualization
+search that visits every leaf.  Slow on purpose; only used on small
+inputs.
 """
 
 import itertools
@@ -221,6 +223,77 @@ def random_relabelled(G, rng):
                    shuffled_map(G.vertices, "rv"),
                    shuffled_map(G.half_edges, "rh"),
                    shuffled_map(G.strands, "rs"))
+
+
+def _exhaustive_refine(n, adj, colors):
+    while True:
+        sigs = []
+        for i in range(n):
+            ns = sorted(colors[j] for j in adj[i])
+            sigs.append((colors[i], tuple(ns)))
+        order = {s: k for k, s in enumerate(sorted(set(sigs)))}
+        new = [order[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def exhaustive_canon_search(descs, adj):
+    """Minimal leaf code, one minimal labelling, and the leaf count.
+
+    Every member of the first non-singleton cell is individualized in
+    turn, with no pruning, so the minimal-code leaves are exactly the
+    automorphism orbit of the canonical labelling.  This is the search
+    ``iso._canon_search`` prunes; both return the same triple.
+    """
+    n = len(descs)
+    order = {d: k for k, d in enumerate(sorted(set(descs)))}
+    init = [order[d] for d in descs]
+    best_code = [None]
+    best_perm = [None]
+    count = [0]
+
+    def leaf(colors):
+        pos = sorted(range(n), key=lambda i: colors[i])
+        rank = [0] * n
+        for p, i in enumerate(pos):
+            rank[i] = p
+        edges = []
+        for i in range(n):
+            ri = rank[i]
+            for j in adj[i]:
+                if rank[j] > ri:
+                    edges.append((ri, rank[j]))
+        edges.sort()
+        code = (tuple(descs[i] for i in pos), tuple(edges))
+        if best_code[0] is None or code < best_code[0]:
+            best_code[0] = code
+            best_perm[0] = pos
+            count[0] = 1
+        elif code == best_code[0]:
+            count[0] += 1
+
+    def rec(colors):
+        colors = _exhaustive_refine(n, adj, colors)
+        sizes = {}
+        for c in colors:
+            sizes[c] = sizes.get(c, 0) + 1
+        target = None
+        for c in sorted(sizes):
+            if sizes[c] > 1:
+                target = c
+                break
+        if target is None:
+            leaf(colors)
+            return
+        for i in range(n):
+            if colors[i] == target:
+                child = [(colors[j], 0 if j == i else 1) for j in range(n)]
+                order2 = {s: k for k, s in enumerate(sorted(set(child)))}
+                rec([order2[s] for s in child])
+
+    rec(init)
+    return best_code[0], best_perm[0], count[0]
 
 
 def random_laurent(rng, span=4, terms=3):

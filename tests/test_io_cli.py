@@ -62,6 +62,42 @@ def test_graph_document_errors():
         bad = dict(doc, iota=doc["iota"] + [[label, "e1"]])
         with pytest.raises(DocumentError, match="unknown labels"):
             io.document_to_graph(bad)
+    # NaN equals nothing, not even itself: the union-find would never end
+    for number in map(float, ("NaN", "Infinity", "-Infinity")):
+        with pytest.raises(DocumentError, match="NaN and infinities"):
+            io.loads_graph(json.dumps(dict(doc, vertices=[number, 2])))
+        bad = dict(doc, half_edges=[{"id": number, "vertex": v}])
+        with pytest.raises(DocumentError, match="NaN and infinities"):
+            io.document_to_graph(bad)
+        b = io.one_graph_to_document(boundary(fixtures.fish(1, 1)))
+        with pytest.raises(DocumentError, match="NaN and infinities"):
+            io.document_to_one_graph(dict(b, vertices=[number]))
+
+
+def test_mixed_label_types_round_trip():
+    fish = fixtures.fish(1, 2)
+    doc = io.graph_to_document(fish)
+    v = doc["vertices"][0]
+    doc["vertices"] = [7 if x == v else x for x in doc["vertices"]]
+    doc["half_edges"] = [dict(h, vertex=7 if h["vertex"] == v
+                              else h["vertex"]) for h in doc["half_edges"]]
+    g = io.document_to_graph(doc)
+    text = io.dumps_graph(g)
+    assert json.loads(text)["vertices"][0] == 7
+    assert io.dumps_graph(io.loads_graph(text)) == text
+    assert canonical_code(g) == canonical_code(fish)
+
+    doc = io.theory_to_document(preset("gw4"))
+    entry = doc["vertices"][0]
+    h = entry["graph"]["half_edges"][0]["id"]
+    ren = {h: 5}.get
+    entry["graph"]["half_edges"] = [dict(e, id=ren(e["id"], e["id"]))
+                                    for e in entry["graph"]["half_edges"]]
+    entry["graph"]["pairing"] = [[ren(a, a), ren(b, b)]
+                                 for a, b in entry["graph"]["pairing"]]
+    entry["orient"] = [[ren(k, k), x] for k, x in entry["orient"]]
+    text = io.dumps_theory(io.document_to_theory(doc))
+    assert io.dumps_theory(io.loads_theory(text)) == text
 
 
 def test_one_graph_round_trip_and_errors():
@@ -339,9 +375,25 @@ def test_cli_error_exits(tmp_path, capsys):
                      "--boundary", bad]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "document"
 
+    for number in map(float, ("NaN", "Infinity", "-Infinity")):
+        doc = {"vertices": [number, 2], "half_edges": [], "strands": [],
+               "iota": [], "sigma1": [], "sigma2": []}
+        bad = _write(tmp_path, "bad_graph.json", json.dumps(doc))
+        assert cli.main(["info", bad]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "document"
+        b = io.one_graph_to_document(boundary(fixtures.fish(1, 1)))
+        bad = _write(tmp_path, "bad_boundary.json",
+                     json.dumps(dict(b, vertices=[number])))
+        assert cli.main(["enumerate", "--theory", "gw4", "--max-edges", "1",
+                         "--boundary", bad]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "document"
+
     doc = io.theory_to_document(preset("gw4"))
     vertex = doc["vertices"][0]
+    graph = vertex["graph"]
+    nan_graph = dict(graph, vertices=[float("nan")] + graph["vertices"][1:])
     for bad_doc in (dict(doc, rank="x"),
+                    dict(doc, vertices=[dict(vertex, graph=nan_graph)]),
                     dict(doc, vertices=[dict(vertex, cost=1.7)]),
                     dict(doc, vertices=[dict(vertex, orient=5)]),
                     dict(doc, vertices=[dict(vertex, orient=[[1, 2, 3]])]),

@@ -1,9 +1,11 @@
 """Canonical forms and automorphism counts against brute-force oracles."""
 
+import json
 import random
+from pathlib import Path
 
 import oracles
-from strandhopf import fixtures
+from strandhopf import fixtures, io
 from strandhopf import (
     OneGraph,
     are_isomorphic,
@@ -16,7 +18,9 @@ from strandhopf import (
     relabel,
     validate,
 )
-from strandhopf.iso import (boundary_multiset_aut_count,
+from strandhopf.graphs import boundary, connected_components
+from strandhopf.iso import (_canon_search, _encode_one_graph,
+                            _encode_two_graph, boundary_multiset_aut_count,
                             one_graph_canonical_form)
 
 CORPUS = fixtures.all_fixtures()
@@ -196,3 +200,64 @@ def test_one_graph_collapsed_classes_match_brute_force():
         a = one_graph_automorphism_count(g)
         assert one_graph_automorphism_count(disjoint_union([g, g])) == \
             2 * a ** 2, name
+
+
+def cycles_encoding(lengths, rng):
+    """(descs, adj) of a disjoint union of cycles, nodes in random order.
+
+    All nodes share one class, so the search has several levels below
+    each child of its first node; on C6 + C3 + C3, in some node orders,
+    it meets a leaf equivalent to the best one before a better leaf in
+    the same subtree.
+    """
+    n = sum(lengths)
+    place = list(range(n))
+    rng.shuffle(place)
+    adj = [[] for _ in range(n)]
+    start = 0
+    for m in lengths:
+        for i in range(m):
+            a, b = place[start + i], place[start + (i + 1) % m]
+            adj[a].append(b)
+            adj[b].append(a)
+        start += m
+    return ((0,),) * n, [tuple(sorted(a)) for a in adj]
+
+
+def search_encodings(rng):
+    """(name, descs, adj) of the encoded connected components of every
+    fixture, of random relabellings of it, and of its boundary, and of
+    unions of cycles in random node orders."""
+    out = [(f"C{lengths}#{k}",) + cycles_encoding(lengths, rng)
+           for lengths in ((6, 3, 3), (3, 4, 5), (4, 4), (7,))
+           for k in range(4)]
+    for name, g in CORPUS.items():
+        copies = [g] + [oracles.random_relabelled(g, rng) for _ in range(2)]
+        for k, h in enumerate(copies):
+            for c in connected_components(h):
+                out.append((f"{name}#{k}",) + _encode_two_graph(c)[:2])
+        b = boundary(g)
+        for vs in b.components():
+            out.append((f"{name}:boundary",)
+                       + _encode_one_graph(b.induced(vs))[:2])
+    return out
+
+
+def test_pruned_search_matches_exhaustive_search():
+    # the code, the first minimal labelling in depth-first order and the
+    # automorphism order must all equal those of the unpruned search
+    for name, descs, adj in search_encodings(random.Random(1981)):
+        assert _canon_search(descs, adj) == \
+            oracles.exhaustive_canon_search(descs, adj), name
+
+
+def test_corpus_automorphism_counts_match_pinned_values():
+    # the 344 connected classes of gw4 <=3, mq3 <=3 and bgr <=2 edges,
+    # pinned by the benchmark before the search was pruned
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "data" / \
+        "corpus.json"
+    entries = json.loads(path.read_text(encoding="utf-8"))["graphs"]
+    assert len(entries) == 344
+    for k, entry in enumerate(entries):
+        g = io.document_to_graph(entry["graph"])
+        assert automorphism_count(g) == entry["automorphisms"], k
