@@ -166,7 +166,7 @@ class TwoGraph:
         self._h_at = None
         self._s_at = None
         self._faces = None
-        self._canon = None   # (code, representative, |Aut|), set by iso
+        self._canon = None   # (code, |Aut|), set by iso
 
     @classmethod
     def make(cls, vertices, half_edges, strands, nu, mu,

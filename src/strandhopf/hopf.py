@@ -158,7 +158,8 @@ REGISTRY = {}
 
 
 def intern_graph(G):
-    """Canonical code of ``G``; a representative is kept for decoding."""
+    """Canonical code of ``G``; the first graph interned under a code is
+    kept as its representative for ``graph_of_code``."""
     code = canonical_code(G)
     REGISTRY.setdefault(code, G)
     return code
@@ -491,10 +492,3 @@ class Renormalization:
         """Convolution of the counterterm character with ``phi``; pole-free
         when ``R`` is the minimal-subtraction projection."""
         return _convolution_sum(self.counterterms, self.phi, G)
-
-
-def clear_caches():
-    """Reset the registry and memo tables (mainly for tests)."""
-    REGISTRY.clear()
-    _COPRODUCT_CACHE.clear()
-    _ANTIPODE_CACHE.clear()

@@ -51,8 +51,12 @@ def graph_to_document(G):
 
 
 def _is_label(x):
-    """Strings, integers and finite floats; NaN equals nothing, not even
-    itself, so it cannot name anything."""
+    """Strings, integers and finite floats.  JSON true and false are not
+    labels, although Python's bool is a kind of int (true would clash
+    with 1); NaN equals nothing, not even itself, so it cannot name
+    anything."""
+    if isinstance(x, bool):
+        return False
     return isinstance(x, (str, int)) or \
         (isinstance(x, float) and math.isfinite(x))
 

@@ -28,15 +28,20 @@ two vertices; the encoding has one node per vertex and one per class.
 The order the search returns is then that of the vertex action alone,
 and the automorphism order is that order times m! per leg class,
 m! per parallel-edge class and m! * 2^m per loop class (the loops
-permute and each can be reversed).
+permute and each can be reversed).  The search's code determines the
+canonical 1-graph, and the 1-graph code string serializes that graph.
 
-Graphs of both kinds are canonized per connected component, and one
-combine step assembles the result: the code of a disconnected graph is
-"U(...)" over the sorted component codes, its representative the
-disjoint union of the component representatives in that order, and its
-automorphism order the wreath product of the component orders (m! per
-repeated factor).  A 2-graph caches the resulting (code,
-representative, order) triple on itself.
+Encodings number their nodes by the positions of the labels in the
+graph's sorted label tuples.  One routine canonizes a connected graph of
+either kind from its encoding and returns only (code, |Aut|): the code
+of the search and its order times the encoding's closed-form factor.
+One combine step assembles a graph from its connected components: the
+code of a disconnected graph is "U(...)" over the sorted component
+codes, its automorphism order the wreath product of the component
+orders (m! per repeated factor).  A 2-graph caches its (code, |Aut|)
+pair on itself.  Only ``canonical_form`` and
+``one_graph_canonical_form`` build a relabelled representative, the
+disjoint union of the component representatives in code order.
 """
 
 from __future__ import annotations
@@ -44,9 +49,8 @@ from __future__ import annotations
 import itertools
 from math import factorial
 
-from .graphs import (GraphError, OneGraph, TwoGraph, connected_components,
-                     disjoint_union, faces, relabel, _connected_groups,
-                     _label_key, _pairs_of_involution)
+from .graphs import (OneGraph, connected_components, disjoint_union, faces,
+                     relabel, _connected_groups, _label_key)
 
 
 # ---------------------------------------------------------------------------
@@ -217,38 +221,36 @@ def _face_classes(G, strand_colour=None):
     """Group the faces of a connected 2-graph into parallel classes.
 
     Two faces are parallel when some alignment matches their itineraries
-    (per-position half-edge plus decoration colour) exactly.  Returns a
-    list of (kind, m, a, members) sorted deterministically, where members
-    are the aligned section tuples, lex-least first, and a is the number
-    of self-alignments of the shared itinerary.
+    (per-position half-edge plus decoration colour) exactly.  Sections
+    and half-edges are numbered by their positions in ``G.strands`` and
+    ``G.half_edges``, which are in label order.  Returns a sorted list
+    of (kind, m, a, members), where members are the aligned section
+    number tuples, least first, and a is the number of self-alignments
+    of the shared itinerary.
     """
+    spos = {s: k for k, s in enumerate(G.strands)}
+    hpos = {h: k for k, h in enumerate(G.half_edges)}
     internal, external = faces(G)
     groups = {}
     for f in internal + external:
-        seq = f.sections
-        n = len(seq)
-        itin = tuple((_label_key(G.mu[s]),
+        seq = tuple(spos[s] for s in f.sections)
+        itin = tuple((hpos[G.mu[s]],
                       None if strand_colour is None else strand_colour[s])
-                     for s in seq)
+                     for s in f.sections)
         best = None
-        best_seq = None
         a = 0
-        for t in _alignments(f.kind, n):
-            cand = tuple(itin[i] for i in t)
-            if cand == itin:
-                a += 1
-            key = (cand, tuple(_label_key(seq[i]) for i in t))
+        for t in _alignments(f.kind, len(seq)):
+            key = (tuple(itin[i] for i in t), tuple(seq[i] for i in t))
+            a += key[0] == itin
             if best is None or key < best:
                 best = key
-                best_seq = tuple(seq[i] for i in t)
-        groups.setdefault((f.kind, best[0]), []).append((a, best_seq))
+        groups.setdefault((f.kind, best[0]), []).append((best[1], a))
     out = []
-    for (kind, itin), members in groups.items():
-        members.sort(key=lambda t: tuple(_label_key(s) for s in t[1]))
-        a = members[0][0]
-        out.append((kind, len(members), a, [m[1] for m in members]))
-    out.sort(key=lambda c: (c[0], c[1],
-                            [[_label_key(s) for s in m] for m in c[3]]))
+    for (kind, _), members in groups.items():
+        members.sort()
+        out.append((kind, len(members), members[0][1],
+                    [seq for seq, _ in members]))
+    out.sort(key=lambda c: (c[0], c[1], c[3]))
     return out
 
 
@@ -256,38 +258,37 @@ def _encode_two_graph(G, strand_colour=None, half_mark=None):
     """Node-classed simple graph for a connected 2-graph, with parallel
     faces collapsed to one representative chain each.
 
-    Optional decorations refine the node classes: ``strand_colour`` maps
-    strands to small ints, ``half_mark`` maps half-edges to small ints.
-    Returns (descs, adj, nodes, classes) where nodes lists the carrier of
-    each encoded node and classes is the _face_classes output.
+    The nodes are the vertices and the half-edges in label order, then,
+    per face class, the sections of its first member followed by one
+    relation node per sigma2 step.  Optional decorations refine the node
+    classes: ``strand_colour`` maps strands to small ints, ``half_mark``
+    maps half-edges to small ints.  Returns (descs, adj, factor, classes,
+    owner): factor is the closed-form order of the collapsed faces,
+    m! * a^(m-1) per class, classes the _face_classes output, and owner
+    the class index of each section node (None for the other nodes).
     """
     classes = _face_classes(G, strand_colour)
-    nodes = []
-    descs = []
-    index = {}
-    for v in G.vertices:
-        index[("v", v)] = len(nodes)
-        nodes.append(("v", v))
-        descs.append((0,))
-    for h in G.half_edges:
-        index[("h", h)] = len(nodes)
-        nodes.append(("h", h))
-        descs.append((1,) if half_mark is None else (1, half_mark[h]))
+    nv = len(G.vertices)
+    vpos = {v: k for k, v in enumerate(G.vertices)}
+    hpos = {h: nv + k for k, h in enumerate(G.half_edges)}
+    descs = [(0,)] * nv + [(1,) if half_mark is None else (1, half_mark[h])
+                           for h in G.half_edges]
+    owner = [None] * len(descs)
     edges = set()
     for h in G.half_edges:
-        edges.add((index[("h", h)], index[("v", G.nu[h])]))
-    for a, b in G.edge_pairs():
-        edges.add((index[("h", a)], index[("h", b)]))
-    for kind, m, a, members in classes:
-        rep = members[0]
-        ids = []
+        edges.add((hpos[h], vpos[G.nu[h]]))
+        if hpos[h] < hpos[G.iota[h]]:
+            edges.add((hpos[h], hpos[G.iota[h]]))
+    factor = 1
+    for idx, (kind, m, a, members) in enumerate(classes):
+        factor *= factorial(m) * a ** (m - 1)
+        rep = [G.strands[i] for i in members[0]]
+        ids = range(len(descs), len(descs) + len(rep))
         for s in rep:
-            k = len(nodes)
-            ids.append(k)
-            nodes.append(("s", s))
+            edges.add((len(descs), hpos[G.mu[s]]))
             col = None if strand_colour is None else strand_colour[s]
             descs.append((2, col, m))
-            edges.add((k, index[("h", G.mu[s])]))
+            owner.append(idx)
         n = len(rep)
         last = n if kind == "internal" else n - 1
         for i in range(0, last):
@@ -295,166 +296,118 @@ def _encode_two_graph(G, strand_colour=None, half_mark=None):
             if i % 2 == 0:
                 edges.add((min(ids[i], ids[j]), max(ids[i], ids[j])))
             else:
-                k = len(nodes)
-                nodes.append(("p", (rep[i], rep[j])))
+                edges.add((len(descs), ids[i]))
+                edges.add((len(descs), ids[j]))
                 descs.append((3,))
-                edges.add((k, ids[i]))
-                edges.add((k, ids[j]))
-    adj = [[] for _ in nodes]
+                owner.append(None)
+    adj = [[] for _ in descs]
     for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
-    return tuple(descs), [tuple(sorted(s)) for s in adj], nodes, classes
-
-
-def _one_graph_classes(g):
-    """Group the half-edges of a 1-graph into interchangeable classes.
-
-    Returns a list of (kind, ends, members): kind 0 for the legs at one
-    vertex, 1 for the loops at one vertex, 2 for the parallel edges
-    between two distinct vertices; ends are the one or two vertices the
-    class touches, and members are half-edge tuples in label order: (h,)
-    for a leg, (a, b) for an edge, with a at ends[0].
-    """
-    groups = {}
-    for h in g.external():
-        groups.setdefault((0, (g.attach[h],)), []).append((h,))
-    for a, b in g.edge_pairs():
-        u, w = g.attach[a], g.attach[b]
-        if u == w:
-            groups.setdefault((1, (u,)), []).append((a, b))
-        elif _label_key(u) < _label_key(w):
-            groups.setdefault((2, (u, w)), []).append((a, b))
-        else:
-            groups.setdefault((2, (w, u)), []).append((b, a))
-    return [(kind, ends, members)
-            for (kind, ends), members in groups.items()]
+    return (tuple(descs), [tuple(sorted(s)) for s in adj], factor, classes,
+            owner)
 
 
 def _encode_one_graph(g):
     """Node-classed simple graph for a connected 1-graph, with each class
     of interchangeable half-edges collapsed to one node.
 
-    One node per vertex plus one class node per _one_graph_classes entry,
-    carrying its kind and multiplicity and adjacent to its end vertices.
-    Returns (descs, adj, nodes, classes); nodes lists the vertex label or
-    the class index of each encoded node.
+    The classes are the legs at one vertex (kind 0), the loops at one
+    vertex (kind 1) and the parallel edges between two distinct vertices
+    (kind 2).  The nodes are the vertices in label order, then one node
+    per class carrying its kind and multiplicity m, adjacent to its one
+    or two vertices.  Returns (descs, adj, factor), factor being the
+    closed-form order of the classes: m! per leg or parallel-edge class
+    and m! * 2^m per loop class (the loops permute and each can be
+    reversed).
     """
-    classes = _one_graph_classes(g)
-    nodes = [("v", v) for v in g.vertices]
-    descs = [(0,)] * len(nodes)
-    index = {v: k for k, v in enumerate(g.vertices)}
-    adj = [[] for _ in nodes]
-    for idx, (kind, ends, members) in enumerate(classes):
-        k = len(nodes)
-        nodes.append(("c", idx))
-        descs.append((1, kind, len(members)))
-        adj.append([index[v] for v in ends])
+    vpos = {v: k for k, v in enumerate(g.vertices)}
+    hpos = {h: k for k, h in enumerate(g.half_edges)}
+    classes = {}
+    for h in g.half_edges:
+        k = g.pairing[h]
+        if hpos[k] < hpos[h]:
+            continue
+        ends = tuple(sorted({vpos[g.attach[h]], vpos[g.attach[k]]}))
+        kind = 0 if k == h else 1 if len(ends) == 1 else 2
+        classes[kind, ends] = classes.get((kind, ends), 0) + 1
+    descs = [(0,)] * len(g.vertices)
+    adj = [[] for _ in descs]
+    factor = 1
+    for (kind, ends), m in classes.items():
+        factor *= factorial(m) * (2 ** m if kind == 1 else 1)
+        adj.append(list(ends))
         for v in ends:
-            adj[index[v]].append(k)
-    return tuple(descs), [tuple(sorted(a)) for a in adj], nodes, classes
+            adj[v].append(len(descs))
+        descs.append((1, kind, m))
+    return tuple(descs), [tuple(sorted(a)) for a in adj], factor
 
 
-def _serial_one(g):
-    vi = {v: k for k, v in enumerate(g.vertices)}
-    hi = {h: k for k, h in enumerate(g.half_edges)}
-    at = tuple(vi[g.attach[h]] for h in g.half_edges)
-    pr = tuple(sorted((hi[a], hi[b]) for a, b in g.edge_pairs()))
-    return repr((len(g.vertices), len(g.half_edges), at, pr))
+def _one_graph_fields(code):
+    """(vertices, half_edges, attach, pairs) of the canonical 1-graph
+    with search code ``code`` (of an _encode_one_graph encoding).
+
+    Vertex "v{r}" sits at canonical position r (the vertex nodes come
+    first); half-edges "h{k}" are numbered class by class in canonical
+    order, and every non-loop edge starts at its lower-ranked vertex.
+    """
+    descs, edges = code
+    nv = descs.count((0,))
+    ends = [[] for _ in descs]
+    for i, j in edges:
+        ends[j].append(i)
+    attach, pairs = {}, []
+
+    def half(r):
+        h = f"h{len(attach)}"
+        attach[h] = f"v{r}"
+        return h
+
+    for p in range(nv, len(descs)):
+        _, kind, m = descs[p]
+        for _ in range(m):
+            if kind == 0:
+                half(ends[p][0])
+            else:
+                pairs.append((half(ends[p][0]), half(ends[p][-1])))
+    return [f"v{r}" for r in range(nv)], list(attach), attach, pairs
+
+
+def _one_graph_serial(code):
+    """Code string of a connected 1-graph from its search code: vertex and
+    half-edge counts, attachment and edges of the canonical 1-graph, with
+    its labels numbered in string order ("h10" before "h2")."""
+    vs, hs, attach, pairs = _one_graph_fields(code)
+    vi = {v: k for k, v in enumerate(sorted(vs))}
+    hi = {h: k for k, h in enumerate(sorted(hs))}
+    at = tuple(vi[attach[h]] for h in sorted(hs))
+    pr = tuple(sorted(tuple(sorted((hi[a], hi[b]))) for a, b in pairs))
+    return repr((len(vs), len(hs), at, pr))
 
 
 # ---------------------------------------------------------------------------
-# 2-graph canonical forms
+# codes and automorphism orders of both kinds
 
 
-def _canon_connected_two(G, strand_colour=None, half_mark=None):
-    """(code, relabelled graph, aut order) for a connected 2-graph.
-
-    The relabelled graph puts vertices and half-edges in canonical
-    positions; strand numbering is canonical up to the exchange of
-    parallel faces (which is an automorphism, so the result is a valid
-    deterministic representative).
-    """
-    descs, adj, nodes, classes = _encode_two_graph(G, strand_colour,
-                                                   half_mark)
-    code, perm, naut = _canon_search(descs, adj)
-    for kind, m, a, members in classes:
-        naut *= factorial(m) * a ** (m - 1)
-    rank = {p: k for k, p in enumerate(perm)}
-    vmap, hmap = {}, {}
-    for p in perm:
-        knd, lbl = nodes[p]
-        if knd == "v":
-            vmap[lbl] = f"v{len(vmap)}"
-        elif knd == "h":
-            hmap[lbl] = f"h{len(hmap)}"
-    sec_class = {}
-    for idx, (kind, m, a, members) in enumerate(classes):
-        for s in members[0]:
-            sec_class[s] = idx
-    min_rank = {}
-    for k, (knd, lbl) in enumerate(nodes):
-        if knd != "s":
-            continue
-        c = sec_class[lbl]
-        if c not in min_rank or rank[k] < min_rank[c]:
-            min_rank[c] = rank[k]
-    smap = {}
-    for idx in sorted(range(len(classes)), key=lambda i: min_rank[i]):
-        for mem in classes[idx][3]:
-            for s in mem:
-                smap[s] = f"s{len(smap)}"
-    R = relabel(G, vmap, hmap, smap)
-    return repr(code), R, naut
+def _canon_connected(encoding, serial=repr):
+    """(code, |Aut|) of a connected graph from its encoding: ``serial`` of
+    the search's code, and the order the search finds times the encoding's
+    closed-form factor."""
+    descs, adj, factor = encoding[:3]
+    code, _, order = _canon_search(descs, adj)
+    return serial(code), order * factor
 
 
-def _combine(parts, empty):
-    """(code, representative, |Aut|) of a graph of either kind from those
-    of its connected components; ``empty`` represents the graph with no
-    components.  Several components combine into "U(...)" over the sorted
-    codes, the disjoint union of the representatives in that order, and
-    the wreath product order."""
+def _combine(parts):
+    """(code, |Aut|) of a graph of either kind from those of its connected
+    components: "empty" for none, and for several "U(...)" over the
+    sorted codes with the wreath product order."""
     if not parts:
-        return "empty", empty, 1
+        return "empty", 1
     if len(parts) == 1:
         return parts[0]
-    parts.sort(key=lambda t: t[0])
-    return ("U(" + ",".join(p[0] for p in parts) + ")",
-            disjoint_union([p[1] for p in parts]),
-            _wreath([(p[0], p[2]) for p in parts]))
-
-
-def _canon_two(G):
-    """The (code, representative, |Aut|) triple of a 2-graph, cached on
-    ``G``."""
-    if G._canon is None:
-        G._canon = _combine([_canon_connected_two(c)
-                             for c in connected_components(G)], G)
-    return G._canon
-
-
-def canonical_form(G):
-    """Canonical code string plus an isomorphic relabelled graph.
-
-    Two 2-graphs are isomorphic exactly when their codes coincide.  The
-    representative's vertex and half-edge labels are canonical positions;
-    its strand labels are deterministic for a given input and canonical
-    up to parallel-face exchange, which is always an automorphism.
-    """
-    return _canon_two(G)[:2]
-
-
-def canonical_code(G, strand_colour=None, half_mark=None):
-    if strand_colour is None and half_mark is None:
-        return _canon_two(G)[0]
-    parts = []
-    for c in connected_components(G):
-        sc = None if strand_colour is None else \
-            {s: strand_colour[s] for s in c.strands}
-        hm = None if half_mark is None else \
-            {h: half_mark[h] for h in c.half_edges}
-        parts.append(_canon_connected_two(c, sc, hm))
-    return _combine(parts, G)[0]
+    parts = sorted(parts)
+    return "U(" + ",".join(code for code, _ in parts) + ")", _wreath(parts)
 
 
 def _wreath(coded_auts):
@@ -468,10 +421,71 @@ def _wreath(coded_auts):
     return total
 
 
+def _union(forms, empty):
+    """Representative of a graph from the (code, representative) pairs of
+    its connected components: the disjoint union in the code order of
+    _combine, ``empty`` for none."""
+    if len(forms) == 1:
+        return forms[0][1]
+    forms = sorted(forms, key=lambda t: t[0])
+    return disjoint_union([rep for _, rep in forms]) if forms else empty
+
+
+# ---------------------------------------------------------------------------
+# 2-graphs
+
+
+def _two_parts(G, strand_colour=None, half_mark=None):
+    return [_canon_connected(_encode_two_graph(c, strand_colour, half_mark))
+            for c in connected_components(G)]
+
+
+def _canon_two(G):
+    """The (code, |Aut|) pair of a 2-graph, cached on ``G``."""
+    if G._canon is None:
+        G._canon = _combine(_two_parts(G))
+    return G._canon
+
+
+def canonical_form(G):
+    """Canonical code string plus an isomorphic relabelled graph.
+
+    Two 2-graphs are isomorphic exactly when their codes coincide.  The
+    representative's vertex and half-edge labels are canonical positions;
+    its strands are numbered face class by face class, in the order in
+    which the classes first occur in the canonical labelling.  They are
+    deterministic for a given input and canonical up to parallel-face
+    exchange, which is always an automorphism.
+    """
+    forms = []
+    for c in connected_components(G):
+        descs, adj, _, classes, owner = _encode_two_graph(c)
+        code, perm, _ = _canon_search(descs, adj)
+        nv, nh = len(c.vertices), len(c.half_edges)
+        vmap = {c.vertices[p]: f"v{k}"
+                for k, p in enumerate(p for p in perm if p < nv)}
+        hmap = {c.half_edges[p - nv]: f"h{k}"
+                for k, p in enumerate(p for p in perm if nv <= p < nv + nh)}
+        smap = {}
+        for idx in dict.fromkeys(owner[p] for p in perm
+                                 if owner[p] is not None):
+            for member in classes[idx][3]:
+                for i in member:
+                    smap[c.strands[i]] = f"s{len(smap)}"
+        forms.append((repr(code), relabel(c, vmap, hmap, smap)))
+    return _canon_two(G)[0], _union(forms, G)
+
+
+def canonical_code(G, strand_colour=None, half_mark=None):
+    if strand_colour is None and half_mark is None:
+        return _canon_two(G)[0]
+    return _combine(_two_parts(G, strand_colour, half_mark))[0]
+
+
 def automorphism_count(G):
     """Order of the automorphism group (label permutations preserving all
     five structure maps)."""
-    return _canon_two(G)[2]
+    return _canon_two(G)[1]
 
 
 def are_isomorphic(G1, G2):
@@ -479,48 +493,25 @@ def are_isomorphic(G1, G2):
 
 
 # ---------------------------------------------------------------------------
-# 1-graph canonical forms
-
-
-def _canon_connected_one(g):
-    """(code, relabelled graph, aut order) for a connected 1-graph.
-
-    Vertices are numbered in canonical order, half-edges class by class
-    in canonical class order, and every non-loop edge starts at its
-    lower-ranked vertex; orders inside a class differ only by an
-    automorphism, so the representative and its code are canonical.
-    """
-    descs, adj, nodes, classes = _encode_one_graph(g)
-    code, perm, naut = _canon_search(descs, adj)
-    vrank = {}
-    for p in perm:
-        knd, lbl = nodes[p]
-        if knd == "v":
-            vrank[lbl] = len(vrank)
-    vmap = {v: f"v{r}" for v, r in vrank.items()}
-    hmap = {}
-    for p in perm:
-        knd, lbl = nodes[p]
-        if knd == "v":
-            continue
-        kind, ends, members = classes[lbl]
-        m = len(members)
-        naut *= factorial(m) * (2 ** m if kind == 1 else 1)
-        flip = kind == 2 and vrank[ends[0]] > vrank[ends[1]]
-        for mem in members:
-            for h in (mem[::-1] if flip else mem):
-                hmap[h] = f"h{len(hmap)}"
-    R = relabel(g, vmap, hmap)
-    return _serial_one(R), R, naut
+# 1-graphs
 
 
 def _canon_one(g):
-    return _combine([_canon_connected_one(g.induced(vs))
-                     for vs in g.components()], g)
+    """The (code, |Aut|) pair of a 1-graph."""
+    return _combine([_canon_connected(_encode_one_graph(g.induced(vs)),
+                                      _one_graph_serial)
+                     for vs in g.components()])
 
 
 def one_graph_canonical_form(g):
-    return _canon_one(g)[:2]
+    """Canonical code string plus the canonical 1-graph: per component
+    the graph of _one_graph_fields, which two isomorphic 1-graphs share."""
+    forms = []
+    for vs in g.components():
+        code = _canon_search(*_encode_one_graph(g.induced(vs))[:2])[0]
+        forms.append((_one_graph_serial(code),
+                      OneGraph.make(*_one_graph_fields(code))))
+    return one_graph_code(g), _union(forms, g)
 
 
 def one_graph_code(g):
@@ -528,21 +519,16 @@ def one_graph_code(g):
 
 
 def one_graph_automorphism_count(g):
-    return _canon_one(g)[2]
+    return _canon_one(g)[1]
 
 
 def one_graphs_isomorphic(g1, g2):
     return one_graph_code(g1) == one_graph_code(g2)
 
 
-def boundary_multiset_code(entries):
-    """Code of a multiset of 1-graphs (one entry per graph component)."""
-    return "M[" + "|".join(sorted(one_graph_code(g) for g in entries)) + "]"
-
-
 def boundary_multiset_aut_count(entries):
     """|Aut| of a multiset of 1-graphs: wreath of the entry groups."""
-    return _wreath([_canon_one(g)[::2] for g in entries])
+    return _wreath([_canon_one(g) for g in entries])
 
 
 # ---------------------------------------------------------------------------

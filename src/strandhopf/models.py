@@ -24,7 +24,7 @@ from math import floor
 from .graphs import (GraphError, OneGraph, TwoGraph, _connected_groups,
                      _label_key, boundary, connected_components, faces,
                      internal_face_count, is_bridgeless, vertex_graph)
-from . import hopf, iso, series
+from . import iso, series
 from .series import DressedType
 
 
@@ -735,8 +735,3 @@ def renormalizability_check(theory, max_edges):
                                    n_div, max_ext,
                                    bound if bound is not None else -1,
                                    mismatches, invariant_clashes, passed)
-
-
-def toy_character(theory):
-    """Toy minimal-subtraction Feynman rules for ``theory``."""
-    return hopf.toy_ms_character(lambda G: superficial_degree(theory, G))

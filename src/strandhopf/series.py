@@ -306,9 +306,9 @@ def enumerate_diagrams(theory, max_edges, connected=True, boundary_graph=None,
         union = disjoint_union([p.graph for p in parts])
         if want is not None and iso.one_graph_code(boundary(union)) != want:
             continue
-        aut = iso._wreath([(p.code, p.automorphisms) for p in parts])
-        terms.append(SeriesTerm(union, iso.canonical_code(union), aut,
-                                union.n_edges(), Fraction(1, aut)))
+        code, aut = iso._combine([(p.code, p.automorphisms) for p in parts])
+        terms.append(SeriesTerm(union, code, aut, union.n_edges(),
+                                Fraction(1, aut)))
     terms.sort(key=lambda t: (t.n_edges, t.code))
     return TruncatedSeries(max_edges, False, terms)
 

@@ -72,6 +72,13 @@ def test_graph_document_errors():
         b = io.one_graph_to_document(boundary(fixtures.fish(1, 1)))
         with pytest.raises(DocumentError, match="NaN and infinities"):
             io.document_to_one_graph(dict(b, vertices=[number]))
+    # JSON true is Python's True, which equals 1 as a dict key
+    for flag in (True, False):
+        with pytest.raises(DocumentError, match="strings or numbers"):
+            io.loads_graph(json.dumps(dict(doc, vertices=[1, flag])))
+        bad = dict(doc, half_edges=[{"id": flag, "vertex": v}])
+        with pytest.raises(DocumentError, match="strings or numbers"):
+            io.document_to_graph(bad)
 
 
 def test_mixed_label_types_round_trip():
@@ -387,6 +394,12 @@ def test_cli_error_exits(tmp_path, capsys):
         assert cli.main(["enumerate", "--theory", "gw4", "--max-edges", "1",
                          "--boundary", bad]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "document"
+
+    doc = {"vertices": [1, True], "half_edges": [], "strands": [],
+           "iota": [], "sigma1": [], "sigma2": []}
+    bad = _write(tmp_path, "bad_graph.json", json.dumps(doc))
+    assert cli.main(["info", bad]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "document"
 
     doc = io.theory_to_document(preset("gw4"))
     vertex = doc["vertices"][0]

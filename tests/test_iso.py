@@ -1,11 +1,12 @@
 """Canonical forms and automorphism counts against brute-force oracles."""
 
+import hashlib
 import json
 import random
 from pathlib import Path
 
 import oracles
-from strandhopf import fixtures, io
+from strandhopf import fixtures, io, preset
 from strandhopf import (
     OneGraph,
     are_isomorphic,
@@ -18,10 +19,12 @@ from strandhopf import (
     relabel,
     validate,
 )
-from strandhopf.graphs import boundary, connected_components
+from strandhopf.graphs import boundary, connected_components, is_connected
 from strandhopf.iso import (_canon_search, _encode_one_graph,
                             _encode_two_graph, boundary_multiset_aut_count,
                             one_graph_canonical_form)
+from strandhopf.rewrite import (instantiate_vertex_type, _glue_options,
+                                _with_edges)
 
 CORPUS = fixtures.all_fixtures()
 SMALL = {name: g for name, g in CORPUS.items() if len(g.half_edges) <= 6}
@@ -251,13 +254,103 @@ def test_pruned_search_matches_exhaustive_search():
             oracles.exhaustive_canon_search(descs, adj), name
 
 
-def test_corpus_automorphism_counts_match_pinned_values():
-    # the 344 connected classes of gw4 <=3, mq3 <=3 and bgr <=2 edges,
-    # pinned by the benchmark before the search was pruned
+def corpus_entries():
+    """The 344 connected classes of gw4 <=3, mq3 <=3 and bgr <=2 edges,
+    pinned by the benchmark before the search was pruned."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "data" / \
         "corpus.json"
-    entries = json.loads(path.read_text(encoding="utf-8"))["graphs"]
+    return json.loads(path.read_text(encoding="utf-8"))["graphs"]
+
+
+def test_corpus_automorphism_counts_match_pinned_values():
+    entries = corpus_entries()
     assert len(entries) == 344
     for k, entry in enumerate(entries):
         g = io.document_to_graph(entry["graph"])
         assert automorphism_count(g) == entry["automorphisms"], k
+
+
+def test_code_strings_are_pinned():
+    # code strings are part of the output (info, classify, enumerate), so
+    # any change to them must be deliberate; the boundaries include some
+    # with more than ten half-edges, where "h10" sorts before "h2"
+    graphs = list(CORPUS.values())
+    graphs += [io.document_to_graph(e["graph"]) for e in corpus_entries()]
+    names = sorted(CORPUS)
+    graphs += [disjoint_union([CORPUS[a], CORPUS[b]])
+               for a, b in zip(names, names[1:])]
+    graphs.append(disjoint_union([CORPUS["fish_mixed"]] * 2
+                                 + [CORPUS["quartic_tadpole_same"]]))
+    boundaries = [boundary(g) for g in graphs]
+    assert max(len(b.half_edges) for b in boundaries) >= 11
+    dressed = [dt.dressed_code() for name in ("gw4", "mq3", "bgr")
+               for dt in preset(name).dressed_types()]
+    text = "\n".join(sorted({canonical_code(g) for g in graphs})
+                     + sorted({one_graph_code(b) for b in boundaries})
+                     + sorted(set(dressed)))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "cbeba6bb63bee7e8f6dae26cebf3c9cfa10f60964c0bb53ed7981b8e403ac737"
+
+
+def random_gluing(rng, theory):
+    """A random gluing of ``theory``'s vertex types with at most three
+    edges, eight half-edges and sixteen strands (so the brute-force count
+    stays quick); every bijection of strand corollas may join two
+    half-edges, and vertices left unjoined make it disconnected."""
+    types = [dt.graph for dt in preset(theory).dressed_types()]
+    pieces = []
+    for _ in range(rng.randint(1, 3)):
+        gamma = rng.choice(types)
+        if sum(len(p.vertices) for p in pieces) + len(gamma.vertices) <= 8 \
+                and sum(len(p.half_edges) for p in pieces) \
+                + len(gamma.half_edges) <= 16:
+            pieces.append(gamma)
+    G = disjoint_union([instantiate_vertex_type(gamma, f"{k}")
+                        for k, gamma in enumerate(pieces)], prefix=False)
+    for _ in range(rng.randint(0, 3)):
+        ext = G.external_half_edges()
+        pairs = [(a, b) for i, a in enumerate(ext) for b in ext[i + 1:]
+                 if G.strand_degree(a) == G.strand_degree(b)]
+        if not pairs:
+            break
+        pair = rng.choice(pairs)
+        G = _with_edges(G, [pair], rng.choice(_glue_options(G, pair)))
+    return G
+
+
+def test_random_small_gluings_match_brute_force():
+    rng = random.Random(2021)
+    connected = 0
+    for k in range(45):
+        g = random_gluing(rng, ("gw4", "mq3", "bgr")[k % 3])
+        assert validate(g).valid, k
+        connected += is_connected(g)
+        code = canonical_code(g)
+        assert automorphism_count(g) == \
+            oracles.brute_two_graph_automorphism_count(g), k
+        assert canonical_code(oracles.random_relabelled(g, rng)) == code, k
+        rep_code, rep = canonical_form(g)
+        assert rep_code == code and canonical_code(rep) == code, k
+    assert 0 < connected < 45
+
+
+def test_codes_and_orders_build_no_representative(monkeypatch):
+    # codes and automorphism orders come from the search alone; only
+    # canonical_form and one_graph_canonical_form relabel a graph
+    fresh = fixtures.all_fixtures()
+    names = sorted(fresh)
+    unions = [disjoint_union([fresh[a], fresh[b], fresh[a]])
+              for a, b in zip(names, names[1:])]
+    twos = list(fresh.values()) + unions
+    ones = [boundary(g) for g in twos]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("representative built")
+
+    for module in ("graphs", "iso"):
+        for name in ("relabel", "disjoint_union"):
+            monkeypatch.setattr(f"strandhopf.{module}.{name}", forbidden)
+    for g in twos:
+        assert canonical_code(g) and automorphism_count(g) > 0
+    for b in ones:
+        assert one_graph_code(b) and one_graph_automorphism_count(b) > 0
