@@ -15,9 +15,11 @@ value within a type, so a mixed document round-trips byte for byte too.
 Theory documents carry the enumeration class, dimension, the propagator
 graphs with weights, and the dressed vertex types.  A vertex type may
 carry a non-negative integer ``cost`` and ``colour``, ``parity`` and
-``orient`` marks: lists of [label, value] pairs with one pair per
+``orient`` marks: lists of [label, integer] pairs with one pair per
 half-edge (``colour``, ``orient``) or per vertex (``parity``) of its
-1-graph.
+1-graph.  Every vertex type of a ``map`` theory carries ``orient`` and
+every one of a ``coloured`` theory ``colour``; ``parity`` is on all
+types of a ``coloured`` theory or on none.
 """
 
 from __future__ import annotations
@@ -213,6 +215,8 @@ def _marks_in(entry, key, labels):
         raise DocumentError(f"{key} must be a list of [label, value] pairs")
     if {k for k, _ in value} != set(labels):
         raise DocumentError(f"{key} labels must match the vertex graph")
+    if not all(type(v) is int for _, v in value):
+        raise DocumentError(f"{key} values must be integers")
     return tuple((k, v) for k, v in value)
 
 
@@ -282,6 +286,13 @@ def document_to_theory(doc):
             orient=_marks_in(entry, "orient", g.half_edges),
             name=str(entry.get("name", "")),
         ))
+    mark = {"map": "orient", "coloured": "colour"}.get(doc["class"])
+    if mark is not None and any(getattr(dt, mark) is None for dt in types):
+        raise DocumentError(f"every {doc['class']} vertex type needs {mark}")
+    if doc["class"] == "coloured" and \
+            len({dt.parity is None for dt in types}) > 1:
+        raise DocumentError("parity must be on all coloured vertex types "
+                            "or on none")
     rank = doc.get("rank")
     zeta = doc.get("zeta")
     return Theory(name=str(doc.get("name", "theory")),

@@ -39,9 +39,9 @@ One combine step assembles a graph from its connected components: the
 code of a disconnected graph is "U(...)" over the sorted component
 codes, its automorphism order the wreath product of the component
 orders (m! per repeated factor).  A 2-graph caches its (code, |Aut|)
-pair on itself.  Only ``canonical_form`` and
-``one_graph_canonical_form`` build a relabelled representative, the
-disjoint union of the component representatives in code order.
+pair on itself.  Only ``canonical_form`` builds a relabelled
+representative, the disjoint union of the component representatives in
+code order.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ from __future__ import annotations
 import itertools
 from math import factorial
 
-from .graphs import (OneGraph, connected_components, disjoint_union, faces,
-                     relabel, _connected_groups, _label_key)
+from .graphs import (connected_components, disjoint_union, faces, relabel,
+                     _connected_groups, _label_key)
 
 
 # ---------------------------------------------------------------------------
@@ -421,16 +421,6 @@ def _wreath(coded_auts):
     return total
 
 
-def _union(forms, empty):
-    """Representative of a graph from the (code, representative) pairs of
-    its connected components: the disjoint union in the code order of
-    _combine, ``empty`` for none."""
-    if len(forms) == 1:
-        return forms[0][1]
-    forms = sorted(forms, key=lambda t: t[0])
-    return disjoint_union([rep for _, rep in forms]) if forms else empty
-
-
 # ---------------------------------------------------------------------------
 # 2-graphs
 
@@ -473,7 +463,9 @@ def canonical_form(G):
                 for i in member:
                     smap[c.strands[i]] = f"s{len(smap)}"
         forms.append((repr(code), relabel(c, vmap, hmap, smap)))
-    return _canon_two(G)[0], _union(forms, G)
+    reps = [rep for _, rep in sorted(forms, key=lambda t: t[0])]
+    return _canon_two(G)[0], (reps[0] if len(reps) == 1 else
+                              disjoint_union(reps) if reps else G)
 
 
 def canonical_code(G, strand_colour=None, half_mark=None):
@@ -496,22 +488,16 @@ def are_isomorphic(G1, G2):
 # 1-graphs
 
 
+def _one_parts(g):
+    """The (code, |Aut|) pairs of the connected components of a 1-graph."""
+    return [_canon_connected(_encode_one_graph(g.induced(vs)),
+                             _one_graph_serial)
+            for vs in g.components()]
+
+
 def _canon_one(g):
     """The (code, |Aut|) pair of a 1-graph."""
-    return _combine([_canon_connected(_encode_one_graph(g.induced(vs)),
-                                      _one_graph_serial)
-                     for vs in g.components()])
-
-
-def one_graph_canonical_form(g):
-    """Canonical code string plus the canonical 1-graph: per component
-    the graph of _one_graph_fields, which two isomorphic 1-graphs share."""
-    forms = []
-    for vs in g.components():
-        code = _canon_search(*_encode_one_graph(g.induced(vs))[:2])[0]
-        forms.append((_one_graph_serial(code),
-                      OneGraph.make(*_one_graph_fields(code))))
-    return one_graph_code(g), _union(forms, g)
+    return _combine(_one_parts(g))
 
 
 def one_graph_code(g):

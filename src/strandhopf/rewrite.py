@@ -1,11 +1,14 @@
-"""Subgraphs, contraction, insertion and contraction closure.
+"""Subgraphs, contraction, insertion and the gluing of vertex types.
 
 Subgraphs are *wide*: a subgraph is a subset of the edge set, keeping
 every vertex, half-edge and strand section of the parent.  Contraction
 of a subgraph shrinks each of its connected components to a point and
 closes the surviving strand structure along the subgraph's external
 faces.  Insertion is the converse: a graph is planted into the vertices
-of another whose vertex graphs match its boundary components.
+of another whose vertex graphs match its boundary components.  A vertex
+type (a 1-graph) is instantiated as a single-vertex 2-graph, and edges
+with their strand pairings are glued between half-edges; the edge growth
+of ``series`` builds its diagrams and its contraction closure from these.
 """
 
 from __future__ import annotations
@@ -13,10 +16,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import (GraphError, OneGraph, TwoGraph, boundary,
-                     boundary_components, connected_components,
-                     disjoint_union, is_connected, subgraph_with_edges,
-                     validate, vertex_graph, _contract_edges, _label_key)
+from .graphs import (GraphError, TwoGraph, boundary, connected_components,
+                     subgraph_with_edges, validate, vertex_graph,
+                     _contract_edges, _label_key)
 from . import iso
 
 
@@ -181,15 +183,7 @@ def insert(G2, H, ins):
 
 
 # ---------------------------------------------------------------------------
-# contraction closure of a vertex type set
-
-
-@dataclass
-class ClosureReport:
-    types: dict
-    reached_fixpoint: bool
-    truncated: bool
-    rounds: int
+# gluing vertex types
 
 
 def instantiate_vertex_type(gamma, tag):
@@ -212,28 +206,6 @@ def instantiate_vertex_type(gamma, tag):
                     {s: s for s in ss})
 
 
-def _matchings(half_edges, compatible, max_size):
-    """All sets of at most ``max_size`` disjoint compatible pairs.
-
-    Each matching is produced exactly once: the first available half-edge
-    is either left unmatched for good or paired with a later one.
-    """
-    def rec(avail, cur):
-        if not avail or len(cur) >= max_size:
-            yield tuple(cur)
-            return
-        a = avail[0]
-        rest = avail[1:]
-        yield from rec(rest, cur)
-        for k, b in enumerate(rest):
-            if compatible(a, b):
-                cur.append((a, b))
-                yield from rec(rest[:k] + rest[k + 1:], cur)
-                cur.pop()
-
-    yield from rec(list(half_edges), [])
-
-
 def _glue_options(G, pair):
     """sigma2 choices (tuples of strand pairs) for joining ``pair``."""
     a, b = pair
@@ -254,67 +226,3 @@ def _with_edges(G, matched, sigma2_pairs):
         s2[y] = x
     return TwoGraph(G.vertices, G.half_edges, G.strands, dict(G.nu),
                     dict(G.mu), iota, dict(G.sigma1), s2)
-
-
-def contraction_closure_bounded(vertex_types, max_boundary_vertices,
-                                max_edges, max_rounds=None):
-    """Saturate a vertex type set under taking boundaries of connected
-    gluings with at most ``max_edges`` edges.
-
-    Types whose boundary would exceed ``max_boundary_vertices`` external
-    half-edges are dropped and the report is marked truncated.  With
-    ``max_rounds`` the saturation stops early (fixpoint not claimed).
-    """
-    known = {}
-    for g in vertex_types:
-        code = iso.one_graph_code(g)
-        known.setdefault(code, iso.one_graph_canonical_form(g)[1])
-    frontier = set(known)
-    truncated = False
-    fixpoint = False
-    rounds = 0
-    while frontier:
-        if max_rounds is not None and rounds >= max_rounds:
-            break
-        rounds += 1
-        new = {}
-        codes = sorted(known)
-        max_pieces = max_edges + 1
-        for npieces in range(1, max_pieces + 1):
-            for multi in itertools.combinations_with_replacement(codes,
-                                                                 npieces):
-                if not set(multi) & frontier:
-                    continue
-                base = disjoint_union(
-                    [instantiate_vertex_type(known[c], f"{i}")
-                     for i, c in enumerate(multi)])
-                compat = lambda a, b: (base.strand_degree(a)
-                                       == base.strand_degree(b))
-                seen_bnd = set()
-                for matched in _matchings(base.half_edges, compat, max_edges):
-                    if len(matched) < npieces - 1:
-                        continue
-                    for s2 in itertools.product(
-                            *[_glue_options(base, p) for p in matched]):
-                        pairs = [q for opt in s2 for q in opt]
-                        G = _with_edges(base, matched, pairs)
-                        if not is_connected(G):
-                            continue
-                        b = boundary(G)
-                        if len(b.vertices) > max_boundary_vertices:
-                            truncated = True
-                            continue
-                        key = (tuple(sorted(b.attach.items())),
-                               b.edge_pairs())
-                        if key in seen_bnd:
-                            continue
-                        seen_bnd.add(key)
-                        code = iso.one_graph_code(b)
-                        if code not in known and code not in new:
-                            new[code] = iso.one_graph_canonical_form(b)[1]
-        if not new:
-            fixpoint = True
-            break
-        known.update(new)
-        frontier = set(new)
-    return ClosureReport(known, fixpoint, truncated, rounds)

@@ -14,7 +14,8 @@ parities, strand orientations) restricts which edge pairings are allowed:
 
 The central identity check enumerates a contraction-closed universe of
 bounded-cost diagrams and compares both sides of the coproduct formula
-for diagram series coefficient by coefficient.
+for diagram series coefficient by coefficient.  The one
+contraction-closure routine, ``closed_universe``, builds that universe.
 """
 
 from __future__ import annotations
@@ -180,20 +181,25 @@ def _record(raw, g, n_edges, degree):
                                degree, iso.one_graph_code(boundary(g)))
 
 
-def connected_classes(dtypes, klass, budget):
+def connected_classes(dtypes, klass, budget, frontier=None):
     """All connected diagram classes with creation cost within ``budget``.
 
     The cost (*degree*) of a diagram is its edge count plus the costs of
     its vertex types; for theory types the costs are zero, so the budget
-    caps the edge count.  Returns a dict keyed by plain canonical code.
+    caps the edge count.  With a ``frontier`` (a set of types), only the
+    classes using at least one frontier type are built.  Returns a dict
+    keyed by plain canonical code.
     """
     raw = {}
     order = sorted(range(len(dtypes)),
                    key=lambda i: (dtypes[i].cost, dtypes[i].dressed_code()))
     dtypes = [dtypes[i] for i in order]
+    in_frontier = [frontier is None or dt in frontier for dt in dtypes]
     for npieces in range(1, budget + 2):
         for multi in itertools.combinations_with_replacement(
                 range(len(dtypes)), npieces):
+            if not any(in_frontier[i] for i in multi):
+                continue
             cost_sum = sum(dtypes[i].cost for i in multi)
             if cost_sum + max(0, npieces - 1) > budget:
                 continue
@@ -301,11 +307,15 @@ def enumerate_diagrams(theory, max_edges, connected=True, boundary_graph=None,
                                  chosen)
                 chosen.pop()
 
+    if want is not None:
+        # the boundary of a union is the union of the parts' boundaries
+        bparts = [iso._one_parts(boundary(c.graph)) for c in conn]
     for combo in build(0, 0, 0, []):
+        if want is not None and iso._combine(
+                [p for i in combo for p in bparts[i]])[0] != want:
+            continue
         parts = [conn[i] for i in combo]
         union = disjoint_union([p.graph for p in parts])
-        if want is not None and iso.one_graph_code(boundary(union)) != want:
-            continue
         code, aut = iso._combine([(p.code, p.automorphisms) for p in parts])
         terms.append(SeriesTerm(union, code, aut, union.n_edges(),
                                 Fraction(1, aut)))
@@ -338,6 +348,11 @@ def closed_universe(theory, max_edges):
     cost d; the degree of a diagram is its edge count plus its vertex
     costs, which makes degrees exactly additive under insertion.
 
+    Each round builds only the classes that use a type the previous round
+    created or made cheaper (all types in the first round); a class
+    without such a type is unchanged since it was last built, and so is
+    its boundary.  The saturation ends when a round changes no type.
+
     Returns (types, classes); classes is keyed by canonical code, and the
     component classes of subgraphs of members, their contraction classes,
     and their bounded-degree insertions are again members.
@@ -345,22 +360,22 @@ def closed_universe(theory, max_edges):
     types = {}
     for dt in theory.dressed_types():
         types.setdefault(dt.plain_code(), DressedType(dt.graph, cost=0))
-    while True:
-        classes = connected_classes(list(types.values()), "generic",
-                                    max_edges)
-        changed = False
-        for cls in classes.values():
+    classes = {}
+    changed = set(types)
+    while changed:
+        fresh = connected_classes(list(types.values()), "generic", max_edges,
+                                  {types[code] for code in changed})
+        classes.update(fresh)
+        changed = set()
+        for cls in fresh.values():
             b = boundary(cls.graph)
             code = iso.one_graph_code(b)
             old = types.get(code)
-            if old is None:
-                types[code] = DressedType(b, cost=cls.degree)
-                changed = True
-            elif cls.degree < old.cost:
-                types[code] = DressedType(old.graph, cost=cls.degree)
-                changed = True
-        if not changed:
-            return list(types.values()), classes
+            if old is None or cls.degree < old.cost:
+                types[code] = DressedType(b if old is None else old.graph,
+                                          cost=cls.degree)
+                changed.add(code)
+    return list(types.values()), classes
 
 
 def check_central_identity(theory, max_edges, bridgeless_only=False):

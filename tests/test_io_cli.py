@@ -160,10 +160,31 @@ def test_theory_document_errors():
                        ("colour", 5), ("parity", 5), ("orient", 5),
                        ("orient", [[1, 2, 3]]), ("colour", [7]),
                        ("parity", [[[1], 0]]), ("orient", [["nope", 1]]),
-                       ("orient", [])):
+                       ("orient", []), ("orient", None),
+                       ("orient", _marks_with(vertex["orient"], "a")),
+                       ("orient", _marks_with(vertex["orient"], 0.5))):
         bad = dict(doc, vertices=[dict(vertex, **{key: value})])
         with pytest.raises(DocumentError, match=key):
             io.document_to_theory(bad)
+    for bad, key in _bad_coloured_documents():
+        with pytest.raises(DocumentError, match=key):
+            io.document_to_theory(bad)
+
+
+def _marks_with(marks, value):
+    """``marks`` with the first mark value replaced by ``value``."""
+    return [[marks[0][0], value]] + marks[1:]
+
+
+def _bad_coloured_documents():
+    """bgr documents with a missing or malformed colour or parity mark, and
+    the mark each one gets wrong."""
+    doc = io.theory_to_document(preset("bgr"))
+    first, rest = doc["vertices"][0], doc["vertices"][1:]
+    for key, value in (("colour", None), ("parity", None),
+                       ("parity", _marks_with(first["parity"], "h1")),
+                       ("colour", _marks_with(first["colour"], True))):
+        yield dict(doc, vertices=[dict(first, **{key: value})] + rest), key
 
 
 def test_dot_export_modes():
@@ -410,7 +431,11 @@ def test_cli_error_exits(tmp_path, capsys):
                     dict(doc, vertices=[dict(vertex, cost=1.7)]),
                     dict(doc, vertices=[dict(vertex, orient=5)]),
                     dict(doc, vertices=[dict(vertex, orient=[[1, 2, 3]])]),
-                    dict(doc, vertices=[dict(vertex, orient=[["x", 1]])])):
+                    dict(doc, vertices=[dict(vertex, orient=[["x", 1]])]),
+                    dict(doc, vertices=[dict(vertex, orient=None)]),
+                    dict(doc, vertices=[dict(vertex, orient=_marks_with(
+                        vertex["orient"], "a"))]),
+                    *(bad for bad, _ in _bad_coloured_documents())):
         bad = _write(tmp_path, "bad_theory.json", json.dumps(bad_doc))
         assert cli.main(["enumerate", "--theory", bad, "--max-edges",
                          "1"]) == 1

@@ -20,10 +20,11 @@ from strandhopf import (
     vertex_graph,
 )
 from strandhopf.iso import (boundary_multiset_aut_count,
-                            one_graph_automorphism_count, one_graph_code)
-from strandhopf.models import (dipole_type, double_dipole_type,
+                            one_graph_automorphism_count)
+from strandhopf.models import (Theory, dipole_type, double_dipole_type,
                                melonic_quartic_type)
-from strandhopf.rewrite import InsertionMap, contraction_closure_bounded
+from strandhopf.rewrite import InsertionMap
+from strandhopf.series import closed_universe
 
 CORPUS = fixtures.all_fixtures()
 
@@ -143,18 +144,27 @@ def test_insertions_reject_mismatched_targets():
     assert insertions(g, residue(fixtures.melon_two_point())) == []
 
 
+def _generic_theory(*types):
+    return Theory("closure", "generic", 1, types, ((2, 1),))
+
+
 def test_closure_reaches_dipole_and_double_dipole():
-    q2 = melonic_quartic_type(2)
-    rep = contraction_closure_bounded([q2.graph], 4, 2, max_rounds=1)
-    assert one_graph_code(dipole_type(2).graph) in rep.types
-    assert one_graph_code(double_dipole_type(2).graph) in rep.types
-    assert one_graph_code(q2.graph) in rep.types
-    assert rep.truncated      # six-slot boundaries were cut off
-    assert not rep.reached_fixpoint
+    q2, d2 = melonic_quartic_type(2), dipole_type(2)
+    types, classes = closed_universe(_generic_theory(q2, d2), 2)
+    codes = {t.plain_code(): t.cost for t in types}
+    assert len(codes) == len(types) == 8
+    assert codes[q2.plain_code()] == codes[d2.plain_code()] == 0
+    # the double dipole is derived: the boundary of a two-edge gluing
+    assert codes[double_dipole_type(2).plain_code()] == 2
+    # six-slot boundaries stay in the closure, nothing is cut off
+    assert any(len(t.graph.vertices) == 6 for t in types)
+    assert any(cls.boundary_code == d2.plain_code() and cls.n_edges == 1
+               for cls in classes.values())
 
 
 def test_closure_fixpoint_on_dipole_alone():
     d2 = dipole_type(2)
-    rep = contraction_closure_bounded([d2.graph], 2, 2)
-    assert rep.reached_fixpoint
-    assert one_graph_code(d2.graph) in rep.types
+    types, _ = closed_universe(_generic_theory(d2), 2)
+    # closing the dipole on itself leaves the empty 0-slot type
+    assert {t.plain_code(): t.cost for t in types} == \
+        {d2.plain_code(): 0, "empty": 1}

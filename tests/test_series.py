@@ -13,11 +13,13 @@ from strandhopf import (
     internal_face_count,
     preset,
 )
+from strandhopf.graphs import disjoint_union
 from strandhopf.iso import one_graph_code
-from strandhopf.models import (Theory, melonic_quartic_type, polygon_type,
-                               vertex_weight_tensorial)
+from strandhopf.models import (Theory, dipole_type, melonic_quartic_type,
+                               polygon_type, vertex_weight_tensorial)
 from strandhopf.rewrite import _with_edges
-from strandhopf.series import instantiate_dressed
+from strandhopf.series import (closed_universe, connected_classes,
+                               instantiate_dressed)
 
 
 def profile(series):
@@ -142,3 +144,43 @@ def test_central_identity_small_bounds():
 
     rep = check_central_identity(preset("gw4"), 1, bridgeless_only=True)
     assert rep.passed and rep.bridgeless_only
+
+
+def _closure_theory(*types):
+    return Theory("closure", "generic", 1, types, ((2, 1),))
+
+
+def test_closure_rounds_match_one_full_growth():
+    # each round of closed_universe builds only the classes that use a new
+    # or cheaper type; growing every class over the final types at once
+    # must give the same classes, none stale and none missing
+    def summary(classes):
+        return {code: (c.degree, c.automorphisms, c.boundary_code)
+                for code, c in classes.items()}
+
+    q2 = _closure_theory(melonic_quartic_type(2), dipole_type(2))
+    for theory, max_edges in ((preset("gw4"), 2), (preset("mq3"), 1),
+                              (preset("bgr"), 1), (q2, 2)):
+        types, classes = closed_universe(theory, max_edges)
+        full = connected_classes(types, "generic", max_edges)
+        assert summary(classes) == summary(full), theory.name
+        assert all(code == c.code for code, c in classes.items())
+
+
+def test_disconnected_boundary_filter_matches_filtering_afterwards():
+    gw4 = preset("gw4")
+    every = enumerate_diagrams(gw4, 2, connected=False)
+    two_legs = [t.graph for t in enumerate_diagrams(gw4, 1).terms
+                if t.n_edges == 1 and len(boundary(t.graph).vertices) == 2
+                and len(boundary(t.graph).components()) == 1]
+    wants = [boundary(two_legs[0]),
+             boundary(disjoint_union([two_legs[0], two_legs[-1]]))]
+    assert [len(w.components()) for w in wants] == [1, 2]
+    for want in wants:
+        code = one_graph_code(want)
+        got = enumerate_diagrams(gw4, 2, connected=False,
+                                 boundary_graph=want)
+        expected = [(t.code, t.coefficient) for t in every.terms
+                    if one_graph_code(boundary(t.graph)) == code]
+        assert expected
+        assert [(t.code, t.coefficient) for t in got.terms] == expected
