@@ -144,17 +144,20 @@ def test_insertions_reject_mismatched_targets():
     assert insertions(g, residue(fixtures.melon_two_point())) == []
 
 
-def _generic_theory(*types):
+def generic_theory(*types):
+    """Generic-class theory on the given vertex types, unit edge weight."""
     return Theory("closure", "generic", 1, types, ((2, 1),))
 
 
 def test_closure_reaches_dipole_and_double_dipole():
     q2, d2 = melonic_quartic_type(2), dipole_type(2)
-    types, classes = closed_universe(_generic_theory(q2, d2), 2)
+    types, classes = closed_universe(generic_theory(q2), 2)
     codes = {t.plain_code(): t.cost for t in types}
     assert len(codes) == len(types) == 8
-    assert codes[q2.plain_code()] == codes[d2.plain_code()] == 0
-    # the double dipole is derived: the boundary of a two-edge gluing
+    assert codes[q2.plain_code()] == 0
+    # both are derived from q2 alone: the dipole as the boundary of a
+    # one-edge gluing, the double dipole as that of a two-edge gluing
+    assert codes[d2.plain_code()] == 1
     assert codes[double_dipole_type(2).plain_code()] == 2
     # six-slot boundaries stay in the closure, nothing is cut off
     assert any(len(t.graph.vertices) == 6 for t in types)
@@ -164,7 +167,7 @@ def test_closure_reaches_dipole_and_double_dipole():
 
 def test_closure_fixpoint_on_dipole_alone():
     d2 = dipole_type(2)
-    types, _ = closed_universe(_generic_theory(d2), 2)
+    types, _ = closed_universe(generic_theory(d2), 2)
     # closing the dipole on itself leaves the empty 0-slot type
     assert {t.plain_code(): t.cost for t in types} == \
         {d2.plain_code(): 0, "empty": 1}

@@ -15,11 +15,12 @@ from strandhopf import (
 )
 from strandhopf.graphs import disjoint_union
 from strandhopf.iso import one_graph_code
-from strandhopf.models import (Theory, dipole_type, melonic_quartic_type,
-                               polygon_type, vertex_weight_tensorial)
+from strandhopf.models import (Theory, melonic_quartic_type, polygon_type,
+                               vertex_weight_tensorial)
 from strandhopf.rewrite import _with_edges
 from strandhopf.series import (closed_universe, connected_classes,
                                instantiate_dressed)
+from test_rewrite import generic_theory
 
 
 def profile(series):
@@ -146,10 +147,6 @@ def test_central_identity_small_bounds():
     assert rep.passed and rep.bridgeless_only
 
 
-def _closure_theory(*types):
-    return Theory("closure", "generic", 1, types, ((2, 1),))
-
-
 def test_closure_rounds_match_one_full_growth():
     # each round of closed_universe builds only the classes that use a new
     # or cheaper type; growing every class over the final types at once
@@ -158,7 +155,8 @@ def test_closure_rounds_match_one_full_growth():
         return {code: (c.degree, c.automorphisms, c.boundary_code)
                 for code, c in classes.items()}
 
-    q2 = _closure_theory(melonic_quartic_type(2), dipole_type(2))
+    # q2 alone derives the dipole and the double dipole in later rounds
+    q2 = generic_theory(melonic_quartic_type(2))
     for theory, max_edges in ((preset("gw4"), 2), (preset("mq3"), 1),
                               (preset("bgr"), 1), (q2, 2)):
         types, classes = closed_universe(theory, max_edges)
