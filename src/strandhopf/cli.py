@@ -14,8 +14,8 @@ import sys
 from fractions import Fraction
 
 from . import hopf, io, iso, models, rewrite, series
-from .graphs import (GraphError, TwoGraph, boundary, euler_characteristic,
-                     faces, internal_face_count, validate)
+from .graphs import (GraphError, boundary, euler_characteristic, faces,
+                     validate)
 
 
 def _jsonable(x):
@@ -60,11 +60,6 @@ def _fail(kind, message):
     json.dump({"error": kind, "message": str(message)}, sys.stderr)
     sys.stderr.write("\n")
     return 1
-
-
-def _load_graph(path):
-    with open(path, encoding="utf-8") as f:
-        return io.loads_graph(f.read())
 
 
 def _load_theory(name):
@@ -140,14 +135,14 @@ def _info_dict(g, theory):
 
 
 def _cmd_info(args):
-    g = _load_graph(args.file)
+    g = io.read_graph(args.file)
     theory = _load_theory(args.theory) if args.theory else None
     _emit(_info_dict(g, theory), args.format, sys.stdout)
     return 0
 
 
 def _cmd_contract(args):
-    g = _load_graph(args.file)
+    g = io.read_graph(args.file)
     tokens = [t for t in args.edges.split(",") if t]
     if not tokens:
         raise GraphError("no edges given")
@@ -166,7 +161,7 @@ def _cmd_contract(args):
 
 
 def _cmd_coproduct(args):
-    g = _load_graph(args.file)
+    g = io.read_graph(args.file)
     terms = hopf.coproduct(g)
     data = [{"left": _mono_out(lm), "right": _mono_out(rm),
              "coefficient": c}
@@ -176,7 +171,7 @@ def _cmd_coproduct(args):
 
 
 def _cmd_antipode(args):
-    g = _load_graph(args.file)
+    g = io.read_graph(args.file)
     el = hopf.antipode(g)
     data = [{"term": _mono_out(m), "coefficient": c}
             for m, c in sorted(el.items())]
@@ -185,7 +180,7 @@ def _cmd_antipode(args):
 
 
 def _cmd_classify(args):
-    g = _load_graph(args.file)
+    g = io.read_graph(args.file)
     theory = _load_theory(args.theory)
     reports = [dataclasses.asdict(rep) for rep in models.classify(theory, g)]
     _emit(reports, args.format, sys.stdout)
@@ -231,7 +226,7 @@ def _cmd_central_check(args):
 
 
 def _cmd_export_dot(args):
-    g = _load_graph(args.file)
+    g = io.read_graph(args.file)
     sys.stdout.write(io.to_dot(g, args.mode))
     return 0
 

@@ -19,8 +19,7 @@ graphs.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 
 class GraphError(ValueError):

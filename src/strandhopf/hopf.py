@@ -2,15 +2,19 @@
 
 The algebra is the polynomial ring on isomorphism classes of connected
 2-graphs, with the classes of edgeless graphs (residues) made group-like
-and formally inverted.  Elements are stored as rational combinations of
+and formally inverted.  Elements are sparse rational combinations of
 monomials; a monomial maps canonical codes to integer exponents, negative
-exponents being reserved for residue codes.
+exponents being reserved for residue codes.  Laurent polynomials are the
+same kind of combination keyed by integer exponents, so both share one
+add, scale and product.
 
 The coproduct sums over wide subgraphs, pairing each subgraph (as a
 product of its connected components) with the contraction by it; the
-antipode and the counterterms read its cached table.  The antipode follows
-the usual triangular recursion, using a residue inverse in place of
-division by the group-like part.
+antipode follows the usual triangular recursion, using a residue inverse
+in place of division by the group-like part.  Both are memoized by class
+code (``functools.cache``; ``cache_info()`` gives their size and hit
+rate).  ``REGISTRY`` is not a memo: it gives the codes held by elements
+their meaning, so it is never cleared.
 
 Renormalization works for any character into Laurent polynomials and any
 Rota-Baxter projection; the toy minimal-subtraction character sends a
@@ -19,7 +23,8 @@ superficially divergent graph of degree ``w`` to ``z**-(w+1)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import operator
 from fractions import Fraction
 
 from .graphs import TwoGraph, connected_components, residue
@@ -32,18 +37,14 @@ from .rewrite import subgraphs
 
 
 class LaurentPoly:
-    """Immutable Laurent polynomial with Fraction coefficients."""
+    """Immutable Laurent polynomial: Fraction coefficients keyed by integer
+    exponents, added and multiplied by the element helpers."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        d = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                v = Fraction(v)
-                if v:
-                    d[int(k)] = v
-        self.coeffs = d
+        self.coeffs = el_add({}, {int(k): Fraction(v)
+                                  for k, v in (coeffs or {}).items()})
 
     @classmethod
     def constant(cls, c):
@@ -54,16 +55,12 @@ class LaurentPoly:
         return cls({k: Fraction(c)})
 
     def __add__(self, other):
-        other = _as_poly(other)
-        d = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            d[k] = d.get(k, Fraction(0)) + v
-        return LaurentPoly(d)
+        return LaurentPoly(el_add(self.coeffs, _as_poly(other).coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({k: -v for k, v in self.coeffs.items()})
+        return LaurentPoly(el_scale(self.coeffs, -1))
 
     def __sub__(self, other):
         return self + (-_as_poly(other))
@@ -72,13 +69,8 @@ class LaurentPoly:
         return _as_poly(other) + (-self)
 
     def __mul__(self, other):
-        other = _as_poly(other)
-        d = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                k = k1 + k2
-                d[k] = d.get(k, Fraction(0)) + v1 * v2
-        return LaurentPoly(d)
+        return LaurentPoly(_product(self.coeffs, _as_poly(other).coeffs,
+                                    operator.add))
 
     __rmul__ = __mul__
 
@@ -154,7 +146,7 @@ def ms_projection(p):
 # elements and registry
 
 
-REGISTRY = {}
+REGISTRY = {}   # code -> representative; decodes codes, so never evicted
 
 
 def intern_graph(G):
@@ -271,24 +263,23 @@ def tens_mul(a, b):
 # structure maps
 
 
-_COPRODUCT_CACHE = {}
-
-
 def coproduct(G):
     """Coproduct of a graph class: sum over wide subgraphs of
     (subgraph components) tensor (contraction)."""
-    code = intern_graph(G)
-    if code in _COPRODUCT_CACHE:
-        return _COPRODUCT_CACHE[code]
+    return _coproduct(intern_graph(G))
+
+
+@functools.cache
+def _coproduct(code):
+    """The coproduct table of a class, expanded on its representative."""
     out = {}
-    for sub in subgraphs(G):
+    for sub in subgraphs(graph_of_code(code)):
         left = el_graph(sub.materialize())
         right = el_graph(sub.contract())
         (lm, lc), = left.items()
         (rm, rc), = right.items()
         key = (lm, rm)
         out[key] = out.get(key, Fraction(0)) + lc * rc
-    _COPRODUCT_CACHE[code] = out
     return out
 
 
@@ -301,7 +292,7 @@ def coproduct_of_monomial(mono):
             m = ((code, -1),)
             t = {(m, m): Fraction(1)}
         else:
-            t = coproduct(graph_of_code(code))
+            t = _coproduct(code)
         for _ in range(abs(e)):
             out = tens_mul(out, t)
     return out
@@ -333,9 +324,6 @@ def counit(x):
     return total
 
 
-_ANTIPODE_CACHE = {}
-
-
 def antipode(G):
     """Antipode of a graph class as an algebra element.
 
@@ -348,22 +336,19 @@ def antipode(G):
     return antipode_of_element(G)
 
 
-def _antipode_connected(G):
-    code = intern_graph(G)
-    if code in _ANTIPODE_CACHE:
-        return _ANTIPODE_CACHE[code]
+@functools.cache
+def _antipode(code):
+    """The antipode of a connected class."""
+    G = graph_of_code(code)
     if G.n_edges() == 0:
-        out = el_residue_inverse(G)
-    else:
-        full = ((code, 1),)
-        total = el_zero()
-        for (lm, rm), c in coproduct(G).items():
-            if lm != full:
-                total = el_add(total, el_mul(antipode_of_element({lm: c}),
-                                             {rm: Fraction(1)}))
-        out = el_scale(el_mul(total, el_residue_inverse(residue(G))), -1)
-    _ANTIPODE_CACHE[code] = out
-    return out
+        return {((code, -1),): Fraction(1)}
+    full = ((code, 1),)
+    total = el_zero()
+    for (lm, rm), c in _coproduct(code).items():
+        if lm != full:
+            total = el_add(total, el_mul(antipode_of_element({lm: c}),
+                                         {rm: Fraction(1)}))
+    return el_scale(el_mul(total, el_residue_inverse(residue(G))), -1)
 
 
 def antipode_of_element(el):
@@ -371,8 +356,8 @@ def antipode_of_element(el):
     for mono, c in el.items():
         term = el_unit(c)
         for code, e in mono:
-            G = graph_of_code(code)
-            s = el_graph(G) if e < 0 else _antipode_connected(G)
+            # the antipode of an inverted residue is the residue itself
+            s = {((code, 1),): Fraction(1)} if e < 0 else _antipode(code)
             for _ in range(abs(e)):
                 term = el_mul(term, s)
         out = el_add(out, term)
@@ -385,7 +370,9 @@ def antipode_of_element(el):
 
 class Character:
     """Algebra morphism into Laurent polynomials, defined by its values on
-    connected graphs and extended multiplicatively."""
+    connected graphs and extended multiplicatively.  The values are kept
+    per character by class code (``_memo``): they belong to this
+    character, not to the class."""
 
     def __init__(self, fn, name="phi"):
         self.fn = fn
@@ -422,17 +409,13 @@ class Character:
 def _convolution_sum(phi, psi, G, proper=False):
     """Sum of ``phi`` (x) ``psi`` over the coproduct terms of ``G``; with
     ``proper`` the term ``G`` (x) residue is left out."""
-    full = ((intern_graph(G), 1),)
+    code = intern_graph(G)
+    full = ((code, 1),)
     total = LaurentPoly()
-    for (lm, rm), c in coproduct(G).items():
-        if proper and lm == full:
-            continue
-        term = LaurentPoly.constant(c)
-        for code, e in lm:
-            term = term * phi.on_code(code, e)
-        for code, e in rm:
-            term = term * psi.on_code(code, e)
-        total = total + term
+    for (lm, rm), c in _coproduct(code).items():
+        if not (proper and lm == full):
+            total = total + phi.on_element({lm: c}) * \
+                psi.on_element({rm: Fraction(1)})
     return total
 
 

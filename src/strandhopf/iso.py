@@ -431,7 +431,11 @@ def _two_parts(G, strand_colour=None, half_mark=None):
 
 
 def _canon_two(G):
-    """The (code, |Aut|) pair of a 2-graph, cached on ``G``."""
+    """The (code, |Aut|) pair of a 2-graph, cached on ``G``.
+
+    The memo lives on the object because it saves the encoding as well as
+    the search: a memo keyed by encoding would still encode ``G`` on every
+    call."""
     if G._canon is None:
         G._canon = _combine(_two_parts(G))
     return G._canon

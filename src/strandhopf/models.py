@@ -382,21 +382,27 @@ def _coloured_graph_degree(nodes, match_by_colour):
     return total
 
 
-def _count_cycles_in(members, ma, mb):
+def _count_cycles_in(members, ma, mb, ends=()):
+    """Closed cycles among ``members`` that alternate the matchings ``ma``
+    and ``mb``.  Runs that start at a node in ``ends`` are walked first and
+    do not count; they stop where ``ma`` reaches a node in ``ends``."""
     seen = set()
     count = 0
-    for n in members:
+    for n in itertools.chain((h for h in members if h in ends), members):
         if n in seen:
             continue
-        count += 1
+        if n not in ends:
+            count += 1
         cur = n
         while True:
             seen.add(cur)
-            nxt = mb[ma[cur]]
-            seen.add(ma[cur])
-            if nxt == n:
+            cur = ma[cur]
+            seen.add(cur)
+            if cur in ends:
                 break
-            cur = nxt
+            cur = mb[cur]
+            if cur == n:
+                break
     return count
 
 
@@ -410,21 +416,11 @@ def _colour_matchings(sections, attach, pair, col, r):
 
 
 def gurau_degree(G, colouring=None):
-    """Total jacket genus of a closed uniformly stranded graph.
-
-    The graph is viewed through its incidence structure: half-edges are
-    the nodes, through-strand pairs give one perfect matching per strand
-    colour, edges give the extra colour-0 matching.
-    """
+    """Total jacket genus of a closed uniformly stranded graph: the
+    ``open_jacket_degree`` of a graph without external half-edges."""
     if G.external_half_edges():
         raise GraphError("gurau_degree needs a closed graph; cap it first")
-    if not G.half_edges:
-        return Fraction(0)
-    col = infer_colouring(G) if colouring is None else colouring
-    r = G.strand_degree(G.half_edges[0])
-    match = _colour_matchings(G.strands, G.mu, G.sigma1, col, r)
-    match[0] = {h: G.iota[h] for h in G.half_edges}
-    return _coloured_graph_degree(list(G.half_edges), match)
+    return open_jacket_degree(G, colouring)
 
 
 def boundary_gurau_degree(G, colouring=None):
@@ -468,51 +464,18 @@ def _incidence_components(G):
                              itertools.chain(G.iota.items(), strand_pairs))
 
 
-def _closed_cycles_0c(members, mc, iot, externals):
-    """Closed cycles alternating a colour matching with the edge pairing;
-    runs that reach an external half-edge are open and do not count."""
-    on_chain = set()
-    for e in members:
-        if e not in externals or e in on_chain:
-            continue
-        cur = e
-        on_chain.add(cur)
-        while True:
-            cur = mc[cur]
-            on_chain.add(cur)
-            if cur in externals:
-                break
-            cur = iot[cur]
-            on_chain.add(cur)
-    seen = set()
-    count = 0
-    for n in members:
-        if n in seen or n in on_chain:
-            continue
-        count += 1
-        cur = n
-        while True:
-            seen.add(cur)
-            m = mc[cur]
-            seen.add(m)
-            cur = iot[m]
-            if cur == n:
-                break
-    return count
-
-
 def open_jacket_degree(G, colouring=None):
-    """Total genus of the jackets of an open uniformly stranded graph,
-    with each jacket's boundary circles filled by discs.
+    """Total genus of the jackets of a uniformly stranded graph, open or
+    closed, with each jacket's boundary circles filled by discs.
 
     Half-edges are the nodes; colour 0 pairs them along edges, stopping
     at external half-edges, and colours 1..r pair them along
     through-strands.  Per jacket (cyclic order of the r+1 colours up to
     rotation and reflection) the face runs that involve colour 0 and hit
     the boundary assemble into boundary circles by following the two
-    colours adjacent to 0.  Additive over incidence components; agrees
-    with gurau_degree on closed graphs."""
-    if not G.half_edges:
+    colours adjacent to 0.  Additive over incidence components; zero
+    without strands.  On a closed graph this is the Gurau degree."""
+    if not G.strands:
         return Fraction(0)
     col = infer_colouring(G) if colouring is None else colouring
     r = G.strand_degree(G.half_edges[0])
@@ -531,10 +494,9 @@ def open_jacket_degree(G, colouring=None):
             fj = 0
             for i in range(len(cyc)):
                 a, bcol = cyc[i], cyc[(i + 1) % len(cyc)]
-                if a == 0 or bcol == 0:
-                    c = bcol if a == 0 else a
-                    fj += _closed_cycles_0c(members, match[c], G.iota,
-                                            externals)
+                if 0 in (a, bcol):
+                    fj += _count_cycles_in(members, match[a or bcol], G.iota,
+                                           externals)
                 else:
                     fj += _count_cycles_in(members, match[a], match[bcol])
             if legs:

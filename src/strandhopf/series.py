@@ -20,6 +20,7 @@ contraction-closure routine, ``closed_universe``, builds that universe.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +46,7 @@ class DressedType:
     0 (incoming) / 1 (outgoing); each may be None when unused.  ``weight``
     feeds power counting; ``cost`` is the creation cost used by bounded
     closure universes (0 for the types a theory starts with).
+    ``dressed_code`` is memoized per type (``functools.cache``).
     """
 
     graph: OneGraph
@@ -58,15 +60,11 @@ class DressedType:
     def plain_code(self):
         return iso.one_graph_code(self.graph)
 
+    @functools.cache
     def dressed_code(self):
-        if self not in _DT_CODES:
-            inst, col, par, ori = instantiate_dressed(self, "t")
-            _DT_CODES[self] = iso.canonical_code(
-                inst, strand_colour=_merge_marks(col, ori), half_mark=par)
-        return _DT_CODES[self]
-
-
-_DT_CODES = {}
+        inst, col, par, ori = instantiate_dressed(self, "t")
+        return iso.canonical_code(inst, strand_colour=_merge_marks(col, ori),
+                                  half_mark=par)
 
 
 def _merge_marks(colour, orient):
@@ -266,14 +264,13 @@ class TruncatedSeries:
         return Fraction(0)
 
 
-def enumerate_diagrams(theory, max_edges, connected=True, boundary_graph=None,
-                       max_vertices=None):
+def enumerate_diagrams(theory, max_edges, connected=True, boundary_graph=None):
     """Isomorphism classes of the diagrams of ``theory`` with at most
     ``max_edges`` edges, as a TruncatedSeries.
 
     With ``connected=False`` the classes are disjoint unions; since bare
-    vertices are diagrams, the vertex count is capped by ``max_vertices``
-    (default ``max_edges + 1``) to keep the list finite.
+    vertices are diagrams, the vertex count is capped at ``max_edges + 1``
+    to keep the list finite.
     ``boundary_graph`` filters by boundary isomorphism class.
     """
     classes = connected_classes(theory.dressed_types(), theory.klass,
@@ -291,8 +288,6 @@ def enumerate_diagrams(theory, max_edges, connected=True, boundary_graph=None,
                                     Fraction(1, c.automorphisms)))
         return TruncatedSeries(max_edges, True, terms)
 
-    if max_vertices is None:
-        max_vertices = max_edges + 1
     sizes = [len(c.graph.vertices) for c in conn]
     edges = [c.n_edges for c in conn]
 
@@ -300,7 +295,7 @@ def enumerate_diagrams(theory, max_edges, connected=True, boundary_graph=None,
         if chosen:
             yield list(chosen)
         for i in range(start, len(conn)):
-            if used_v + sizes[i] <= max_vertices and \
+            if used_v + sizes[i] <= max_edges + 1 and \
                     used_e + edges[i] <= max_edges:
                 chosen.append(i)
                 yield from build(i, used_v + sizes[i], used_e + edges[i],
@@ -439,11 +434,8 @@ def check_central_identity(theory, max_edges, bridgeless_only=False):
                 coeff *= Fraction(ga, a.automorphisms)
             rhs[key] = rhs.get(key, Fraction(0)) + coeff
 
-    mismatches = []
-    for key in sorted(set(lhs) | set(rhs)):
-        if lhs.get(key, Fraction(0)) != rhs.get(key, Fraction(0)):
-            mismatches.append((key, lhs.get(key, Fraction(0)),
-                               rhs.get(key, Fraction(0))))
+    mismatches = [(key, lhs.get(key, Fraction(0)), rhs.get(key, Fraction(0)))
+                  for key in sorted(hopf.el_add(lhs, hopf.el_scale(rhs, -1)))]
     multi_trace = sum(1 for cls in classes.values()
                       if any(len(vertex_graph(cls.graph, v).components()) > 1
                              for v in cls.graph.vertices))

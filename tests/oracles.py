@@ -9,7 +9,6 @@ inputs.
 """
 
 import itertools
-import random
 from fractions import Fraction
 
 

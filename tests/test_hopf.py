@@ -19,10 +19,9 @@ from strandhopf import (
     toy_ms_character,
 )
 from strandhopf.graphs import connected_components, internal_face_count
-from strandhopf.hopf import (UNIT_MONOMIAL, coproduct_of_monomial, el_add,
-                             el_eq, el_graph, el_mul, el_residue_inverse,
-                             el_scale, el_unit, el_zero, graph_of_code,
-                             intern_graph)
+from strandhopf.hopf import (coproduct_of_monomial, el_add, el_eq, el_graph,
+                             el_mul, el_residue_inverse, el_scale, el_unit,
+                             el_zero, graph_of_code, intern_graph)
 from strandhopf.rewrite import subgraphs
 from strandhopf.series import enumerate_diagrams
 

@@ -1,8 +1,11 @@
 """Power counting: degrees, genus, jackets, and divergence reports."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from strandhopf import fixtures
+from strandhopf import cli, fixtures, io
 from strandhopf import (
     GraphError,
     boundary,
@@ -23,7 +26,9 @@ from strandhopf import (
     superficial_degree,
     tensorial_degree_closed_form,
 )
-from strandhopf.models import boundary_gurau_degree, cap_boundary
+from strandhopf.graphs import connected_components
+from strandhopf.models import (_colour_matchings, _coloured_graph_degree,
+                               boundary_gurau_degree, cap_boundary)
 
 BGR = preset("bgr")
 GW4 = preset("gw4")
@@ -59,6 +64,64 @@ def test_genus_on_map_fixtures():
 def test_gurau_degree_equals_genus_for_two_strands():
     assert gurau_degree(fixtures.bipartite_torus()) == 1
     assert gurau_degree(fixtures.bipartite_sphere()) == 0
+
+
+def test_gurau_degree_matches_coloured_graph_degree_on_closed_graphs():
+    # reference: the jacket genus of the properly (r+1)-edge-coloured
+    # graph whose colour-0 matching is the edges, on every colourable
+    # capped component of the corpus and the fixtures
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "data" / \
+        "corpus.json"
+    entries = json.loads(path.read_text(encoding="utf-8"))["graphs"]
+    graphs = [io.document_to_graph(e["graph"]) for e in entries]
+    graphs += list(fixtures.all_fixtures().values())
+    checked = 0
+    for g in graphs:
+        for c in connected_components(cap_boundary(g)):
+            try:
+                col = infer_colouring(c)
+            except GraphError:
+                continue
+            r = c.strand_degree(c.half_edges[0])
+            match = _colour_matchings(c.strands, c.mu, c.sigma1, col, r)
+            match[0] = dict(c.iota)
+            assert gurau_degree(c, col) == \
+                _coloured_graph_degree(list(c.half_edges), match)
+            checked += 1
+    assert checked == 321
+
+
+def strandless_graph(n_edges):
+    return io.document_to_graph({
+        "vertices": ["u", "v"],
+        "half_edges": [{"id": h, "vertex": "u" if h in "ab" else "v"}
+                       for h in "abcd"],
+        "strands": [], "sigma1": [], "sigma2": [],
+        "iota": [["a", "c"], ["b", "d"]][:n_edges]})
+
+
+def test_strandless_graphs_have_jacket_degree_zero(tmp_path, capsys):
+    slots = {"vertices": ["x", "y"], "half_edges": [], "pairing": []}
+    doc = {"name": "strandless", "class": "generic", "dimension": 1,
+           "propagators": [{"graph": {"vertices": ["a", "b"],
+                                      "half_edges": [], "pairing": []},
+                            "weight": 1}],
+           "vertices": [{"graph": slots, "weight": 0}]}
+    theory = io.document_to_theory(doc)
+    open_g, closed_g = strandless_graph(1), strandless_graph(2)
+    assert open_jacket_degree(open_g) == open_jacket_degree(closed_g) == 0
+    assert gurau_degree(closed_g) == 0
+    for g in (open_g, closed_g):
+        (rep,) = classify(theory, g)
+        assert rep.gurau == rep.gurau_capped == rep.boundary_gurau == 0
+    theory_path = tmp_path / "theory.json"
+    theory_path.write_text(json.dumps(doc), encoding="utf-8")
+    graph_path = tmp_path / "graph.json"
+    io.write_graph(graph_path, open_g)
+    assert cli.main(["classify", str(graph_path), "--theory",
+                     str(theory_path)]) == 0
+    (rep,) = json.loads(capsys.readouterr().out)
+    assert rep["gurau"] == 0 and rep["n_edges"] == 1
 
 
 def test_crossing_tadpole_has_no_colouring():

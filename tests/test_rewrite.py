@@ -6,9 +6,7 @@ from strandhopf import fixtures
 from strandhopf import (
     GraphError,
     are_isomorphic,
-    automorphism_count,
     boundary,
-    canonical_code,
     connected_components,
     contract,
     disjoint_union,
@@ -19,8 +17,7 @@ from strandhopf import (
     validate,
     vertex_graph,
 )
-from strandhopf.iso import (boundary_multiset_aut_count,
-                            one_graph_automorphism_count)
+from strandhopf.iso import boundary_multiset_aut_count
 from strandhopf.models import (Theory, dipole_type, double_dipole_type,
                                melonic_quartic_type)
 from strandhopf.rewrite import InsertionMap
