@@ -42,11 +42,23 @@ orders (m! per repeated factor).  A 2-graph caches its (code, |Aut|)
 pair on itself.  Only ``canonical_form`` builds a relabelled
 representative, the disjoint union of the component representatives in
 code order.
+
+The connected routine runs the search once per distinct encoding: a
+memo maps (the code's serialization function, ``repr`` of the encoded
+descs and adjacency) to (code string, search order), and the closed-form
+factor is applied on every call.  The serialization function in the key
+keeps a 1-graph and a 2-graph with the same encoding apart.  The key is
+the ``repr`` string, not the tuples, because the string takes about a
+sixth of their memory.  The memo holds at most 1024 entries and evicts
+the least recently used; ``search_cache_info()`` reports its hits,
+misses, bound and size.  ``canonical_form`` needs the labelling and calls the search
+directly.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict, namedtuple
 from math import factorial
 
 from .graphs import (connected_components, disjoint_union, faces, relabel,
@@ -389,13 +401,45 @@ def _one_graph_serial(code):
 # codes and automorphism orders of both kinds
 
 
+# The search memo (see the module docstring), least recently used first.
+# 1024 entries held a workload's working set at a fraction of the memory
+# of an unbounded memo.
+_SEARCH_MEMO_BOUND = 1024
+_search_memo = OrderedDict()
+_search_stats = [0, 0]  # hits, misses
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def search_cache_info():
+    """Hits, misses, bound and size of the search memo, in the shape of
+    ``functools`` ``cache_info()``."""
+    return CacheInfo(*_search_stats, _SEARCH_MEMO_BOUND, len(_search_memo))
+
+
+def search_cache_clear():
+    """Empty the search memo and reset its counts."""
+    _search_memo.clear()
+    _search_stats[:] = [0, 0]
+
+
 def _canon_connected(encoding, serial=repr):
     """(code, |Aut|) of a connected graph from its encoding: ``serial`` of
     the search's code, and the order the search finds times the encoding's
-    closed-form factor."""
+    closed-form factor.  The search runs only on a miss of the memo."""
     descs, adj, factor = encoding[:3]
-    code, _, order = _canon_search(descs, adj)
-    return serial(code), order * factor
+    key = (serial, repr((descs, adj)))
+    found = _search_memo.get(key)
+    if found is None:
+        _search_stats[1] += 1
+        code, _, order = _canon_search(descs, adj)
+        found = _search_memo[key] = serial(code), order
+        if len(_search_memo) > _SEARCH_MEMO_BOUND:
+            _search_memo.popitem(last=False)
+    else:
+        _search_stats[0] += 1
+        _search_memo.move_to_end(key)
+    return found[0], found[1] * factor
 
 
 def _combine(parts):
@@ -433,9 +477,10 @@ def _two_parts(G, strand_colour=None, half_mark=None):
 def _canon_two(G):
     """The (code, |Aut|) pair of a 2-graph, cached on ``G``.
 
-    The memo lives on the object because it saves the encoding as well as
-    the search: a memo keyed by encoding would still encode ``G`` on every
-    call."""
+    This object memo sits in front of the search memo: a hit here saves
+    the encoding of ``G`` as well as the search, while the search memo
+    serves the many fresh objects (components, contractions) that share
+    a class."""
     if G._canon is None:
         G._canon = _combine(_two_parts(G))
     return G._canon

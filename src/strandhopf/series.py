@@ -46,7 +46,8 @@ class DressedType:
     0 (incoming) / 1 (outgoing); each may be None when unused.  ``weight``
     feeds power counting; ``cost`` is the creation cost used by bounded
     closure universes (0 for the types a theory starts with).
-    ``dressed_code`` is memoized per type (``functools.cache``).
+    ``plain_code`` and ``dressed_code`` are memoized per type
+    (``functools.cache``).
     """
 
     graph: OneGraph
@@ -57,6 +58,7 @@ class DressedType:
     orient: tuple = None
     name: str = ""
 
+    @functools.cache
     def plain_code(self):
         return iso.one_graph_code(self.graph)
 
@@ -415,13 +417,13 @@ def check_central_identity(theory, max_edges, bridgeless_only=False):
         gamma_auts = []
         ok = True
         for v in g.vertices:
-            vg = vertex_graph(g, v)
-            pool = by_boundary.get(iso.one_graph_code(vg), [])
+            vg_code, vg_aut = iso._canon_one(vertex_graph(g, v))
+            pool = by_boundary.get(vg_code, [])
             if not pool:
                 ok = False
                 break
             pools.append(pool)
-            gamma_auts.append(iso.one_graph_automorphism_count(vg))
+            gamma_auts.append(vg_aut)
         if not ok:
             continue
         for assign in itertools.product(*pools):

@@ -6,9 +6,11 @@ import random
 from pathlib import Path
 
 import oracles
-from strandhopf import fixtures, io, preset
+from strandhopf import fixtures, io, iso, preset
 from strandhopf import (
+    DressedType,
     OneGraph,
+    TwoGraph,
     are_isomorphic,
     automorphism_count,
     canonical_code,
@@ -22,7 +24,8 @@ from strandhopf import (
 from strandhopf.graphs import boundary, connected_components, is_connected
 from strandhopf.iso import (_canon_search, _encode_one_graph,
                             _encode_two_graph, _one_graph_fields,
-                            boundary_multiset_aut_count)
+                            boundary_multiset_aut_count, search_cache_clear,
+                            search_cache_info)
 from strandhopf.rewrite import (instantiate_vertex_type, _glue_options,
                                 _with_edges)
 
@@ -359,3 +362,88 @@ def test_codes_and_orders_build_no_representative(monkeypatch):
         assert canonical_code(g) and automorphism_count(g) > 0
     for b in ones:
         assert one_graph_code(b) and one_graph_automorphism_count(b) > 0
+
+
+def test_search_memo_keeps_one_and_two_graphs_apart():
+    # a one-vertex edgeless 2-graph and a one-vertex 1-graph share their
+    # encoding but not their code, in whichever order they are canonized
+    # (each call builds a fresh graph, so only the search memo can answer)
+    code_of = {
+        "two": lambda: canonical_code(TwoGraph.make(["v"], [], [], {}, {})),
+        "one": lambda: one_graph_code(OneGraph.make(["v"], [], {})),
+    }
+    want = {"two": "(((0,),), ())", "one": "(1, 0, (), ())"}
+    assert _encode_two_graph(TwoGraph.make(["v"], [], [], {}, {}))[:2] == \
+        _encode_one_graph(OneGraph.make(["v"], [], {}))[:2]
+    for order in (("two", "one"), ("one", "two")):
+        search_cache_clear()
+        for kind in order * 2:
+            assert code_of[kind]() == want[kind], order
+        assert search_cache_info()[:2] == (2, 2), order
+
+
+def memo_outputs(rng):
+    """Codes and orders of fresh fixtures, corpus classes, relabellings
+    and boundaries, plus the dressed codes of the presets."""
+    twos = list(fixtures.all_fixtures().values())
+    twos += [io.document_to_graph(e["graph"]) for e in corpus_entries()]
+    twos += [oracles.random_relabelled(g, rng) for g in list(twos)]
+    ones = [boundary(g) for g in twos]
+    ones += [relabelled_one_graph(b, rng) for b in list(ones)]
+    DressedType.dressed_code.cache_clear()
+    return ([(canonical_code(g), automorphism_count(g)) for g in twos],
+            [(one_graph_code(b), one_graph_automorphism_count(b))
+             for b in ones],
+            [dt.dressed_code() for name in ("gw4", "mq3", "bgr")
+             for dt in preset(name).dressed_types()])
+
+
+def test_search_memo_changes_no_code_or_order(monkeypatch):
+    calls = []
+    counted = iso._canon_connected
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(iso, "_canon_connected", counting)
+    search_cache_clear()
+    cold = memo_outputs(random.Random(3))
+    info = search_cache_info()
+    assert info.hits + info.misses == len(calls)
+    assert info.currsize <= info.maxsize == 1024
+    warm = memo_outputs(random.Random(3))
+    assert warm == cold
+    again = search_cache_info()
+    assert again.hits + again.misses == len(calls)
+    assert again.hits > info.hits
+    # a bound of 0 keeps nothing, so every search runs
+    monkeypatch.setattr(iso, "_SEARCH_MEMO_BOUND", 0)
+    search_cache_clear()
+    assert memo_outputs(random.Random(3)) == cold
+    assert search_cache_info().hits == 0
+
+
+def test_search_memo_stays_within_its_bound():
+    rng = random.Random(11)
+    g = max((g for g in CORPUS.values() if is_connected(g)),
+            key=lambda g: len(g.strands))
+    search_cache_clear()
+    keys = set()
+    copies = []
+    while len(keys) <= search_cache_info().maxsize + 50:
+        h = oracles.random_relabelled(g, rng)
+        keys.add(repr(_encode_two_graph(h)[:2]))
+        copies.append(h)
+    code = canonical_code(g)
+    for h in copies:
+        assert canonical_code(h) == code
+        info = search_cache_info()
+        assert info.currsize <= info.maxsize
+    assert info.currsize == info.maxsize
+    # the least recently used entry went first, the latest one stays
+    for h, hit in ((copies[-1], 1), (copies[0], 0)):
+        before = search_cache_info().hits
+        assert canonical_code(io.document_to_graph(
+            io.graph_to_document(h))) == code
+        assert search_cache_info().hits - before == hit
