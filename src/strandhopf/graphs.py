@@ -564,8 +564,14 @@ def boundary_components(G):
 
 
 def connected_components(G):
+    """The connected components of ``G`` in the order of their least
+    vertices; a connected ``G`` is its own only component (the same
+    object, with its cached faces and code)."""
+    groups = _component_vertex_sets(G, G.edge_pairs())
+    if len(groups) == 1:
+        return (G,)
     out = []
-    for vs in _component_vertex_sets(G, G.edge_pairs()):
+    for vs in groups:
         hs = [h for h in G.half_edges if G.nu[h] in vs]
         hset = set(hs)
         ss = [s for s in G.strands if G.mu[s] in hset]

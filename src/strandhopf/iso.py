@@ -43,15 +43,22 @@ pair on itself.  Only ``canonical_form`` builds a relabelled
 representative, the disjoint union of the component representatives in
 code order.
 
-The connected routine runs the search once per distinct encoding: a
-memo maps (the code's serialization function, ``repr`` of the encoded
-descs and adjacency) to (code string, search order), and the closed-form
-factor is applied on every call.  The serialization function in the key
-keeps a 1-graph and a 2-graph with the same encoding apart.  The key is
-the ``repr`` string, not the tuples, because the string takes about a
-sixth of their memory.  The memo holds at most 1024 entries and evicts
-the least recently used; ``search_cache_info()`` reports its hits,
-misses, bound and size.  ``canonical_form`` needs the labelling and calls the search
+One search memo serves both kinds; it maps a tagged key to the
+(code string, |Aut|) of a connected graph, the closed-form factor folded
+in.  A connected 2-graph is keyed by its positional structure: its
+vertex count, its five structure maps with every label replaced by its
+position in ``G.vertices``, ``G.half_edges`` or ``G.strands``, and its
+decorations by position.  The key is exact.  The encoding numbers its
+nodes by label position, and ``faces`` orients and orders its chains by
+label comparisons, which are position comparisons because the label
+tuples are sorted; so faces, face classes, encoding, code and |Aut| are
+all functions of the key, and a hit needs none of them.  A 1-graph is
+keyed by the ``repr`` of its encoding, which has no faces and is cheap
+to build.  The tags ("two", "one") keep the kinds apart.  Keys are
+``repr`` strings, not tuples, because the string takes a fraction of
+their memory.  The memo holds at most 1024 entries and evicts the least
+recently used; ``search_cache_info()`` reports its hits, misses, bound
+and size.  ``canonical_form`` needs the labelling and calls the search
 directly.
 """
 
@@ -423,23 +430,28 @@ def search_cache_clear():
     _search_stats[:] = [0, 0]
 
 
-def _canon_connected(encoding, serial=repr):
-    """(code, |Aut|) of a connected graph from its encoding: ``serial`` of
-    the search's code, and the order the search finds times the encoding's
-    closed-form factor.  The search runs only on a miss of the memo."""
-    descs, adj, factor = encoding[:3]
-    key = (serial, repr((descs, adj)))
+def _memoized(key, canon):
+    """The (code, |Aut|) stored under ``key`` in the search memo, or
+    ``canon()`` stored there on a miss."""
     found = _search_memo.get(key)
     if found is None:
         _search_stats[1] += 1
-        code, _, order = _canon_search(descs, adj)
-        found = _search_memo[key] = serial(code), order
+        found = _search_memo[key] = canon()
         if len(_search_memo) > _SEARCH_MEMO_BOUND:
             _search_memo.popitem(last=False)
     else:
         _search_stats[0] += 1
         _search_memo.move_to_end(key)
-    return found[0], found[1] * factor
+    return found
+
+
+def _canon_connected(encoding, serial=repr):
+    """(code, |Aut|) of a connected graph from its encoding: ``serial`` of
+    the search's code, and the order the search finds times the encoding's
+    closed-form factor."""
+    descs, adj, factor = encoding[:3]
+    code, _, order = _canon_search(descs, adj)
+    return serial(code), order * factor
 
 
 def _combine(parts):
@@ -469,8 +481,28 @@ def _wreath(coded_auts):
 # 2-graphs
 
 
+def _positional_key(G, strand_colour=None, half_mark=None):
+    """Search memo key of a connected 2-graph: its five structure maps and
+    its decorations with every label replaced by its position in
+    ``G.vertices``, ``G.half_edges`` or ``G.strands``."""
+    vpos = {v: k for k, v in enumerate(G.vertices)}
+    hpos = {h: k for k, h in enumerate(G.half_edges)}
+    spos = {s: k for k, s in enumerate(G.strands)}
+    hs, ss = G.half_edges, G.strands
+    return "two", repr((
+        len(G.vertices), [vpos[G.nu[h]] for h in hs],
+        [hpos[G.iota[h]] for h in hs], [hpos[G.mu[s]] for s in ss],
+        [spos[G.sigma1[s]] for s in ss], [spos[G.sigma2[s]] for s in ss],
+        None if strand_colour is None else [strand_colour[s] for s in ss],
+        None if half_mark is None else [half_mark[h] for h in hs]))
+
+
 def _two_parts(G, strand_colour=None, half_mark=None):
-    return [_canon_connected(_encode_two_graph(c, strand_colour, half_mark))
+    """The (code, |Aut|) pairs of the connected components of a 2-graph;
+    faces, encoding and search run only on a miss of the search memo."""
+    return [_memoized(_positional_key(c, strand_colour, half_mark),
+                      lambda: _canon_connected(
+                          _encode_two_graph(c, strand_colour, half_mark)))
             for c in connected_components(G)]
 
 
@@ -478,9 +510,9 @@ def _canon_two(G):
     """The (code, |Aut|) pair of a 2-graph, cached on ``G``.
 
     This object memo sits in front of the search memo: a hit here saves
-    the encoding of ``G`` as well as the search, while the search memo
-    serves the many fresh objects (components, contractions) that share
-    a class."""
+    splitting ``G`` and forming its positional keys, while the search
+    memo serves the many fresh objects (components, contractions) that
+    share their maps with an earlier one."""
     if G._canon is None:
         G._canon = _combine(_two_parts(G))
     return G._canon
@@ -539,9 +571,13 @@ def are_isomorphic(G1, G2):
 
 def _one_parts(g):
     """The (code, |Aut|) pairs of the connected components of a 1-graph."""
-    return [_canon_connected(_encode_one_graph(g.induced(vs)),
-                             _one_graph_serial)
-            for vs in g.components()]
+    parts = []
+    for vs in g.components():
+        encoding = _encode_one_graph(g.induced(vs))
+        parts.append(_memoized(
+            ("one", repr(encoding[:2])),
+            lambda: _canon_connected(encoding, _one_graph_serial)))
+    return parts
 
 
 def _canon_one(g):

@@ -36,6 +36,22 @@ from .rewrite import instantiate_vertex_type, _glue_options, _with_edges
 # dressed vertex types
 
 
+def _memo_on_type(method):
+    """Cache a no-argument method of a type in the instance ``__dict__``,
+    so that the value lives exactly as long as the type (a frozen
+    dataclass allows this write; ``functools.cache`` would keep every type
+    it has seen alive)."""
+    name = "_" + method.__name__
+
+    @functools.wraps(method)
+    def cached(self):
+        found = self.__dict__.get(name)
+        if found is None:
+            found = self.__dict__[name] = method(self)
+        return found
+    return cached
+
+
 @dataclass(frozen=True)
 class DressedType:
     """Vertex type: a 1-graph of through-strands plus enumeration data.
@@ -46,8 +62,8 @@ class DressedType:
     0 (incoming) / 1 (outgoing); each may be None when unused.  ``weight``
     feeds power counting; ``cost`` is the creation cost used by bounded
     closure universes (0 for the types a theory starts with).
-    ``plain_code`` and ``dressed_code`` are memoized per type
-    (``functools.cache``).
+    ``plain_code`` and ``dressed_code`` are memoized on the type object
+    and die with it.
     """
 
     graph: OneGraph
@@ -58,11 +74,11 @@ class DressedType:
     orient: tuple = None
     name: str = ""
 
-    @functools.cache
+    @_memo_on_type
     def plain_code(self):
         return iso.one_graph_code(self.graph)
 
-    @functools.cache
+    @_memo_on_type
     def dressed_code(self):
         inst, col, par, ori = instantiate_dressed(self, "t")
         return iso.canonical_code(inst, strand_colour=_merge_marks(col, ori),

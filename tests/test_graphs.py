@@ -1,7 +1,7 @@
 import pytest
 
 import oracles
-from strandhopf import fixtures, iso
+from strandhopf import fixtures, io, iso
 from strandhopf.graphs import (GraphError, OneGraph, TwoGraph, boundary,
                                boundary_components, connected_components,
                                disjoint_union, euler_characteristic, faces,
@@ -9,6 +9,7 @@ from strandhopf.graphs import (GraphError, OneGraph, TwoGraph, boundary,
                                is_bridgeless, is_connected, residue, skeleton,
                                subgraph_with_edges, to_complex, validate,
                                vertex_graph, vertex_graphs_multiset)
+from test_iso import corpus_entries
 
 CORPUS = fixtures.all_fixtures()
 
@@ -209,6 +210,65 @@ def test_connectivity_and_bridges():
     assert len(connected_components(two)) == 2
     assert not is_bridgeless(two)  # the chain's bridge next to the fish
     assert is_bridgeless(disjoint_union([g, t]))
+
+
+def split_copies(G):
+    """The components of ``G`` as fresh graphs, in the order of their
+    least vertices: each vertex set reachable over edges, with the
+    half-edges and strands on it and the five maps restricted to them."""
+    out, done = [], set()
+    for v in G.vertices:
+        if v in done:
+            continue
+        vs, todo = {v}, [v]
+        while todo:
+            u = todo.pop()
+            for h in G.half_edges_at(u):
+                w = G.nu[G.iota[h]]
+                if w not in vs:
+                    vs.add(w)
+                    todo.append(w)
+        done |= vs
+        hs = [h for h in G.half_edges if G.nu[h] in vs]
+        ss = [s for s in G.strands if G.mu[s] in hs]
+        out.append(TwoGraph(vs, hs, ss, {h: G.nu[h] for h in hs},
+                            {s: G.mu[s] for s in ss},
+                            {h: G.iota[h] for h in hs},
+                            {s: G.sigma1[s] for s in ss},
+                            {s: G.sigma2[s] for s in ss}))
+    return out
+
+
+def fields(G):
+    return (G.vertices, G.half_edges, G.strands, G.nu, G.mu, G.iota,
+            G.sigma1, G.sigma2)
+
+
+def test_connected_graph_is_its_own_component():
+    # a connected graph comes back as the same object (so its cached faces
+    # and code serve its component); a disconnected one splits into fresh
+    # graphs as before; codes and orders do not depend on which
+    graphs = list(fixtures.all_fixtures().values())
+    graphs += [io.document_to_graph(e["graph"]) for e in corpus_entries()]
+    names = sorted(CORPUS)
+    unions = [disjoint_union([CORPUS[a], CORPUS[b], CORPUS[a]])
+              for a, b in zip(names, names[1:])]
+    connected = 0
+    for g in graphs + unions:
+        comps = connected_components(g)
+        copies = split_copies(g)
+        assert [fields(c) for c in comps] == [fields(c) for c in copies]
+        if len(comps) == 1:
+            connected += 1
+            assert comps[0] is g and is_connected(g)
+        else:
+            assert all(c is not g and is_connected(c) for c in comps)
+        for c, copy in zip(comps, copies):
+            iso.search_cache_clear()
+            want = iso.canonical_code(copy), iso.automorphism_count(copy)
+            assert (iso.canonical_code(c), iso.automorphism_count(c)) == want
+    assert connected >= 344
+    assert connected_components(TwoGraph.make([], [], [], {}, {})) == ()
 
 
 def test_map_constructor_matches_face_oracle():

@@ -8,7 +8,6 @@ from pathlib import Path
 import oracles
 from strandhopf import fixtures, io, iso, preset
 from strandhopf import (
-    DressedType,
     OneGraph,
     TwoGraph,
     are_isomorphic,
@@ -380,17 +379,17 @@ def test_search_memo_keeps_one_and_two_graphs_apart():
         for kind in order * 2:
             assert code_of[kind]() == want[kind], order
         assert search_cache_info()[:2] == (2, 2), order
+        assert sorted(tag for tag, _ in iso._search_memo) == ["one", "two"]
 
 
 def memo_outputs(rng):
     """Codes and orders of fresh fixtures, corpus classes, relabellings
-    and boundaries, plus the dressed codes of the presets."""
+    and boundaries, plus the dressed codes of fresh preset types."""
     twos = list(fixtures.all_fixtures().values())
     twos += [io.document_to_graph(e["graph"]) for e in corpus_entries()]
     twos += [oracles.random_relabelled(g, rng) for g in list(twos)]
     ones = [boundary(g) for g in twos]
     ones += [relabelled_one_graph(b, rng) for b in list(ones)]
-    DressedType.dressed_code.cache_clear()
     return ([(canonical_code(g), automorphism_count(g)) for g in twos],
             [(one_graph_code(b), one_graph_automorphism_count(b))
              for b in ones],
@@ -399,23 +398,33 @@ def memo_outputs(rng):
 
 
 def test_search_memo_changes_no_code_or_order(monkeypatch):
-    calls = []
-    counted = iso._canon_connected
+    # every connected component canonized is one memo lookup (a 2-graph
+    # forms its positional key, a 1-graph its encoding), and every miss
+    # is one search
+    calls = {"lookups": 0, "searches": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return counted(*args, **kwargs)
+    def counting(name, count):
+        counted = getattr(iso, name)
 
-    monkeypatch.setattr(iso, "_canon_connected", counting)
+        def wrapper(*args, **kwargs):
+            calls[count] += 1
+            return counted(*args, **kwargs)
+        monkeypatch.setattr(iso, name, wrapper)
+
+    counting("_positional_key", "lookups")
+    counting("_encode_one_graph", "lookups")
+    counting("_canon_connected", "searches")
     search_cache_clear()
     cold = memo_outputs(random.Random(3))
     info = search_cache_info()
-    assert info.hits + info.misses == len(calls)
+    assert info.hits + info.misses == calls["lookups"]
+    assert info.misses == calls["searches"]
     assert info.currsize <= info.maxsize == 1024
     warm = memo_outputs(random.Random(3))
     assert warm == cold
     again = search_cache_info()
-    assert again.hits + again.misses == len(calls)
+    assert again.hits + again.misses == calls["lookups"]
+    assert again.misses == calls["searches"]
     assert again.hits > info.hits
     # a bound of 0 keeps nothing, so every search runs
     monkeypatch.setattr(iso, "_SEARCH_MEMO_BOUND", 0)
@@ -433,8 +442,10 @@ def test_search_memo_stays_within_its_bound():
     copies = []
     while len(keys) <= search_cache_info().maxsize + 50:
         h = oracles.random_relabelled(g, rng)
-        keys.add(repr(_encode_two_graph(h)[:2]))
-        copies.append(h)
+        key = iso._positional_key(h)
+        if key not in keys:
+            keys.add(key)
+            copies.append(h)
     code = canonical_code(g)
     for h in copies:
         assert canonical_code(h) == code
@@ -447,3 +458,28 @@ def test_search_memo_stays_within_its_bound():
         assert canonical_code(io.document_to_graph(
             io.graph_to_document(h))) == code
         assert search_cache_info().hits - before == hit
+
+
+def test_search_memo_hit_reads_only_the_graph_maps(monkeypatch):
+    # a fresh graph with the same labels (an io round trip) has the same
+    # positional maps, so a warm lookup needs neither its faces nor its
+    # encoding
+    graphs = list(fixtures.all_fixtures().values())
+    graphs += [io.document_to_graph(e["graph"]) for e in corpus_entries()]
+    search_cache_clear()
+    want = [(canonical_code(g), automorphism_count(g)) for g in graphs]
+    copies = [io.document_to_graph(io.graph_to_document(g)) for g in graphs]
+    components = sum(len(connected_components(h)) for h in copies)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("faces or encoding built on a hit")
+
+    monkeypatch.setattr("strandhopf.graphs.faces", forbidden)
+    monkeypatch.setattr("strandhopf.iso.faces", forbidden)
+    monkeypatch.setattr(iso, "_encode_two_graph", forbidden)
+    before = search_cache_info()
+    assert [(canonical_code(h), automorphism_count(h))
+            for h in copies] == want
+    after = search_cache_info()
+    assert after.hits - before.hits == components
+    assert after.misses == before.misses

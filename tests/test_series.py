@@ -1,10 +1,12 @@
 """Diagram enumeration, series coefficients, and the coproduct identity."""
 
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import oracles
-from strandhopf import fixtures
+from strandhopf import fixtures, series
 from strandhopf import (
     automorphism_count,
     boundary,
@@ -145,6 +147,28 @@ def test_central_identity_small_bounds():
 
     rep = check_central_identity(preset("gw4"), 1, bridgeless_only=True)
     assert rep.passed and rep.bridgeless_only
+
+
+def test_central_check_keeps_no_universe_type_alive(monkeypatch):
+    # the plain and dressed codes are memoized on the type object, so the
+    # types of one check's closed universe die with the check
+    built = []
+
+    def recording(*args, **kwargs):
+        dt = real(*args, **kwargs)
+        built.append(weakref.ref(dt))
+        return dt
+
+    real = series.DressedType
+    monkeypatch.setattr(series, "DressedType", recording)
+    for _ in range(4):
+        assert check_central_identity(preset("gw4"), 1).passed
+    gc.collect()
+    assert len(built) >= 4
+    assert all(ref() is None for ref in built)
+    dt = preset("gw4").dressed_types()[0]
+    assert dt.plain_code() == one_graph_code(dt.graph)
+    assert dt.dressed_code() == dt.dressed_code()
 
 
 def test_closure_rounds_match_one_full_growth():
