@@ -19,6 +19,17 @@ first path, so the order comes from orbit-stabilizer along that path
 (the product, over its nodes, of the orbit size of the child it takes)
 instead of from one leaf per automorphism.
 
+The refinement colours each node by the start of its cell in the
+ordered partition, as nauty does (McKay & Piperno 2014), and carries the
+cells with the colours.  Splitting a cell moves no other cell, so a
+round re-signs only the cells next to a split: after individualizing a
+node w, only the cells that hold a neighbour of w.  Rounds stay
+synchronous, and starts are a monotone relabelling of the cell ranks a
+full re-signing round would give, so every comparison, the leaves, the
+code, the labelling and the order are those of that rank refinement
+(``tests/oracles.py`` keeps it as the reference).  At a discrete leaf
+the starts are the positions 0..n-1.
+
 1-graphs (boundaries, vertex graphs) are canonized through a
 multiplicity quotient in the same spirit.  The legs at one vertex, the
 loops at one vertex and the parallel edges between one pair of distinct
@@ -76,45 +87,96 @@ from .graphs import (connected_components, disjoint_union, faces, relabel,
 # refinement + individualization on node-classed simple graphs
 
 
-def _refine(n, adj, colors):
-    """Equitable refinement of ``colors`` (ranks 0..k-1 of the cells).
+def _cells(colors):
+    """The cells of a colouring: each colour mapped to its nodes in node
+    order."""
+    cells = {}
+    for i, c in enumerate(colors):
+        cells.setdefault(c, []).append(i)
+    return cells
 
-    Each round a node's new colour is the rank of its old colour plus
-    the sorted colours of its neighbours; a node alone in its cell keeps
-    its rank from the old colour alone, so it needs no neighbour
-    signature.  The colouring is stable once no cell splits.
+
+def _refine(adj, colors, cells, moved=None):
+    """Equitable refinement of a colouring, as (colours, cells).
+
+    A node's colour is the start of its cell in the ordered partition,
+    and ``cells`` maps each start to the cell's nodes in node order; it
+    is refined in place.  Rounds are synchronous: every signature of a
+    round is read from the previous round's colours.  A round re-signs
+    only the non-singleton cells that hold a neighbour of a node in
+    ``moved``; ``moved=None`` re-signs every cell.  A node's signature is
+    the sorted tuple of its neighbours' colours.  A cell whose signatures
+    differ splits into parts that take consecutive starts from its own,
+    in signature order, and every other cell keeps its colour.  The nodes
+    of every part but the first are the next round's ``moved``.  The
+    colouring is stable once no cell splits.
+
+    This is the rank refinement (each round, every node's new colour is
+    the rank of its old colour plus its sorted neighbour colours) in
+    other colours.  Starts relabel ranks monotonically, so signatures
+    compare alike and cells split and order alike.  Before a round the
+    members of a cell have the same number of neighbours in each cell of
+    the round before; so a cell none of whose members has a neighbour in
+    a split cell cannot split, and as the counts into a split cell are
+    equal, those into its first part follow from those into the others.
     """
-    while True:
-        size = [0] * n
-        for c in colors:
-            size[c] += 1
-        sigs = [(c, tuple(sorted([colors[j] for j in adj[i]])))
-                if size[c] > 1 else (c,)
-                for i, c in enumerate(colors)]
-        distinct = set(sigs)
-        if len(distinct) == n - size.count(0):
-            return colors
-        order = {s: k for k, s in enumerate(sorted(distinct))}
-        colors = [order[s] for s in sigs]
+    if moved is None:
+        todo = [c for c, members in cells.items() if len(members) > 1]
+    else:
+        todo = {colors[j] for i in moved for j in adj[i]}
+    while todo:
+        new = list(colors)
+        moved = []
+        for c in todo:
+            members = cells[c]
+            if len(members) == 1:
+                continue
+            parts = {}
+            for i in members:
+                parts.setdefault(tuple(sorted([colors[j] for j in adj[i]])),
+                                 []).append(i)
+            if len(parts) == 1:
+                continue
+            start = c
+            for sig in sorted(parts):
+                part = cells[start] = parts[sig]
+                if start != c:
+                    for i in part:
+                        new[i] = start
+                    moved += part
+                start += len(part)
+        colors = new
+        todo = {colors[j] for i in moved for j in adj[i]}
+    return colors, cells
 
 
-def _target_cell(colors):
-    """Members of the first (lowest-colour) non-singleton cell, in node
-    order, or None when the colouring is discrete."""
-    size = [0] * len(colors)
-    for c in colors:
-        size[c] += 1
-    target = next((c for c, m in enumerate(size) if m > 1), None)
-    if target is None:
-        return None
-    return [i for i, c in enumerate(colors) if c == target]
+def _target_cell(cells):
+    """Members of the first (lowest-start) non-singleton cell, in node
+    order, or None when the colouring is discrete (every node has its
+    own start, so the colours are the positions 0..n-1)."""
+    target = min((c for c, members in cells.items() if len(members) > 1),
+                 default=None)
+    return None if target is None else cells[target]
 
 
-def _individualize(colors, i):
-    """The colouring with node ``i`` split off in front of its cell."""
-    t = colors[i]
-    return [c + 1 if c > t or (c == t and j != i) else c
-            for j, c in enumerate(colors)]
+def _individualize(colors, cells, w):
+    """The colouring with node ``w`` split off in front of its cell: ``w``
+    keeps the cell's start t, the rest of the cell gets t + 1, and no
+    other cell moves.  The inputs are left as they are."""
+    t = colors[w]
+    rest = [i for i in cells[t] if i != w]
+    colors = list(colors)
+    for i in rest:
+        colors[i] = t + 1
+    cells = dict(cells)
+    cells[t], cells[t + 1] = [w], rest
+    return colors, cells
+
+
+def _child(adj, colors, cells, w):
+    """The refined colouring below (colours, cells) with node ``w``
+    individualized; only the neighbours of ``w`` can split a cell."""
+    return _refine(adj, *_individualize(colors, cells, w), (w,))
 
 
 def _canon_search(descs, adj):
@@ -138,17 +200,21 @@ def _canon_search(descs, adj):
     not end its subtree: a better leaf may follow.  Every skipped
     subtree is the image of an earlier explored one, so the first
     minimal leaf of the unpruned search is always visited and the result
-    equals that search's.
+    equals that search's.  The root colours each node by the start of
+    its class in the sorted ``descs``.
     """
     n = len(descs)
-    order = {d: k for k, d in enumerate(sorted(set(descs)))}
-    colors = _refine(n, adj, [order[d] for d in descs])
-    path = []  # (colouring, cell) of the nodes on zeta's path
-    cell = _target_cell(colors)
+    start = {}
+    for k, d in enumerate(sorted(descs)):
+        start.setdefault(d, k)
+    colors = [start[d] for d in descs]
+    colors, cells = _refine(adj, colors, _cells(colors))
+    path = []  # (colours, cells, target cell) of the nodes on zeta's path
+    cell = _target_cell(cells)
     while cell is not None:
-        path.append((colors, cell))
-        colors = _refine(n, adj, _individualize(colors, cell[0]))
-        cell = _target_cell(colors)
+        path.append((colors, cells, cell))
+        colors, cells = _child(adj, colors, cells, cell[0])
+        cell = _target_cell(cells)
 
     def leaf_of(colors):
         """(edge code, labelling) of a discrete colouring, whose colours
@@ -168,11 +234,11 @@ def _canon_search(descs, adj):
     best = zeta
     gens = []
 
-    def visit(colors):
+    def visit(colors, cells):
         """Search below a node off the first path; True once a leaf
         equivalent to zeta is found."""
         nonlocal best
-        cell = _target_cell(colors)
+        cell = _target_cell(cells)
         if cell is None:
             edges, pos = leaf_of(colors)
             for ref in (zeta, best):
@@ -182,11 +248,10 @@ def _canon_search(descs, adj):
             if edges < best[0]:
                 best = (edges, pos)
             return False
-        return any(visit(_refine(n, adj, _individualize(colors, i)))
-                   for i in cell)
+        return any(visit(*_child(adj, colors, cells, i)) for i in cell)
 
     count = 1
-    for colors, cell in reversed(path):
+    for colors, cells, cell in reversed(path):
         explored, seen = [cell[0]], None
         for w in cell[1:]:
             if seen != len(gens):
@@ -194,7 +259,7 @@ def _canon_search(descs, adj):
             if orbits[w] in {orbits[x] for x in explored}:
                 continue
             explored.append(w)
-            visit(_refine(n, adj, _individualize(colors, w)))
+            visit(*_child(adj, colors, cells, w))
         orbits = _orbits(cell, gens)
         count *= sum(1 for i in cell if orbits[i] == 0)
     code = (tuple(descs[i] for i in best[1]), tuple(best[0]))
@@ -497,12 +562,21 @@ def _positional_key(G, strand_colour=None, half_mark=None):
         None if half_mark is None else [half_mark[h] for h in hs]))
 
 
+def _search_two(c, strand_colour=None, half_mark=None):
+    """(code, |Aut|) of a connected 2-graph by search.  The faces that the
+    encoding builds are not left cached on ``c``: callers keep graphs
+    (``hopf.REGISTRY`` holds one per class) that never need them again."""
+    kept = c._faces
+    encoding = _encode_two_graph(c, strand_colour, half_mark)
+    c._faces = kept
+    return _canon_connected(encoding)
+
+
 def _two_parts(G, strand_colour=None, half_mark=None):
     """The (code, |Aut|) pairs of the connected components of a 2-graph;
     faces, encoding and search run only on a miss of the search memo."""
     return [_memoized(_positional_key(c, strand_colour, half_mark),
-                      lambda: _canon_connected(
-                          _encode_two_graph(c, strand_colour, half_mark)))
+                      lambda: _search_two(c, strand_colour, half_mark))
             for c in connected_components(G)]
 
 

@@ -391,6 +391,32 @@ def closed_universe(theory, max_edges):
     return list(types.values()), classes
 
 
+def _within_budget(pools, budget):
+    """Every tuple of one class per pool, in pool order, whose degrees sum
+    to at most ``budget``.
+
+    Each pool is walked in degree order, and its loop stops at the first
+    class whose degree plus the least degrees of the later pools is over
+    the budget left, so no tuple over the budget is ever built.
+    """
+    pools = [sorted(pool, key=lambda a: a.degree) for pool in pools]
+    least = [0] * (len(pools) + 1)  # least degree sum of pools[k:]
+    for k in range(len(pools) - 1, -1, -1):
+        least[k] = least[k + 1] + pools[k][0].degree
+
+    def extend(k, left):
+        if k == len(pools):
+            if left >= 0:
+                yield ()
+            return
+        for a in pools[k]:
+            if a.degree + least[k + 1] > left:
+                break
+            for tail in extend(k + 1, left - a.degree):
+                yield (a,) + tail
+    return extend(0, budget)
+
+
 def check_central_identity(theory, max_edges, bridgeless_only=False):
     """Verify the coproduct identity on diagram series over the bounded,
     contraction-closed universe of the theory.
@@ -442,9 +468,7 @@ def check_central_identity(theory, max_edges, bridgeless_only=False):
             gamma_auts.append(vg_aut)
         if not ok:
             continue
-        for assign in itertools.product(*pools):
-            if sum(a.degree for a in assign) > budget:
-                continue
+        for assign in _within_budget(pools, budget):
             left = tuple(sorted(a.code for a in assign))
             key = (left, code)
             coeff = Fraction(1, cls.automorphisms)

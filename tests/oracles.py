@@ -225,6 +225,10 @@ def random_relabelled(G, rng):
 
 
 def _exhaustive_refine(n, adj, colors):
+    """Rank refinement: each round, every node's new colour is the rank of
+    its colour plus its sorted neighbour colours among all nodes', until
+    nothing changes.  ``iso._refine`` must give the same cells in the
+    same order, coloured by cell start instead of rank."""
     while True:
         sigs = []
         for i in range(n):

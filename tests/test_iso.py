@@ -20,7 +20,8 @@ from strandhopf import (
     relabel,
     validate,
 )
-from strandhopf.graphs import boundary, connected_components, is_connected
+from strandhopf.graphs import (boundary, connected_components, faces,
+                              is_connected)
 from strandhopf.iso import (_canon_search, _encode_one_graph,
                             _encode_two_graph, _one_graph_fields,
                             boundary_multiset_aut_count, search_cache_clear,
@@ -234,10 +235,43 @@ def cycles_encoding(lengths, rng):
     return ((0,),) * n, [tuple(sorted(a)) for a in adj]
 
 
+def random_encoding(rng, kind):
+    """(descs, adj) of a seeded random graph with 1 to 3 node classes, its
+    nodes in random order: a union of one or two cycles ("cycles"), a
+    circulant C_n(1, 2) on 7 to 40 nodes ("circulant"), or a random tree
+    on 2 to 40 nodes plus n/2 random edges ("random").  The sizes keep
+    the exhaustive search, which visits one leaf per automorphism and
+    more, to a fraction of a second each."""
+    if kind == "cycles":
+        lengths = [rng.randint(3, 10) for _ in range(rng.randint(1, 2))]
+        n, edges, s = sum(lengths), [], 0
+        for m in lengths:
+            edges += [(s + i, s + (i + 1) % m) for i in range(m)]
+            s += m
+    elif kind == "circulant":
+        n = rng.randint(7, 40)
+        edges = [(i, (i + d) % n) for i in range(n) for d in (1, 2)]
+    else:
+        n = rng.randint(2, 40)
+        edges = [(rng.randrange(i), i) for i in range(1, n)]
+        edges += [tuple(rng.sample(range(n), 2)) for _ in range(n // 2)]
+    classes = rng.randint(1, 3)
+    place = list(range(n))
+    rng.shuffle(place)
+    descs = [None] * n
+    for i in place:
+        descs[i] = (rng.randrange(classes),)
+    adj = [set() for _ in range(n)]
+    for a, b in edges:
+        adj[place[a]].add(place[b])
+        adj[place[b]].add(place[a])
+    return tuple(descs), [tuple(sorted(a)) for a in adj]
+
+
 def search_encodings(rng):
     """(name, descs, adj) of the encoded connected components of every
-    fixture, of random relabellings of it, and of its boundary, and of
-    unions of cycles in random node orders."""
+    fixture, of random relabellings of it, and of its boundary, of
+    unions of cycles in random node orders, and of random graphs."""
     out = [(f"C{lengths}#{k}",) + cycles_encoding(lengths, rng)
            for lengths in ((6, 3, 3), (3, 4, 5), (4, 4), (7,))
            for k in range(4)]
@@ -250,6 +284,8 @@ def search_encodings(rng):
         for vs in b.components():
             out.append((f"{name}:boundary",)
                        + _encode_one_graph(b.induced(vs))[:2])
+    out += [(f"{kind}#{k}",) + random_encoding(rng, kind) for k in range(50)
+            for kind in ("cycles", "circulant", "random")]
     return out
 
 
@@ -259,6 +295,38 @@ def test_pruned_search_matches_exhaustive_search():
     for name, descs, adj in search_encodings(random.Random(1981)):
         assert _canon_search(descs, adj) == \
             oracles.exhaustive_canon_search(descs, adj), name
+
+
+def test_refine_matches_rank_refinement():
+    # a colouring by cell starts must be the oracle's colouring by cell
+    # ranks, relabelled monotonically, after the first refinement and
+    # after every individualization along random chains to a leaf
+    rng = random.Random(2014)
+    for name, descs, adj in search_encodings(rng):
+        n = len(descs)
+        start = {}
+        for k, d in enumerate(sorted(descs)):
+            start.setdefault(d, k)
+        colors = [start[d] for d in descs]
+        colors, cells = iso._refine(adj, colors, iso._cells(colors))
+        rank = {d: k for k, d in enumerate(sorted(set(descs)))}
+        ranks = oracles._exhaustive_refine(n, adj, [rank[d] for d in descs])
+        while True:
+            assert cells == iso._cells(colors), name
+            assert all(c == sum(1 for x in colors if x < c)
+                       for c in cells), name
+            rank = {c: k for k, c in enumerate(sorted(cells))}
+            assert [rank[c] for c in colors] == ranks, name
+            targets = [c for c, members in cells.items() if len(members) > 1]
+            if not targets:
+                assert sorted(colors) == list(range(n)), name
+                break
+            w = rng.choice(cells[rng.choice(targets)])
+            colors, cells = iso._child(adj, colors, cells, w)
+            split = [(c, 0 if i == w else 1) for i, c in enumerate(ranks)]
+            rank = {s: k for k, s in enumerate(sorted(set(split)))}
+            ranks = oracles._exhaustive_refine(n, adj,
+                                               [rank[s] for s in split])
 
 
 def corpus_entries():
@@ -483,3 +551,19 @@ def test_search_memo_hit_reads_only_the_graph_maps(monkeypatch):
     after = search_cache_info()
     assert after.hits - before.hits == components
     assert after.misses == before.misses
+
+
+def test_search_miss_leaves_no_faces_on_the_graph():
+    # a miss builds faces for the encoding only: the graph it canonizes,
+    # which a caller may keep (hopf.REGISTRY holds one per class), must
+    # not keep them, while faces built before the search stay cached
+    for k, g in enumerate(CORPUS.values()):
+        fresh = io.document_to_graph(io.graph_to_document(g))
+        with_faces = io.document_to_graph(io.graph_to_document(g))
+        built = faces(with_faces)
+        search_cache_clear()
+        canonical_code(fresh)
+        search_cache_clear()
+        canonical_code(with_faces)
+        assert fresh._faces is None, k
+        assert with_faces._faces is built, k

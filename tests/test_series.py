@@ -15,7 +15,7 @@ from strandhopf import (
     internal_face_count,
     preset,
 )
-from strandhopf.graphs import disjoint_union
+from strandhopf.graphs import disjoint_union, vertex_graph
 from strandhopf.iso import one_graph_code
 from strandhopf.models import (Theory, melonic_quartic_type, polygon_type,
                                vertex_weight_tensorial)
@@ -147,6 +147,34 @@ def test_central_identity_small_bounds():
 
     rep = check_central_identity(preset("gw4"), 1, bridgeless_only=True)
     assert rep.passed and rep.bridgeless_only
+
+
+def test_central_check_builds_only_assignments_within_budget():
+    # the right-hand side of the check walks only the assignments of
+    # universe classes to vertices within the degree budget; they must be
+    # exactly those that filtering itertools.product keeps
+    _, classes = closed_universe(preset("gw4"), 2)
+    by_boundary = {}
+    for cls in classes.values():
+        by_boundary.setdefault(cls.boundary_code, []).append(cls)
+    built = kept = 0
+    for cls in classes.values():
+        pools = [by_boundary.get(one_graph_code(vertex_graph(cls.graph, v)))
+                 for v in cls.graph.vertices]
+        if not all(pools):
+            continue
+        budget = 2 - cls.n_edges
+        every = list(itertools.product(*pools))
+        expected = [tuple(map(id, a)) for a in every
+                    if sum(c.degree for c in a) <= budget]
+        found = [tuple(map(id, a))
+                 for a in series._within_budget(pools, budget)]
+        assert sorted(found) == sorted(expected), cls.code
+        built += len(every)
+        kept += len(found)
+    assert (len(classes), built, kept) == (64, 31877, 158)
+    assert list(series._within_budget([], 0)) == [()]
+    assert list(series._within_budget([], -1)) == []
 
 
 def test_central_check_keeps_no_universe_type_alive(monkeypatch):
