@@ -9,7 +9,8 @@ same kind of combination keyed by integer exponents, so both share one
 add, scale and product.
 
 The coproduct sums over wide subgraphs, pairing each subgraph (as a
-product of its connected components) with the contraction by it; the
+product of its connected components) with the contraction by it, and
+expands one subgraph per orbit of the class's automorphisms; the
 antipode follows the usual triangular recursion, using a residue inverse
 in place of division by the group-like part.  Both are memoized by class
 code (``functools.cache``; ``cache_info()`` gives their size and hit
@@ -27,8 +28,9 @@ import functools
 import operator
 from fractions import Fraction
 
-from .graphs import TwoGraph, connected_components, residue
-from .iso import canonical_code
+from .graphs import (TwoGraph, connected_components, residue,
+                     _connected_groups)
+from .iso import automorphism_generators, canonical_code
 from .rewrite import subgraphs
 
 
@@ -271,15 +273,28 @@ def coproduct(G):
 
 @functools.cache
 def _coproduct(code):
-    """The coproduct table of a class, expanded on its representative."""
+    """The coproduct table of a class, expanded on its representative.
+
+    An automorphism maps a wide subgraph and its contraction onto those
+    of its image, so a subgraph in the orbit of an earlier one under the
+    representative's automorphisms (acting on its edge sets) adds the
+    same term.  Only the first subgraph of each orbit is expanded, and
+    its term counts once per member; the keys, their order and the
+    graphs interned are those of expanding every subgraph."""
+    G = graph_of_code(code)
+    subs = {frozenset(h for edge in sub.edges for h in edge): sub
+            for sub in subgraphs(G)}
+    links = [(halves, frozenset(m.get(h, h) for h in halves))
+             for m in automorphism_generators(G) for halves in subs]
     out = {}
-    for sub in subgraphs(graph_of_code(code)):
+    for orbit in _connected_groups(subs, links):
+        sub = subs[orbit[0]]
         left = el_graph(sub.materialize())
         right = el_graph(sub.contract())
         (lm, lc), = left.items()
         (rm, rc), = right.items()
         key = (lm, rm)
-        out[key] = out.get(key, Fraction(0)) + lc * rc
+        out[key] = out.get(key, Fraction(0)) + lc * rc * len(orbit)
     return out
 
 

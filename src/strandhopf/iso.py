@@ -12,12 +12,13 @@ attachment maps become direct edges; sigma2 needs relation nodes because
 a section pair can be joined by both involutions at once).  A partition
 refinement with individualization search over that encoding yields a
 canonical labelling, the first leaf of minimal code in depth-first
-order, and the quotient automorphism order.  The search prunes itself
-with the automorphisms it meets: two leaves of equal code differ by one,
-and a child in the orbit of an explored sibling is skipped along the
-first path, so the order comes from orbit-stabilizer along that path
-(the product, over its nodes, of the orbit size of the child it takes)
-instead of from one leaf per automorphism.
+order, the quotient automorphism order, and generators of the
+quotient's automorphism group (every automorphism it meets).  The search
+prunes itself with the automorphisms it meets: two leaves of equal code
+differ by one, and a child in the orbit of an explored sibling is
+skipped along the first path, so the order comes from orbit-stabilizer
+along that path (the product, over its nodes, of the orbit size of the
+child it takes) instead of from one leaf per automorphism.
 
 The refinement colours each node by the start of its cell in the
 ordered partition, as nauty does (McKay & Piperno 2014), and carries the
@@ -44,8 +45,10 @@ canonical 1-graph, and the 1-graph code string serializes that graph.
 
 Encodings number their nodes by the positions of the labels in the
 graph's sorted label tuples.  One routine canonizes a connected graph of
-either kind from its encoding and returns only (code, |Aut|): the code
-of the search and its order times the encoding's closed-form factor.
+either kind from its encoding and returns (code, |Aut|), the code of
+the search and its order times the encoding's closed-form factor,
+followed by the search's labelling and automorphism generators (a
+1-graph memo entry keeps only the pair).
 One combine step assembles a graph from its connected components: the
 code of a disconnected graph is "U(...)" over the sorted component
 codes, its automorphism order the wreath product of the component
@@ -56,14 +59,20 @@ code order.
 
 One search memo serves both kinds; it maps a tagged key to the
 (code string, |Aut|) of a connected graph, the closed-form factor folded
-in.  A connected 2-graph is keyed by its positional structure: its
+in.  A 2-graph entry also holds the search's canonical labelling and the
+automorphism generators it found, both as the search returns them, on
+encoding nodes: node k < nv is vertex k of ``G.vertices`` and node
+nv + k half-edge k of ``G.half_edges``, so they too are positional.
+``automorphism_generators`` turns them into half-edge maps only when
+asked.  A connected 2-graph is keyed by its positional structure: its
 vertex count, its five structure maps with every label replaced by its
 position in ``G.vertices``, ``G.half_edges`` or ``G.strands``, and its
 decorations by position.  The key is exact.  The encoding numbers its
 nodes by label position, and ``faces`` orients and orders its chains by
 label comparisons, which are position comparisons because the label
 tuples are sorted; so faces, face classes, encoding, code and |Aut| are
-all functions of the key, and a hit needs none of them.  A 1-graph is
+all functions of the key (so are the labelling and the generators, the
+search being deterministic), and a hit needs none of them.  A 1-graph is
 keyed by the ``repr`` of its encoding, which has no faces and is cheap
 to build.  The tags ("two", "one") keep the kinds apart.  Keys are
 ``repr`` strings, not tuples, because the string takes a fraction of
@@ -181,7 +190,8 @@ def _child(adj, colors, cells, w):
 
 def _canon_search(descs, adj):
     """Minimal leaf code, the first minimal labelling in depth-first
-    order, and the automorphism order of the encoded graph.
+    order, the automorphism order of the encoded graph, and generators of
+    its automorphism group (as lists mapping node i to g[i]).
 
     Individualization-refinement search pruned by automorphisms (McKay &
     Piperno 2014).  A leaf whose code equals that of the first leaf
@@ -202,6 +212,14 @@ def _canon_search(descs, adj):
     minimal leaf of the unpruned search is always visited and the result
     equals that search's.  The root colours each node by the start of
     its class in the sorted ``descs``.
+
+    Every automorphism met is kept, and together they generate the whole
+    group.  Going up the path, those recorded so far fix the node's
+    prefix and reach every child in the orbit of its first child (each
+    child off that orbit is explored or the image of an explored one,
+    and an explored child in the orbit yields a leaf equivalent to
+    zeta); with the stabilizer of the first child, generated by
+    induction from below, they generate the group that fixes the prefix.
     """
     n = len(descs)
     start = {}
@@ -263,7 +281,7 @@ def _canon_search(descs, adj):
         orbits = _orbits(cell, gens)
         count *= sum(1 for i in cell if orbits[i] == 0)
     code = (tuple(descs[i] for i in best[1]), tuple(best[0]))
-    return code, best[1], count
+    return code, best[1], count, gens
 
 
 def _orbits(cell, gens):
@@ -511,12 +529,13 @@ def _memoized(key, canon):
 
 
 def _canon_connected(encoding, serial=repr):
-    """(code, |Aut|) of a connected graph from its encoding: ``serial`` of
-    the search's code, and the order the search finds times the encoding's
-    closed-form factor."""
+    """(code, |Aut|, labelling, generators) of a connected graph from its
+    encoding: ``serial`` of the search's code, the order the search finds
+    times the encoding's closed-form factor, and the search's canonical
+    labelling and automorphism generators as it returns them."""
     descs, adj, factor = encoding[:3]
-    code, _, order = _canon_search(descs, adj)
-    return serial(code), order * factor
+    code, labelling, order, gens = _canon_search(descs, adj)
+    return serial(code), order * factor, labelling, gens
 
 
 def _combine(parts):
@@ -563,20 +582,26 @@ def _positional_key(G, strand_colour=None, half_mark=None):
 
 
 def _search_two(c, strand_colour=None, half_mark=None):
-    """(code, |Aut|) of a connected 2-graph by search.  The faces that the
-    encoding builds are not left cached on ``c``: callers keep graphs
-    (``hopf.REGISTRY`` holds one per class) that never need them again."""
+    """The search memo entry of a connected 2-graph, by search.  The faces
+    that the encoding builds are not left cached on ``c``: callers keep
+    graphs (``hopf.REGISTRY`` holds one per class) that never need them
+    again."""
     kept = c._faces
     encoding = _encode_two_graph(c, strand_colour, half_mark)
     c._faces = kept
     return _canon_connected(encoding)
 
 
+def _two_entry(c, strand_colour=None, half_mark=None):
+    """(code, |Aut|, labelling, generators) of a connected 2-graph from the
+    search memo; faces, encoding and search run only on a miss."""
+    return _memoized(_positional_key(c, strand_colour, half_mark),
+                     lambda: _search_two(c, strand_colour, half_mark))
+
+
 def _two_parts(G, strand_colour=None, half_mark=None):
-    """The (code, |Aut|) pairs of the connected components of a 2-graph;
-    faces, encoding and search run only on a miss of the search memo."""
-    return [_memoized(_positional_key(c, strand_colour, half_mark),
-                      lambda: _search_two(c, strand_colour, half_mark))
+    """The (code, |Aut|) pairs of the connected components of a 2-graph."""
+    return [_two_entry(c, strand_colour, half_mark)[:2]
             for c in connected_components(G)]
 
 
@@ -605,7 +630,7 @@ def canonical_form(G):
     forms = []
     for c in connected_components(G):
         descs, adj, _, classes, owner = _encode_two_graph(c)
-        code, perm, _ = _canon_search(descs, adj)
+        code, perm = _canon_search(descs, adj)[:2]
         nv, nh = len(c.vertices), len(c.half_edges)
         vmap = {c.vertices[p]: f"v{k}"
                 for k, p in enumerate(p for p in perm if p < nv)}
@@ -639,6 +664,37 @@ def are_isomorphic(G1, G2):
     return canonical_code(G1) == canonical_code(G2)
 
 
+def automorphism_generators(G, strand_colour=None, half_mark=None):
+    """Generators of the automorphism group of a 2-graph, with its
+    decorations if given (as in ``canonical_code``), as maps of its
+    half-edges; a half-edge a map leaves out is fixed.
+
+    A connected component gives the half-edge action of the generators
+    its search found, read from its search memo entry.  Components of one
+    code are isomorphic, and their canonical labellings list their
+    half-edges in corresponding order; each such component after the
+    first adds the swap of its half-edges with those of the one before.
+    With the components' own generators these generate the wreath
+    product, which is the whole group.  Every automorphism of the
+    encoding lifts to one of the graph, so the maps are the half-edge
+    action of the group.
+    """
+    gens, last = [], {}
+    for c in connected_components(G):
+        code, _, labelling, found = _two_entry(c, strand_colour, half_mark)
+        nv, hs = len(c.vertices), c.half_edges
+        gens += [{h: hs[g[nv + k] - nv] for k, h in enumerate(hs)
+                  if g[nv + k] != nv + k} for g in found]
+        # the half-edge nodes come right after the vertices at every leaf
+        order = [hs[p - nv] for p in labelling[nv:nv + len(hs)]]
+        if code in last:
+            swap = dict(zip(last[code], order))
+            swap.update(zip(order, last[code]))
+            gens.append(swap)
+        last[code] = order
+    return gens
+
+
 # ---------------------------------------------------------------------------
 # 1-graphs
 
@@ -650,7 +706,7 @@ def _one_parts(g):
         encoding = _encode_one_graph(g.induced(vs))
         parts.append(_memoized(
             ("one", repr(encoding[:2])),
-            lambda: _canon_connected(encoding, _one_graph_serial)))
+            lambda: _canon_connected(encoding, _one_graph_serial)[:2]))
     return parts
 
 

@@ -12,6 +12,36 @@ parities, strand orientations) restricts which edge pairings are allowed:
   the unique proper pairing;
 * ``generic`` theories allow every bijection of the two strand corollas.
 
+Growth is orbit-reduced.  An automorphism g of a parent that keeps
+everything ``_edge_options`` reads maps the gluings at a pair of external
+half-edges onto those at its image, so the children at the image are
+isomorphic to children at the pair.  Each parent is therefore extended
+only at the first pair of each orbit of pairs under its group, whose
+generators ``iso.automorphism_generators`` reads from the search memo.
+A skipped pair's children are images of children of an earlier pair of
+the same parent, so every dedup code is first met where it was met
+before: the per-level dicts, their order and their graphs are those of
+extending every pair.  The group each class uses:
+
+* ``generic``: the plain group, since every strand bijection is allowed;
+* ``coloured``: the group keeping strand colours and half-edge parities;
+* ``map``: the group keeping strand orientations (with any colour) and
+  parities.  The crosswise gluing reads the orientation, and a plain
+  automorphism that reverses it would map it onto a twisted gluing the
+  theory does not make.
+
+A ``map`` theory still dedups by the plain code, as ``generic`` does, and
+``coloured`` by the code with colours and parities.  The group only
+decides which children are built; the dedup code decides which are the
+same class, and the output classes of ``enumerate_diagrams`` are plain
+classes weighted by plain |Aut|, so the plain code is the key they need.
+(Dedup by the orientation-dressed code gives the same connected classes
+of gw4 up to four edges.)
+
+Coefficients are 1/|Aut| of the plain stranded graph, whatever the
+class's dressing: mq3's lone dipole vertex gets 1/12, although no
+non-trivial automorphism keeps its colours and parities.
+
 The central identity check enumerates a contraction-closed universe of
 bounded-cost diagrams and compares both sides of the coproduct formula
 for diagram series coefficient by coefficient.  The one
@@ -27,7 +57,8 @@ from fractions import Fraction
 
 from .graphs import (GraphError, OneGraph, TwoGraph, boundary,
                      connected_components, disjoint_union, is_bridgeless,
-                     is_connected, vertex_graph, _label_key)
+                     is_connected, vertex_graph, _connected_groups,
+                     _label_key)
 from . import hopf, iso
 from .rewrite import instantiate_vertex_type, _glue_options, _with_edges
 
@@ -168,6 +199,52 @@ def _dedup_code(klass, G, dressing):
     return iso.canonical_code(G)
 
 
+def _group_dressing(klass, dressing):
+    """The decorations an automorphism must keep to map the ``_edge_options``
+    of every pair onto those of its image: none for ``generic``, colour and
+    parity for ``coloured``, and for ``map`` the orientation (merged with
+    any colour) and parity."""
+    col, par, ori = dressing
+    if klass == "generic":
+        return None, None
+    if klass == "coloured":
+        return col, par
+    return _merge_marks(col, ori), par
+
+
+def _pair_orbit_leaders(ext, gens):
+    """The first pair of each orbit of the pairs of ``ext`` (in
+    ``itertools.combinations`` order) under the half-edge maps ``gens``."""
+    pairs = list(itertools.combinations(ext, 2))
+    pos = {h: i for i, h in enumerate(ext)}
+    links = []
+    for m in gens:
+        for a, b in pairs:
+            x, y = m.get(a, a), m.get(b, b)
+            links.append(((a, b), (x, y) if pos[x] < pos[y] else (y, x)))
+    return [orbit[0] for orbit in _connected_groups(pairs, links)]
+
+
+def _extend(parents, klass, dressing):
+    """One growth level: the graphs made from ``parents`` by one more edge
+    between two external half-edges, one per dedup code, each the first
+    found in parent, pair and option order.  A parent is extended only at
+    the first pair of each orbit of its group (see the module
+    docstring)."""
+    group = _group_dressing(klass, dressing)
+    nxt = {}
+    for g in parents:
+        ext = sorted(g.external_half_edges(), key=_label_key)
+        for h1, h2 in _pair_orbit_leaders(
+                ext, iso.automorphism_generators(g, *group)):
+            for opt in _edge_options(klass, g, dressing, h1, h2):
+                g2 = _with_edges(g, [(h1, h2)], opt)
+                dc = _dedup_code(klass, g2, dressing)
+                if dc not in nxt:
+                    nxt[dc] = g2
+    return nxt
+
+
 @dataclass
 class ConnectedClass:
     graph: TwoGraph
@@ -230,22 +307,10 @@ def connected_classes(dtypes, klass, budget, frontier=None):
                 _record(raw, seed, 0, cost_sum)
             level = {0: seed}
             for e in range(1, budget - cost_sum + 1):
-                nxt = {}
-                for g in level.values():
-                    ncomp = len(connected_components(g))
-                    if ncomp - 1 > budget - cost_sum - (e - 1):
-                        continue
-                    ext = sorted(g.external_half_edges(), key=_label_key)
-                    for i1 in range(len(ext)):
-                        for i2 in range(i1 + 1, len(ext)):
-                            for opt in _edge_options(klass, g, dressing,
-                                                     ext[i1], ext[i2]):
-                                g2 = _with_edges(g, [(ext[i1], ext[i2])],
-                                                 opt)
-                                dc = _dedup_code(klass, g2, dressing)
-                                if dc not in nxt:
-                                    nxt[dc] = g2
-                level = nxt
+                spare = budget - cost_sum - (e - 1)
+                level = _extend([g for g in level.values()
+                                 if len(connected_components(g)) - 1 <= spare],
+                                klass, dressing)
                 for g in level.values():
                     if is_connected(g):
                         _record(raw, g, e, cost_sum + e)

@@ -5,7 +5,10 @@ without sharing code with the package: faces by chasing the two strand
 involutions, automorphisms by enumerating label bijections, map genus
 from the rotation data, canonical labellings by an individualization
 search that visits every leaf.  Slow on purpose; only used on small
-inputs.
+inputs.  The exceptions are references kept from earlier versions of
+the package, which the faster code must equal: the rank refinement, and
+the growth level and coproduct expansion before orbit reduction (these
+two call the package's gluing, dedup and interning).
 """
 
 import itertools
@@ -69,14 +72,25 @@ def brute_one_graph_automorphism_count(g):
     return count
 
 
-def _strand_extensions(G, jh):
+def _strand_extensions(G, jh, strand_colour=None):
     """Number of strand bijections compatible with a fixed half-edge
-    bijection: fibre-by-fibre backtracking with incremental checks of the
-    two strand involutions."""
+    bijection (and keeping ``strand_colour`` if given): fibre-by-fibre
+    backtracking with incremental checks of the two strand involutions.
+    Fibres are taken in depth-first order along edges and vertices, so
+    the checks prune early under any labelling."""
     fibre = {h: [] for h in G.half_edges}
     for s in G.strands:
         fibre[G.mu[s]].append(s)
-    order = sorted(G.half_edges, key=lambda h: (h.__class__.__name__, h))
+    order = []
+    for root in sorted(G.half_edges, key=lambda h: (h.__class__.__name__, h)):
+        todo = [root]
+        while todo:
+            h = todo.pop()
+            if h in order:
+                continue
+            order.append(h)
+            todo += [k for k in G.half_edges if G.nu[k] == G.nu[h]]
+            todo.append(G.iota[h])
 
     def consistent(js, s):
         # involution equivariance on every pair fully inside the domain
@@ -100,7 +114,9 @@ def _strand_extensions(G, jh):
             ok = True
             for s, t in zip(src, perm):
                 trial[s] = t
-                if not consistent(trial, s):
+                if not consistent(trial, s) or (
+                        strand_colour is not None
+                        and strand_colour[t] != strand_colour[s]):
                     ok = False
                     break
             if ok:
@@ -110,20 +126,37 @@ def _strand_extensions(G, jh):
     return extend(0, {})
 
 
-def brute_two_graph_automorphism_count(G):
-    """Triples of bijections commuting with all five structure maps."""
+def brute_two_graph_automorphisms(G, strand_colour=None, half_mark=None):
+    """Every half-edge bijection that some automorphism induces, with the
+    number of automorphisms inducing it: triples of bijections commuting
+    with all five structure maps (and keeping the decorations if given).
+    Half-edge candidates are enumerated fibre by fibre over the vertex
+    bijection, which is exhaustive because any nu-equivariant bijection
+    restricts to one on each fibre."""
     vs, hs = list(G.vertices), list(G.half_edges)
-    count = 0
+    at = {v: [h for h in hs if G.nu[h] == v] for v in vs}
     for pv in itertools.permutations(vs):
         jv = dict(zip(vs, pv))
-        for ph in itertools.permutations(hs):
-            jh = dict(zip(hs, ph))
-            if any(jv[G.nu[h]] != G.nu[jh[h]] for h in hs):
-                continue
+        if any(len(at[v]) != len(at[jv[v]]) for v in vs):
+            continue
+        fibre_maps = [[list(zip(at[v], q))
+                       for q in itertools.permutations(at[jv[v]])]
+                      for v in vs]
+        for combo in itertools.product(*fibre_maps):
+            jh = dict(p for part in combo for p in part)
             if any(jh[G.iota[h]] != G.iota[jh[h]] for h in hs):
                 continue
-            count += _strand_extensions(G, jh)
-    return count
+            if half_mark is not None and any(half_mark[jh[h]] != half_mark[h]
+                                             for h in hs):
+                continue
+            count = _strand_extensions(G, jh, strand_colour)
+            if count:
+                yield jh, count
+
+
+def brute_two_graph_automorphism_count(G):
+    """Triples of bijections commuting with all five structure maps."""
+    return sum(count for _, count in brute_two_graph_automorphisms(G))
 
 
 def brute_two_graphs_isomorphic(G1, G2):
@@ -297,6 +330,43 @@ def exhaustive_canon_search(descs, adj):
 
     rec(init)
     return best_code[0], best_perm[0], count[0]
+
+
+def unreduced_extend(parents, klass, dressing):
+    """One growth level with every pair of external half-edges of every
+    parent extended: ``series._extend`` before its orbit reduction, kept
+    as the reference it must equal (same keys, order and graphs).  It
+    shares the gluing and dedup code with the package."""
+    from strandhopf.graphs import _label_key
+    from strandhopf.rewrite import _with_edges
+    from strandhopf.series import _dedup_code, _edge_options
+    nxt = {}
+    for g in parents:
+        ext = sorted(g.external_half_edges(), key=_label_key)
+        for i1 in range(len(ext)):
+            for i2 in range(i1 + 1, len(ext)):
+                for opt in _edge_options(klass, g, dressing, ext[i1],
+                                         ext[i2]):
+                    g2 = _with_edges(g, [(ext[i1], ext[i2])], opt)
+                    dc = _dedup_code(klass, g2, dressing)
+                    if dc not in nxt:
+                        nxt[dc] = g2
+    return nxt
+
+
+def unreduced_coproduct(G):
+    """The coproduct table of ``G`` expanded on every wide subgraph:
+    ``hopf._coproduct`` before its orbit reduction, kept as the reference
+    it must equal (same keys, order and coefficients).  It interns what it
+    expands, as the package does."""
+    from strandhopf.hopf import el_graph
+    from strandhopf.rewrite import subgraphs
+    out = {}
+    for sub in subgraphs(G):
+        (lm, lc), = el_graph(sub.materialize()).items()
+        (rm, rc), = el_graph(sub.contract()).items()
+        out[lm, rm] = out.get((lm, rm), Fraction(0)) + lc * rc
+    return out
 
 
 def random_laurent(rng, span=4, terms=3):

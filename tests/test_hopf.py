@@ -1,10 +1,12 @@
 """Coproduct, counit, antipode, and the toy renormalization calculus."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import oracles
-from strandhopf import fixtures, preset
+from strandhopf import fixtures, hopf, io, preset
 from strandhopf import (
     LaurentPoly,
     Renormalization,
@@ -18,12 +20,14 @@ from strandhopf import (
     residue,
     toy_ms_character,
 )
-from strandhopf.graphs import connected_components, internal_face_count
+from strandhopf.graphs import (connected_components, disjoint_union,
+                               internal_face_count)
 from strandhopf.hopf import (coproduct_of_monomial, el_add, el_eq, el_graph,
                              el_mul, el_residue_inverse, el_scale, el_unit,
                              el_zero, graph_of_code, intern_graph)
 from strandhopf.rewrite import subgraphs
 from strandhopf.series import enumerate_diagrams
+from test_series import graph_fields
 
 CORPUS = fixtures.all_fixtures()
 SMALL = {n: g for n, g in CORPUS.items() if g.n_edges() <= 3}
@@ -262,3 +266,41 @@ def test_antipode_and_counterterms_match_subgraph_recursion():
         if len(connected_components(g)) == 1:
             nested += ct != -phi(g).pole_part()
     assert nested > len(graphs) // 2
+
+
+def test_orbit_reduced_coproduct_matches_every_subgraph(monkeypatch):
+    # expanding one wide subgraph per automorphism orbit must give the
+    # table of expanding them all, keys in the same order with the same
+    # coefficients, and intern the same representatives in the same order;
+    # checked on a stride of the corpus, its relabellings and disjoint
+    # unions of small classes (isomorphic components swap)
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "data" / \
+        "corpus.json"
+    entries = json.loads(path.read_text(encoding="utf-8"))["graphs"]
+    rng = random.Random(1998)
+    graphs = [io.document_to_graph(e["graph"]) for e in entries[::12]]
+    graphs += [oracles.random_relabelled(g, rng) for g in graphs[::3]]
+    small = [g for g in graphs if g.n_edges() <= 1]
+    graphs += [disjoint_union([a, b]) for a, b in zip(small, small[1:])]
+    graphs += [disjoint_union([g, g]) for g in small[:4]]
+
+    def tables(expand):
+        registry, expanded = {}, []
+
+        def counting(*args):
+            expanded.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(hopf, "REGISTRY", registry)
+        monkeypatch.setattr(hopf, "el_graph", counting)
+        out = [list(expand(hopf.intern_graph(g)).items()) for g in graphs]
+        monkeypatch.setattr(hopf, "el_graph", real)
+        reps = [(code, graph_fields(g)) for code, g in registry.items()]
+        return out, reps, len(expanded)
+
+    real = hopf.el_graph
+    *reduced, n_reduced = tables(hopf._coproduct.__wrapped__)
+    *every, n_every = tables(lambda code: oracles.unreduced_coproduct(
+        hopf.graph_of_code(code)))
+    assert reduced == every
+    assert 0 < n_reduced < n_every

@@ -1,6 +1,7 @@
 """Canonical forms and automorphism counts against brute-force oracles."""
 
 import hashlib
+import itertools
 import json
 import random
 from pathlib import Path
@@ -289,12 +290,37 @@ def search_encodings(rng):
     return out
 
 
+def generated_group(gens, n):
+    """Every element of the permutation group on range(n) that ``gens``
+    generate, as tuples (closure under composition from the identity)."""
+    found = {tuple(range(n))}
+    todo = list(found)
+    while todo:
+        p = todo.pop()
+        for g in gens:
+            q = tuple(g[i] for i in p)
+            if q not in found:
+                found.add(q)
+                todo.append(q)
+    return found
+
+
 def test_pruned_search_matches_exhaustive_search():
     # the code, the first minimal labelling in depth-first order and the
-    # automorphism order must all equal those of the unpruned search
+    # automorphism order must all equal those of the unpruned search; the
+    # generators it returns are automorphisms and, where the group is
+    # small enough to list, generate all of it
     for name, descs, adj in search_encodings(random.Random(1981)):
-        assert _canon_search(descs, adj) == \
+        code, labelling, order, gens = _canon_search(descs, adj)
+        assert (code, labelling, order) == \
             oracles.exhaustive_canon_search(descs, adj), name
+        edges = {(i, j) for i, js in enumerate(adj) for j in js}
+        for g in gens:
+            assert sorted(g) == list(range(len(descs))), name
+            assert all(descs[g[i]] == descs[i] for i in range(len(descs)))
+            assert {(g[i], g[j]) for i, j in edges} == edges, name
+        if order <= 1000:
+            assert len(generated_group(gens, len(descs))) == order, name
 
 
 def test_refine_matches_rank_refinement():
@@ -567,3 +593,81 @@ def test_search_miss_leaves_no_faces_on_the_graph():
         canonical_code(with_faces)
         assert fresh._faces is None, k
         assert with_faces._faces is built, k
+
+
+def orbit_partition(items, maps, image):
+    """The orbits of ``items`` under the group that ``maps`` generate,
+    each found by closing one item under the maps."""
+    orbits, seen = set(), set()
+    for x in items:
+        if x in seen:
+            continue
+        orbit, todo = {x}, [x]
+        while todo:
+            y = todo.pop()
+            for m in maps:
+                z = image(m, y)
+                if z not in orbit:
+                    orbit.add(z)
+                    todo.append(z)
+        seen |= orbit
+        orbits.add(frozenset(orbit))
+    return orbits
+
+
+def decorated_growth_graphs(monkeypatch):
+    """(graph, strand colour, half mark) of the growth parents of gw4 (a
+    map theory, orientation marks) and mq3 (coloured) up to two edges,
+    with the decorations their growth group keeps, and of the gw4-generic
+    parents undecorated."""
+    from strandhopf import series
+    found = []
+    real = series._extend
+
+    def recording(parents, klass, dressing):
+        group = series._group_dressing(klass, dressing)
+        found.extend((g,) + group for g in parents)
+        return real(parents, klass, dressing)
+
+    monkeypatch.setattr(series, "_extend", recording)
+    for name in ("gw4", "mq3", "gw4-generic"):
+        theory = preset(name)
+        series.connected_classes(theory.dressed_types(), theory.klass, 2)
+    return [case for case in found if len(case[0].half_edges) <= 8]
+
+
+def test_automorphism_generators_give_brute_force_orbits(monkeypatch):
+    # the half-edge orbits and the orbits of pairs of external half-edges
+    # under the generators must be those under every automorphism, which
+    # the oracle enumerates; the pair orbit leaders that growth extends
+    # are the first pairs of those orbits
+    from strandhopf.series import _pair_orbit_leaders
+    rng = random.Random(1998)
+    small = [g for g in CORPUS.values() if len(g.half_edges) <= 8]
+    melon = fixtures.all_fixtures()["rank3_melon"]
+    tadpole = fixtures.all_fixtures()["quartic_tadpole_same"]
+    cases = [(g, None, None) for g in small]
+    cases += [(oracles.random_relabelled(g, rng), None, None) for g in small]
+    cases += [(disjoint_union(parts), None, None)
+              for parts in ([melon, melon], [melon, tadpole, melon],
+                            [tadpole, tadpole])]
+    decorated = decorated_growth_graphs(monkeypatch)
+    assert any(sc is not None and hm is not None for _, sc, hm in decorated)
+    cases += decorated
+    point = lambda m, h: m.get(h, h)
+    pair = lambda m, p: frozenset(m.get(h, h) for h in p)
+    for k, (g, sc, hm) in enumerate(cases):
+        gens = iso.automorphism_generators(g, sc, hm)
+        every = [jh for jh, _ in
+                 oracles.brute_two_graph_automorphisms(g, sc, hm)]
+        assert orbit_partition(g.half_edges, gens, point) == \
+            orbit_partition(g.half_edges, every, point), k
+        ext = sorted(g.external_half_edges())
+        pairs = [frozenset(p) for p in itertools.combinations(ext, 2)]
+        want = orbit_partition(pairs, every, pair)
+        assert orbit_partition(pairs, gens, pair) == want, k
+        firsts = [p for p in pairs
+                  if all(pairs.index(q) >= pairs.index(p)
+                         for orbit in want if p in orbit for q in orbit)]
+        assert [frozenset(p) for p in _pair_orbit_leaders(ext, gens)] == \
+            firsts, k

@@ -6,7 +6,7 @@ import weakref
 from fractions import Fraction
 
 import oracles
-from strandhopf import fixtures, series
+from strandhopf import fixtures, iso, rewrite, series
 from strandhopf import (
     automorphism_count,
     boundary,
@@ -234,3 +234,87 @@ def test_disconnected_boundary_filter_matches_filtering_afterwards():
                     if one_graph_code(boundary(t.graph)) == code]
         assert expected
         assert [(t.code, t.coefficient) for t in got.terms] == expected
+
+
+def graph_fields(g):
+    return (g.vertices, g.half_edges, g.strands, g.nu, g.mu, g.iota,
+            g.sigma1, g.sigma2)
+
+
+def test_orbit_reduced_growth_matches_unreduced_growth(monkeypatch):
+    # each growth level extends a parent only at the first pair of each
+    # orbit of its group; it must give the dict of extending every pair,
+    # in the same order, under the same codes, with the same graphs, and
+    # build fewer children
+    levels = []
+    built = {"reduced": 0, "every": 0}
+
+    def recording(parents, klass, dressing):
+        out = real(parents, klass, dressing)
+        levels.append((parents, klass, dressing, out))
+        return out
+
+    def counting(kind, glue):
+        def wrapper(*args):
+            built[kind] += 1
+            return glue(*args)
+        return wrapper
+
+    real = series._extend
+    monkeypatch.setattr(series, "_extend", recording)
+    monkeypatch.setattr(series, "_with_edges",
+                        counting("reduced", series._with_edges))
+    monkeypatch.setattr(rewrite, "_with_edges",
+                        counting("every", rewrite._with_edges))
+    for name in ("gw4", "mq3", "bgr", "gw4-generic"):
+        theory = preset(name)
+        levels.clear()
+        connected_classes(theory.dressed_types(), theory.klass, 2)
+        assert levels, name
+        for parents, klass, dressing, out in levels:
+            want = oracles.unreduced_extend(parents, klass, dressing)
+            assert [(code, graph_fields(g)) for code, g in out.items()] == \
+                [(code, graph_fields(g)) for code, g in want.items()], name
+    assert 0 < built["reduced"] < built["every"]
+
+
+def test_orbit_reduced_closure_matches_unreduced_closure(monkeypatch):
+    # the contraction-closed universe of gw4 <=2 is the same, class by
+    # class and in order, with and without the orbit reduction
+    def summary(types, classes):
+        return ([(dt.graph.vertices, dt.graph.half_edges, dt.graph.attach,
+                  dt.graph.pairing, dt.cost) for dt in types],
+                [(code, graph_fields(c.graph), c.code, c.automorphisms,
+                  c.n_edges, c.degree, c.boundary_code)
+                 for code, c in classes.items()])
+
+    reduced = summary(*closed_universe(preset("gw4"), 2))
+    monkeypatch.setattr(series, "_extend", oracles.unreduced_extend)
+    assert summary(*closed_universe(preset("gw4"), 2)) == reduced
+
+
+def test_map_growth_keeps_orientations():
+    # two quartic polygons, each closed by a loop on two neighbouring
+    # legs: a plain automorphism may mirror one polygon alone, which maps
+    # the crosswise gluing of a bridge onto a twisted one, so only the
+    # orientation-keeping group gives the three bridge classes
+    insts = [instantiate_dressed(polygon_type(4), tag) for tag in "01"]
+    g = disjoint_union([inst[0] for inst in insts], prefix=False)
+    dressing = tuple(series._merge_dicts([inst[k] for inst in insts])
+                     for k in (1, 2, 3))
+    for tag in "01":
+        a, b = f"{tag}.p0", f"{tag}.p1"
+        (opt,) = series._edge_options("map", g, dressing, a, b)
+        g = _with_edges(g, [(a, b)], opt)
+    out = series._extend([g], "map", dressing)
+    want = oracles.unreduced_extend([g], "map", dressing)
+    assert [(code, graph_fields(c)) for code, c in out.items()] == \
+        [(code, graph_fields(c)) for code, c in want.items()]
+    assert len(out) == 3
+    # the plain group has fewer pair orbits, so it would build too few
+    ext = sorted(g.external_half_edges())
+    plain = iso.automorphism_generators(g)
+    dressed = iso.automorphism_generators(
+        g, *series._group_dressing("map", dressing))
+    assert len(series._pair_orbit_leaders(ext, plain)) < \
+        len(series._pair_orbit_leaders(ext, dressed))
