@@ -480,31 +480,44 @@ def _contract_edges(G, edges):
     subgraph, keeps the subgraph-external half-edges and sections, removes
     the contracted pairings, and closes the through-strand structure by
     pairing the two endpoints of every external face of the subgraph.
+    Those faces are walked on ``G`` itself, and no subgraph is built: from
+    a section off the contracted half-edges, sigma1 leads to the next
+    section, and while that lies on a contracted half-edge, sigma2 then
+    sigma1 lead on, until a section off them ends the face.  A pair may
+    be given in either order; a pair that is not an edge of ``G`` (an
+    external half-edge with itself included) raises ``GraphError``.
     """
-    H = subgraph_with_edges(G, edges)
-    kept = set(H.edge_pairs())
-    in_h = {h for p in kept for h in p}
+    edges = tuple(edges)
+    in_h = set()
+    for a, b in edges:
+        if a == b or G.iota.get(a) != b:
+            raise GraphError("edges to contract are not edges of the graph")
+        in_h.update((a, b))
 
     comp_of = {}
-    for vs in _component_vertex_sets(G, kept):
+    for vs in _component_vertex_sets(G, edges):
         tag = min(vs, key=_label_key)
         for v in vs:
             comp_of[v] = tag
     new_vertices = sorted(set(comp_of.values()), key=_label_key)
 
+    mu, s1, s2 = G.mu, G.sigma1, G.sigma2
     new_h = [h for h in G.half_edges if h not in in_h]
-    new_s = [s for s in G.strands if G.mu[s] not in in_h]
+    new_s = [s for s in G.strands if mu[s] not in in_h]
     nu = {h: comp_of[G.nu[h]] for h in new_h}
-    mu = {s: G.mu[s] for s in new_s}
     # contracted pairs are gone entirely, so iota restricts cleanly
     iota = {h: G.iota[h] for h in new_h}
-    sigma2 = {s: G.sigma2[s] for s in new_s}
+    sigma2 = {s: s2[s] for s in new_s}
     sigma1 = {}
-    for f in faces(H)[1]:
-        a, b = f.sections[0], f.sections[-1]
-        sigma1[a] = b
-        sigma1[b] = a
-    return TwoGraph(new_vertices, new_h, new_s, nu, mu, iota, sigma1, sigma2)
+    for a in new_s:
+        if a not in sigma1:
+            b = s1[a]
+            while mu[b] in in_h:
+                b = s1[s2[b]]
+            sigma1[a] = b
+            sigma1[b] = a
+    return TwoGraph(new_vertices, new_h, new_s, nu, {s: mu[s] for s in new_s},
+                    iota, sigma1, sigma2)
 
 
 def _connected_groups(nodes, pairs):
@@ -567,21 +580,45 @@ def connected_components(G):
     """The connected components of ``G`` in the order of their least
     vertices; a connected ``G`` is its own only component (the same
     object, with its cached faces and code)."""
-    groups = _component_vertex_sets(G, G.edge_pairs())
-    if len(groups) == 1:
+    pieces = _pieces(G, G.edge_pairs())
+    if len(pieces) == 1:
         return (G,)
-    out = []
-    for vs in groups:
-        hs = [h for h in G.half_edges if G.nu[h] in vs]
-        hset = set(hs)
-        ss = [s for s in G.strands if G.mu[s] in hset]
-        out.append(TwoGraph(vs, hs, ss,
-                            {h: G.nu[h] for h in hs},
-                            {s: G.mu[s] for s in ss},
-                            {h: G.iota[h] for h in hs},
-                            {s: G.sigma1[s] for s in ss},
-                            {s: G.sigma2[s] for s in ss}))
-    return tuple(out)
+    return tuple(_piece(G, vs, inside) for vs, inside in pieces)
+
+
+def _pieces(G, edge_pairs):
+    """The connected components of ``G`` restricted to ``edge_pairs`` as
+    (vertices, edges inside) pairs of tuples, in the order of their least
+    vertices; vertices and edges keep their order in ``G.vertices`` and
+    ``edge_pairs``."""
+    nu = G.nu
+    groups = _connected_groups(G.vertices,
+                               ((nu[a], nu[b]) for a, b in edge_pairs))
+    where = {v: k for k, vs in enumerate(groups) for v in vs}
+    inside = [[] for _ in groups]
+    for p in edge_pairs:
+        inside[where[nu[p[0]]]].append(p)
+    return [(tuple(vs), tuple(es)) for vs, es in zip(groups, inside)]
+
+
+def _piece(G, vs, edge_pairs):
+    """The 2-graph on the vertices ``vs`` of ``G`` with all their
+    half-edges and sections, paired across exactly ``edge_pairs`` (edges
+    of ``G`` with both ends at ``vs``); every other half-edge at ``vs`` is
+    external."""
+    iota = {}
+    for a, b in edge_pairs:
+        iota[a], iota[b] = b, a
+    vset = set(vs)
+    hs = [h for h in G.half_edges if G.nu[h] in vset]
+    hset = set(hs)
+    ss = [s for s in G.strands if G.mu[s] in hset]
+    return TwoGraph(vs, hs, ss,
+                    {h: G.nu[h] for h in hs},
+                    {s: G.mu[s] for s in ss},
+                    {h: iota.get(h, h) for h in hs},
+                    {s: G.sigma1[s] for s in ss},
+                    {s: (G.sigma2[s] if G.mu[s] in iota else s) for s in ss})
 
 
 def is_connected(G):

@@ -10,12 +10,20 @@ add, scale and product.
 
 The coproduct sums over wide subgraphs, pairing each subgraph (as a
 product of its connected components) with the contraction by it, and
-expands one subgraph per orbit of the class's automorphisms; the
+expands one subgraph per orbit of the class's automorphisms.  A term is
+read from the edge set of its subgraph on the class's representative:
+the components (pieces) come from a union-find over its vertices, and a
+piece, a vertex set with the edges inside it, is built as a 2-graph and
+interned only the first time it occurs in the expansion (a dict local to
+the call); the contraction walks the representative's own strands.  The
 antipode follows the usual triangular recursion, using a residue inverse
 in place of division by the group-like part.  Both are memoized by class
 code (``functools.cache``; ``cache_info()`` gives their size and hit
 rate).  ``REGISTRY`` is not a memo: it gives the codes held by elements
-their meaning, so it is never cleared.
+their meaning, so it is never cleared.  The representative of a product
+(disconnected) class is the disjoint union of its factors'
+representatives in code order, so a union is expanded on graphs whose
+pieces its factors' expansions have already canonized.
 
 Renormalization works for any character into Laurent polynomials and any
 Rota-Baxter projection; the toy minimal-subtraction character sends a
@@ -28,8 +36,8 @@ import functools
 import operator
 from fractions import Fraction
 
-from .graphs import (TwoGraph, connected_components, residue,
-                     _connected_groups)
+from .graphs import (TwoGraph, connected_components, disjoint_union,
+                     residue, _connected_groups, _piece, _pieces)
 from .iso import automorphism_generators, canonical_code
 from .rewrite import subgraphs
 
@@ -152,10 +160,24 @@ REGISTRY = {}   # code -> representative; decodes codes, so never evicted
 
 
 def intern_graph(G):
-    """Canonical code of ``G``; the first graph interned under a code is
-    kept as its representative for ``graph_of_code``."""
+    """Canonical code of ``G``, registering its class on first sight.
+
+    A connected class is represented (for ``graph_of_code``) by the first
+    graph interned under its code.  A product class is represented by the
+    disjoint union of its factors' representatives in code order, the
+    factors being interned first.  The union's labels are its factors'
+    behind a position prefix, which keeps the order of string labels, so
+    an orbit leader of its wide subgraphs (least in ``subgraphs`` order)
+    restricts on each factor to a leader of the factor's own expansion,
+    and its pieces and contractions have the positional structure of
+    pieces and contractions met there: the search memo holds them."""
     code = canonical_code(G)
-    REGISTRY.setdefault(code, G)
+    if code not in REGISTRY:
+        comps = connected_components(G)
+        if len(comps) > 1:
+            G = disjoint_union([REGISTRY[c]
+                                for c in sorted(map(intern_graph, comps))])
+        REGISTRY[code] = G
     return code
 
 
@@ -280,21 +302,26 @@ def _coproduct(code):
     representative's automorphisms (acting on its edge sets) adds the
     same term.  Only the first subgraph of each orbit is expanded, and
     its term counts once per member; the keys, their order and the
-    graphs interned are those of expanding every subgraph."""
+    graphs interned (in the same order) are those of expanding every
+    subgraph.  The left side is the product of the subgraph's pieces; a
+    piece that an earlier subgraph already had is looked up in ``built``
+    instead of being built and canonized again."""
     G = graph_of_code(code)
     subs = {frozenset(h for edge in sub.edges for h in edge): sub
             for sub in subgraphs(G)}
     links = [(halves, frozenset(m.get(h, h) for h in halves))
              for m in automorphism_generators(G) for halves in subs]
-    out = {}
+    built, out = {}, {}   # built: (vertices, edges inside) -> class code
     for orbit in _connected_groups(subs, links):
         sub = subs[orbit[0]]
-        left = el_graph(sub.materialize())
-        right = el_graph(sub.contract())
-        (lm, lc), = left.items()
-        (rm, rc), = right.items()
-        key = (lm, rm)
-        out[key] = out.get(key, Fraction(0)) + lc * rc * len(orbit)
+        left = {}
+        for piece in _pieces(G, sub.edges):
+            if piece not in built:
+                built[piece] = intern_graph(_piece(G, *piece))
+            left[built[piece]] = left.get(built[piece], 0) + 1
+        (rm, rc), = el_graph(sub.contract()).items()
+        key = (tuple(sorted(left.items())), rm)
+        out[key] = out.get(key, Fraction(0)) + rc * len(orbit)
     return out
 
 

@@ -6,9 +6,10 @@ involutions, automorphisms by enumerating label bijections, map genus
 from the rotation data, canonical labellings by an individualization
 search that visits every leaf.  Slow on purpose; only used on small
 inputs.  The exceptions are references kept from earlier versions of
-the package, which the faster code must equal: the rank refinement, and
-the growth level and coproduct expansion before orbit reduction (these
-two call the package's gluing, dedup and interning).
+the package, which the faster code must equal: the rank refinement, the
+growth level and coproduct expansion before orbit reduction (these two
+call the package's gluing, dedup and interning), and the contraction
+that reads the external faces of a materialized subgraph.
 """
 
 import itertools
@@ -354,17 +355,48 @@ def unreduced_extend(parents, klass, dressing):
     return nxt
 
 
+def materialized_contract(G, edges):
+    """Contraction of the wide subgraph spanned by ``edges`` through the
+    subgraph itself: ``graphs._contract_edges`` before it walked the
+    parent's strands, kept as the reference it must equal.  It builds the
+    subgraph and pairs the two endpoints of each of its external faces."""
+    from strandhopf.graphs import (TwoGraph, faces, subgraph_with_edges,
+                                   _component_vertex_sets, _label_key)
+    H = subgraph_with_edges(G, edges)
+    kept = set(H.edge_pairs())
+    in_h = {h for p in kept for h in p}
+    comp_of = {}
+    for vs in _component_vertex_sets(G, kept):
+        tag = min(vs, key=_label_key)
+        for v in vs:
+            comp_of[v] = tag
+    new_h = [h for h in G.half_edges if h not in in_h]
+    new_s = [s for s in G.strands if G.mu[s] not in in_h]
+    sigma1 = {}
+    for f in faces(H)[1]:
+        a, b = f.sections[0], f.sections[-1]
+        sigma1[a] = b
+        sigma1[b] = a
+    return TwoGraph(sorted(set(comp_of.values()), key=_label_key), new_h,
+                    new_s, {h: comp_of[G.nu[h]] for h in new_h},
+                    {s: G.mu[s] for s in new_s},
+                    {h: G.iota[h] for h in new_h}, sigma1,
+                    {s: G.sigma2[s] for s in new_s})
+
+
 def unreduced_coproduct(G):
     """The coproduct table of ``G`` expanded on every wide subgraph:
     ``hopf._coproduct`` before its orbit reduction, kept as the reference
-    it must equal (same keys, order and coefficients).  It interns what it
-    expands, as the package does."""
+    it must equal (same keys, order and coefficients).  Each subgraph is
+    materialized for its left side and contracted by
+    ``materialized_contract``.  It interns what it expands, as the
+    package does."""
     from strandhopf.hopf import el_graph
     from strandhopf.rewrite import subgraphs
     out = {}
     for sub in subgraphs(G):
         (lm, lc), = el_graph(sub.materialize()).items()
-        (rm, rc), = el_graph(sub.contract()).items()
+        (rm, rc), = el_graph(materialized_contract(G, sub.edges)).items()
         out[lm, rm] = out.get((lm, rm), Fraction(0)) + lc * rc
     return out
 

@@ -2,11 +2,12 @@
 
 import json
 import random
+from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
 
 import oracles
-from strandhopf import fixtures, hopf, io, preset
+from strandhopf import fixtures, hopf, io, iso, preset
 from strandhopf import (
     LaurentPoly,
     Renormalization,
@@ -24,7 +25,8 @@ from strandhopf.graphs import (connected_components, disjoint_union,
                                internal_face_count)
 from strandhopf.hopf import (coproduct_of_monomial, el_add, el_eq, el_graph,
                              el_mul, el_residue_inverse, el_scale, el_unit,
-                             el_zero, graph_of_code, intern_graph)
+                             el_zero, graph_of_code, intern_graph,
+                             tens_mul)
 from strandhopf.rewrite import subgraphs
 from strandhopf.series import enumerate_diagrams
 from test_series import graph_fields
@@ -304,3 +306,71 @@ def test_orbit_reduced_coproduct_matches_every_subgraph(monkeypatch):
         hopf.graph_of_code(code)))
     assert reduced == every
     assert 0 < n_reduced < n_every
+
+
+def test_union_pieces_hit_the_search_memo(monkeypatch):
+    # a product class is represented by the union of its factors'
+    # representatives, so once the factors are expanded, expanding a union
+    # of relabelled copies canonizes nothing new; its table is still
+    # expanded over all its own subgraphs and must equal the product of
+    # the factor tables and the unreduced expansion of the union
+    monkeypatch.setattr(hopf, "REGISTRY", {})
+    monkeypatch.setattr(iso, "_search_memo", OrderedDict())
+    searches = []
+    real = iso._canon_search
+
+    def counting(*args):
+        searches.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(iso, "_canon_search", counting)
+    rng = random.Random(13)
+
+    def expand(g):
+        return hopf._coproduct.__wrapped__(hopf.intern_graph(g))
+
+    pairs = [(fixtures.fish(1, 2), fixtures.nested_tadpole()),
+             (fixtures.melon_two_point(), fixtures.quartic_tadpole("cross")),
+             (fixtures.side_tadpole(), fixtures.crossing_tadpole())]
+    for a, b in pairs:
+        hopf.intern_graph(a)        # the classes keep these labellings
+        hopf.intern_graph(b)
+        g1 = oracles.random_relabelled(a, rng)
+        g2 = oracles.random_relabelled(b, rng)
+        t1, t2 = expand(g1), expand(g2)
+        del searches[:]
+        u12, u11 = disjoint_union([g1, g2]), disjoint_union([g1, g1])
+        tables = [expand(u12), expand(u11)]
+        assert not searches, (a, b)
+        assert tables == [tens_mul(t1, t2), tens_mul(t1, t1)]
+        assert tables == [oracles.unreduced_coproduct(u12),
+                          oracles.unreduced_coproduct(u11)]
+
+
+def test_coproduct_builds_each_piece_once(monkeypatch):
+    # a piece (vertex set, edges inside) met again in one expansion is
+    # looked up, not built again
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "data" / \
+        "corpus.json"
+    entries = json.loads(path.read_text(encoding="utf-8"))["graphs"]
+    g = next(io.document_to_graph(e["graph"]) for e in entries
+             if e["edges"] == 3 and e["coproduct_terms"] >= 6)
+    visits, builds = [], []
+    real_pieces, real_piece = hopf._pieces, hopf._piece
+
+    def pieces(*args):
+        out = real_pieces(*args)
+        visits.extend(out)
+        return out
+
+    def piece(G, *key):
+        builds.append(key)
+        return real_piece(G, *key)
+
+    monkeypatch.setattr(hopf, "_pieces", pieces)
+    monkeypatch.setattr(hopf, "_piece", piece)
+    code = hopf.intern_graph(g)
+    table = hopf._coproduct.__wrapped__(code)
+    assert sorted(builds) == sorted(set(visits))
+    assert len(builds) < len(visits)
+    assert table == oracles.unreduced_coproduct(hopf.graph_of_code(code))

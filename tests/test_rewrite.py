@@ -1,8 +1,13 @@
 """Subgraphs, contraction, insertion, and their duality."""
 
+import json
+import random
+from pathlib import Path
+
 import pytest
 
-from strandhopf import fixtures
+import oracles
+from strandhopf import fixtures, io
 from strandhopf import (
     GraphError,
     are_isomorphic,
@@ -72,6 +77,38 @@ def test_contractions_stay_valid_and_shrink():
             assert h.n_edges() == g.n_edges() - len(s.edges)
             assert len(h.external_half_edges()) == \
                 len(g.external_half_edges())
+
+
+def test_contract_matches_materialized_contraction():
+    # the contraction walks the parent's strands; it must build the graph
+    # that pairing the external faces of the materialized subgraph builds,
+    # field by field, on every edge subset of a corpus stride, its
+    # relabellings and the fixtures
+    from test_series import graph_fields   # test_series imports this file
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "data" / \
+        "corpus.json"
+    entries = json.loads(path.read_text(encoding="utf-8"))["graphs"]
+    rng = random.Random(2000)
+    graphs = [io.document_to_graph(e["graph"]) for e in entries[::12]]
+    graphs += [oracles.random_relabelled(g, rng) for g in graphs]
+    graphs += list(CORPUS.values())
+    for g in graphs:
+        for s in subgraphs(g):
+            assert graph_fields(contract(g, s.edges)) == graph_fields(
+                oracles.materialized_contract(g, s.edges)), s.edges
+
+
+def test_contract_rejects_non_edges():
+    from test_series import graph_fields
+    g = fixtures.fish(1, 2)
+    (a, b), (c, d) = g.edge_pairs()
+    x = g.external_half_edges()[0]
+    for bad in ([(a, c)], [(a, b), (b, d)], [(x, x)],
+                [(x, g.external_half_edges()[1])], [(a, "nowhere")]):
+        with pytest.raises(GraphError):
+            contract(g, bad)
+    assert graph_fields(contract(g, [(b, a)])) == \
+        graph_fields(contract(g, [(a, b)]))
 
 
 def test_insertion_count_formula_on_fixture_corpus():
