@@ -117,7 +117,8 @@ class OneGraph:
     def components(self):
         """Vertex sets of connected components (isolated vertices included),
         in the order of their least vertices."""
-        pairs = ((self.attach[a], self.attach[b]) for a, b in self.edge_pairs())
+        pairs = ((self.attach[a], self.attach[b])
+                 for a, b in self.pairing.items())
         return tuple(frozenset(g) for g in _connected_groups(self.vertices,
                                                              pairs))
 
@@ -352,9 +353,10 @@ def validate(G):
 def vertex_graph(G, v):
     """The 1-graph of through-strands at ``v``; its vertices are the
     half-edges of ``G`` at ``v`` and its edges the local sigma1 pairs."""
-    if v not in set(G.vertices):
-        raise GraphError(f"unknown vertex {v!r}")
-    hs = G.half_edges_at(v)
+    try:
+        hs = G.half_edges_at(v)
+    except KeyError:
+        raise GraphError(f"unknown vertex {v!r}") from None
     ss = [s for h in hs for s in G.strands_at(h)]
     return OneGraph(hs, ss, {s: G.mu[s] for s in ss},
                     {s: G.sigma1[s] for s in ss})

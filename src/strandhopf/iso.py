@@ -74,7 +74,11 @@ tuples are sorted; so faces, face classes, encoding, code and |Aut| are
 all functions of the key (so are the labelling and the generators, the
 search being deterministic), and a hit needs none of them.  A 1-graph is
 keyed by the ``repr`` of its encoding, which has no faces and is cheap
-to build.  The tags ("two", "one") keep the kinds apart.  Keys are
+to build.  The encoding lists its class nodes in sorted order, so the
+key depends on the vertex order only and not on the half-edge labels:
+vertex graphs of one shape whose sections are named apart share an
+entry.  A connected 1-graph is encoded as itself, not as a copy of its
+one component.  The tags ("two", "one") keep the kinds apart.  Keys are
 ``repr`` strings, not tuples, because the string takes a fraction of
 their memory.  The memo holds at most 1024 entries and evicts the least
 recently used; ``search_cache_info()`` reports its hits, misses, bound
@@ -418,9 +422,12 @@ def _encode_one_graph(g):
     vertex (kind 1) and the parallel edges between two distinct vertices
     (kind 2).  The nodes are the vertices in label order, then one node
     per class carrying its kind and multiplicity m, adjacent to its one
-    or two vertices.  Returns (descs, adj, factor), factor being the
-    closed-form order of the classes: m! per leg or parallel-edge class
-    and m! * 2^m per loop class (the loops permute and each can be
+    or two vertices, the classes in sorted (kind, ends) order.  So the
+    encoding, and the search memo key made from it, depends on the vertex
+    order only, not on the half-edge labels; ``_one_parts`` passes a
+    connected 1-graph itself.  Returns (descs, adj, factor), factor being
+    the closed-form order of the classes: m! per leg or parallel-edge
+    class and m! * 2^m per loop class (the loops permute and each can be
     reversed).
     """
     vpos = {v: k for k, v in enumerate(g.vertices)}
@@ -436,7 +443,7 @@ def _encode_one_graph(g):
     descs = [(0,)] * len(g.vertices)
     adj = [[] for _ in descs]
     factor = 1
-    for (kind, ends), m in classes.items():
+    for (kind, ends), m in sorted(classes.items()):
         factor *= factorial(m) * (2 ** m if kind == 1 else 1)
         adj.append(list(ends))
         for v in ends:
@@ -700,10 +707,12 @@ def automorphism_generators(G, strand_colour=None, half_mark=None):
 
 
 def _one_parts(g):
-    """The (code, |Aut|) pairs of the connected components of a 1-graph."""
+    """The (code, |Aut|) pairs of the connected components of a 1-graph;
+    a connected 1-graph is encoded as itself."""
+    comps = g.components()
     parts = []
-    for vs in g.components():
-        encoding = _encode_one_graph(g.induced(vs))
+    for vs in comps:
+        encoding = _encode_one_graph(g if len(comps) == 1 else g.induced(vs))
         parts.append(_memoized(
             ("one", repr(encoding[:2])),
             lambda: _canon_connected(encoding, _one_graph_serial)[:2]))

@@ -366,20 +366,24 @@ def _coloured_graph_degree(nodes, match_by_colour):
     # split into connected components first
     pairs = (p for m in match_by_colour.values() for p in m.items())
 
-    total = Fraction(0)
+    # four times the total genus, so that every step stays an integer:
+    # a jacket has chi = v - v * n_colours / 2 + faces
+    quarters = 0
     n_colours = len(colours)
+    jackets = _cyclic_orders(colours)
     for members in _connected_groups(nodes, pairs):
         v = len(members)
-        e = Fraction(v * n_colours, 2)
-        for cyc in _cyclic_orders(colours):
+        faces = {}   # (a, b) -> faces of colours a, b, shared by jackets
+        for cyc in jackets:
             fj = 0
             for i in range(len(cyc)):
                 a, b = cyc[i], cyc[(i + 1) % len(cyc)]
-                fj += _count_cycles_in(members, match_by_colour[a],
-                                       match_by_colour[b])
-            chi = v - e + fj
-            total += Fraction(2 - chi, 2)
-    return total
+                if (a, b) not in faces:
+                    faces[a, b] = _count_cycles_in(
+                        members, match_by_colour[a], match_by_colour[b])
+                fj += faces[a, b]
+            quarters += 4 - 2 * (v + fj) + v * n_colours
+    return Fraction(quarters, 4)
 
 
 def _count_cycles_in(members, ma, mb, ends=()):
@@ -484,30 +488,41 @@ def open_jacket_degree(G, colouring=None):
     if externals:
         b = boundary(G)
         pcol = _colour_matchings(b.half_edges, b.attach, b.pairing, col, r)
-    total = Fraction(0)
+    # four times the total genus, so that every step stays an integer:
+    # a jacket has chi = n - (e0 + n * r / 2) + faces
+    quarters = 0
+    jackets = _cyclic_orders(range(r + 1))
     for members in _incidence_components(G):
         n = len(members)
         e0 = sum(1 for h in members if G.iota[h] != h) // 2
-        e_tot = e0 + Fraction(n * r, 2)
         legs = [h for h in members if h in externals]
-        for cyc in _cyclic_orders(range(r + 1)):
+        # face runs per colour pair and boundary circles per (ca, cb),
+        # each counted once and shared by the jackets that have them; a
+        # pair is keyed as its count is called, (c, 0) for colours c and 0
+        faces, circles = {}, {}
+        for cyc in jackets:
             fj = 0
             for i in range(len(cyc)):
                 a, bcol = cyc[i], cyc[(i + 1) % len(cyc)]
-                if 0 in (a, bcol):
-                    fj += _count_cycles_in(members, match[a or bcol], G.iota,
-                                           externals)
-                else:
-                    fj += _count_cycles_in(members, match[a], match[bcol])
+                pair = (a or bcol, 0) if 0 in (a, bcol) else (a, bcol)
+                if pair not in faces:
+                    x, y = pair
+                    faces[pair] = (
+                        _count_cycles_in(members, match[x], match[y]) if y
+                        else _count_cycles_in(members, match[x], G.iota,
+                                              externals))
+                fj += faces[pair]
             if legs:
                 i0 = cyc.index(0)
                 ca, cb = cyc[i0 - 1], cyc[(i0 + 1) % len(cyc)]
-                bj = _count_cycles_in(legs, pcol[ca], pcol[cb])
+                if (ca, cb) not in circles:
+                    circles[ca, cb] = _count_cycles_in(legs, pcol[ca],
+                                                       pcol[cb])
+                bj = circles[ca, cb]
             else:
                 bj = 0
-            chi = n - e_tot + fj
-            total += Fraction(2 - bj - chi, 2)
-    return total
+            quarters += 4 - 2 * (bj + n - e0 + fj) + n * r
+    return Fraction(quarters, 4)
 
 
 # ---------------------------------------------------------------------------

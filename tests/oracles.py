@@ -8,8 +8,9 @@ search that visits every leaf.  Slow on purpose; only used on small
 inputs.  The exceptions are references kept from earlier versions of
 the package, which the faster code must equal: the rank refinement, the
 growth level and coproduct expansion before orbit reduction (these two
-call the package's gluing, dedup and interning), and the contraction
-that reads the external faces of a materialized subgraph.
+call the package's gluing, dedup and interning), the contraction
+that reads the external faces of a materialized subgraph, and the jacket
+degrees that count the faces of every jacket afresh.
 """
 
 import itertools
@@ -399,6 +400,88 @@ def unreduced_coproduct(G):
         (rm, rc), = el_graph(materialized_contract(G, sub.edges)).items()
         out[lm, rm] = out.get((lm, rm), Fraction(0)) + lc * rc
     return out
+
+
+def per_jacket_coloured_degree(nodes, match_by_colour):
+    """Total jacket genus of a properly edge-coloured graph, counting the
+    faces of every jacket afresh: ``models._coloured_graph_degree``
+    before it counted each colour pair once, kept as the reference it
+    must equal.  It shares the cycle count with the package."""
+    from strandhopf.graphs import _connected_groups
+    from strandhopf.models import _count_cycles_in, _cyclic_orders
+    colours = sorted(match_by_colour)
+    if len(colours) <= 2:
+        return Fraction(0)
+    pairs = (p for m in match_by_colour.values() for p in m.items())
+    total = Fraction(0)
+    for members in _connected_groups(nodes, pairs):
+        v = len(members)
+        e = Fraction(v * len(colours), 2)
+        for cyc in _cyclic_orders(colours):
+            fj = 0
+            for i in range(len(cyc)):
+                a, b = cyc[i], cyc[(i + 1) % len(cyc)]
+                fj += _count_cycles_in(members, match_by_colour[a],
+                                       match_by_colour[b])
+            total += Fraction(2 - (v - e + fj), 2)
+    return total
+
+
+def per_jacket_open_degree(G, colouring):
+    """Total jacket genus of a uniformly stranded graph with its boundary
+    circles filled, counting the face runs and boundary circles of every
+    jacket afresh: ``models.open_jacket_degree`` before it counted each
+    colour pair once, kept as the reference it must equal.  It shares
+    the matchings, components and cycle count with the package."""
+    from strandhopf.graphs import boundary
+    from strandhopf.models import (_colour_matchings, _count_cycles_in,
+                                   _cyclic_orders, _incidence_components)
+    if not G.strands:
+        return Fraction(0)
+    r = G.strand_degree(G.half_edges[0])
+    match = _colour_matchings(G.strands, G.mu, G.sigma1, colouring, r)
+    externals = set(G.external_half_edges())
+    if externals:
+        b = boundary(G)
+        pcol = _colour_matchings(b.half_edges, b.attach, b.pairing,
+                                 colouring, r)
+    total = Fraction(0)
+    for members in _incidence_components(G):
+        n = len(members)
+        e0 = sum(1 for h in members if G.iota[h] != h) // 2
+        e_tot = e0 + Fraction(n * r, 2)
+        legs = [h for h in members if h in externals]
+        for cyc in _cyclic_orders(range(r + 1)):
+            fj = 0
+            for i in range(len(cyc)):
+                a, c = cyc[i], cyc[(i + 1) % len(cyc)]
+                if 0 in (a, c):
+                    fj += _count_cycles_in(members, match[a or c], G.iota,
+                                           externals)
+                else:
+                    fj += _count_cycles_in(members, match[a], match[c])
+            bj = 0
+            if legs:
+                i0 = cyc.index(0)
+                ca, cb = cyc[i0 - 1], cyc[(i0 + 1) % len(cyc)]
+                bj = _count_cycles_in(legs, pcol[ca], pcol[cb])
+            total += Fraction(2 - bj - (n - e_tot + fj), 2)
+    return total
+
+
+def per_jacket_boundary_degree(G, colouring):
+    """``models.boundary_gurau_degree`` on ``per_jacket_coloured_degree``:
+    the jacket genus of the boundary of ``G``, coloured by the strand
+    colours of ``G``."""
+    from strandhopf.graphs import boundary
+    from strandhopf.models import _colour_matchings
+    b = boundary(G)
+    if not b.vertices:
+        return Fraction(0)
+    r = G.strand_degree(G.half_edges[0])
+    match = _colour_matchings(b.half_edges, b.attach, b.pairing, colouring,
+                              r)
+    return per_jacket_coloured_degree(list(b.vertices), match)
 
 
 def random_laurent(rng, span=4, terms=3):

@@ -123,6 +123,16 @@ def test_fish_vertex_graph_is_bipartite_quartic():
         assert not (a in blacks and b in blacks)
 
 
+def test_vertex_graph_rejects_unknown_vertex():
+    g = fixtures.fish(1, 2)
+    vertex_graph(g, "u")     # the half-edge index is built and then read
+    for v in ("nowhere", "e1"):   # "e1" is a half-edge, not a vertex
+        with pytest.raises(GraphError, match="unknown vertex"):
+            vertex_graph(g, v)
+    with pytest.raises(GraphError, match="unknown vertex"):
+        vertex_graph(fixtures.fish(1, 2), "nowhere")   # before any index
+
+
 def test_fish_vertex_graphs_are_two_isomorphic_quartics():
     g = fixtures.fish(1, 2)
     entries = vertex_graphs_multiset(g)

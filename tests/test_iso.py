@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+from math import factorial
 from pathlib import Path
 
 import oracles
@@ -22,7 +23,7 @@ from strandhopf import (
     validate,
 )
 from strandhopf.graphs import (boundary, connected_components, faces,
-                              is_connected)
+                              is_connected, vertex_graph)
 from strandhopf.iso import (_canon_search, _encode_one_graph,
                             _encode_two_graph, _one_graph_fields,
                             boundary_multiset_aut_count, search_cache_clear,
@@ -212,6 +213,62 @@ def test_one_graph_collapsed_classes_match_brute_force():
         a = one_graph_automorphism_count(g)
         assert one_graph_automorphism_count(disjoint_union([g, g])) == \
             2 * a ** 2, name
+
+
+def section_relabelled(g, rng):
+    """Copy of a 1-graph with its half-edges (the sections of a vertex
+    graph or a boundary) renamed at random and its vertex labels kept."""
+    hs = [f"y{i}" for i in range(len(g.half_edges))]
+    rng.shuffle(hs)
+    return relabel(g, {v: v for v in g.vertices},
+                   dict(zip(g.half_edges, hs)))
+
+
+def test_section_labels_leave_the_one_graph_memo_key_alone(monkeypatch):
+    # the 1-graph memo key depends on the vertex order only: copies of a
+    # vertex graph or boundary that differ in their half-edge labels run
+    # no search after the first, and a connected 1-graph is encoded as
+    # itself
+    rng = random.Random(1402)
+    graphs = list(CORPUS.values())
+    graphs += [io.document_to_graph(e["graph"])
+               for e in corpus_entries()[::17]]
+    shapes = [dt.graph for name in ("gw4", "mq3", "bgr")
+              for dt in preset(name).dressed_types()]
+    shapes += [vertex_graph(g, v) for g in graphs for v in g.vertices]
+    shapes += [boundary(g) for g in graphs]
+    searches = []
+    counted = iso._canon_connected
+
+    def counting(*args, **kwargs):
+        searches.append(args)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(iso, "_canon_connected", counting)
+    brute = {}
+    for k, g in enumerate(shapes):
+        copies = [section_relabelled(g, rng) for _ in range(4)]
+        search_cache_clear()
+        want = (one_graph_code(copies[0]),
+                one_graph_automorphism_count(copies[0]))
+        # isomorphic components (a multi-trace vertex) share one search
+        assert bool(searches) == bool(g.vertices), k
+        searches.clear()
+        for h in copies[1:]:
+            assert (one_graph_code(h), one_graph_automorphism_count(h)) \
+                == want, k
+        assert not searches, k
+        assert one_graph_code(g) == want[0], k
+        if len(g.components()) == 1:
+            assert _encode_one_graph(g) == \
+                _encode_one_graph(g.induced(g.vertices)), k
+        cost = factorial(len(g.vertices))
+        for v in g.vertices:
+            cost *= factorial(g.degree(v))
+        if cost <= 40000 and want[0] not in brute:
+            brute[want[0]] = oracles.brute_one_graph_automorphism_count(g)
+        assert brute.get(want[0], want[1]) == want[1], k
+    assert len(brute) >= 10
 
 
 def cycles_encoding(lengths, rng):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from strandhopf import cli, fixtures, io
 from strandhopf import (
     GraphError,
@@ -229,6 +230,40 @@ def test_gurau_against_boundary_gurau():
         g = t.graph
         col = infer_colouring(g)
         assert open_jacket_degree(g, col) >= boundary_gurau_degree(g, col)
+
+
+def test_jacket_degrees_match_the_per_jacket_reference():
+    # the degrees count each colour pair's faces once for all jackets; the
+    # reference counts every jacket afresh, open and after capping
+    checked, positive = 0, 0
+    for theory, max_edges in ((MQ3, 2), (BGR, 1)):
+        for t in enumerate_diagrams(theory, max_edges,
+                                    connected=True).terms:
+            g = t.graph
+            col = infer_colouring(g)
+            want = oracles.per_jacket_open_degree(g, col)
+            assert open_jacket_degree(g, col) == want, t.code
+            assert boundary_gurau_degree(g, col) == \
+                oracles.per_jacket_boundary_degree(g, col), t.code
+            capped = cap_boundary(g)
+            cap_col = dict(col)
+            cap_col.update((f"cap:{s}", col[s])
+                           for h in g.external_half_edges()
+                           for s in g.strands_at(h))
+            closed = oracles.per_jacket_open_degree(capped, cap_col)
+            assert gurau_degree(capped, cap_col) == closed, t.code
+            assert open_jacket_degree(capped, cap_col) == closed, t.code
+            assert boundary_gurau_degree(capped, cap_col) == 0, t.code
+            r = capped.strand_degree(capped.half_edges[0])
+            match = _colour_matchings(capped.strands, capped.mu,
+                                      capped.sigma1, cap_col, r)
+            match[0] = dict(capped.iota)
+            assert _coloured_graph_degree(list(capped.half_edges), match) \
+                == oracles.per_jacket_coloured_degree(
+                    list(capped.half_edges), match) == closed, t.code
+            checked += 1
+            positive += want > 0 or closed > 0
+    assert (checked, positive) == (47, 29)
 
 
 def test_divergent_sets_are_contraction_closed_in_class():
