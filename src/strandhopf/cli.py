@@ -146,16 +146,24 @@ def _cmd_contract(args):
     tokens = [t for t in args.edges.split(",") if t]
     if not tokens:
         raise GraphError("no edges given")
-    pairs = []
-    known = set(g.half_edges)
+    # a token names the half-edge whose label it is the text of
+    by_text = {}
+    for h in g.half_edges:
+        by_text.setdefault(str(h), []).append(h)
+    named = set()
     for t in tokens:
-        if t not in known:
+        hs = by_text.get(t)
+        if not hs:
             raise GraphError(f"unknown half-edge {t!r}")
-        other = g.iota[t]
-        if other == t:
+        if len(hs) > 1:
+            raise GraphError(f"half-edge {t!r} is ambiguous: labels "
+                             + " and ".join(json.dumps(h) for h in hs))
+        if g.iota[hs[0]] == hs[0]:
             raise GraphError(f"half-edge {t!r} is external, not an edge")
-        pairs.append(tuple(sorted((t, other))))
-    contracted = rewrite.contract(g, sorted(set(pairs)))
+        named.add(hs[0])
+    # edge_pairs() orders each pair and the pairs by label key
+    contracted = rewrite.contract(g, [e for e in g.edge_pairs()
+                                      if not named.isdisjoint(e)])
     sys.stdout.write(io.dumps_graph(contracted))
     return 0
 

@@ -250,11 +250,14 @@ def relabel(G, vmap=None, hmap=None, smap=None):
 
 
 def disjoint_union(graphs, prefix=True):
-    """Disjoint union of 2-graphs, or of 1-graphs; labels get a ``"{i}:"``
-    prefix by default."""
+    """Disjoint union of 2-graphs, or of 1-graphs; by default a label x of
+    the i-th graph becomes ``f"{i}:{x}"`` if it is a string and
+    ``f"{i}#{x}"`` otherwise, so that labels such as 1 and "1" stay
+    apart."""
     kind, acc = TwoGraph, ([], [], [], {}, {}, {}, {}, {})
     for i, g in enumerate(graphs):
-        f = (lambda x, i=i: f"{i}:{x}") if prefix else (lambda x: x)
+        f = (lambda x, t=f"{i}:", o=f"{i}#": t + x if isinstance(x, str)
+             else o + str(x)) if prefix else (lambda x: x)
         parts = _mapped_fields(g, f, f, f)
         if i == 0:
             kind, acc = type(g), parts

@@ -11,6 +11,14 @@ reproduces it on connected single-trace map inputs, the tensorial closed
 form on all connected coloured inputs (multi-trace vertex graphs enter
 through an exact correction term), and both are checked against it in
 the tests.
+
+The jacket (Gurau) degrees of a graph, of its pinched closure and of
+its boundary all come from one routine, ``_coloured_graph_degree``,
+which reads them off perfect matchings of the half-edges, one per
+colour.  The closure's matchings extend the graph's by one node per
+external half-edge, so no capped graph is built.  ``classify`` builds
+each component's boundary and strand colouring once and reads every
+report field from them.
 """
 
 from __future__ import annotations
@@ -21,9 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .graphs import (GraphError, OneGraph, TwoGraph, _connected_groups,
-                     _label_key, boundary, connected_components, faces,
-                     internal_face_count, is_bridgeless, vertex_graph)
+from .graphs import (GraphError, OneGraph, _connected_groups, boundary,
+                     connected_components, faces, internal_face_count,
+                     is_bridgeless, vertex_graph)
 from . import iso, series
 from .series import DressedType
 
@@ -242,19 +250,19 @@ def genus(G):
     negative result (pinched or twisted gluings, multi-trace vertices)
     raises GraphError.
     """
-    for h in G.half_edges:
-        if G.strand_degree(h) != 2:
-            raise GraphError("genus needs strand degree two everywhere")
-    total = Fraction(0)
-    for comp in connected_components(G):
-        chi = (len(comp.vertices) - comp.n_edges()
-               + internal_face_count(comp))
-        k = len(boundary(comp).components())
-        g = Fraction(2 - k - chi, 2)
-        if g.denominator != 1 or g < 0:
-            raise GraphError("no orientable surface realizes this graph")
-        total += g
-    return int(total)
+    return sum(_genus(comp, boundary(comp))
+               for comp in connected_components(G))
+
+
+def _genus(G, b):
+    """``genus`` of a connected ``G`` with boundary ``b``."""
+    if any(G.strand_degree(h) != 2 for h in G.half_edges):
+        raise GraphError("genus needs strand degree two everywhere")
+    chi = len(G.vertices) - G.n_edges() + internal_face_count(G)
+    g, odd = divmod(2 - len(b.components()) - chi, 2)
+    if odd or g < 0:
+        raise GraphError("no orientable surface realizes this graph")
+    return g
 
 
 def infer_colouring(G):
@@ -304,45 +312,6 @@ def infer_colouring(G):
     return {s: colour_of[face_of[s]] for s in G.strands}
 
 
-def cap_boundary(G):
-    """Close an open graph by pinching: one new vertex per connected
-    boundary component, carrying that component's vertex graph, glued to
-    the external half-edges by the identity strand pairing.  Every
-    external face closes and no new internal structure appears."""
-    ext = G.external_half_edges()
-    if not ext:
-        return G
-    b = boundary(G)
-    vertices = list(G.vertices)
-    half_edges = list(G.half_edges)
-    strands = list(G.strands)
-    nu = dict(G.nu)
-    mu = dict(G.mu)
-    iota = dict(G.iota)
-    s1 = dict(G.sigma1)
-    s2 = dict(G.sigma2)
-    for i, comp in enumerate(sorted(b.components(), key=lambda c:
-                                    min(_label_key(v) for v in c))):
-        cap = f"cap:{i}"
-        vertices.append(cap)
-        for h in comp:
-            hh = f"cap:{h}"
-            half_edges.append(hh)
-            nu[hh] = cap
-            iota[h] = hh
-            iota[hh] = h
-            for s in b.corolla(h):
-                ss = f"cap:{s}"
-                strands.append(ss)
-                mu[ss] = hh
-                s2[s] = ss
-                s2[ss] = s
-        for s in b.half_edges:
-            if b.attach[s] in comp:
-                s1[f"cap:{s}"] = f"cap:{b.pairing[s]}"
-    return TwoGraph(vertices, half_edges, strands, nu, mu, iota, s1, s2)
-
-
 def _cyclic_orders(colours):
     """Cyclic orders of the colour set up to rotation and reflection."""
     colours = sorted(colours)
@@ -357,32 +326,48 @@ def _cyclic_orders(colours):
     return out
 
 
-def _coloured_graph_degree(nodes, match_by_colour):
-    """Total jacket genus of a properly edge-coloured graph given one
-    perfect matching per colour."""
-    colours = sorted(match_by_colour)
+def _coloured_graph_degree(nodes, match, ends=(), circles=None):
+    """Total jacket genus of the graph on ``nodes`` whose edges of colour c
+    are the pairs of the matching ``match[c]``, each jacket's boundary
+    circles filled by discs.
+
+    Colour 0 may fix the nodes in ``ends``.  A face run of colours 0 and
+    c that starts at an end stops at an end; such runs close into
+    boundary circles through ``circles[c]``, which joins each end to the
+    end its colour-c run reaches.  A jacket is a cyclic order of the colours up
+    to rotation and reflection; where 0 sits between ca and cb its
+    circles alternate ``circles[ca]`` and ``circles[cb]``.  Per connected
+    component and jacket, four times the genus is
+    4 - 2 (nodes + faces + circles) + the nodes matched by each colour,
+    summed over the colours.  With at most two colours the degree is
+    zero: by convention for one colour, and exactly for two."""
+    colours = sorted(match)
     if len(colours) <= 2:
         return Fraction(0)
-    # split into connected components first
-    pairs = (p for m in match_by_colour.values() for p in m.items())
-
-    # four times the total genus, so that every step stays an integer:
-    # a jacket has chi = v - v * n_colours / 2 + faces
-    quarters = 0
-    n_colours = len(colours)
     jackets = _cyclic_orders(colours)
+    pairs = (p for m in match.values() for p in m.items())
+    quarters = 0   # four times the genus, so every step stays an integer
     for members in _connected_groups(nodes, pairs):
-        v = len(members)
-        faces = {}   # (a, b) -> faces of colours a, b, shared by jackets
+        legs = [x for x in members if x in ends]
+        base = 4 - 2 * len(members) + len(members) * len(colours) - len(legs)
+        # faces per colour pair and circles per pair of colours beside 0,
+        # each counted once and shared by the jackets that have them
+        faces, n_circles = {}, {}
         for cyc in jackets:
-            fj = 0
-            for i in range(len(cyc)):
-                a, b = cyc[i], cyc[(i + 1) % len(cyc)]
+            quarters += base
+            for pair in zip(cyc, cyc[1:] + cyc[:1]):
+                a, b = sorted(pair, reverse=True)   # colour 0 comes last
                 if (a, b) not in faces:
                     faces[a, b] = _count_cycles_in(
-                        members, match_by_colour[a], match_by_colour[b])
-                fj += faces[a, b]
-            quarters += 4 - 2 * (v + fj) + v * n_colours
+                        members, match[a], match[b], ends if b == 0 else ())
+                quarters -= 2 * faces[a, b]
+            if legs:
+                i0 = cyc.index(0)
+                ca, cb = sorted((cyc[i0 - 1], cyc[(i0 + 1) % len(cyc)]))
+                if (ca, cb) not in n_circles:
+                    n_circles[ca, cb] = _count_cycles_in(legs, circles[ca],
+                                                         circles[cb])
+                quarters -= 2 * n_circles[ca, cb]
     return Fraction(quarters, 4)
 
 
@@ -419,6 +404,36 @@ def _colour_matchings(sections, attach, pair, col, r):
     return match
 
 
+def _jacket_graphs(G, col, b):
+    """The coloured graphs whose jacket degrees are those of ``G`` (open),
+    of its pinched closure and of its boundary ``b``, as argument tuples
+    of ``_coloured_graph_degree``, all made from one set of colour
+    matchings under the strand colouring ``col``.
+
+    The half-edges of ``G`` are the nodes; colour 0 pairs them along
+    edges and fixes the external half-edges (the vertices of ``b``),
+    colours 1..r pair them along through-strands, and the boundary's
+    colour-c matching pairs the external half-edges along the external
+    faces of colour c.  The pinched closure caps every boundary component
+    with one vertex carrying its vertex graph; it adds one node per
+    external half-edge h, joined to h by colour 0 and to the other new
+    nodes by colour c as the boundary's colour-c matching joins the
+    external half-edges.  The cap vertices never enter the count, so no
+    capped 2-graph is built; the new nodes are fresh objects, equal to no
+    label of ``G``."""
+    r = G.strand_degree(G.half_edges[0]) if G.strands else 0
+    match = _colour_matchings(G.strands, G.mu, G.sigma1, col, r)
+    match[0] = G.iota
+    circles = _colour_matchings(b.half_edges, b.attach, b.pairing, col, r)
+    cap = {h: object() for h in b.vertices}
+    closed = {c: {**match[c], **{cap[h]: cap[k] for h, k in m.items()}}
+              for c, m in circles.items()}
+    closed[0] = {**G.iota, **cap, **{k: h for h, k in cap.items()}}
+    return ((G.half_edges, match, cap.keys(), circles),
+            ([*G.half_edges, *cap.values()], closed),
+            (b.vertices, circles))
+
+
 def gurau_degree(G, colouring=None):
     """Total jacket genus of a closed uniformly stranded graph: the
     ``open_jacket_degree`` of a graph without external half-edges."""
@@ -432,30 +447,18 @@ def boundary_gurau_degree(G, colouring=None):
     the strand colours of ``G``; zero when the boundary has at most two
     strand colours."""
     col = infer_colouring(G) if colouring is None else colouring
-    b = boundary(G)
-    if not b.vertices:
-        return Fraction(0)
-    r = G.strand_degree(G.half_edges[0])
-    match = _colour_matchings(b.half_edges, b.attach, b.pairing, col, r)
-    return _coloured_graph_degree(list(b.vertices), match)
+    return _coloured_graph_degree(*_jacket_graphs(G, col, boundary(G))[2])
 
 
 def gurau_degree_open(G):
     """(degree of the pinched closure, degree of the boundary).
 
-    The closure value caps every boundary component at once with a single
-    new vertex, so it can exceed the jacket-by-jacket degree of
+    The closure caps every boundary component at once with a single new
+    vertex, so its degree can exceed the jacket-by-jacket degree of
     ``open_jacket_degree``; both are reported so the gap stays visible.
     """
-    col = infer_colouring(G)
-    if not G.external_half_edges():
-        return gurau_degree(G, col), Fraction(0)
-    cap_col = dict(col)
-    for h in G.external_half_edges():
-        for s in G.strands_at(h):
-            cap_col[f"cap:{s}"] = col[s]
-    return (gurau_degree(cap_boundary(G), cap_col),
-            boundary_gurau_degree(G, col))
+    _, closed, bounding = _jacket_graphs(G, infer_colouring(G), boundary(G))
+    return _coloured_graph_degree(*closed), _coloured_graph_degree(*bounding)
 
 
 def _incidence_components(G):
@@ -470,77 +473,55 @@ def _incidence_components(G):
 
 def open_jacket_degree(G, colouring=None):
     """Total genus of the jackets of a uniformly stranded graph, open or
-    closed, with each jacket's boundary circles filled by discs.
-
-    Half-edges are the nodes; colour 0 pairs them along edges, stopping
-    at external half-edges, and colours 1..r pair them along
-    through-strands.  Per jacket (cyclic order of the r+1 colours up to
-    rotation and reflection) the face runs that involve colour 0 and hit
-    the boundary assemble into boundary circles by following the two
-    colours adjacent to 0.  Additive over incidence components; zero
-    without strands.  On a closed graph this is the Gurau degree."""
-    if not G.strands:
-        return Fraction(0)
+    closed, with each jacket's boundary circles filled by discs (see
+    ``_jacket_graphs`` for its coloured graph).  Additive over incidence
+    components; zero without strands.  On a closed graph this is the
+    Gurau degree."""
     col = infer_colouring(G) if colouring is None else colouring
-    r = G.strand_degree(G.half_edges[0])
-    match = _colour_matchings(G.strands, G.mu, G.sigma1, col, r)
-    externals = set(G.external_half_edges())
-    if externals:
-        b = boundary(G)
-        pcol = _colour_matchings(b.half_edges, b.attach, b.pairing, col, r)
-    # four times the total genus, so that every step stays an integer:
-    # a jacket has chi = n - (e0 + n * r / 2) + faces
-    quarters = 0
-    jackets = _cyclic_orders(range(r + 1))
-    for members in _incidence_components(G):
-        n = len(members)
-        e0 = sum(1 for h in members if G.iota[h] != h) // 2
-        legs = [h for h in members if h in externals]
-        # face runs per colour pair and boundary circles per (ca, cb),
-        # each counted once and shared by the jackets that have them; a
-        # pair is keyed as its count is called, (c, 0) for colours c and 0
-        faces, circles = {}, {}
-        for cyc in jackets:
-            fj = 0
-            for i in range(len(cyc)):
-                a, bcol = cyc[i], cyc[(i + 1) % len(cyc)]
-                pair = (a or bcol, 0) if 0 in (a, bcol) else (a, bcol)
-                if pair not in faces:
-                    x, y = pair
-                    faces[pair] = (
-                        _count_cycles_in(members, match[x], match[y]) if y
-                        else _count_cycles_in(members, match[x], G.iota,
-                                              externals))
-                fj += faces[pair]
-            if legs:
-                i0 = cyc.index(0)
-                ca, cb = cyc[i0 - 1], cyc[(i0 + 1) % len(cyc)]
-                if (ca, cb) not in circles:
-                    circles[ca, cb] = _count_cycles_in(legs, pcol[ca],
-                                                       pcol[cb])
-                bj = circles[ca, cb]
-            else:
-                bj = 0
-            quarters += 4 - 2 * (bj + n - e0 + fj) + n * r
-    return Fraction(quarters, 4)
+    return _coloured_graph_degree(*_jacket_graphs(G, col, boundary(G))[0])
 
 
 # ---------------------------------------------------------------------------
 # closed forms
 
 
+def _matrix_form(theory, G):
+    """(matrix closed form, the invariants it reads)."""
+    d = Fraction(theory.dimension)
+    inv = v_ext, k, g, slot_sum, V = (
+        len(G.external_half_edges()), len(boundary(G).components()),
+        genus(G), len(G.half_edges), len(G.vertices))
+    return (-d * (V - 1) + (d - 1) / 2 * (slot_sum - v_ext)
+            - d * (2 * g + k - 1)), inv
+
+
 def matrix_degree_closed_form(theory, G):
     """Matrix-theory closed form of the superficial degree, in terms of
     genus, boundary components and slot counts.  Exact for connected
     single-trace map-like graphs."""
+    return _matrix_form(theory, G)[0]
+
+
+def _tensorial_form(theory, G):
+    """(tensorial closed form, the invariants it reads)."""
+    if theory.rank is None or theory.zeta is None:
+        raise GraphError("theory has no tensorial data")
     d = Fraction(theory.dimension)
-    V = len(G.vertices)
-    v_ext = len(G.external_half_edges())
-    k = len(boundary(G).components())
-    g = genus(G)
-    slot_sum = len(G.half_edges)
-    return (-d * (V - 1) + (d - 1) / 2 * (slot_sum - v_ext)
-            - d * (2 * g + k - 1))
+    r = theory.rank
+    d_r = d * (r - 1)
+    b = boundary(G)
+    opened, _, bounding = _jacket_graphs(G, infer_colouring(G), b)
+    wg = _coloured_graph_degree(*opened)
+    wb = _coloured_graph_degree(*bounding)
+    bubbles = sum(len(vertex_graph(G, v).components()) for v in G.vertices)
+    inv = v_ext, k, wg, wb, excess, n_inc = (
+        len(b.vertices), len(b.components()), wg, wb,
+        len(G.vertices) - bubbles,
+        len(_incidence_components(G)) if G.half_edges else 1)
+    jackets = Fraction(math.factorial(r - 1))
+    return (d_r - (d_r - theory.zeta) / 2 * v_ext
+            - d * ((wg - wb) * 2 / jackets + k - 1)
+            + d_r * excess + (d_r + d) * (n_inc - 1)), inv
 
 
 def tensorial_degree_closed_form(theory, G):
@@ -553,23 +534,7 @@ def tensorial_degree_closed_form(theory, G):
     d_r(V - B) + (d_r + d)(C - 1), with B the total bubble count and C
     the number of incidence components, so that correction is included
     and the form stays equal to the face-count degree."""
-    if theory.rank is None or theory.zeta is None:
-        raise GraphError("theory has no tensorial data")
-    d = Fraction(theory.dimension)
-    r = theory.rank
-    d_r = d * (r - 1)
-    col = infer_colouring(G)
-    v_ext = len(G.external_half_edges())
-    k = len(boundary(G).components())
-    wg = open_jacket_degree(G, col)
-    wb = boundary_gurau_degree(G, col)
-    jackets = Fraction(math.factorial(r - 1))
-    bubbles = sum(len(vertex_graph(G, v).components()) for v in G.vertices)
-    n_inc = len(_incidence_components(G)) if G.half_edges else 1
-    return (d_r - (d_r - theory.zeta) / 2 * v_ext
-            - d * ((wg - wb) * 2 / jackets + k - 1)
-            + d_r * (len(G.vertices) - bubbles)
-            + (d_r + d) * (n_inc - 1))
+    return _tensorial_form(theory, G)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -594,26 +559,27 @@ class DivergenceReport:
 
 
 def classify(theory, G):
-    """Per-component divergence report list."""
+    """Per-component divergence report list.  Each component's boundary
+    and strand colouring are built once, and every report field is read
+    from them."""
     out = []
     for comp in connected_components(G):
         deg = superficial_degree(theory, comp)
         bridgeless = is_bridgeless(comp)
+        b = boundary(comp)
         rep = DivergenceReport(
             iso.canonical_code(comp), len(comp.vertices), comp.n_edges(),
-            internal_face_count(comp), len(comp.external_half_edges()),
-            iso.one_graph_code(boundary(comp)), deg,
+            internal_face_count(comp), len(b.vertices),
+            iso.one_graph_code(b), deg,
             deg >= 0 and comp.n_edges() > 0 and bridgeless, bridgeless)
         try:
-            rep.genus = genus(comp)
+            rep.genus = _genus(comp, b)
         except GraphError:
             pass
         try:
-            col = infer_colouring(comp)
-            capped, wb = gurau_degree_open(comp)
-            rep.gurau = open_jacket_degree(comp, col)
-            rep.gurau_capped = capped
-            rep.boundary_gurau = wb
+            rep.gurau, rep.gurau_capped, rep.boundary_gurau = (
+                _coloured_graph_degree(*args) for args in
+                _jacket_graphs(comp, infer_colouring(comp), b))
         except GraphError:
             pass
         out.append(rep)
@@ -659,9 +625,9 @@ def renormalizability_check(theory, max_edges):
     ts = series.enumerate_diagrams(theory, max_edges, connected=True)
     closed_form = None
     if theory.klass == "map":
-        closed_form = matrix_degree_closed_form
+        closed_form = _matrix_form
     elif theory.rank is not None and theory.zeta is not None:
-        closed_form = tensorial_degree_closed_form
+        closed_form = _tensorial_form
     mismatches = []
     invariant_clashes = []
     by_invariants = {}
@@ -678,27 +644,14 @@ def renormalizability_check(theory, max_edges):
         if closed_form is None:
             continue
         try:
-            cf = closed_form(theory, g)
+            cf, key = closed_form(theory, g)
         except GraphError:
             continue
         if cf != deg:
             mismatches.append((term.code, deg, cf))
             continue
-        # the closed forms are functions of these invariants only, so
+        # the closed form is a function of these invariants only, so
         # equal keys must give equal degrees
-        if theory.klass == "map":
-            key = (len(g.external_half_edges()),
-                   len(boundary(g).components()), genus(g),
-                   len(g.half_edges), len(g.vertices))
-        else:
-            col = infer_colouring(g)
-            wg = open_jacket_degree(g, col)
-            wb = boundary_gurau_degree(g, col)
-            bubbles = sum(len(vertex_graph(g, v).components())
-                          for v in g.vertices)
-            key = (len(g.external_half_edges()),
-                   len(boundary(g).components()), wg, wb,
-                   len(g.vertices) - bubbles, len(_incidence_components(g)))
         prev = by_invariants.get(key)
         if prev is None:
             by_invariants[key] = (deg, term.code)

@@ -9,8 +9,9 @@ inputs.  The exceptions are references kept from earlier versions of
 the package, which the faster code must equal: the rank refinement, the
 growth level and coproduct expansion before orbit reduction (these two
 call the package's gluing, dedup and interning), the contraction
-that reads the external faces of a materialized subgraph, and the jacket
-degrees that count the faces of every jacket afresh.
+that reads the external faces of a materialized subgraph, the jacket
+degrees that count the faces of every jacket afresh, and the pinched
+closure built as a 2-graph.
 """
 
 import itertools
@@ -400,6 +401,51 @@ def unreduced_coproduct(G):
         (rm, rc), = el_graph(materialized_contract(G, sub.edges)).items()
         out[lm, rm] = out.get((lm, rm), Fraction(0)) + lc * rc
     return out
+
+
+def cap_boundary(G):
+    """Close an open graph by pinching: one new vertex per connected
+    boundary component, carrying that component's vertex graph, glued to
+    the external half-edges by the identity strand pairing.  Every
+    external face closes and no new internal structure appears.  The
+    pinched closure as a 2-graph, which ``models`` no longer builds: its
+    jacket degree must equal the closure degree that
+    ``models.gurau_degree_open`` reads off the colour matchings.  New
+    labels are ``cap:`` plus the old one, so ``G`` must have none of that
+    form."""
+    from strandhopf.graphs import TwoGraph, _label_key, boundary
+    ext = G.external_half_edges()
+    if not ext:
+        return G
+    b = boundary(G)
+    vertices = list(G.vertices)
+    half_edges = list(G.half_edges)
+    strands = list(G.strands)
+    nu = dict(G.nu)
+    mu = dict(G.mu)
+    iota = dict(G.iota)
+    s1 = dict(G.sigma1)
+    s2 = dict(G.sigma2)
+    for i, comp in enumerate(sorted(b.components(), key=lambda c:
+                                    min(_label_key(v) for v in c))):
+        cap = f"cap:{i}"
+        vertices.append(cap)
+        for h in comp:
+            hh = f"cap:{h}"
+            half_edges.append(hh)
+            nu[hh] = cap
+            iota[h] = hh
+            iota[hh] = h
+            for s in b.corolla(h):
+                ss = f"cap:{s}"
+                strands.append(ss)
+                mu[ss] = hh
+                s2[s] = ss
+                s2[ss] = s
+        for s in b.half_edges:
+            if b.attach[s] in comp:
+                s1[f"cap:{s}"] = f"cap:{b.pairing[s]}"
+    return TwoGraph(vertices, half_edges, strands, nu, mu, iota, s1, s2)
 
 
 def per_jacket_coloured_degree(nodes, match_by_colour):

@@ -22,7 +22,7 @@ from strandhopf import (
     toy_ms_character,
 )
 from strandhopf.graphs import (connected_components, disjoint_union,
-                               internal_face_count)
+                               internal_face_count, relabel, validate)
 from strandhopf.hopf import (coproduct_of_monomial, el_add, el_eq, el_graph,
                              el_mul, el_residue_inverse, el_scale, el_unit,
                              el_zero, graph_of_code, intern_graph,
@@ -374,3 +374,21 @@ def test_coproduct_builds_each_piece_once(monkeypatch):
     assert sorted(builds) == sorted(set(visits))
     assert len(builds) < len(visits)
     assert table == oracles.unreduced_coproduct(hopf.graph_of_code(code))
+
+
+def test_union_with_labels_1_and_text_1_is_multiplicative(monkeypatch):
+    # a component with half-edges 1 and "1" is a factor of the product
+    # class; the union representing that class must keep the two apart,
+    # or its coproduct is not the product of the factors' coproducts
+    monkeypatch.setattr(hopf, "REGISTRY", {})
+    fish = relabel(fixtures.fish(1, 2), hmap={"x1": 1, "x2": "1"})
+    tad = fixtures.nested_tadpole()
+    t = {x: f"t{x}" for x in (*tad.vertices, *tad.half_edges, *tad.strands)}
+    tad = relabel(tad, t, t, t)
+    g = io.loads_graph(io.dumps_graph(disjoint_union([fish, tad],
+                                                     prefix=False)))
+    code = intern_graph(g)
+    assert validate(graph_of_code(code)).valid
+    expand = hopf._coproduct.__wrapped__
+    assert expand(code) == tens_mul(expand(intern_graph(fish)),
+                                    expand(intern_graph(tad)))

@@ -11,6 +11,7 @@ import pytest
 import strandhopf
 from strandhopf import boundary, canonical_code, cli, io, preset
 from strandhopf import fixtures
+from strandhopf.graphs import relabel
 from strandhopf.io import DocumentError
 from strandhopf.iso import one_graph_code
 from strandhopf.rewrite import contract
@@ -295,6 +296,27 @@ def test_cli_contract(tmp_path, capsys):
 
     assert cli.main(["contract", path, "--edges", ","]) == 1
     assert "no edges" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_cli_contract_names_numeric_half_edges(tmp_path, capsys):
+    # a token names the half-edge whose label it is the text of, so
+    # numeric labels can be named, and an edge [1, "f1"] of mixed label
+    # types is contracted like any other
+    g = fixtures.fish(1, 2)
+    want = canonical_code(contract(g, [("e1", "f1")]))
+    for hmap in ({"e1": 1, "f1": 2}, {"e1": 1}):
+        path = _write(tmp_path, "fish.json",
+                      io.dumps_graph(relabel(g, hmap=hmap)))
+        assert cli.main(["contract", path, "--edges", "1"]) == 0
+        one = io.loads_graph(capsys.readouterr().out)
+        assert canonical_code(one) == want
+
+    # a token that is the text of two labels names neither
+    path = _write(tmp_path, "fish.json",
+                  io.dumps_graph(relabel(g, hmap={"e1": 1, "e2": "1"})))
+    assert cli.main(["contract", path, "--edges", "1"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "graph" and "ambiguous" in err["message"]
 
 
 def test_cli_coproduct_and_antipode(tmp_path, capsys):

@@ -1,12 +1,16 @@
 """Power counting: degrees, genus, jackets, and divergence reports."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import oracles
-from strandhopf import cli, fixtures, io
+import strandhopf
+from strandhopf import cli, fixtures, io, models
 from strandhopf import (
     GraphError,
     boundary,
@@ -18,6 +22,7 @@ from strandhopf import (
     euler_characteristic,
     genus,
     gurau_degree,
+    gurau_degree_open,
     infer_colouring,
     is_bridgeless,
     matrix_degree_closed_form,
@@ -27,9 +32,11 @@ from strandhopf import (
     superficial_degree,
     tensorial_degree_closed_form,
 )
-from strandhopf.graphs import connected_components
+from strandhopf.graphs import (connected_components, disjoint_union,
+                               relabel)
 from strandhopf.models import (_colour_matchings, _coloured_graph_degree,
-                               boundary_gurau_degree, cap_boundary)
+                               boundary_gurau_degree)
+from oracles import cap_boundary
 
 BGR = preset("bgr")
 GW4 = preset("gw4")
@@ -158,6 +165,30 @@ def test_capped_closure_can_exceed_jacket_degree():
     assert rep.gurau == rep.gurau_capped == 0
 
 
+def test_classify_is_blind_to_cap_like_labels(tmp_path):
+    # the closure degree once came from a capped graph whose new labels
+    # were "cap:" plus an old one; a half-edge "cap:x3" next to the
+    # external half-edge x3 made the cycle count loop forever, so the
+    # commands run in a subprocess with a timeout
+    fish = fixtures.fish(1, 1)
+    src = str(Path(strandhopf.__file__).resolve().parent.parent)
+    outs = {}
+    for name, g in (("fish", fish), ("renamed",
+                                     relabel(fish, hmap={"x1": "cap:x3"}))):
+        path = tmp_path / f"{name}.json"
+        io.write_graph(path, g)
+        for command in ("classify", "info"):
+            run = subprocess.run(
+                [sys.executable, "-m", "strandhopf.cli", command, str(path),
+                 "--theory", "bgr"], env=dict(os.environ, PYTHONPATH=src),
+                capture_output=True, timeout=60)
+            assert run.returncode == 0, run.stderr
+            outs[name, command] = json.loads(run.stdout)
+    assert outs["renamed", "classify"] == outs["fish", "classify"]
+    assert outs["renamed", "info"] == outs["fish", "info"]
+    assert outs["fish", "classify"][0]["gurau_capped"] == 6
+
+
 def test_cap_boundary_closes_the_graph():
     g = fixtures.fish(1, 2)
     capped = cap_boundary(g)
@@ -251,6 +282,8 @@ def test_jacket_degrees_match_the_per_jacket_reference():
                            for h in g.external_half_edges()
                            for s in g.strands_at(h))
             closed = oracles.per_jacket_open_degree(capped, cap_col)
+            assert gurau_degree_open(g) == (
+                closed, oracles.per_jacket_boundary_degree(g, col)), t.code
             assert gurau_degree(capped, cap_col) == closed, t.code
             assert open_jacket_degree(capped, cap_col) == closed, t.code
             assert boundary_gurau_degree(capped, cap_col) == 0, t.code
@@ -298,6 +331,23 @@ def test_classify_flags():
     assert all(g.external_half_edges() for g, _ in divergent_set(BGR, 2))
     reps = classify(GW4, fixtures.gw_ladder())
     assert len(reps) == 1 and reps[0].genus == 0
+
+
+def test_classify_builds_one_boundary_and_colouring_per_component(
+        monkeypatch):
+    calls = {"boundary": 0, "infer_colouring": 0}
+    for name in calls:
+        def counting(G, real=getattr(models, name), name=name):
+            calls[name] += 1
+            return real(G)
+        monkeypatch.setattr(models, name, counting)
+    two = disjoint_union([fixtures.fish(1, 1),
+                          fixtures.quartic_tadpole("cross")])
+    for theory, g in ((BGR, two), (BGR, fixtures.closed_melon()),
+                      (GW4, fixtures.gw_ladder())):
+        calls.update(dict.fromkeys(calls, 0))
+        n = len(classify(theory, g))
+        assert calls == {"boundary": n, "infer_colouring": n}
 
 
 def test_unknown_preset():
