@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
 
 from . import hopf, io, iso, models, rewrite, series
 from .graphs import (GraphError, boundary, euler_characteristic, faces,
-                     validate)
+                     union_member, validate)
 
 
 def _jsonable(x):
@@ -204,8 +205,23 @@ def _cmd_enumerate(args):
     ts = series.enumerate_diagrams(theory, args.max_edges,
                                    connected=args.connected,
                                    boundary_graph=boundary_graph)
+    # a disconnected line is written from the documents of its parts as
+    # union members, one per (class, position), so no union is built
+    members = {}
+
+    def member(i, cls):
+        doc = members.get((i, cls.code))
+        if doc is None:
+            doc = members[i, cls.code] = io.graph_to_document(
+                union_member(cls.graph, i))
+        return doc
+
     for term in ts.terms:
-        doc = io.graph_to_document(term.graph)
+        if term.union:
+            doc = io.union_document([member(i, p)
+                                     for i, p in enumerate(term.parts)])
+        else:
+            doc = io.graph_to_document(term.graph)
         doc["coefficient"] = _jsonable(term.coefficient)
         doc["edges"] = term.n_edges
         doc["automorphisms"] = term.automorphisms
@@ -251,6 +267,7 @@ def _edge_bound(text):
     return n
 
 
+@functools.cache
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="strandhopf",

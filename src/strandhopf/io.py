@@ -24,8 +24,10 @@ types of a ``coloured`` theory or on none.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
+import operator
 from fractions import Fraction
 
 from .graphs import GraphError, OneGraph, TwoGraph, _sorted_labels
@@ -50,6 +52,21 @@ def graph_to_document(G):
         "sigma1": [list(p) for p in G.vertex_strand_pairs()],
         "sigma2": [list(p) for p in G.edge_strand_pairs()],
     }
+
+
+# entries of these lists are objects, which sort by their label
+_MERGE_KEY = dict.fromkeys(("half_edges", "strands"),
+                           operator.itemgetter("id"))
+
+
+def union_document(members):
+    """``graph_to_document(disjoint_union(gs))`` from the documents of the
+    ``union_member(gs[i], i)``.  Their labels are all strings, each list
+    of a member's document is sorted in string order, and so is each
+    list of the union's, which is the merge of the members' lists."""
+    return {key: list(heapq.merge(*(m[key] for m in members),
+                                  key=_MERGE_KEY.get(key)))
+            for key in _GRAPH_KEYS}
 
 
 def _is_label(x):

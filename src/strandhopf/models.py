@@ -31,7 +31,7 @@ from math import floor
 
 from .graphs import (GraphError, OneGraph, _connected_groups, boundary,
                      connected_components, faces, internal_face_count,
-                     is_bridgeless, vertex_graph)
+                     is_bridgeless, is_connected, vertex_graph)
 from . import iso, series
 from .series import DressedType
 
@@ -488,9 +488,11 @@ def open_jacket_degree(G, colouring=None):
 def _matrix_form(theory, G):
     """(matrix closed form, the invariants it reads)."""
     d = Fraction(theory.dimension)
+    b = boundary(G)
     inv = v_ext, k, g, slot_sum, V = (
-        len(G.external_half_edges()), len(boundary(G).components()),
-        genus(G), len(G.half_edges), len(G.vertices))
+        len(G.external_half_edges()), len(b.components()),
+        _genus(G, b) if is_connected(G) else genus(G), len(G.half_edges),
+        len(G.vertices))
     return (-d * (V - 1) + (d - 1) / 2 * (slot_sum - v_ext)
             - d * (2 * g + k - 1)), inv
 

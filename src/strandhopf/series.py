@@ -252,7 +252,11 @@ class ConnectedClass:
     automorphisms: int
     n_edges: int
     degree: int
-    boundary_code: str
+
+    @functools.cached_property
+    def boundary_code(self):
+        """Plain code of the boundary, computed on first access."""
+        return iso.one_graph_code(boundary(self.graph))
 
 
 def _merge_dicts(ds):
@@ -271,7 +275,7 @@ def _record(raw, g, n_edges, degree):
     if prev is not None and degree >= prev.degree:
         return
     raw[code] = ConnectedClass(g, code, iso.automorphism_count(g), n_edges,
-                               degree, iso.one_graph_code(boundary(g)))
+                               degree)
 
 
 def connected_classes(dtypes, klass, budget, frontier=None):
@@ -323,11 +327,24 @@ def connected_classes(dtypes, klass, budget, frontier=None):
 
 @dataclass
 class SeriesTerm:
-    graph: TwoGraph
+    """One class of a series: the ConnectedClass of each component in
+    ``parts``, and the class's code, |Aut| (``iso._combine`` of the parts'),
+    edge count and coefficient.  ``graph`` is the one part's graph in a
+    connected series and the ``disjoint_union`` of the parts' graphs in a
+    disconnected one, built on first access."""
+
+    parts: tuple
+    union: bool
     code: str
     automorphisms: int
     n_edges: int
     coefficient: Fraction
+
+    @functools.cached_property
+    def graph(self):
+        if not self.union:
+            return self.parts[0].graph
+        return disjoint_union([p.graph for p in self.parts])
 
 
 @dataclass
@@ -353,7 +370,9 @@ def enumerate_diagrams(theory, max_edges, connected=True, boundary_graph=None):
 
     With ``connected=False`` the classes are disjoint unions; since bare
     vertices are diagrams, the vertex count is capped at ``max_edges + 1``
-    to keep the list finite.
+    to keep the list finite.  Such a term holds its connected parts and
+    builds its union graph only when it is read.  Terms are in (edges,
+    code) order.
     ``boundary_graph`` filters by boundary isomorphism class.
     """
     classes = connected_classes(theory.dressed_types(), theory.klass,
@@ -366,7 +385,7 @@ def enumerate_diagrams(theory, max_edges, connected=True, boundary_graph=None):
         for c in conn:
             if want is not None and c.boundary_code != want:
                 continue
-            terms.append(SeriesTerm(c.graph, c.code, c.automorphisms,
+            terms.append(SeriesTerm((c,), False, c.code, c.automorphisms,
                                     c.n_edges,
                                     Fraction(1, c.automorphisms)))
         return TruncatedSeries(max_edges, True, terms)
@@ -392,10 +411,10 @@ def enumerate_diagrams(theory, max_edges, connected=True, boundary_graph=None):
         if want is not None and iso._combine(
                 [p for i in combo for p in bparts[i]])[0] != want:
             continue
-        parts = [conn[i] for i in combo]
-        union = disjoint_union([p.graph for p in parts])
+        parts = tuple(conn[i] for i in combo)
         code, aut = iso._combine([(p.code, p.automorphisms) for p in parts])
-        terms.append(SeriesTerm(union, code, aut, union.n_edges(),
+        terms.append(SeriesTerm(parts, True, code, aut,
+                                sum(p.n_edges for p in parts),
                                 Fraction(1, aut)))
     terms.sort(key=lambda t: (t.n_edges, t.code))
     return TruncatedSeries(max_edges, False, terms)
@@ -446,12 +465,12 @@ def closed_universe(theory, max_edges):
         classes.update(fresh)
         changed = set()
         for cls in fresh.values():
-            b = boundary(cls.graph)
-            code = iso.one_graph_code(b)
+            code = cls.boundary_code
             old = types.get(code)
             if old is None or cls.degree < old.cost:
-                types[code] = DressedType(b if old is None else old.graph,
-                                          cost=cls.degree)
+                types[code] = DressedType(
+                    boundary(cls.graph) if old is None else old.graph,
+                    cost=cls.degree)
                 changed.add(code)
     return list(types.values()), classes
 

@@ -10,8 +10,8 @@ import pytest
 
 import strandhopf
 from strandhopf import boundary, canonical_code, cli, io, preset
-from strandhopf import fixtures
-from strandhopf.graphs import relabel
+from strandhopf import fixtures, graphs, hopf, iso, models, series
+from strandhopf.graphs import disjoint_union, relabel, union_member
 from strandhopf.io import DocumentError
 from strandhopf.iso import one_graph_code
 from strandhopf.rewrite import contract
@@ -376,6 +376,92 @@ def test_cli_enumerate_with_boundary_filter(tmp_path, capsys):
     for line in lines:
         g = io.document_to_graph(json.loads(line))
         assert one_graph_code(boundary(g)) == one_graph_code(want)
+
+
+def test_union_document_equals_the_union_graphs_document():
+    fish = fixtures.fish(1, 2)
+    numbered = relabel(fish, *({x: k for k, x in enumerate(xs)} for xs in (
+        fish.vertices, fish.half_edges, fish.strands)))
+    assert len(fish.strands) > 10    # "0#10" sorts before "0#9"
+    h0, h1 = fish.half_edges[:2]
+    mixed = relabel(fish, hmap={h0: 1, h1: "1"})
+    # with 11 parts or more, "10:x" sorts between "1#x" and "1:x"
+    many = [fixtures.nested_tadpole(), mixed, fixtures.gw_ladder(),
+            numbered] * 3
+    for gs in ([numbered], [mixed], [numbered, mixed], many):
+        members = [io.graph_to_document(union_member(g, i))
+                   for i, g in enumerate(gs)]
+        want = io.graph_to_document(disjoint_union(gs))
+        assert io.union_document(members) == want
+    assert [v for m in members for v in m["vertices"]] != want["vertices"]
+
+
+def _count_calls(monkeypatch, calls, name, modules,
+                 counts=lambda *a, **kw: 1):
+    real = getattr(modules[0], name)
+
+    def counting(*args, **kw):
+        calls[name] += counts(*args, **kw)
+        return real(*args, **kw)
+    calls[name] = 0
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+
+
+def test_cli_enumerate_builds_no_union_and_no_boundary(monkeypatch, capsys):
+    # disconnected lines come from their parts' documents: no union graph
+    # (growth seeds are unions without prefixes, and so are not counted),
+    # no boundary and no 1-graph canonization
+    calls = {}
+    _count_calls(monkeypatch, calls, "disjoint_union",
+                 (graphs, series, hopf, iso),
+                 lambda gs, prefix=True: prefix)
+    _count_calls(monkeypatch, calls, "boundary",
+                 (graphs, series, models, cli))
+    _count_calls(monkeypatch, calls, "one_graph_code", (iso,))
+    _count_calls(monkeypatch, calls, "_one_parts", (iso,))
+    outs = {}
+    for name in sorted(models.PRESETS):
+        assert cli.main(["enumerate", "--theory", name,
+                         "--max-edges", "2"]) == 0
+        outs[name] = capsys.readouterr().out.splitlines()
+    assert calls == dict.fromkeys(calls, 0)
+    monkeypatch.undo()
+    for name, lines in outs.items():
+        terms = enumerate_diagrams(preset(name), 2, connected=False).terms
+        assert len(lines) == len(terms) > 0, name
+        for line, t in zip(lines, terms):
+            doc = json.loads(line)
+            assert (doc.pop("edges"), doc.pop("automorphisms")) == \
+                (t.n_edges, t.automorphisms)
+            assert Fraction(str(doc.pop("coefficient"))) == t.coefficient
+            assert doc == io.graph_to_document(t.graph), name
+
+
+def test_cli_enumerate_boundary_filter_keeps_the_matching_lines(
+        tmp_path, capsys):
+    terms = [t for t in enumerate_diagrams(preset("gw4"), 1).terms
+             if t.n_edges == 1]
+    wants = [boundary(terms[0].graph),
+             boundary(disjoint_union([terms[0].graph, terms[-1].graph]))]
+    argv = ["enumerate", "--theory", "gw4", "--max-edges", "2"]
+    for mode in ([], ["--connected"]):
+        assert cli.main(argv + mode) == 0
+        every = capsys.readouterr().out.splitlines()
+        for k, want in enumerate(wants):
+            bfile = _write(tmp_path, f"b{k}.json",
+                           json.dumps(io.one_graph_to_document(want)))
+            assert cli.main(argv + mode + ["--boundary", bfile]) == 0
+            got = capsys.readouterr().out.splitlines()
+            expect = [line for line in every if one_graph_code(boundary(
+                io.document_to_graph(json.loads(line)))) ==
+                one_graph_code(want)]
+            assert got == expect, (mode, k)
+            assert expect or mode, k    # a disconnected listing has both
+
+
+def test_cli_builds_its_parser_once():
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_cli_central_check(capsys):

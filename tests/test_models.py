@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 import strandhopf
-from strandhopf import cli, fixtures, io, models
+from strandhopf import cli, fixtures, io, models, series
 from strandhopf import (
     GraphError,
     boundary,
@@ -348,6 +348,29 @@ def test_classify_builds_one_boundary_and_colouring_per_component(
         calls.update(dict.fromkeys(calls, 0))
         n = len(classify(theory, g))
         assert calls == {"boundary": n, "infer_colouring": n}
+
+
+def test_renormalizability_check_builds_one_boundary_per_class(
+        monkeypatch):
+    # enumeration builds no boundary, and the matrix closed form hands
+    # its boundary to the genus of the connected class
+    calls = [0]
+
+    def counting(G, real=models.boundary):
+        calls[0] += 1
+        return real(G)
+    for module in (models, series):
+        monkeypatch.setattr(module, "boundary", counting)
+    for theory, e, report in ((GW4, 2, (30, 3, 4)), (MQ3, 2, (33, 5, 4)),
+                              (BGR, 1, (14, 3, 2))):
+        with_edges = sum(1 for t in enumerate_diagrams(theory, e).terms
+                         if t.n_edges)
+        calls[0] = 0
+        rep = renormalizability_check(theory, e)
+        assert 0 < calls[0] <= with_edges, theory.name
+        assert (rep.n_checked, rep.n_divergent, rep.max_external) == report
+        assert rep.passed and not rep.closed_form_mismatches \
+            and not rep.invariant_clashes
 
 
 def test_unknown_preset():

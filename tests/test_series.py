@@ -318,3 +318,33 @@ def test_map_growth_keeps_orientations():
         g, *series._group_dressing("map", dressing))
     assert len(series._pair_orbit_leaders(ext, plain)) < \
         len(series._pair_orbit_leaders(ext, dressed))
+
+
+def test_disconnected_terms_build_their_union_on_first_access():
+    # a disconnected term holds its connected parts; its graph is their
+    # disjoint union, built when first read and kept
+    gw4 = preset("gw4")
+    conn = enumerate_diagrams(gw4, 2)
+    for t in conn.terms:
+        assert t.parts[0].code == t.code and t.graph is t.parts[0].graph
+    ts = enumerate_diagrams(gw4, 2, connected=False)
+    assert any(len(t.parts) > 2 for t in ts.terms)
+    for t in ts.terms:
+        assert "graph" not in vars(t)
+        assert t.n_edges == sum(p.n_edges for p in t.parts)
+        assert graph_fields(t.graph) == \
+            graph_fields(disjoint_union([p.graph for p in t.parts]))
+        assert t.graph is t.graph
+        assert t.code == iso.canonical_code(t.graph)
+        assert t.automorphisms == automorphism_count(t.graph)
+    assert [(t.n_edges, t.code) for t in ts.terms] == \
+        sorted((t.n_edges, t.code) for t in ts.terms)
+
+
+def test_boundary_codes_are_computed_on_first_access():
+    theory = preset("mq3")
+    classes = connected_classes(theory.dressed_types(), theory.klass, 2)
+    for c in classes.values():
+        assert "boundary_code" not in vars(c)
+        assert c.boundary_code == one_graph_code(boundary(c.graph))
+        assert vars(c)["boundary_code"] == c.boundary_code
