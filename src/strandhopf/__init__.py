@@ -14,7 +14,7 @@ from .graphs import (GraphError, OneGraph, TwoGraph, ValidationReport,
                      disjoint_union, euler_characteristic, faces,
                      from_combinatorial_map, from_coloured_graph,
                      internal_face_count, is_bridgeless, is_connected,
-                     read_off_map, relabel, residue, skeleton,
+                     relabel, residue, skeleton,
                      subgraph_with_edges, to_complex, validate,
                      vertex_graph, vertex_graphs_multiset)
 from .iso import (are_isomorphic, automorphism_count, canonical_code,
@@ -24,7 +24,7 @@ from .rewrite import contract, insert, insertions, subgraphs
 from .hopf import (Character, LaurentPoly, Renormalization, antipode,
                    antipode_of_element, character_inverse, convolve,
                    coproduct, coproduct_of_element, counit,
-                   identity_character, ms_projection, toy_ms_character)
+                   ms_projection, toy_ms_character)
 from .series import (DressedType, TruncatedSeries, check_central_identity,
                      enumerate_diagrams)
 from .models import (DivergenceReport, Theory, boundary_gurau_degree,

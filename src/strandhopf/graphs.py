@@ -785,16 +785,6 @@ def from_combinatorial_map(half_edges, sigma, iota):
     return G
 
 
-def read_off_map(G):
-    """Inverse of ``from_combinatorial_map`` on its image: recover
-    ``(half_edges, sigma, iota)`` using the strand label convention."""
-    sigma = {}
-    for h in G.half_edges:
-        nxt = G.mu[G.sigma1[f"{h}:1"]]
-        sigma[h] = nxt
-    return tuple(G.half_edges), sigma, dict(G.iota)
-
-
 def from_coloured_graph(nodes, coloured_edges, external_nodes=()):
     """2-graph of a properly edge-coloured graph with colours ``0..r``.
 

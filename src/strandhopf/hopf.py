@@ -473,10 +473,6 @@ def character_inverse(phi):
                      name=f"{phi.name}^-1")
 
 
-def identity_character():
-    return Character(lambda G: LaurentPoly.constant(1), name="one")
-
-
 def toy_ms_character(degree_fn):
     """Toy minimal-subtraction Feynman rules: a connected graph with at
     least one edge and superficial degree w >= 0 maps to z**-(w+1), and

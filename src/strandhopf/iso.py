@@ -47,8 +47,7 @@ Encodings number their nodes by the positions of the labels in the
 graph's sorted label tuples.  One routine canonizes a connected graph of
 either kind from its encoding and returns (code, |Aut|), the code of
 the search and its order times the encoding's closed-form factor,
-followed by the search's labelling and automorphism generators (a
-1-graph memo entry keeps only the pair).
+followed by the search's labelling and automorphism generators.
 One combine step assembles a graph from its connected components: the
 code of a disconnected graph is "U(...)" over the sorted component
 codes, its automorphism order the wreath product of the component
@@ -57,33 +56,41 @@ pair on itself.  Only ``canonical_form`` builds a relabelled
 representative, the disjoint union of the component representatives in
 code order.
 
-One search memo serves both kinds; it maps a tagged key to the
-(code string, |Aut|) of a connected graph, the closed-form factor folded
-in.  A 2-graph entry also holds the search's canonical labelling and the
-automorphism generators it found, both as the search returns them, on
-encoding nodes: node k < nv is vertex k of ``G.vertices`` and node
-nv + k half-edge k of ``G.half_edges``, so they too are positional.
+One search memo serves both kinds; it maps a tagged key to the entry
+of a connected graph: its code string, its |Aut| with the closed-form
+factor folded in, and the search's canonical labelling and automorphism
+generators on encoding nodes.  In a 2-graph's encoding node k < nv is
+vertex k of ``G.vertices`` and node nv + k half-edge k of
+``G.half_edges``, so these too are positional.
 ``automorphism_generators`` turns them into half-edge maps only when
-asked.  A connected 2-graph is keyed by its positional structure: its
-vertex count, its five structure maps with every label replaced by its
+asked, and ``canonical_form`` reads its labellings from the memo.  A
+connected 2-graph is keyed by its positional structure: its vertex
+count, its five structure maps with every label replaced by its
 position in ``G.vertices``, ``G.half_edges`` or ``G.strands``, and its
 decorations by position.  The key is exact.  The encoding numbers its
 nodes by label position, and ``faces`` orients and orders its chains by
 label comparisons, which are position comparisons because the label
-tuples are sorted; so faces, face classes, encoding, code and |Aut| are
-all functions of the key (so are the labelling and the generators, the
-search being deterministic), and a hit needs none of them.  A 1-graph is
-keyed by the ``repr`` of its encoding, which has no faces and is cheap
-to build.  The encoding lists its class nodes in sorted order, so the
-key depends on the vertex order only and not on the half-edge labels:
-vertex graphs of one shape whose sections are named apart share an
-entry.  A connected 1-graph is encoded as itself, not as a copy of its
-one component.  The tags ("two", "one") keep the kinds apart.  Keys are
-``repr`` strings, not tuples, because the string takes a fraction of
-their memory.  The memo holds at most 1024 entries and evicts the least
-recently used; ``search_cache_info()`` reports its hits, misses, bound
-and size.  ``canonical_form`` needs the labelling and calls the search
-directly.
+tuples are sorted; so faces, face classes, encoding and the whole entry
+are functions of the key (the search is deterministic), and a hit needs
+none of them.  A 1-graph is keyed by the ``repr`` of its encoding, which
+has no faces and is cheap to build.  The encoding lists its class nodes
+in sorted order, so the key depends on the vertex order only and not on
+the half-edge labels: vertex graphs of one shape whose sections are
+named apart share an entry.  A connected 1-graph is encoded as itself,
+not as a copy of its one component.  The tags ("two", "one") keep the
+kinds apart.  Keys are ``repr`` strings, not tuples, because the string
+takes a fraction of their memory.  The memo holds at most 1024 entries
+and evicts the least recently used; ``search_cache_info()`` reports its
+hits, misses, bound and size.
+
+1-graph isomorphisms come from the same entries.  The encoding
+isomorphisms of connected 1-graphs b, g of one code are c_g^-1 o c_b o a
+for a in the group that b's generators generate, c sending each node to
+its canonical position (the labelling is its inverse).  Each lifts to
+half-edges class by class, which gives the m! and m! * 2^m factors the
+encoding hides: any bijection of a class's members onto those of its
+image, each edge's ends following the vertex map, each loop in either
+orientation.  Components are paired code by code in every way.
 """
 
 from __future__ import annotations
@@ -93,7 +100,7 @@ from collections import OrderedDict, namedtuple
 from math import factorial
 
 from .graphs import (connected_components, disjoint_union, faces, relabel,
-                     _connected_groups, _label_key)
+                     _connected_groups)
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +431,13 @@ def _encode_one_graph(g):
     per class carrying its kind and multiplicity m, adjacent to its one
     or two vertices, the classes in sorted (kind, ends) order.  So the
     encoding, and the search memo key made from it, depends on the vertex
-    order only, not on the half-edge labels; ``_one_parts`` passes a
-    connected 1-graph itself.  Returns (descs, adj, factor), factor being
-    the closed-form order of the classes: m! per leg or parallel-edge
-    class and m! * 2^m per loop class (the loops permute and each can be
-    reversed).
+    order only, not on the half-edge labels; ``_one_entries`` passes a
+    connected 1-graph itself.  Returns (descs, adj, factor, classes),
+    factor being the closed-form order of the classes: m! per leg or
+    parallel-edge class and m! * 2^m per loop class (the loops permute
+    and each can be reversed); classes lists ((kind, ends), members) in
+    node order, a member being a leg (h, h) or an edge (h, k) with h
+    before k in ``g.half_edges``.
     """
     vpos = {v: k for k, v in enumerate(g.vertices)}
     hpos = {h: k for k, h in enumerate(g.half_edges)}
@@ -439,17 +448,19 @@ def _encode_one_graph(g):
             continue
         ends = tuple(sorted({vpos[g.attach[h]], vpos[g.attach[k]]}))
         kind = 0 if k == h else 1 if len(ends) == 1 else 2
-        classes[kind, ends] = classes.get((kind, ends), 0) + 1
+        classes.setdefault((kind, ends), []).append((h, k))
+    classes = sorted(classes.items())
     descs = [(0,)] * len(g.vertices)
     adj = [[] for _ in descs]
     factor = 1
-    for (kind, ends), m in sorted(classes.items()):
+    for (kind, ends), members in classes:
+        m = len(members)
         factor *= factorial(m) * (2 ** m if kind == 1 else 1)
         adj.append(list(ends))
         for v in ends:
             adj[v].append(len(descs))
         descs.append((1, kind, m))
-    return tuple(descs), [tuple(sorted(a)) for a in adj], factor
+    return tuple(descs), [tuple(sorted(a)) for a in adj], factor, classes
 
 
 def _one_graph_fields(code):
@@ -636,8 +647,10 @@ def canonical_form(G):
     """
     forms = []
     for c in connected_components(G):
-        descs, adj, _, classes, owner = _encode_two_graph(c)
-        code, perm = _canon_search(descs, adj)[:2]
+        encoding = _encode_two_graph(c)
+        code, _, perm, _ = _memoized(_positional_key(c),
+                                     lambda: _canon_connected(encoding))
+        classes, owner = encoding[3:]
         nv, nh = len(c.vertices), len(c.half_edges)
         vmap = {c.vertices[p]: f"v{k}"
                 for k, p in enumerate(p for p in perm if p < nv)}
@@ -649,7 +662,7 @@ def canonical_form(G):
             for member in classes[idx][3]:
                 for i in member:
                     smap[c.strands[i]] = f"s{len(smap)}"
-        forms.append((repr(code), relabel(c, vmap, hmap, smap)))
+        forms.append((code, relabel(c, vmap, hmap, smap)))
     reps = [rep for _, rep in sorted(forms, key=lambda t: t[0])]
     return _canon_two(G)[0], (reps[0] if len(reps) == 1 else
                               disjoint_union(reps) if reps else G)
@@ -706,17 +719,23 @@ def automorphism_generators(G, strand_colour=None, half_mark=None):
 # 1-graphs
 
 
-def _one_parts(g):
-    """The (code, |Aut|) pairs of the connected components of a 1-graph;
-    a connected 1-graph is encoded as itself."""
+def _one_entries(g):
+    """(component, search memo entry) for each connected component of a
+    1-graph; a connected 1-graph is encoded as itself."""
     comps = g.components()
-    parts = []
+    out = []
     for vs in comps:
-        encoding = _encode_one_graph(g if len(comps) == 1 else g.induced(vs))
-        parts.append(_memoized(
+        c = g if len(comps) == 1 else g.induced(vs)
+        encoding = _encode_one_graph(c)
+        out.append((c, _memoized(
             ("one", repr(encoding[:2])),
-            lambda: _canon_connected(encoding, _one_graph_serial)[:2]))
-    return parts
+            lambda: _canon_connected(encoding, _one_graph_serial))))
+    return out
+
+
+def _one_parts(g):
+    """The (code, |Aut|) pairs of the connected components of a 1-graph."""
+    return [entry[:2] for _, entry in _one_entries(g)]
 
 
 def _canon_one(g):
@@ -746,54 +765,82 @@ def boundary_multiset_aut_count(entries):
 
 
 def enumerate_one_graph_isos(g1, g2):
-    """Yield all isomorphisms (vmap, hmap) from g1 onto g2."""
-    if len(g1.vertices) != len(g2.vertices) or \
-            len(g1.half_edges) != len(g2.half_edges):
+    """Yield all isomorphisms (vmap, hmap) from g1 onto g2: the connected
+    components paired code by code in every way, and one isomorphism
+    (``_connected_isos``) per pair."""
+    sources, targets = _one_entries(g1), _one_entries(g2)
+    yield from _matched_unions(
+        [entry[0] for _, entry in sources], [entry[0] for _, entry in targets],
+        lambda k, l: _connected_isos(*sources[k], *targets[l]))
+
+
+def _matched_unions(codes, images, maps):
+    """The unions (vmap, hmap) of one of the maps ``maps(k, l)`` per pair
+    (k, l) of a bijection of the positions of ``codes`` onto those of
+    ``images`` that keeps codes, for every such bijection; nothing when
+    the code multisets differ.  The maps of each pair of one code are
+    listed once, first."""
+    by_code = {}
+    for side, seq in enumerate((codes, images)):
+        for k, code in enumerate(seq):
+            by_code.setdefault(code, ([], []))[side].append(k)
+    if any(len(ks) != len(ls) for ks, ls in by_code.values()):
         return
-    vs1 = sorted(g1.vertices, key=_label_key)
-    by_deg = {}
-    for w in g2.vertices:
-        by_deg.setdefault(g2.degree(w), []).append(w)
+    found = {(k, l): list(maps(k, l))
+             for ks, ls in by_code.values() for k in ks for l in ls}
+    for matching in itertools.product(*(
+            [list(zip(ks, perm)) for perm in itertools.permutations(ls)]
+            for _, (ks, ls) in sorted(by_code.items()))):
+        pairs = [p for part in matching for p in part]
+        for combo in itertools.product(*(found[p] for p in pairs)):
+            vmap, hmap = {}, {}
+            for vm, hm in combo:
+                vmap.update(vm)
+                hmap.update(hm)
+            yield vmap, hmap
 
-    def extend(i, vmap, hmap, used_v):
-        if i == len(vs1):
-            for h, p in g1.pairing.items():
-                if hmap[p] != g2.pairing[hmap[h]]:
-                    return
-            yield dict(vmap), dict(hmap)
-            return
-        v = vs1[i]
-        cor1 = g1.corolla(v)
-        for w in by_deg.get(len(cor1), []):
-            if w in used_v:
-                continue
-            cor2 = g2.corolla(w)
-            vmap[v] = w
-            used_v.add(w)
-            for perm in itertools.permutations(cor2):
-                ok = True
-                for h, k in zip(cor1, perm):
-                    p = g1.pairing[h]
-                    if p == h and g2.pairing[k] != k:
-                        ok = False
-                        break
-                    if p != h and g2.pairing[k] == k:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                for h, k in zip(cor1, perm):
-                    hmap[h] = k
-                for h, k in zip(cor1, perm):
-                    p = g1.pairing[h]
-                    if p in hmap and hmap[p] != g2.pairing[hmap[h]]:
-                        ok = False
-                        break
-                if ok:
-                    yield from extend(i + 1, vmap, hmap, used_v)
-                for h in cor1:
-                    hmap.pop(h, None)
-            used_v.discard(w)
-            vmap.pop(v, None)
 
-    yield from extend(0, {}, {}, set())
+def _connected_isos(b, b_entry, g, g_entry):
+    """The isomorphisms (vmap, hmap) of a connected 1-graph ``b`` onto a
+    connected ``g`` of the same code, from their search memo entries:
+    each encoding isomorphism lifted class by class."""
+    labelling, gens = b_entry[2:]
+    phi = dict(zip(labelling, g_entry[2]))
+    nv = len(b.vertices)
+    b_classes, g_classes = _encode_one_graph(b)[3], _encode_one_graph(g)[3]
+    for a in _group(gens, len(phi)):
+        f = [phi[x] for x in a]
+        vmap = {v: g.vertices[f[i]] for i, v in enumerate(b.vertices)}
+        lifts = [_class_lifts(b, g, vmap, *b_classes[p - nv],
+                              g_classes[f[p] - nv][1])
+                 for p in range(nv, len(f))]
+        for combo in itertools.product(*lifts):
+            yield vmap, {h: k for part in combo for h, k in part.items()}
+
+
+def _group(gens, n):
+    """Every element of the permutation group on range(n) that ``gens``
+    generate, as tuples, the identity first."""
+    found = [tuple(range(n))]
+    seen = set(found)
+    for p in found:
+        for q in (tuple(g[i] for i in p) for g in gens):
+            if q not in seen:
+                seen.add(q)
+                found.append(q)
+    return found
+
+
+def _class_lifts(b, g, vmap, key, members, images):
+    """The half-edge maps of the class (key, members) of ``b`` onto the
+    members ``images`` of its image class in ``g``: every bijection of
+    the members, each edge's ends following ``vmap``, each loop (kind 1)
+    in either orientation."""
+    out = []
+    for perm in itertools.permutations(images):
+        ways = [(t, t[::-1]) if key[0] == 1 else
+                (t if vmap[b.attach[h]] == g.attach[t[0]] else t[::-1],)
+                for (h, _), t in zip(members, perm)]
+        out += [{h: k for m, t in zip(members, chosen) for h, k in zip(m, t)}
+                for chosen in itertools.product(*ways)]
+    return out

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .graphs import (GraphError, TwoGraph, boundary, connected_components,
                      subgraph_with_edges, validate, vertex_graph,
-                     _contract_edges, _label_key)
+                     _contract_edges)
 from . import iso
 
 
@@ -95,57 +95,27 @@ class InsertionMap:
 def insertions(H, G2):
     """All insertion maps of ``H`` into ``G2``: bijections of the boundary
     components of ``H`` with the vertices of ``G2`` together with
-    1-graph isomorphisms of the matched pieces."""
-    comps = connected_components(H)
-    bds = [boundary(c) for c in comps]
-    verts = list(G2.vertices)
-    if len(bds) != len(verts):
-        return []
-    vgs = {v: vertex_graph(G2, v) for v in verts}
+    1-graph isomorphisms (``iso.enumerate_one_graph_isos``) of the
+    matched pieces.  The maps come bijection by bijection, and within one
+    in the order of the pieces' isomorphisms; each lists the external
+    half-edges and strands of ``H`` in label order."""
+    bds = [boundary(c) for c in connected_components(H)]
+    vgs = [vertex_graph(G2, v) for v in G2.vertices]
 
-    by_code = {}
-    for i, b in enumerate(bds):
-        by_code.setdefault(iso.one_graph_code(b), [[], []])[0].append(i)
-    for v in verts:
-        by_code.setdefault(iso.one_graph_code(vgs[v]), [[], []])[1].append(v)
-    for code, (bi, vv) in by_code.items():
-        if len(bi) != len(vv):
-            return []
+    def items(i, j):
+        """The isomorphisms of boundary i onto vertex graph j as maps of
+        each half-edge and strand to its (label, image) item, which every
+        insertion map that uses it shares."""
+        for vm, hm in iso.enumerate_one_graph_isos(bds[i], vgs[j]):
+            yield ({h: (h, k) for h, k in vm.items()},
+                   {s: (s, t) for s, t in hm.items()})
 
-    out = []
-    codes = sorted(by_code)
-    pieces = []
-    for code in codes:
-        bi, vv = by_code[code]
-        choices = []
-        for assign in itertools.permutations(vv):
-            per_pair = []
-            for i, v in zip(bi, assign):
-                isos = list(iso.enumerate_one_graph_isos(bds[i], vgs[v]))
-                if not isos:
-                    per_pair = None
-                    break
-                per_pair.append(isos)
-            if per_pair is None:
-                continue
-            for combo in itertools.product(*per_pair):
-                hmap, smap = {}, {}
-                for vm, hm in combo:
-                    hmap.update(vm)
-                    smap.update(hm)
-                choices.append((hmap, smap))
-        pieces.append(choices)
-    for combo in itertools.product(*pieces):
-        hmap, smap = {}, {}
-        for hm, sm in combo:
-            hmap.update(hm)
-            smap.update(sm)
-        out.append(InsertionMap(H, G2,
-                                tuple(sorted(hmap.items(),
-                                             key=lambda kv: _label_key(kv[0]))),
-                                tuple(sorted(smap.items(),
-                                             key=lambda kv: _label_key(kv[0])))))
-    return out
+    hs, ss = H.external_half_edges(), H.external_strands()
+    return [InsertionMap(H, G2, tuple(map(hitems.get, hs)),
+                         tuple(map(sitems.get, ss)))
+            for hitems, sitems in iso._matched_unions(
+                [iso.one_graph_code(b) for b in bds],
+                [iso.one_graph_code(g) for g in vgs], items)]
 
 
 def insert(G2, H, ins):
@@ -158,21 +128,14 @@ def insert(G2, H, ins):
         raise GraphError("insertion map does not cover the target half-edges")
     if set(smap.values()) != set(G2.strands):
         raise GraphError("insertion map does not cover the target strands")
-    if sorted(hmap, key=_label_key) != sorted(H.external_half_edges(),
-                                              key=_label_key):
+    if set(hmap) != set(H.external_half_edges()):
         raise GraphError("insertion map domain is not the source boundary")
     inv_h = {b: a for a, b in hmap.items()}
     inv_s = {b: a for a, b in smap.items()}
-    iota = dict(H.iota)
-    for a, b in G2.edge_pairs():
-        x, y = inv_h[a], inv_h[b]
-        iota[x] = y
-        iota[y] = x
-    sigma2 = dict(H.sigma2)
-    for a, b in G2.edge_strand_pairs():
-        x, y = inv_s[a], inv_s[b]
-        sigma2[x] = y
-        sigma2[y] = x
+    iota, sigma2 = dict(H.iota), dict(H.sigma2)
+    iota.update((inv_h[a], inv_h[b]) for a, b in G2.iota.items() if a != b)
+    sigma2.update((inv_s[a], inv_s[b]) for a, b in G2.sigma2.items()
+                  if a != b)
     out = TwoGraph(H.vertices, H.half_edges, H.strands, dict(H.nu),
                    dict(H.mu), iota, dict(H.sigma1), sigma2)
     rep = validate(out)

@@ -7,11 +7,13 @@ from the rotation data, canonical labellings by an individualization
 search that visits every leaf.  Slow on purpose; only used on small
 inputs.  The exceptions are references kept from earlier versions of
 the package, which the faster code must equal: the rank refinement, the
-growth level and coproduct expansion before orbit reduction (these two
-call the package's gluing, dedup and interning), the contraction
-that reads the external faces of a materialized subgraph, the jacket
-degrees that count the faces of every jacket afresh, and the pinched
-closure built as a 2-graph.
+1-graph isomorphism matcher that tries every permutation of every
+corolla (``brute_one_graph_isos``, the reference for the isomorphisms
+read from the canonization search), the growth level and coproduct
+expansion before orbit reduction (these two call the package's gluing,
+dedup and interning), the contraction that reads the external faces of
+a materialized subgraph, the jacket degrees that count the faces of
+every jacket afresh, and the pinched closure built as a 2-graph.
 """
 
 import itertools
@@ -73,6 +75,65 @@ def brute_one_graph_automorphism_count(g):
                 continue
             count += 1
     return count
+
+
+def brute_one_graph_isos(g1, g2):
+    """Yield all isomorphisms (vmap, hmap) from g1 onto g2: vertices in
+    label order, each tried on every unused vertex of its degree with
+    every permutation of that vertex's corolla, pairings checked as the
+    half-edges get mapped."""
+    from strandhopf.graphs import _label_key
+
+    if len(g1.vertices) != len(g2.vertices) or \
+            len(g1.half_edges) != len(g2.half_edges):
+        return
+    vs1 = sorted(g1.vertices, key=_label_key)
+    by_deg = {}
+    for w in g2.vertices:
+        by_deg.setdefault(g2.degree(w), []).append(w)
+
+    def extend(i, vmap, hmap, used_v):
+        if i == len(vs1):
+            for h, p in g1.pairing.items():
+                if hmap[p] != g2.pairing[hmap[h]]:
+                    return
+            yield dict(vmap), dict(hmap)
+            return
+        v = vs1[i]
+        cor1 = g1.corolla(v)
+        for w in by_deg.get(len(cor1), []):
+            if w in used_v:
+                continue
+            cor2 = g2.corolla(w)
+            vmap[v] = w
+            used_v.add(w)
+            for perm in itertools.permutations(cor2):
+                ok = True
+                for h, k in zip(cor1, perm):
+                    p = g1.pairing[h]
+                    if p == h and g2.pairing[k] != k:
+                        ok = False
+                        break
+                    if p != h and g2.pairing[k] == k:
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                for h, k in zip(cor1, perm):
+                    hmap[h] = k
+                for h, k in zip(cor1, perm):
+                    p = g1.pairing[h]
+                    if p in hmap and hmap[p] != g2.pairing[hmap[h]]:
+                        ok = False
+                        break
+                if ok:
+                    yield from extend(i + 1, vmap, hmap, used_v)
+                for h in cor1:
+                    hmap.pop(h, None)
+            used_v.discard(w)
+            vmap.pop(v, None)
+
+    yield from extend(0, {}, {}, set())
 
 
 def _strand_extensions(G, jh, strand_colour=None):

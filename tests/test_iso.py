@@ -271,6 +271,83 @@ def test_section_labels_leave_the_one_graph_memo_key_alone(monkeypatch):
     assert len(brute) >= 10
 
 
+def moved_one_graph(g, rng):
+    """A neighbour of ``g`` with as many vertices and half-edges: one
+    half-edge moved to another vertex, or on one vertex two legs paired
+    or an edge split into two legs."""
+    attach, pairing = dict(g.attach), dict(g.pairing)
+    legs = [h for h in g.half_edges if pairing[h] == h]
+    if len(g.vertices) > 1 and g.half_edges:
+        h = rng.choice(g.half_edges)
+        attach[h] = rng.choice([v for v in g.vertices if v != attach[h]])
+    elif len(legs) >= 2:
+        pairing[legs[0]], pairing[legs[1]] = legs[1], legs[0]
+    elif len(legs) < len(g.half_edges):
+        h = next(h for h in g.half_edges if pairing[h] != h)
+        pairing[pairing[h]] = pairing[h]
+        pairing[h] = h
+    return OneGraph(g.vertices, g.half_edges, attach, pairing)
+
+
+def iso_list(found):
+    """Isomorphisms (vmap, hmap) as hashable item tuples."""
+    return [(tuple(sorted(vm.items())), tuple(sorted(hm.items())))
+            for vm, hm in found]
+
+
+def test_one_graph_isos_match_brute_force(monkeypatch):
+    # the isomorphisms read from the search memo entries are those of the
+    # brute-force matcher, each once, on collapsed classes, random graphs
+    # and their relabellings, unions of two, the empty 1-graph and
+    # non-isomorphic neighbours
+    rng = random.Random(1703)
+    graphs = list(COLLAPSED.values()) + [random_one_graph(rng)
+                                         for _ in range(60)]
+    pairs = []
+    for g in graphs:
+        pairs += [(g, g), (g, relabelled_one_graph(g, rng)),
+                  (g, moved_one_graph(g, rng))]
+    for g, h in zip(graphs[::2], graphs[1::2]):
+        pairs.append((disjoint_union([g, h]),
+                      relabelled_one_graph(disjoint_union([h, g]), rng)))
+    for g in graphs[-6:]:
+        pairs.append((disjoint_union([g, g]),
+                      relabelled_one_graph(disjoint_union([g, g]), rng)))
+    pairs.append((disjoint_union([cycle_one_graph(3)] * 2),
+                  cycle_one_graph(6)))
+    empty = OneGraph.make([], [], {})
+    pairs.append((empty, empty))
+    total = 0
+    for k, (g, h) in enumerate(pairs):
+        got = iso_list(iso.enumerate_one_graph_isos(g, h))
+        assert len(set(got)) == len(got), k
+        assert set(got) == set(iso_list(oracles.brute_one_graph_isos(g, h))), k
+        want = one_graph_automorphism_count(g) \
+            if one_graph_code(g) == one_graph_code(h) else 0
+        assert len(got) == want, k
+        total += len(got)
+    assert list(iso.enumerate_one_graph_isos(empty, empty)) == [({}, {})]
+    assert total > 10000
+    assert sum(one_graph_code(g) != one_graph_code(h) for g, h in pairs) > 50
+    # a second call on the same shapes reads the memo and runs no search
+    searches = []
+    counted = iso._canon_connected
+
+    def counting(*args, **kwargs):
+        searches.append(args)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(iso, "_canon_connected", counting)
+    for g, h in pairs[:60]:
+        search_cache_clear()
+        first = iso_list(iso.enumerate_one_graph_isos(g, h))
+        searches.clear()
+        g2, h2 = section_relabelled(g, rng), section_relabelled(h, rng)
+        again = list(iso.enumerate_one_graph_isos(g2, h2))
+        assert not searches
+        assert len(again) == len(first)
+
+
 def cycles_encoding(lengths, rng):
     """(descs, adj) of a disjoint union of cycles, nodes in random order.
 

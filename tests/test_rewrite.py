@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from strandhopf import fixtures, io
+from strandhopf import fixtures, io, iso
 from strandhopf import (
     GraphError,
     are_isomorphic,
@@ -157,6 +157,30 @@ def test_insertion_inverts_contraction():
                 assert validate(r).valid
                 assert are_isomorphic(contract(r, s.edges), G2), \
                     (name, s.edges)
+
+
+def test_insertions_match_the_brute_force_matcher(monkeypatch):
+    # insertions from the canonization search's 1-graph isomorphisms are,
+    # map for map, those built on the brute-force matcher: on every wide
+    # subgraph of every corpus graph, each residue and the disjoint unions
+    # of criterion 4
+    cases = []
+    for g in CORPUS.values():
+        cases.append((g, residue(g)))
+        cases += [(s.materialize(), s.contract()) for s in subgraphs(g)]
+    t = fixtures.quartic_tadpole("same")
+    for big in (disjoint_union([t, t]),
+                disjoint_union([fixtures.fish(1, 2), t])):
+        cases.append((big, residue(big)))
+    found = [[(m.on_half_edges, m.on_strands) for m in insertions(H, G2)]
+             for H, G2 in cases]
+    monkeypatch.setattr(iso, "enumerate_one_graph_isos",
+                        oracles.brute_one_graph_isos)
+    for k, ((H, G2), got) in enumerate(zip(cases, found)):
+        want = {(m.on_half_edges, m.on_strands) for m in insertions(H, G2)}
+        assert len(set(got)) == len(got), k
+        assert set(got) == want, k
+    assert sum(map(len, found)) > 10000
 
 
 def test_insert_rejects_bad_maps():
