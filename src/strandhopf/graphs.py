@@ -15,6 +15,13 @@ these involutions; nothing else is stored.
 Labels are opaque strings (or any sortable hashables of one type).  All
 value types are treated as immutable once built; operations return new
 graphs.
+
+What a 2-graph derives from its maps and keeps lives in one place, its
+``derived`` record (``Derived``), each value computed at most once.  Its
+connectivity mark comes from the union-find of ``connected_components``
+or ``is_connected``, or from ``_piece`` and ``_contract_edges``, which
+build graphs connected by construction.  The record holds no other
+graph, so it pins nothing.
 """
 
 from __future__ import annotations
@@ -134,6 +141,24 @@ class OneGraph:
 # 2-graphs
 
 
+class Derived:
+    """The derived data of one 2-graph, each field None until computed.
+
+    ``edge_pairs`` is ``TwoGraph.edge_pairs()``, ``half_edges_at`` and
+    ``strands_at`` map each vertex to its half-edges and each half-edge to
+    its sections, ``faces`` is ``faces(G)`` and ``canon`` the (code,
+    |Aut|) pair of ``iso``.  ``connected`` is True once the graph is known
+    to have exactly one connected component and False once known not to.
+    """
+
+    __slots__ = ("edge_pairs", "half_edges_at", "strands_at", "faces",
+                 "canon", "connected")
+
+    def __init__(self):
+        self.edge_pairs = self.half_edges_at = self.strands_at = None
+        self.faces = self.canon = self.connected = None
+
+
 @dataclass(eq=False)
 class TwoGraph:
     """Stranded graph.
@@ -142,7 +167,9 @@ class TwoGraph:
     to half-edges.  ``iota`` pairs half-edges into edges (fixed points are
     external), ``sigma1`` pairs sections at a vertex (fixed-point free,
     vertex-local), ``sigma2`` pairs sections across edges (compatible with
-    ``iota``; fixes exactly the sections of external half-edges).
+    ``iota``; fixes exactly the sections of external half-edges).  Every
+    value derived from these maps and kept is in ``derived`` (see the
+    module docstring).
     """
 
     vertices: tuple
@@ -163,10 +190,7 @@ class TwoGraph:
         self.iota = dict(self.iota)
         self.sigma1 = dict(self.sigma1)
         self.sigma2 = dict(self.sigma2)
-        self._h_at = None
-        self._s_at = None
-        self._faces = None
-        self._canon = None   # (code, |Aut|), set by iso
+        self.derived = Derived()
 
     @classmethod
     def make(cls, vertices, half_edges, strands, nu, mu,
@@ -183,24 +207,28 @@ class TwoGraph:
 
     # derived views ---------------------------------------------------
 
+    @property
+    def _faces(self):
+        """The faces if they are built, else None."""
+        return self.derived.faces
+
     def half_edges_at(self, v):
-        if self._h_at is None:
-            d = {u: [] for u in self.vertices}
-            for h in self.half_edges:
-                d[self.nu[h]].append(h)
-            self._h_at = {u: tuple(hs) for u, hs in d.items()}
-        return self._h_at[v]
+        d = self.derived
+        if d.half_edges_at is None:
+            d.half_edges_at = _fibres(self.vertices, self.half_edges, self.nu)
+        return d.half_edges_at[v]
 
     def strands_at(self, h):
-        if self._s_at is None:
-            d = {k: [] for k in self.half_edges}
-            for s in self.strands:
-                d[self.mu[s]].append(s)
-            self._s_at = {k: tuple(ss) for k, ss in d.items()}
-        return self._s_at[h]
+        d = self.derived
+        if d.strands_at is None:
+            d.strands_at = _fibres(self.half_edges, self.strands, self.mu)
+        return d.strands_at[h]
 
     def edge_pairs(self):
-        return _pairs_of_involution(self.iota)
+        d = self.derived
+        if d.edge_pairs is None:
+            d.edge_pairs = _pairs_of_involution(self.iota)
+        return d.edge_pairs
 
     def n_edges(self):
         return len(self.edge_pairs())
@@ -219,6 +247,15 @@ class TwoGraph:
 
     def strand_degree(self, h):
         return len(self.strands_at(h))
+
+
+def _fibres(base, items, f):
+    """Each element of ``base`` mapped to the tuple of ``items`` that ``f``
+    sends to it, in ``items`` order."""
+    d = {b: [] for b in base}
+    for x in items:
+        d[f[x]].append(x)
+    return {b: tuple(xs) for b, xs in d.items()}
 
 
 def _mapped_fields(G, fv, fh, fs):
@@ -421,8 +458,12 @@ def _canonical_internal(chain):
 
 def faces(G):
     """All faces of ``G`` as ``(internal, external)`` tuples of Face."""
-    if G._faces is not None:
-        return G._faces
+    if G.derived.faces is None:
+        G.derived.faces = _walk_faces(G)
+    return G.derived.faces
+
+
+def _walk_faces(G):
     s1, s2 = G.sigma1, G.sigma2
     visited = set()
     external = []
@@ -463,10 +504,8 @@ def faces(G):
             cur = fol
         internal.append(Face("internal", _canonical_internal(tuple(chain))))
     key = lambda f: tuple(_label_key(x) for x in f.sections)
-    result = (tuple(sorted(internal, key=key)),
-              tuple(sorted(external, key=key)))
-    G._faces = result
-    return result
+    return (tuple(sorted(internal, key=key)),
+            tuple(sorted(external, key=key)))
 
 
 def internal_face_count(G):
@@ -503,7 +542,8 @@ def _contract_edges(G, edges):
     section, and while that lies on a contracted half-edge, sigma2 then
     sigma1 lead on, until a section off them ends the face.  A pair may
     be given in either order; a pair that is not an edge of ``G`` (an
-    external half-edge with itself included) raises ``GraphError``.
+    external half-edge with itself included) raises ``GraphError``.  The
+    contraction of a graph marked connected is marked connected.
     """
     edges = tuple(edges)
     in_h = set()
@@ -534,8 +574,11 @@ def _contract_edges(G, edges):
                 b = s1[s2[b]]
             sigma1[a] = b
             sigma1[b] = a
-    return TwoGraph(new_vertices, new_h, new_s, nu, {s: mu[s] for s in new_s},
-                    iota, sigma1, sigma2)
+    out = TwoGraph(new_vertices, new_h, new_s, nu, {s: mu[s] for s in new_s},
+                   iota, sigma1, sigma2)
+    if G.derived.connected:
+        out.derived.connected = True
+    return out
 
 
 def _connected_groups(nodes, pairs):
@@ -597,8 +640,12 @@ def boundary_components(G):
 def connected_components(G):
     """The connected components of ``G`` in the order of their least
     vertices; a connected ``G`` is its own only component (the same
-    object, with its cached faces and code)."""
+    object, with its derived data), and the components built for a
+    disconnected one are marked connected."""
+    if G.derived.connected:
+        return (G,)
     pieces = _pieces(G, G.edge_pairs())
+    G.derived.connected = len(pieces) == 1
     if len(pieces) == 1:
         return (G,)
     return tuple(_piece(G, vs, inside) for vs, inside in pieces)
@@ -620,10 +667,10 @@ def _pieces(G, edge_pairs):
 
 
 def _piece(G, vs, edge_pairs):
-    """The 2-graph on the vertices ``vs`` of ``G`` with all their
-    half-edges and sections, paired across exactly ``edge_pairs`` (edges
-    of ``G`` with both ends at ``vs``); every other half-edge at ``vs`` is
-    external."""
+    """The 2-graph of one of the ``_pieces`` (vs, edge_pairs) of ``G``: the
+    vertices ``vs`` with all their half-edges and sections, paired across
+    exactly ``edge_pairs``, every other half-edge at ``vs`` external.  It
+    is connected, and marked so."""
     iota = {}
     for a, b in edge_pairs:
         iota[a], iota[b] = b, a
@@ -631,16 +678,22 @@ def _piece(G, vs, edge_pairs):
     hs = [h for h in G.half_edges if G.nu[h] in vset]
     hset = set(hs)
     ss = [s for s in G.strands if G.mu[s] in hset]
-    return TwoGraph(vs, hs, ss,
-                    {h: G.nu[h] for h in hs},
-                    {s: G.mu[s] for s in ss},
-                    {h: iota.get(h, h) for h in hs},
-                    {s: G.sigma1[s] for s in ss},
-                    {s: (G.sigma2[s] if G.mu[s] in iota else s) for s in ss})
+    out = TwoGraph(vs, hs, ss,
+                   {h: G.nu[h] for h in hs},
+                   {s: G.mu[s] for s in ss},
+                   {h: iota.get(h, h) for h in hs},
+                   {s: G.sigma1[s] for s in ss},
+                   {s: (G.sigma2[s] if G.mu[s] in iota else s) for s in ss})
+    out.derived.connected = True
+    return out
 
 
 def is_connected(G):
-    return len(_component_vertex_sets(G, G.edge_pairs())) <= 1
+    """At most one connected component (the empty graph has none)."""
+    if G.derived.connected is None:
+        G.derived.connected = \
+            len(_component_vertex_sets(G, G.edge_pairs())) == 1
+    return G.derived.connected or not G.vertices
 
 
 def is_bridgeless(G):

@@ -15,7 +15,9 @@ read from the edge set of its subgraph on the class's representative:
 the components (pieces) come from a union-find over its vertices, and a
 piece, a vertex set with the edges inside it, is built as a 2-graph and
 interned only the first time it occurs in the expansion (a dict local to
-the call); the contraction walks the representative's own strands.  The
+the call); the contraction walks the representative's own strands.
+Pieces and the contractions of a connected class are built marked
+connected, so interning them runs no second union-find.  The
 antipode follows the usual triangular recursion, using a residue inverse
 in place of division by the group-like part.  Both are memoized by class
 code (``functools.cache``; ``cache_info()`` gives their size and hit

@@ -51,37 +51,48 @@ followed by the search's labelling and automorphism generators.
 One combine step assembles a graph from its connected components: the
 code of a disconnected graph is "U(...)" over the sorted component
 codes, its automorphism order the wreath product of the component
-orders (m! per repeated factor).  A 2-graph caches its (code, |Aut|)
-pair on itself.  Only ``canonical_form`` builds a relabelled
-representative, the disjoint union of the component representatives in
-code order.
+orders (m! per repeated factor).  A 2-graph keeps its (code, |Aut|)
+pair with its derived data (``graphs.Derived``).  Only
+``canonical_form`` builds a relabelled representative, the disjoint
+union of the component representatives in code order.
 
 One search memo serves both kinds; it maps a tagged key to the entry
 of a connected graph: its code string, its |Aut| with the closed-form
 factor folded in, and the search's canonical labelling and automorphism
 generators on encoding nodes.  In a 2-graph's encoding node k < nv is
 vertex k of ``G.vertices`` and node nv + k half-edge k of
-``G.half_edges``, so these too are positional.
-``automorphism_generators`` turns them into half-edge maps only when
-asked, and ``canonical_form`` reads its labellings from the memo.  A
-connected 2-graph is keyed by its positional structure: its vertex
-count, its five structure maps with every label replaced by its
-position in ``G.vertices``, ``G.half_edges`` or ``G.strands``, and its
-decorations by position.  The key is exact.  The encoding numbers its
-nodes by label position, and ``faces`` orients and orders its chains by
-label comparisons, which are position comparisons because the label
-tuples are sorted; so faces, face classes, encoding and the whole entry
-are functions of the key (the search is deterministic), and a hit needs
-none of them.  A 1-graph is keyed by the ``repr`` of its encoding, which
-has no faces and is cheap to build.  The encoding lists its class nodes
-in sorted order, so the key depends on the vertex order only and not on
-the half-edge labels: vertex graphs of one shape whose sections are
-named apart share an entry.  A connected 1-graph is encoded as itself,
-not as a copy of its one component.  The tags ("two", "one") keep the
-kinds apart.  Keys are ``repr`` strings, not tuples, because the string
-takes a fraction of their memory.  The memo holds at most 1024 entries
-and evicts the least recently used; ``search_cache_info()`` reports its
-hits, misses, bound and size.
+``G.half_edges``, so these too are positional, and an entry serves every
+graph with the same encoding.  ``automorphism_generators`` turns them
+into half-edge maps only when asked, and ``canonical_form`` reads its
+labellings from the memo.
+
+A connected 2-graph is looked up twice at most.  The first key is its
+positional structure: its vertex count, its five structure maps with
+every label replaced by its position in ``G.vertices``,
+``G.half_edges`` or ``G.strands``, and its decorations by position.
+The key is exact.  The encoding numbers its nodes by label position,
+and ``faces`` orients and orders its chains by label comparisons, which
+are position comparisons because the label tuples are sorted; so faces,
+face classes, encoding and the whole entry are functions of the key
+(the search is deterministic), and a hit needs none of them.  On a miss
+the encoding (descs and adj) is built and looked up; it does not depend
+on the strand labels (``_face_classes`` orders the classes by their
+itineraries), so one shape with its strands named apart, such as a piece
+or a contraction met under another labelling, is found there.  Only when
+both miss does the search run; it stores its entry under the pair of
+keys, which are kept and dropped together, and an encoding hit stores
+the positional key on its own.  A 1-graph is keyed by its encoding
+alone, which has no faces and is cheap to build.  The encoding lists its
+class nodes in sorted order, so the key depends on the vertex order only
+and not on the half-edge labels: vertex graphs of one shape whose
+sections are named apart share an entry.  A connected 1-graph is encoded
+as itself, not as a copy of its one component.  The tags ("two", "one")
+keep the kinds apart.  Positional keys are ``repr`` strings and encoding
+keys ``marshal`` bytes, not tuples, because those take a fraction of
+their memory.  The memo holds at most 1024 units, a key pair or a single
+key, and evicts the least recently used; ``search_cache_info()`` reports
+its hits (lookups answered without a search, by either key), misses
+(searches), bound and size in units.
 
 1-graph isomorphisms come from the same entries.  The encoding
 isomorphisms of connected 1-graphs b, g of one code are c_g^-1 o c_b o a
@@ -96,6 +107,7 @@ orientation.  Components are paired code by code in every way.
 from __future__ import annotations
 
 import itertools
+import marshal
 from collections import OrderedDict, namedtuple
 from math import factorial
 
@@ -336,10 +348,13 @@ def _face_classes(G, strand_colour=None):
     Two faces are parallel when some alignment matches their itineraries
     (per-position half-edge plus decoration colour) exactly.  Sections
     and half-edges are numbered by their positions in ``G.strands`` and
-    ``G.half_edges``, which are in label order.  Returns a sorted list
-    of (kind, m, a, members), where members are the aligned section
-    number tuples, least first, and a is the number of self-alignments
-    of the shared itinerary.
+    ``G.half_edges``, which are in label order.  Returns a list of (kind,
+    m, a, members), where members are the aligned section number tuples,
+    least first, and a is the number of self-alignments of the shared
+    itinerary.  The classes are sorted by (kind, m, itinerary), the
+    itinerary aligned to its least form; (kind, itinerary) names a class,
+    so the order, and with it the encoding, does not depend on the
+    strand labels.
     """
     spos = {s: k for k, s in enumerate(G.strands)}
     hpos = {h: k for k, h in enumerate(G.half_edges)}
@@ -359,11 +374,11 @@ def _face_classes(G, strand_colour=None):
                 best = key
         groups.setdefault((f.kind, best[0]), []).append((best[1], a))
     out = []
-    for (kind, _), members in groups.items():
+    for (kind, _), members in sorted(
+            groups.items(), key=lambda c: (c[0][0], len(c[1]), c[0][1])):
         members.sort()
         out.append((kind, len(members), members[0][1],
                     [seq for seq, _ in members]))
-    out.sort(key=lambda c: (c[0], c[1], c[3]))
     return out
 
 
@@ -510,40 +525,78 @@ def _one_graph_serial(code):
 
 
 # The search memo (see the module docstring), least recently used first.
-# 1024 entries held a workload's working set at a fraction of the memory
-# of an unbounded memo.
+# A key maps to (entry, partner): the partner is the other key of the pair
+# (encoding key, positional key) that a 2-graph search stores, the two
+# kept and dropped together, or None.  The bound counts units, a pair or
+# a single key; 1024 of them held a workload's working set at a fraction
+# of the memory of an unbounded memo.
 _SEARCH_MEMO_BOUND = 1024
 _search_memo = OrderedDict()
-_search_stats = [0, 0]  # hits, misses
+_search_stats = [0, 0, 0]  # hits, misses, pairs
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 def search_cache_info():
-    """Hits, misses, bound and size of the search memo, in the shape of
-    ``functools`` ``cache_info()``."""
-    return CacheInfo(*_search_stats, _SEARCH_MEMO_BOUND, len(_search_memo))
+    """Hits, misses, bound and size (in units) of the search memo, in the
+    shape of ``functools`` ``cache_info()``."""
+    return CacheInfo(*_search_stats[:2], _SEARCH_MEMO_BOUND, _units())
+
+
+def _units():
+    """The size of the search memo: its keys, a pair counting once."""
+    return len(_search_memo) - _search_stats[2]
 
 
 def search_cache_clear():
     """Empty the search memo and reset its counts."""
     _search_memo.clear()
-    _search_stats[:] = [0, 0]
+    _search_stats[:] = [0, 0, 0]
 
 
-def _memoized(key, canon):
-    """The (code, |Aut|) stored under ``key`` in the search memo, or
-    ``canon()`` stored there on a miss."""
+def _lookup(key):
+    """The entry stored under ``key``, counted as a hit and made the most
+    recently used with its partner, or None."""
     found = _search_memo.get(key)
     if found is None:
+        return None
+    _search_stats[0] += 1
+    _search_memo.move_to_end(key)
+    if found[1] is not None:
+        _search_memo.move_to_end(found[1])
+    return found[0]
+
+
+def _memoized(tag, encoding, serial=repr, position=None):
+    """The search memo entry of a connected graph of kind ``tag`` ("two"
+    or "one") with encoding ``encoding``: the entry stored under (tag,
+    the ``marshal`` bytes of its descs and adj), or the search's on a
+    miss.  A search stores its entry under that key, paired with a
+    2-graph's positional key ``position`` (which missed); a hit stores
+    ``position`` on its own.  While there are more units than the bound,
+    the least recently used one goes."""
+    # marshal format 2 writes values only (later formats mark shared
+    # objects), so equal keys mean equal encodings; it is many times
+    # faster than repr
+    key = tag, marshal.dumps(encoding[:2], 2)
+    entry = _lookup(key)
+    if entry is not None and position is None:
+        return entry
+    if entry is None:
         _search_stats[1] += 1
-        found = _search_memo[key] = canon()
-        if len(_search_memo) > _SEARCH_MEMO_BOUND:
-            _search_memo.popitem(last=False)
+        entry = _canon_connected(encoding, serial)
+        _search_memo[key] = entry, position
+        if position is not None:
+            _search_memo[position] = entry, key
+            _search_stats[2] += 1
     else:
-        _search_stats[0] += 1
-        _search_memo.move_to_end(key)
-    return found
+        _search_memo[position] = entry, None
+    while _units() > _SEARCH_MEMO_BOUND:
+        _, (_, partner) = _search_memo.popitem(last=False)
+        if partner is not None:
+            del _search_memo[partner]
+            _search_stats[2] -= 1
+    return entry
 
 
 def _canon_connected(encoding, serial=repr):
@@ -599,22 +652,24 @@ def _positional_key(G, strand_colour=None, half_mark=None):
         None if half_mark is None else [half_mark[h] for h in hs]))
 
 
-def _search_two(c, strand_colour=None, half_mark=None):
-    """The search memo entry of a connected 2-graph, by search.  The faces
-    that the encoding builds are not left cached on ``c``: callers keep
-    graphs (``hopf.REGISTRY`` holds one per class) that never need them
-    again."""
-    kept = c._faces
+def _encoding(c, strand_colour=None, half_mark=None):
+    """The encoding of a connected 2-graph.  The faces it builds are not
+    left cached on ``c``: callers keep graphs (``hopf.REGISTRY`` holds one
+    per class) that never need them again."""
+    kept = c.derived.faces
     encoding = _encode_two_graph(c, strand_colour, half_mark)
-    c._faces = kept
-    return _canon_connected(encoding)
+    c.derived.faces = kept
+    return encoding
 
 
-def _two_entry(c, strand_colour=None, half_mark=None):
+def _two_entry(c, strand_colour=None, half_mark=None, encoding=None):
     """(code, |Aut|, labelling, generators) of a connected 2-graph from the
-    search memo; faces, encoding and search run only on a miss."""
-    return _memoized(_positional_key(c, strand_colour, half_mark),
-                     lambda: _search_two(c, strand_colour, half_mark))
+    search memo, looked up by its positional key and, on a miss, by its
+    encoding: ``encoding`` if given, else built on that miss only."""
+    key = _positional_key(c, strand_colour, half_mark)
+    return _lookup(key) or _memoized(
+        "two", encoding or _encoding(c, strand_colour, half_mark),
+        position=key)
 
 
 def _two_parts(G, strand_colour=None, half_mark=None):
@@ -624,15 +679,15 @@ def _two_parts(G, strand_colour=None, half_mark=None):
 
 
 def _canon_two(G):
-    """The (code, |Aut|) pair of a 2-graph, cached on ``G``.
+    """The (code, |Aut|) pair of a 2-graph, kept in ``G.derived``.
 
     This object memo sits in front of the search memo: a hit here saves
     splitting ``G`` and forming its positional keys, while the search
     memo serves the many fresh objects (components, contractions) that
     share their maps with an earlier one."""
-    if G._canon is None:
-        G._canon = _combine(_two_parts(G))
-    return G._canon
+    if G.derived.canon is None:
+        G.derived.canon = _combine(_two_parts(G))
+    return G.derived.canon
 
 
 def canonical_form(G):
@@ -647,9 +702,8 @@ def canonical_form(G):
     """
     forms = []
     for c in connected_components(G):
-        encoding = _encode_two_graph(c)
-        code, _, perm, _ = _memoized(_positional_key(c),
-                                     lambda: _canon_connected(encoding))
+        encoding = _encoding(c)
+        code, _, perm, _ = _two_entry(c, encoding=encoding)
         classes, owner = encoding[3:]
         nv, nh = len(c.vertices), len(c.half_edges)
         vmap = {c.vertices[p]: f"v{k}"
@@ -726,10 +780,8 @@ def _one_entries(g):
     out = []
     for vs in comps:
         c = g if len(comps) == 1 else g.induced(vs)
-        encoding = _encode_one_graph(c)
-        out.append((c, _memoized(
-            ("one", repr(encoding[:2])),
-            lambda: _canon_connected(encoding, _one_graph_serial))))
+        out.append((c, _memoized("one", _encode_one_graph(c),
+                                 _one_graph_serial)))
     return out
 
 

@@ -281,6 +281,47 @@ def test_connected_graph_is_its_own_component():
     assert connected_components(TwoGraph.make([], [], [], {}, {})) == ()
 
 
+def test_derived_data_matches_a_fresh_computation(monkeypatch):
+    # every graph built while splitting corpus classes and unions and
+    # expanding their coproducts (components, pieces, contractions): one
+    # marked connected has a single group when its pieces are found from
+    # scratch, and its edge pairs are those of its iota
+    from strandhopf import hopf, rewrite
+    from strandhopf.graphs import _pairs_of_involution, _pieces
+    built, contractions = [], []
+    real_init, real_contract = TwoGraph.__post_init__, rewrite._contract_edges
+
+    def init(self):
+        real_init(self)
+        built.append(self)
+
+    def contract(G, edges):
+        out = real_contract(G, edges)
+        contractions.append((G.derived.connected, out))
+        return out
+
+    monkeypatch.setattr(TwoGraph, "__post_init__", init)
+    monkeypatch.setattr(rewrite, "_contract_edges", contract)
+    graphs = [io.document_to_graph(e["graph"]) for e in corpus_entries()]
+    names = sorted(CORPUS)
+    graphs += [disjoint_union([CORPUS[a], CORPUS[b]])
+               for a, b in zip(names, names[1:])]
+    for g in graphs:
+        connected_components(g)
+        hopf._coproduct.__wrapped__(hopf.intern_graph(g))
+    marked = 0
+    for k, G in enumerate(built):
+        fresh = _pairs_of_involution(G.iota)
+        assert G.edge_pairs() == fresh, k
+        if G.derived.connected:
+            marked += 1
+            assert len(_pieces(G, fresh)) == 1, k
+    assert all(out.derived.connected for parent, out in contractions
+               if parent)
+    assert marked > len(built) // 2
+    assert sum(1 for parent, _ in contractions if parent) > 1000
+
+
 def test_map_constructor_matches_face_oracle():
     rots = [(1, 2, 3, 4), (5, 7, 6, 8), (9, 10), (11, 12)]
     edges = [(1, 5), (2, 6), (3, 9), (4, 10), (7, 11), (8, 12)]

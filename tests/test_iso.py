@@ -607,7 +607,8 @@ def test_search_memo_keeps_one_and_two_graphs_apart():
         for kind in order * 2:
             assert code_of[kind]() == want[kind], order
         assert search_cache_info()[:2] == (2, 2), order
-        assert sorted(tag for tag, _ in iso._search_memo) == ["one", "two"]
+        assert sorted(tag for tag, _ in iso._search_memo) == \
+            ["one", "two", "two"]
 
 
 def memo_outputs(rng):
@@ -727,6 +728,63 @@ def test_search_miss_leaves_no_faces_on_the_graph():
         canonical_code(with_faces)
         assert fresh._faces is None, k
         assert with_faces._faces is built, k
+
+
+def strand_relabelled(g, strand_colour, rng):
+    """Copy of a 2-graph, and of its strand decoration, with only its
+    strand labels renamed at random (vertex and half-edge labels kept)."""
+    names = [f"z{i}" for i in range(len(g.strands))]
+    rng.shuffle(names)
+    smap = dict(zip(g.strands, names))
+    return (relabel(g, smap=smap), None if strand_colour is None else
+            {smap[s]: c for s, c in strand_colour.items()})
+
+
+def test_strand_labels_leave_the_two_graph_encoding_alone(monkeypatch):
+    # the encoding depends on vertex and half-edge positions, the
+    # structure maps and the decorations, not on the strand labels: a copy
+    # with only its strands renamed is encoded alike, so canonizing it
+    # after the original runs no search, and its generators are still
+    # automorphisms
+    from strandhopf.series import _merge_marks, instantiate_dressed
+    rng = random.Random(1718)
+    cases = [(g, None, None) for g in fixtures.all_fixtures().values()]
+    cases += [(io.document_to_graph(e["graph"]), None, None)
+              for e in corpus_entries()]
+    for name in ("gw4", "mq3", "bgr", "gw4-generic"):
+        for dt in preset(name).dressed_types():
+            inst, col, par, ori = instantiate_dressed(dt, "t")
+            cases.append((inst, _merge_marks(col, ori), par))
+    assert any(sc is not None and hm is not None for _, sc, hm in cases)
+    searches = []
+    counted = iso._canon_connected
+
+    def counting(*args, **kwargs):
+        searches.append(args)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(iso, "_canon_connected", counting)
+    moved = brute = 0
+    for k, (g, sc, hm) in enumerate(cases):
+        copy, copy_sc = strand_relabelled(g, sc, rng)
+        for c, d in zip(connected_components(g), connected_components(copy)):
+            assert _encode_two_graph(c, sc, hm)[:2] == \
+                _encode_two_graph(d, copy_sc, hm)[:2], k
+            moved += iso._positional_key(c, sc, hm) != \
+                iso._positional_key(d, copy_sc, hm)
+        search_cache_clear()
+        want = (canonical_code(g, sc, hm), iso._two_parts(g, sc, hm))
+        searches.clear()
+        assert (canonical_code(copy, copy_sc, hm),
+                iso._two_parts(copy, copy_sc, hm)) == want, k
+        assert not searches, k
+        if g.n_edges() <= 2 and len(g.strands) <= 24:
+            brute += 1
+            every = [jh for jh, _ in
+                     oracles.brute_two_graph_automorphisms(copy, copy_sc, hm)]
+            for gen in iso.automorphism_generators(copy, copy_sc, hm):
+                assert {h: gen.get(h, h) for h in copy.half_edges} in every, k
+    assert moved >= len(cases) // 2 and brute >= 90
 
 
 def orbit_partition(items, maps, image):
