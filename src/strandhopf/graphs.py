@@ -19,9 +19,9 @@ graphs.
 What a 2-graph derives from its maps and keeps lives in one place, its
 ``derived`` record (``Derived``), each value computed at most once.  Its
 connectivity mark comes from the union-find of ``connected_components``
-or ``is_connected``, or from ``_piece`` and ``_contract_edges``, which
-build graphs connected by construction.  The record holds no other
-graph, so it pins nothing.
+or ``is_connected``, or from ``_piece``, ``_contract_edges`` and
+``rewrite._with_edges``, which build graphs connected by construction.
+The record holds no other graph, so it pins nothing.
 """
 
 from __future__ import annotations
@@ -206,11 +206,6 @@ class TwoGraph:
         return g
 
     # derived views ---------------------------------------------------
-
-    @property
-    def _faces(self):
-        """The faces if they are built, else None."""
-        return self.derived.faces
 
     def half_edges_at(self, v):
         d = self.derived
@@ -444,18 +439,6 @@ class Face:
     sections: tuple
 
 
-def _canonical_internal(chain):
-    n = len(chain)
-    best = None
-    for seq in (chain, tuple(reversed(chain))):
-        for i in range(0, n, 2):
-            cand = seq[i:] + seq[:i]
-            key = tuple(_label_key(x) for x in cand)
-            if best is None or key < best[0]:
-                best = (key, cand)
-    return best[1]
-
-
 def faces(G):
     """All faces of ``G`` as ``(internal, external)`` tuples of Face."""
     if G.derived.faces is None:
@@ -464,48 +447,26 @@ def faces(G):
 
 
 def _walk_faces(G):
+    """The faces of ``G``, walked in strand order: the external faces from
+    the sigma2-fixed sections, then the internal ones.  Each walk starts
+    at the least section not yet visited, which is the least of its chain
+    (for an external chain, less than the other end), so the chain is
+    already its Face representative and the faces come out sorted."""
     s1, s2 = G.sigma1, G.sigma2
     visited = set()
-    external = []
-    internal = []
-    for a in sorted(G.strands, key=_label_key):
-        if a in visited or s2[a] != a:
-            continue
-        chain = [a]
-        visited.add(a)
-        cur = a
-        while True:
-            nxt = s1[cur]
-            chain.append(nxt)
-            visited.add(nxt)
-            if s2[nxt] == nxt:
-                break
-            cur = s2[nxt]
-            chain.append(cur)
-            visited.add(cur)
-        if _label_key(chain[-1]) < _label_key(chain[0]):
-            chain.reverse()
-        external.append(Face("external", tuple(chain)))
-    for a in sorted(G.strands, key=_label_key):
-        if a in visited:
-            continue
-        chain = [a]
-        visited.add(a)
-        cur = a
-        while True:
-            nxt = s1[cur]
-            chain.append(nxt)
-            visited.add(nxt)
-            fol = s2[nxt]
-            if fol == chain[0]:
-                break
-            chain.append(fol)
-            visited.add(fol)
-            cur = fol
-        internal.append(Face("internal", _canonical_internal(tuple(chain))))
-    key = lambda f: tuple(_label_key(x) for x in f.sections)
-    return (tuple(sorted(internal, key=key)),
-            tuple(sorted(external, key=key)))
+    out = {"external": [], "internal": []}
+    for kind, starts in (("external", [a for a in G.strands if s2[a] == a]),
+                         ("internal", G.strands)):
+        for a in starts:
+            if a in visited:
+                continue
+            chain = [a, s1[a]]
+            while s2[chain[-1]] not in (chain[-1], a):
+                chain.append(s2[chain[-1]])
+                chain.append(s1[chain[-1]])
+            visited.update(chain)
+            out[kind].append(Face(kind, tuple(chain)))
+    return tuple(out["internal"]), tuple(out["external"])
 
 
 def internal_face_count(G):

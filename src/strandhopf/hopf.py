@@ -22,10 +22,10 @@ antipode follows the usual triangular recursion, using a residue inverse
 in place of division by the group-like part.  Both are memoized by class
 code (``functools.cache``; ``cache_info()`` gives their size and hit
 rate).  ``REGISTRY`` is not a memo: it gives the codes held by elements
-their meaning, so it is never cleared.  The representative of a product
-(disconnected) class is the disjoint union of its factors'
-representatives in code order, so a union is expanded on graphs whose
-pieces its factors' expansions have already canonized.
+their meaning, so it is never cleared.  A disconnected graph is the
+product of its components' classes, so its coproduct is the product of
+their tables (the coproduct is an algebra morphism) and no union graph
+is built or registered for it.
 
 Renormalization works for any character into Laurent polynomials and any
 Rota-Baxter projection; the toy minimal-subtraction character sends a
@@ -38,8 +38,8 @@ import functools
 import operator
 from fractions import Fraction
 
-from .graphs import (TwoGraph, connected_components, disjoint_union,
-                     residue, _connected_groups, _piece, _pieces)
+from .graphs import (TwoGraph, connected_components, residue,
+                     _connected_groups, _piece, _pieces)
 from .iso import automorphism_generators, canonical_code
 from .rewrite import subgraphs
 
@@ -162,24 +162,14 @@ REGISTRY = {}   # code -> representative; decodes codes, so never evicted
 
 
 def intern_graph(G):
-    """Canonical code of ``G``, registering its class on first sight.
-
-    A connected class is represented (for ``graph_of_code``) by the first
-    graph interned under its code.  A product class is represented by the
-    disjoint union of its factors' representatives in code order, the
-    factors being interned first.  The union's labels are its factors'
-    behind a position prefix, which keeps the order of string labels, so
-    an orbit leader of its wide subgraphs (least in ``subgraphs`` order)
-    restricts on each factor to a leader of the factor's own expansion,
-    and its pieces and contractions have the positional structure of
-    pieces and contractions met there: the search memo holds them."""
+    """Canonical code of ``G``, registering its class on first sight; the
+    class is represented (for ``graph_of_code``) by the first graph
+    interned under its code.  Elements hold connected codes only
+    (``el_graph`` interns a graph's components); a disconnected ``G``
+    given here is registered as it is, and ``_coproduct`` expands it like
+    any other."""
     code = canonical_code(G)
-    if code not in REGISTRY:
-        comps = connected_components(G)
-        if len(comps) > 1:
-            G = disjoint_union([REGISTRY[c]
-                                for c in sorted(map(intern_graph, comps))])
-        REGISTRY[code] = G
+    REGISTRY.setdefault(code, G)
     return code
 
 
@@ -290,9 +280,11 @@ def tens_mul(a, b):
 
 
 def coproduct(G):
-    """Coproduct of a graph class: sum over wide subgraphs of
-    (subgraph components) tensor (contraction)."""
-    return _coproduct(intern_graph(G))
+    """Coproduct of a graph: sum over wide subgraphs of (subgraph
+    components) tensor (contraction), the product of its components'
+    tables (see ``coproduct_of_monomial``)."""
+    (mono, _), = el_graph(G).items()
+    return coproduct_of_monomial(mono)
 
 
 @functools.cache
@@ -329,8 +321,10 @@ def _coproduct(code):
 
 def coproduct_of_monomial(mono):
     """Multiplicative extension of the coproduct to a monomial; inverted
-    residue classes stay group-like."""
-    out = {(UNIT_MONOMIAL, UNIT_MONOMIAL): Fraction(1)}
+    residue classes stay group-like.  The product starts from the first
+    factor's table, so a single class gets its cached table itself, which
+    callers must not change."""
+    out = None
     for code, e in mono:
         if e < 0:
             m = ((code, -1),)
@@ -338,8 +332,9 @@ def coproduct_of_monomial(mono):
         else:
             t = _coproduct(code)
         for _ in range(abs(e)):
-            out = tens_mul(out, t)
-    return out
+            out = t if out is None else tens_mul(out, t)
+    return {(UNIT_MONOMIAL, UNIT_MONOMIAL): Fraction(1)} if out is None \
+        else out
 
 
 def coproduct_of_element(el):
@@ -453,10 +448,9 @@ class Character:
 def _convolution_sum(phi, psi, G, proper=False):
     """Sum of ``phi`` (x) ``psi`` over the coproduct terms of ``G``; with
     ``proper`` the term ``G`` (x) residue is left out."""
-    code = intern_graph(G)
-    full = ((code, 1),)
+    (full, _), = el_graph(G).items()
     total = LaurentPoly()
-    for (lm, rm), c in _coproduct(code).items():
+    for (lm, rm), c in coproduct_of_monomial(full).items():
         if not (proper and lm == full):
             total = total + phi.on_element({lm: c}) * \
                 psi.on_element({rm: Fraction(1)})

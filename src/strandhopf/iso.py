@@ -71,11 +71,10 @@ positional structure: its vertex count, its five structure maps with
 every label replaced by its position in ``G.vertices``,
 ``G.half_edges`` or ``G.strands``, and its decorations by position.
 The key is exact.  The encoding numbers its nodes by label position,
-and ``faces`` orients and orders its chains by label comparisons, which
-are position comparisons because the label tuples are sorted; so faces,
-face classes, encoding and the whole entry are functions of the key
-(the search is deterministic), and a hit needs none of them.  On a miss
-the encoding (descs and adj) is built and looked up; it does not depend
+and the faces are walked in strand order, which is position order; so
+faces, face classes, encoding and the whole entry are functions of the
+key (the search is deterministic), and a hit needs none of them.  On a
+miss the encoding (descs and adj) is built and looked up; it does not depend
 on the strand labels (``_face_classes`` orders the classes by their
 itineraries), so one shape with its strands named apart, such as a piece
 or a contraction met under another labelling, is found there.  Only when
@@ -111,8 +110,8 @@ import marshal
 from collections import OrderedDict, namedtuple
 from math import factorial
 
-from .graphs import (connected_components, disjoint_union, faces, relabel,
-                     _connected_groups)
+from .graphs import (connected_components, disjoint_union, relabel,
+                     _connected_groups, _walk_faces)
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +353,13 @@ def _face_classes(G, strand_colour=None):
     itinerary.  The classes are sorted by (kind, m, itinerary), the
     itinerary aligned to its least form; (kind, itinerary) names a class,
     so the order, and with it the encoding, does not depend on the
-    strand labels.
+    strand labels.  The faces are those in ``G.derived`` if built, else
+    walked and not kept: callers keep graphs (``hopf.REGISTRY`` holds one
+    per class) that never need them again.
     """
     spos = {s: k for k, s in enumerate(G.strands)}
     hpos = {h: k for k, h in enumerate(G.half_edges)}
-    internal, external = faces(G)
+    internal, external = G.derived.faces or _walk_faces(G)
     groups = {}
     for f in internal + external:
         seq = tuple(spos[s] for s in f.sections)
@@ -652,23 +653,13 @@ def _positional_key(G, strand_colour=None, half_mark=None):
         None if half_mark is None else [half_mark[h] for h in hs]))
 
 
-def _encoding(c, strand_colour=None, half_mark=None):
-    """The encoding of a connected 2-graph.  The faces it builds are not
-    left cached on ``c``: callers keep graphs (``hopf.REGISTRY`` holds one
-    per class) that never need them again."""
-    kept = c.derived.faces
-    encoding = _encode_two_graph(c, strand_colour, half_mark)
-    c.derived.faces = kept
-    return encoding
-
-
 def _two_entry(c, strand_colour=None, half_mark=None, encoding=None):
     """(code, |Aut|, labelling, generators) of a connected 2-graph from the
     search memo, looked up by its positional key and, on a miss, by its
     encoding: ``encoding`` if given, else built on that miss only."""
     key = _positional_key(c, strand_colour, half_mark)
     return _lookup(key) or _memoized(
-        "two", encoding or _encoding(c, strand_colour, half_mark),
+        "two", encoding or _encode_two_graph(c, strand_colour, half_mark),
         position=key)
 
 
@@ -702,7 +693,7 @@ def canonical_form(G):
     """
     forms = []
     for c in connected_components(G):
-        encoding = _encoding(c)
+        encoding = _encode_two_graph(c)
         code, _, perm, _ = _two_entry(c, encoding=encoding)
         classes, owner = encoding[3:]
         nv, nh = len(c.vertices), len(c.half_edges)

@@ -179,6 +179,9 @@ def _glue_options(G, pair):
 
 
 def _with_edges(G, matched, sigma2_pairs):
+    """``G`` with the half-edge pairs ``matched`` joined into edges and the
+    sections ``sigma2_pairs`` paired across them; joining keeps a graph
+    connected, so the child of a graph marked connected is marked so."""
     iota = dict(G.iota)
     for a, b in matched:
         iota[a] = b
@@ -187,5 +190,8 @@ def _with_edges(G, matched, sigma2_pairs):
     for x, y in sigma2_pairs:
         s2[x] = y
         s2[y] = x
-    return TwoGraph(G.vertices, G.half_edges, G.strands, dict(G.nu),
-                    dict(G.mu), iota, dict(G.sigma1), s2)
+    out = TwoGraph(G.vertices, G.half_edges, G.strands, dict(G.nu),
+                   dict(G.mu), iota, dict(G.sigma1), s2)
+    if G.derived.connected:
+        out.derived.connected = True
+    return out

@@ -11,7 +11,8 @@ the package, which the faster code must equal: the rank refinement, the
 corolla (``brute_one_graph_isos``, the reference for the isomorphisms
 read from the canonization search), the growth level and coproduct
 expansion before orbit reduction (these two call the package's gluing,
-dedup and interning), the contraction that reads the external faces of
+dedup and interning), the face walk that sorts, orients and rotates
+its chains afresh, the contraction that reads the external faces of
 a materialized subgraph, the jacket degrees that count the faces of
 every jacket afresh, and the pinched closure built as a 2-graph.
 """
@@ -416,6 +417,71 @@ def unreduced_extend(parents, klass, dressing):
                     if dc not in nxt:
                         nxt[dc] = g2
     return nxt
+
+
+def _least_rotation(chain):
+    """The least of the shifts by two of a closed chain and of its
+    reversal, by label key."""
+    from strandhopf.graphs import _label_key
+    n = len(chain)
+    best = None
+    for seq in (chain, tuple(reversed(chain))):
+        for i in range(0, n, 2):
+            cand = seq[i:] + seq[:i]
+            key = tuple(_label_key(x) for x in cand)
+            if best is None or key < best[0]:
+                best = (key, cand)
+    return best[1]
+
+
+def sorted_walk_faces(G):
+    """``faces(G)`` as it was computed before faces were walked in strand
+    order: the strands sorted by label key, each external chain oriented
+    from its smaller end, each internal chain put in its least rotation,
+    and both lists sorted, so none of it trusts the walk's start."""
+    from strandhopf.graphs import Face, _label_key
+    s1, s2 = G.sigma1, G.sigma2
+    visited = set()
+    external = []
+    internal = []
+    for a in sorted(G.strands, key=_label_key):
+        if a in visited or s2[a] != a:
+            continue
+        chain = [a]
+        visited.add(a)
+        cur = a
+        while True:
+            nxt = s1[cur]
+            chain.append(nxt)
+            visited.add(nxt)
+            if s2[nxt] == nxt:
+                break
+            cur = s2[nxt]
+            chain.append(cur)
+            visited.add(cur)
+        if _label_key(chain[-1]) < _label_key(chain[0]):
+            chain.reverse()
+        external.append(Face("external", tuple(chain)))
+    for a in sorted(G.strands, key=_label_key):
+        if a in visited:
+            continue
+        chain = [a]
+        visited.add(a)
+        cur = a
+        while True:
+            nxt = s1[cur]
+            chain.append(nxt)
+            visited.add(nxt)
+            fol = s2[nxt]
+            if fol == chain[0]:
+                break
+            chain.append(fol)
+            visited.add(fol)
+            cur = fol
+        internal.append(Face("internal", _least_rotation(tuple(chain))))
+    key = lambda f: tuple(_label_key(x) for x in f.sections)
+    return (tuple(sorted(internal, key=key)),
+            tuple(sorted(external, key=key)))
 
 
 def materialized_contract(G, edges):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import oracles
@@ -6,9 +8,9 @@ from strandhopf.graphs import (GraphError, OneGraph, TwoGraph, boundary,
                                boundary_components, connected_components,
                                disjoint_union, euler_characteristic, faces,
                                from_combinatorial_map, internal_face_count,
-                               is_bridgeless, is_connected, residue, skeleton,
-                               subgraph_with_edges, to_complex, validate,
-                               vertex_graph, vertex_graphs_multiset)
+                               is_bridgeless, is_connected, relabel, residue,
+                               skeleton, subgraph_with_edges, to_complex,
+                               validate, vertex_graph, vertex_graphs_multiset)
 from test_iso import corpus_entries
 
 CORPUS = fixtures.all_fixtures()
@@ -104,6 +106,36 @@ def test_faces_partition_the_sections():
         internal, external = faces(g)
         seen = [s for f in internal + external for s in f.sections]
         assert sorted(map(repr, seen)) == sorted(map(repr, g.strands))
+
+
+def mixed_labelled(g, rng):
+    """Copy of ``g`` whose labels are a random mix of ints and strings,
+    some of them equal as text (such as 3 and "3")."""
+    def names(labels):
+        out = list(range(len(labels)))
+        rng.shuffle(out)
+        return {x: (k if rng.random() < 0.5 else str(k))
+                for x, k in zip(labels, out)}
+
+    return relabel(g, names(g.vertices), names(g.half_edges),
+                   names(g.strands))
+
+
+def test_faces_walked_in_strand_order_match_the_sorting_walk():
+    # each walk starts at the least unvisited section, so the chains need
+    # no reorientation, rotation or sorting: the faces equal those of the
+    # reference that does all three, on the corpus, random relabellings
+    # and labels that mix ints and strings
+    rng = random.Random(19)
+    graphs = list(CORPUS.values())
+    graphs += [io.document_to_graph(e["graph"]) for e in corpus_entries()]
+    cases = 0
+    for k, g in enumerate(graphs):
+        for h in (g, oracles.random_relabelled(g, rng),
+                  mixed_labelled(g, rng)):
+            assert faces(h) == oracles.sorted_walk_faces(h), k
+            cases += 1
+    assert cases >= 3 * 344
 
 
 # ---------------------------------------------------------------------------

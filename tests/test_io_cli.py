@@ -414,7 +414,7 @@ def test_cli_enumerate_builds_no_union_and_no_boundary(monkeypatch, capsys):
     # no boundary and no 1-graph canonization
     calls = {}
     _count_calls(monkeypatch, calls, "disjoint_union",
-                 (graphs, series, hopf, iso),
+                 (graphs, series, iso),
                  lambda gs, prefix=True: prefix)
     _count_calls(monkeypatch, calls, "boundary",
                  (graphs, series, models, cli))

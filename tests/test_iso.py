@@ -704,7 +704,7 @@ def test_search_memo_hit_reads_only_the_graph_maps(monkeypatch):
         raise AssertionError("faces or encoding built on a hit")
 
     monkeypatch.setattr("strandhopf.graphs.faces", forbidden)
-    monkeypatch.setattr("strandhopf.iso.faces", forbidden)
+    monkeypatch.setattr(iso, "_walk_faces", forbidden)
     monkeypatch.setattr(iso, "_encode_two_graph", forbidden)
     before = search_cache_info()
     assert [(canonical_code(h), automorphism_count(h))
@@ -726,8 +726,8 @@ def test_search_miss_leaves_no_faces_on_the_graph():
         canonical_code(fresh)
         search_cache_clear()
         canonical_code(with_faces)
-        assert fresh._faces is None, k
-        assert with_faces._faces is built, k
+        assert fresh.derived.faces is None, k
+        assert with_faces.derived.faces is built, k
 
 
 def strand_relabelled(g, strand_colour, rng):

@@ -98,6 +98,36 @@ def test_contract_matches_materialized_contraction():
                 oracles.materialized_contract(g, s.edges)), s.edges
 
 
+def test_growth_child_of_a_connected_graph_is_marked_connected(monkeypatch):
+    # joining two external half-edges keeps a graph connected, so the
+    # growth child of a graph marked connected is marked so, and finding
+    # its components runs no union-find and builds no piece; the child of
+    # a graph marked disconnected is left unmarked
+    from strandhopf import graphs
+    from strandhopf.rewrite import _glue_options, _with_edges
+    names = sorted(CORPUS)
+    parents = [CORPUS[n] for n in names]
+    parents += [disjoint_union([CORPUS[a], CORPUS[b]])
+                for a, b in zip(names, names[1:])]
+    children = {True: [], False: []}
+    for g in parents:
+        connected = len(connected_components(g)) == 1
+        ext = g.external_half_edges()
+        for pair in list(zip(ext, ext[1:]))[:3]:
+            for opt in _glue_options(g, pair)[:2]:
+                children[connected].append(_with_edges(g, [pair], opt))
+    assert len(children[True]) > 20 and len(children[False]) > 20
+    fresh = [len(graphs._pieces(c, c.edge_pairs())) for c in children[True]]
+    assert fresh == [1] * len(children[True])
+    assert all(c.derived.connected is None for c in children[False])
+    calls = []
+    monkeypatch.setattr(graphs, "_pieces", lambda *a: calls.append(a))
+    monkeypatch.setattr(graphs, "_piece", lambda *a: calls.append(a))
+    for c in children[True]:
+        assert connected_components(c) == (c,)
+    assert not calls
+
+
 def test_contract_rejects_non_edges():
     from test_series import graph_fields
     g = fixtures.fish(1, 2)
