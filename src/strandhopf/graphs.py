@@ -18,14 +18,28 @@ graphs.
 
 What a 2-graph derives from its maps and keeps lives in one place, its
 ``derived`` record (``Derived``), each value computed at most once.  Its
-connectivity mark comes from the union-find of ``connected_components``
-or ``is_connected``, or from ``_piece``, ``_contract_edges`` and
-``rewrite._with_edges``, which build graphs connected by construction.
-The record holds no other graph, so it pins nothing.
+component partition comes from the one union-find of ``_groups``, or from
+``rewrite._with_edges``, which merges the two components a new edge
+joins; its connectivity mark from the partition, or from ``_piece`` and
+``_contract_edges``, which build graphs connected by construction.  Its
+integer view (``View``, from ``TwoGraph.view``) holds the label-to-position
+maps, the one place they are built, and the five structure maps over
+positions; the face walk, ``iso``'s keys and encodings read it instead of
+the label dicts.  The record holds no other graph, so it pins nothing.
+
+A growth child (``rewrite._with_edges``) is built without sorting or
+copying what it shares with its parent: the label tuples, the ``nu``,
+``mu`` and ``sigma1`` dicts, the position maps and ``nu``, ``mu`` and
+``sigma1`` arrays of the view, and the ``half_edges_at`` and
+``strands_at`` maps are the parent's own objects.  So nothing may write
+into a graph's label tuples, structure dicts, view or derived maps in
+place; no code in the package does (every write goes to a dict or list
+that the writing function built).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 
@@ -149,14 +163,36 @@ class Derived:
     its sections, ``faces`` is ``faces(G)`` and ``canon`` the (code,
     |Aut|) pair of ``iso``.  ``connected`` is True once the graph is known
     to have exactly one connected component and False once known not to.
+    ``groups`` is the component partition of ``_groups``.  ``view`` is
+    ``TwoGraph.view()``.  ``grown_from`` is the pair (parent's record,
+    stale) of a growth child (``rewrite._with_edges``), stale being the
+    sorted section positions whose faces may differ from the parent's;
+    ``face_keys`` is the pair (strand colour, keys) of the per-face keys
+    of ``iso._face_keys`` that a graph keeps once a growth child asked
+    for them, and it then drops its own ``grown_from``.
     """
 
     __slots__ = ("edge_pairs", "half_edges_at", "strands_at", "faces",
-                 "canon", "connected")
+                 "canon", "connected", "groups", "view", "face_keys",
+                 "grown_from")
 
     def __init__(self):
         self.edge_pairs = self.half_edges_at = self.strands_at = None
-        self.faces = self.canon = self.connected = None
+        self.faces = self.canon = self.connected = self.groups = None
+        self.view = self.face_keys = self.grown_from = None
+
+
+View = namedtuple("View", "vpos hpos spos nu iota mu sigma1 sigma2")
+View.__doc__ = """The integer view of a 2-graph: ``vpos``, ``hpos`` and
+``spos`` map each vertex, half-edge and section label to its position in
+``G.vertices``, ``G.half_edges`` and ``G.strands``; ``nu``, ``iota``,
+``mu``, ``sigma1`` and ``sigma2`` are lists over half-edge or section
+positions of the positions their maps send them to."""
+
+
+def _positions(labels):
+    """Each label of a sorted label tuple mapped to its position."""
+    return {x: k for k, x in enumerate(labels)}
 
 
 @dataclass(eq=False)
@@ -222,8 +258,27 @@ class TwoGraph:
     def edge_pairs(self):
         d = self.derived
         if d.edge_pairs is None:
-            d.edge_pairs = _pairs_of_involution(self.iota)
+            # positions are in label order, so the pairs come sorted
+            hs = self.half_edges
+            d.edge_pairs = tuple((hs[k], hs[j]) for k, j in
+                                 enumerate(self.view().iota) if k < j)
         return d.edge_pairs
+
+    def view(self):
+        """The integer view (``View``) of this graph, kept in ``derived``."""
+        d = self.derived
+        if d.view is None:
+            vpos, hpos, spos = map(_positions, (self.vertices,
+                                                self.half_edges,
+                                                self.strands))
+            hs, ss = self.half_edges, self.strands
+            d.view = View(vpos, hpos, spos,
+                          [vpos[self.nu[h]] for h in hs],
+                          [hpos[self.iota[h]] for h in hs],
+                          [hpos[self.mu[s]] for s in ss],
+                          [spos[self.sigma1[s]] for s in ss],
+                          [spos[self.sigma2[s]] for s in ss])
+        return d.view
 
     def n_edges(self):
         return len(self.edge_pairs())
@@ -242,6 +297,19 @@ class TwoGraph:
 
     def strand_degree(self, h):
         return len(self.strands_at(h))
+
+
+def _assembled(vertices, half_edges, strands, nu, mu, iota, sigma1,
+               sigma2):
+    """The 2-graph with exactly these fields: label tuples already in
+    label order (such as subsequences of another graph's) and structure
+    dicts that become its own, neither sorted, copied nor checked."""
+    out = TwoGraph.__new__(TwoGraph)
+    out.vertices, out.half_edges, out.strands = vertices, half_edges, strands
+    out.nu, out.mu, out.iota, out.sigma1, out.sigma2 = \
+        nu, mu, iota, sigma1, sigma2
+    out.derived = Derived()
+    return out
 
 
 def _fibres(base, items, f):
@@ -440,33 +508,52 @@ class Face:
 
 
 def faces(G):
-    """All faces of ``G`` as ``(internal, external)`` tuples of Face."""
+    """All faces of ``G`` as ``(internal, external)`` tuples of Face, the
+    chains of ``_walk_faces`` with their positions read as labels."""
     if G.derived.faces is None:
-        G.derived.faces = _walk_faces(G)
+        ss = G.strands
+        out = {"external": [], "internal": []}
+        for kind, chain in _walk_faces(G.view()):
+            out[kind].append(Face(kind, tuple(map(ss.__getitem__, chain))))
+        G.derived.faces = tuple(out["internal"]), tuple(out["external"])
     return G.derived.faces
 
 
-def _walk_faces(G):
-    """The faces of ``G``, walked in strand order: the external faces from
-    the sigma2-fixed sections, then the internal ones.  Each walk starts
-    at the least section not yet visited, which is the least of its chain
-    (for an external chain, less than the other end), so the chain is
-    already its Face representative and the faces come out sorted."""
-    s1, s2 = G.sigma1, G.sigma2
+def _walk_faces(view, starts=None):
+    """The faces through the section positions ``starts`` of an integer
+    view, each walked once, as (kind, chain) pairs: a chain lists section
+    positions whose steps alternate sigma1 and sigma2, starting with
+    sigma1, and an external chain runs from one sigma2-fixed end to the
+    other.  A walk goes forward from its start and, when it meets an end,
+    backward from the start to the other end.
+
+    With ``starts`` None, every face is walked, in strand order: the
+    external faces from the sigma2-fixed sections, then the internal
+    ones.  Each walk then starts at the least section not yet visited,
+    which is the least of its chain (for an external chain, less than
+    the other end), so the chain is already its Face representative and
+    the faces come out sorted."""
+    s1, s2 = view.sigma1, view.sigma2
+    if starts is None:
+        starts = [a for a, b in enumerate(s2) if a == b]
+        starts += range(len(s2))
     visited = set()
-    out = {"external": [], "internal": []}
-    for kind, starts in (("external", [a for a in G.strands if s2[a] == a]),
-                         ("internal", G.strands)):
-        for a in starts:
-            if a in visited:
-                continue
-            chain = [a, s1[a]]
-            while s2[chain[-1]] not in (chain[-1], a):
-                chain.append(s2[chain[-1]])
-                chain.append(s1[chain[-1]])
-            visited.update(chain)
-            out[kind].append(Face(kind, tuple(chain)))
-    return tuple(out["internal"]), tuple(out["external"])
+    for a in starts:
+        if a in visited:
+            continue
+        chain = [a, s1[a]]
+        while s2[chain[-1]] not in (chain[-1], a):
+            chain.append(s2[chain[-1]])
+            chain.append(s1[chain[-1]])
+        kind = "external" if s2[chain[-1]] == chain[-1] else "internal"
+        if kind == "external" and s2[a] != a:
+            head, b = [], a
+            while s2[b] != b:
+                head += (s2[b], s1[s2[b]])
+                b = head[-1]
+            chain = head[::-1] + chain
+        visited.update(chain)
+        yield kind, chain
 
 
 def internal_face_count(G):
@@ -535,8 +622,8 @@ def _contract_edges(G, edges):
                 b = s1[s2[b]]
             sigma1[a] = b
             sigma1[b] = a
-    out = TwoGraph(new_vertices, new_h, new_s, nu, {s: mu[s] for s in new_s},
-                   iota, sigma1, sigma2)
+    out = _assembled(tuple(new_vertices), tuple(new_h), tuple(new_s), nu,
+                     {s: mu[s] for s in new_s}, iota, sigma1, sigma2)
     if G.derived.connected:
         out.derived.connected = True
     return out
@@ -605,11 +692,42 @@ def connected_components(G):
     disconnected one are marked connected."""
     if G.derived.connected:
         return (G,)
-    pieces = _pieces(G, G.edge_pairs())
-    G.derived.connected = len(pieces) == 1
-    if len(pieces) == 1:
+    groups = _groups(G)
+    if len(groups) == 1:
         return (G,)
-    return tuple(_piece(G, vs, inside) for vs, inside in pieces)
+    return tuple(_piece(G, vs, inside)
+                 for vs, inside in _split(G, groups, G.edge_pairs()))
+
+
+def _groups(G):
+    """The component partition of ``G``, kept in ``derived``: the vertex
+    tuples of its connected components, each in vertex order, in the
+    order of their least vertices.  Setting it marks the graph."""
+    d = G.derived
+    if d.groups is None:
+        if d.connected:
+            d.groups = (G.vertices,)
+        else:
+            nu = G.nu
+            d.groups = tuple(map(tuple, _connected_groups(
+                G.vertices, ((nu[a], nu[b]) for a, b in G.edge_pairs()))))
+            d.connected = len(d.groups) == 1
+    return d.groups
+
+
+def _joined_groups(groups, vpos, ends):
+    """The partition ``groups`` (as ``_groups`` gives it) with the groups
+    of the two vertices of each pair of ``ends`` merged; ``vpos`` gives
+    the vertex order."""
+    groups = list(groups)
+    for u, w in ends:
+        i, j = sorted(next(k for k, g in enumerate(groups) if x in g)
+                      for x in (u, w))
+        if i != j:
+            groups[i] = tuple(sorted(groups[i] + groups[j],
+                                     key=vpos.__getitem__))
+            del groups[j]
+    return tuple(groups)
 
 
 def _pieces(G, edge_pairs):
@@ -620,6 +738,13 @@ def _pieces(G, edge_pairs):
     nu = G.nu
     groups = _connected_groups(G.vertices,
                                ((nu[a], nu[b]) for a, b in edge_pairs))
+    return _split(G, groups, edge_pairs)
+
+
+def _split(G, groups, edge_pairs):
+    """Each vertex group of ``groups`` with the pairs of ``edge_pairs``
+    inside it, as (vertices, edges inside) pairs of tuples."""
+    nu = G.nu
     where = {v: k for k, vs in enumerate(groups) for v in vs}
     inside = [[] for _ in groups]
     for p in edge_pairs:
@@ -636,15 +761,15 @@ def _piece(G, vs, edge_pairs):
     for a, b in edge_pairs:
         iota[a], iota[b] = b, a
     vset = set(vs)
-    hs = [h for h in G.half_edges if G.nu[h] in vset]
+    hs = tuple(h for h in G.half_edges if G.nu[h] in vset)
     hset = set(hs)
-    ss = [s for s in G.strands if G.mu[s] in hset]
-    out = TwoGraph(vs, hs, ss,
-                   {h: G.nu[h] for h in hs},
-                   {s: G.mu[s] for s in ss},
-                   {h: iota.get(h, h) for h in hs},
-                   {s: G.sigma1[s] for s in ss},
-                   {s: (G.sigma2[s] if G.mu[s] in iota else s) for s in ss})
+    ss = tuple(s for s in G.strands if G.mu[s] in hset)
+    out = _assembled(tuple(vs), hs, ss,
+                     {h: G.nu[h] for h in hs},
+                     {s: G.mu[s] for s in ss},
+                     {h: iota.get(h, h) for h in hs},
+                     {s: G.sigma1[s] for s in ss},
+                     {s: (G.sigma2[s] if G.mu[s] in iota else s) for s in ss})
     out.derived.connected = True
     return out
 
@@ -652,15 +777,14 @@ def _piece(G, vs, edge_pairs):
 def is_connected(G):
     """At most one connected component (the empty graph has none)."""
     if G.derived.connected is None:
-        G.derived.connected = \
-            len(_component_vertex_sets(G, G.edge_pairs())) == 1
+        _groups(G)
     return G.derived.connected or not G.vertices
 
 
 def is_bridgeless(G):
     """True when no single edge disconnects its component (1PI)."""
     edges = G.edge_pairs()
-    before = len(_component_vertex_sets(G, edges))
+    before = len(_groups(G))
     for e in edges:
         a, b = e
         if G.nu[a] == G.nu[b]:

@@ -44,10 +44,21 @@ permute and each can be reversed).  The search's code determines the
 canonical 1-graph, and the 1-graph code string serializes that graph.
 
 Encodings number their nodes by the positions of the labels in the
-graph's sorted label tuples.  One routine canonizes a connected graph of
-either kind from its encoding and returns (code, |Aut|), the code of
-the search and its order times the encoding's closed-form factor,
-followed by the search's labelling and automorphism generators.
+graph's sorted label tuples, read from its integer view (``graphs.View``:
+the position maps and the five structure maps over positions), as are
+the positional keys and the faces, which are walked on the view's
+involutions (``graphs._walk_faces``, the one face walk) and never
+turned back into labels here.  Each face gets a key, its itinerary and
+its chain aligned to their least form (``_face_key``).  A growth child
+(``rewrite._with_edges``) shares its parent's view but for ``iota`` and
+``sigma2``, and takes its parent's face keys for every face that avoids
+the sections of the new edge; only the faces through them are walked and
+aligned again (``_face_keys``).
+
+One routine canonizes a connected graph of either kind from its
+encoding and returns (code, |Aut|), the code of the search and its
+order times the encoding's closed-form factor, followed by the search's
+labelling and automorphism generators.
 One combine step assembles a graph from its connected components: the
 code of a disconnected graph is "U(...)" over the sorted component
 codes, its automorphism order the wreath product of the component
@@ -67,15 +78,15 @@ into half-edge maps only when asked, and ``canonical_form`` reads its
 labellings from the memo.
 
 A connected 2-graph is looked up twice at most.  The first key is its
-positional structure: its vertex count, its five structure maps with
-every label replaced by its position in ``G.vertices``,
-``G.half_edges`` or ``G.strands``, and its decorations by position.
-The key is exact.  The encoding numbers its nodes by label position,
-and the faces are walked in strand order, which is position order; so
+positional structure: the ``marshal`` bytes of its vertex count, the five
+structure maps of its integer view, which replace every label by its
+position in ``G.vertices``, ``G.half_edges`` or ``G.strands``, and its
+decorations by position.  The key is exact.  The encoding numbers its
+nodes by label position, and the faces are walked on positions; so
 faces, face classes, encoding and the whole entry are functions of the
 key (the search is deterministic), and a hit needs none of them.  On a
-miss the encoding (descs and adj) is built and looked up; it does not depend
-on the strand labels (``_face_classes`` orders the classes by their
+miss the encoding (descs and adj) is built and looked up; it does not
+depend on the strand labels (``_face_classes`` orders the classes by their
 itineraries), so one shape with its strands named apart, such as a piece
 or a contraction met under another labelling, is found there.  Only when
 both miss does the search run; it stores its entry under the pair of
@@ -86,12 +97,14 @@ class nodes in sorted order, so the key depends on the vertex order only
 and not on the half-edge labels: vertex graphs of one shape whose
 sections are named apart share an entry.  A connected 1-graph is encoded
 as itself, not as a copy of its one component.  The tags ("two", "one")
-keep the kinds apart.  Positional keys are ``repr`` strings and encoding
-keys ``marshal`` bytes, not tuples, because those take a fraction of
-their memory.  The memo holds at most 1024 units, a key pair or a single
-key, and evicts the least recently used; ``search_cache_info()`` reports
-its hits (lookups answered without a search, by either key), misses
-(searches), bound and size in units.
+keep the kinds apart.  Under "two" a positional key is the marshal of an
+8-tuple and an encoding key that of a 2-tuple, so the two never meet.
+Keys are ``marshal`` bytes, not tuples, because those take a fraction of
+their memory, and the view's maps go in as ``bytes`` where every
+position fits in one (``_packed``).  The memo holds at most 1024 units,
+a key pair or a single key, and evicts the least recently used;
+``search_cache_info()`` reports its hits (lookups answered without a
+search, by either key), misses (searches), bound and size in units.
 
 1-graph isomorphisms come from the same entries.  The encoding
 isomorphisms of connected 1-graphs b, g of one code are c_g^-1 o c_b o a
@@ -105,13 +118,14 @@ orientation.  Components are paired code by code in every way.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import marshal
 from collections import OrderedDict, namedtuple
 from math import factorial
 
 from .graphs import (connected_components, disjoint_union, relabel,
-                     _connected_groups, _walk_faces)
+                     _connected_groups, _positions, _walk_faces)
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +178,8 @@ def _refine(adj, colors, cells, moved=None):
                 continue
             parts = {}
             for i in members:
-                parts.setdefault(tuple(sorted([colors[j] for j in adj[i]])),
-                                 []).append(i)
+                parts.setdefault(tuple(sorted(map(colors.__getitem__,
+                                                  adj[i]))), []).append(i)
             if len(parts) == 1:
                 continue
             start = c
@@ -327,18 +341,70 @@ def _leaf_map(ref_pos, pos):
 # encodings
 
 
+@functools.cache
 def _alignments(kind, n):
     """Index maps of a face chain onto itself that keep sigma1 steps at
     even positions: even rotations and odd reflections for cycles, the
     identity and the reversal for open chains."""
     if kind == "external":
-        yield tuple(range(n))
-        yield tuple(range(n - 1, -1, -1))
+        return tuple(range(n)), tuple(range(n - 1, -1, -1))
+    return tuple([tuple((i + d) % n for i in range(n))
+                  for d in range(0, n, 2)] +
+                 [tuple((d - i) % n for i in range(n))
+                  for d in range(1, n, 2)])
+
+
+def _face_key(kind, chain, itinerary):
+    """(kind, itinerary, chain, a) of a face chain: its itinerary (the
+    ``itinerary`` entry of each section) and the chain, both aligned by
+    the alignment whose pair of them is least, and the number a of
+    alignments that keep the itinerary.  The key is the same for every
+    chain of the face that starts with a sigma1 step."""
+    itin = tuple(map(itinerary.__getitem__, chain))
+    best = None
+    a = 0
+    for t in _alignments(kind, len(chain)):
+        key = (tuple(map(itin.__getitem__, t)),
+               tuple(map(chain.__getitem__, t)))
+        a += key[0] == itin
+        if best is None or key < best:
+            best = key
+    return kind, best[0], best[1], a
+
+
+def _face_keys(d, strands, strand_colour=None, keep=False):
+    """The ``_face_key`` of every face of the 2-graph with derived record
+    ``d`` (its view built) and sections ``strands``, under
+    ``strand_colour``: the itinerary entry of a section is its half-edge
+    position, paired with its colour if ``strand_colour`` is given.  The
+    faces are walked on the integer view; no ``Face`` is built or kept.
+
+    A growth child (``graphs.Derived.grown_from``) takes its parent's
+    keys under the same colour (the same object) for every face that
+    avoids the stale sections and walks only the faces through those.
+    It asks its parent with ``keep``: a graph asked so keeps the first
+    keys it makes, for its other children, and drops its own link to its
+    parent.  Nothing else keeps keys, so a graph that is no parent (most
+    classes, and what ``hopf.REGISTRY`` holds) keeps none."""
+    own = d.face_keys
+    if own is not None and own[0] is strand_colour:
+        return own[1]
+    view = d.view
+    if strand_colour is None:
+        itinerary = view.mu
     else:
-        for d in range(0, n, 2):
-            yield tuple((i + d) % n for i in range(n))
-        for d in range(1, n, 2):
-            yield tuple((d - i) % n for i in range(n))
+        itinerary = [(h, strand_colour[s]) for h, s in zip(view.mu, strands)]
+    kept, starts = [], None
+    if d.grown_from is not None:
+        parent, starts = d.grown_from
+        stale = set(starts)
+        kept = [k for k in _face_keys(parent, strands, strand_colour, True)
+                if stale.isdisjoint(k[2])]
+    keys = kept + [_face_key(kind, chain, itinerary)
+                   for kind, chain in _walk_faces(view, starts)]
+    if own is None and keep:
+        d.face_keys, d.grown_from = (strand_colour, keys), None
+    return keys
 
 
 def _face_classes(G, strand_colour=None):
@@ -353,27 +419,13 @@ def _face_classes(G, strand_colour=None):
     itinerary.  The classes are sorted by (kind, m, itinerary), the
     itinerary aligned to its least form; (kind, itinerary) names a class,
     so the order, and with it the encoding, does not depend on the
-    strand labels.  The faces are those in ``G.derived`` if built, else
-    walked and not kept: callers keep graphs (``hopf.REGISTRY`` holds one
-    per class) that never need them again.
+    strand labels.  The faces' keys are those of ``_face_keys``.
     """
-    spos = {s: k for k, s in enumerate(G.strands)}
-    hpos = {h: k for k, h in enumerate(G.half_edges)}
-    internal, external = G.derived.faces or _walk_faces(G)
+    G.view()
     groups = {}
-    for f in internal + external:
-        seq = tuple(spos[s] for s in f.sections)
-        itin = tuple((hpos[G.mu[s]],
-                      None if strand_colour is None else strand_colour[s])
-                     for s in f.sections)
-        best = None
-        a = 0
-        for t in _alignments(f.kind, len(seq)):
-            key = (tuple(itin[i] for i in t), tuple(seq[i] for i in t))
-            a += key[0] == itin
-            if best is None or key < best:
-                best = key
-        groups.setdefault((f.kind, best[0]), []).append((best[1], a))
+    for kind, itin, chain, a in _face_keys(G.derived, G.strands,
+                                           strand_colour):
+        groups.setdefault((kind, itin), []).append((chain, a))
     out = []
     for (kind, _), members in sorted(
             groups.items(), key=lambda c: (c[0][0], len(c[1]), c[0][1])):
@@ -395,44 +447,46 @@ def _encode_two_graph(G, strand_colour=None, half_mark=None):
     owner): factor is the closed-form order of the collapsed faces,
     m! * a^(m-1) per class, classes the _face_classes output, and owner
     the class index of each section node (None for the other nodes).
+    The nodes are numbered from the integer view.
     """
     classes = _face_classes(G, strand_colour)
-    nv = len(G.vertices)
-    vpos = {v: k for k, v in enumerate(G.vertices)}
-    hpos = {h: nv + k for k, h in enumerate(G.half_edges)}
+    view = G.view()
+    nv = len(view.vpos)
     descs = [(0,)] * nv + [(1,) if half_mark is None else (1, half_mark[h])
                            for h in G.half_edges]
     owner = [None] * len(descs)
-    edges = set()
-    for h in G.half_edges:
-        edges.add((hpos[h], vpos[G.nu[h]]))
-        if hpos[h] < hpos[G.iota[h]]:
-            edges.add((hpos[h], hpos[G.iota[h]]))
+    # every edge of the encoding is met once, so adj needs no set
+    adj = [[] for _ in range(nv)] + [[v] for v in view.nu]
+    for k, (v, j) in enumerate(zip(view.nu, view.iota)):
+        adj[v].append(nv + k)
+        if j != k:
+            adj[nv + k].append(nv + j)
     factor = 1
     for idx, (kind, m, a, members) in enumerate(classes):
         factor *= factorial(m) * a ** (m - 1)
-        rep = [G.strands[i] for i in members[0]]
-        ids = range(len(descs), len(descs) + len(rep))
-        for s in rep:
-            edges.add((len(descs), hpos[G.mu[s]]))
-            col = None if strand_colour is None else strand_colour[s]
+        rep = members[0]
+        base, n = len(descs), len(rep)
+        for i in rep:
+            h = nv + view.mu[i]
+            adj[h].append(len(adj))
+            adj.append([h])
+            col = None if strand_colour is None else \
+                strand_colour[G.strands[i]]
             descs.append((2, col, m))
             owner.append(idx)
-        n = len(rep)
-        last = n if kind == "internal" else n - 1
-        for i in range(0, last):
-            j = (i + 1) % n
-            if i % 2 == 0:
-                edges.add((min(ids[i], ids[j]), max(ids[i], ids[j])))
-            else:
-                edges.add((len(descs), ids[i]))
-                edges.add((len(descs), ids[j]))
-                descs.append((3,))
-                owner.append(None)
-    adj = [[] for _ in descs]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
+        # chains have even length: sigma1 joins positions 2i and 2i + 1,
+        # and a relation node each sigma2 step 2i + 1, 2i + 2 (mod n for
+        # an internal chain, whose last step closes it)
+        for i in range(base, base + n, 2):
+            adj[i].append(i + 1)
+            adj[i + 1].append(i)
+        for i in range(1, n if kind == "internal" else n - 1, 2):
+            x, y = base + i, base + (i + 1) % n
+            adj[x].append(len(adj))
+            adj[y].append(len(adj))
+            adj.append([x, y])
+            descs.append((3,))
+            owner.append(None)
     return (tuple(descs), [tuple(sorted(s)) for s in adj], factor, classes,
             owner)
 
@@ -455,8 +509,7 @@ def _encode_one_graph(g):
     node order, a member being a leg (h, h) or an edge (h, k) with h
     before k in ``g.half_edges``.
     """
-    vpos = {v: k for k, v in enumerate(g.vertices)}
-    hpos = {h: k for k, h in enumerate(g.half_edges)}
+    vpos, hpos = _positions(g.vertices), _positions(g.half_edges)
     classes = {}
     for h in g.half_edges:
         k = g.pairing[h]
@@ -514,8 +567,7 @@ def _one_graph_serial(code):
     half-edge counts, attachment and edges of the canonical 1-graph, with
     its labels numbered in string order ("h10" before "h2")."""
     vs, hs, attach, pairs = _one_graph_fields(code)
-    vi = {v: k for k, v in enumerate(sorted(vs))}
-    hi = {h: k for k, h in enumerate(sorted(hs))}
+    vi, hi = _positions(sorted(vs)), _positions(sorted(hs))
     at = tuple(vi[attach[h]] for h in sorted(hs))
     pr = tuple(sorted(tuple(sorted((hi[a], hi[b]))) for a, b in pairs))
     return repr((len(vs), len(hs), at, pr))
@@ -638,19 +690,27 @@ def _wreath(coded_auts):
 
 
 def _positional_key(G, strand_colour=None, half_mark=None):
-    """Search memo key of a connected 2-graph: its five structure maps and
-    its decorations with every label replaced by its position in
-    ``G.vertices``, ``G.half_edges`` or ``G.strands``."""
-    vpos = {v: k for k, v in enumerate(G.vertices)}
-    hpos = {h: k for k, h in enumerate(G.half_edges)}
-    spos = {s: k for k, s in enumerate(G.strands)}
-    hs, ss = G.half_edges, G.strands
-    return "two", repr((
-        len(G.vertices), [vpos[G.nu[h]] for h in hs],
-        [hpos[G.iota[h]] for h in hs], [hpos[G.mu[s]] for s in ss],
-        [spos[G.sigma1[s]] for s in ss], [spos[G.sigma2[s]] for s in ss],
-        None if strand_colour is None else [strand_colour[s] for s in ss],
-        None if half_mark is None else [half_mark[h] for h in hs]))
+    """Search memo key of a connected 2-graph: the ``marshal`` bytes of
+    its vertex count, the five structure maps of its integer view (each
+    ``_packed``), and its decorations by position."""
+    view = G.view()
+    return "two", marshal.dumps((
+        len(view.vpos), *map(_packed, (view.nu, view.iota, view.mu,
+                                       view.sigma1, view.sigma2)),
+        None if strand_colour is None else [strand_colour[s]
+                                            for s in G.strands],
+        None if half_mark is None else [half_mark[h] for h in G.half_edges]),
+        2)
+
+
+def _packed(positions):
+    """A list of positions as ``bytes`` when each fits in one byte, which
+    takes a fifth of the marshal bytes of the list, else the list itself;
+    ``marshal`` tells the two apart, so the key stays exact."""
+    try:
+        return bytes(positions)
+    except ValueError:
+        return positions
 
 
 def _two_entry(c, strand_colour=None, half_mark=None, encoding=None):

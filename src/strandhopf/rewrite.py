@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .graphs import (GraphError, TwoGraph, boundary, connected_components,
                      subgraph_with_edges, validate, vertex_graph,
-                     _contract_edges)
+                     _assembled, _contract_edges, _joined_groups)
 from . import iso
 
 
@@ -180,18 +180,45 @@ def _glue_options(G, pair):
 
 def _with_edges(G, matched, sigma2_pairs):
     """``G`` with the half-edge pairs ``matched`` joined into edges and the
-    sections ``sigma2_pairs`` paired across them; joining keeps a graph
-    connected, so the child of a graph marked connected is marked so."""
-    iota = dict(G.iota)
+    sections ``sigma2_pairs`` paired across them.
+
+    The child is built from ``G`` without sorting or copying what they
+    share (see the ``graphs`` docstring): its label tuples, its ``nu``,
+    ``mu`` and ``sigma1`` dicts, the position maps and ``nu``, ``mu`` and
+    ``sigma1`` arrays of its view, and the ``half_edges_at`` and
+    ``strands_at`` maps, if built, are those of ``G``; only ``iota`` and
+    ``sigma2`` are copied, dicts and arrays, with the joined entries
+    patched.  Its component partition, when ``G``'s is known, is ``G``'s
+    with the joined components merged, and joining keeps a graph
+    connected, so the child of a graph marked connected is marked so.  It
+    links to ``G``'s derived record with the patched sections marked
+    stale (``graphs.Derived.grown_from``), so ``iso`` takes ``G``'s
+    per-face keys and walks again only the faces through the new edges.
+    """
+    view, d = G.view(), G.derived
+    hpos, spos = view.hpos, view.spos
+    iota, s2 = dict(G.iota), dict(G.sigma2)
+    viota, vs2 = list(view.iota), list(view.sigma2)
     for a, b in matched:
-        iota[a] = b
-        iota[b] = a
-    s2 = dict(G.sigma2)
+        iota[a], iota[b] = b, a
+        viota[hpos[a]], viota[hpos[b]] = hpos[b], hpos[a]
+    stale = set()
     for x, y in sigma2_pairs:
-        s2[x] = y
-        s2[y] = x
-    out = TwoGraph(G.vertices, G.half_edges, G.strands, dict(G.nu),
-                   dict(G.mu), iota, dict(G.sigma1), s2)
-    if G.derived.connected:
-        out.derived.connected = True
+        s2[x], s2[y] = y, x
+        i, j = spos[x], spos[y]
+        stale.update((i, j, vs2[i], vs2[j]))
+        vs2[i], vs2[j] = j, i
+    out = _assembled(G.vertices, G.half_edges, G.strands, G.nu, G.mu, iota,
+                     G.sigma1, s2)
+    new = out.derived
+    new.view = view._replace(iota=viota, sigma2=vs2)
+    new.half_edges_at, new.strands_at = d.half_edges_at, d.strands_at
+    if d.connected:
+        new.connected = True
+    elif d.groups is not None:
+        nu = G.nu
+        new.groups = _joined_groups(d.groups, view.vpos,
+                                    [(nu[a], nu[b]) for a, b in matched])
+        new.connected = len(new.groups) == 1
+    new.grown_from = d, tuple(sorted(stale))
     return out

@@ -56,9 +56,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import (GraphError, OneGraph, TwoGraph, boundary,
-                     connected_components, disjoint_union, is_bridgeless,
-                     is_connected, vertex_graph, _connected_groups,
-                     _label_key)
+                     disjoint_union, is_bridgeless, is_connected,
+                     vertex_graph, _connected_groups, _groups, _label_key,
+                     _positions)
 from . import hopf, iso
 from .rewrite import instantiate_vertex_type, _glue_options, _with_edges
 
@@ -216,7 +216,7 @@ def _pair_orbit_leaders(ext, gens):
     """The first pair of each orbit of the pairs of ``ext`` (in
     ``itertools.combinations`` order) under the half-edge maps ``gens``."""
     pairs = list(itertools.combinations(ext, 2))
-    pos = {h: i for i, h in enumerate(ext)}
+    pos = _positions(ext)
     links = []
     for m in gens:
         for a, b in pairs:
@@ -313,7 +313,7 @@ def connected_classes(dtypes, klass, budget, frontier=None):
             for e in range(1, budget - cost_sum + 1):
                 spare = budget - cost_sum - (e - 1)
                 level = _extend([g for g in level.values()
-                                 if len(connected_components(g)) - 1 <= spare],
+                                 if len(_groups(g)) - 1 <= spare],
                                 klass, dressing)
                 for g in level.values():
                     if is_connected(g):

@@ -14,7 +14,10 @@ expansion before orbit reduction (these two call the package's gluing,
 dedup and interning), the face walk that sorts, orients and rotates
 its chains afresh, the contraction that reads the external faces of
 a materialized subgraph, the jacket degrees that count the faces of
-every jacket afresh, and the pinched closure built as a 2-graph.
+every jacket afresh, and the pinched closure built as a 2-graph.  One
+check compares the package with itself: ``inherited_view_mismatches``
+holds every growth child, built from its parent's data, against a
+fresh graph built from its maps.
 """
 
 import itertools
@@ -417,6 +420,58 @@ def unreduced_extend(parents, klass, dressing):
                     if dc not in nxt:
                         nxt[dc] = g2
     return nxt
+
+
+def inherited_view_mismatches(theory, max_edges):
+    """Run the growth of ``series.connected_classes`` for ``theory`` up to
+    ``max_edges`` edges, as ``enumerate`` does, and compare every growth
+    child, before its dedup code is formed, with a fresh ``TwoGraph``
+    built from its maps: its edge pairs and integer view, and its
+    positional key, face classes and encoding under the decorations of
+    its dedup code, all built from its parent's data; and its component
+    partition, merged from its parent's, with a fresh union-find.  The
+    search memo is cleared first, and the growth stops at the first child
+    whose view differs.  Returns the number of children and a list of
+    (child index, what differs)."""
+    from strandhopf import iso, series
+    from strandhopf.graphs import TwoGraph, _connected_groups, _groups
+    bad, count = [], [0]
+    real_dedup = series._dedup_code
+
+    def checked_dedup_code(klass, c, dressing):
+        col, par = dressing[:2] if klass == "coloured" else (None, None)
+        fresh = TwoGraph(c.vertices, c.half_edges, c.strands, c.nu, c.mu,
+                         c.iota, c.sigma1, c.sigma2)
+        for what, of in (
+                ("edge pairs", lambda g: g.edge_pairs()),
+                ("view", lambda g: g.view()),
+                ("positional key", lambda g: iso._positional_key(g, col, par)),
+                ("face classes", lambda g: iso._face_classes(g, col)),
+                ("encoding", lambda g: iso._encode_two_graph(g, col, par))):
+            if of(c) != of(fresh):
+                bad.append((count[0], what))
+                if what == "view":
+                    # the faces of a broken view may never close
+                    raise StopIteration
+        nu = c.nu
+        groups = _connected_groups(c.vertices, ((nu[a], nu[b])
+                                                for a, b in c.edge_pairs()))
+        if list(map(list, _groups(c))) != groups or \
+                c.derived.connected != (len(groups) == 1):
+            bad.append((count[0], "partition"))
+        count[0] += 1
+        return real_dedup(klass, c, dressing)
+
+    iso.search_cache_clear()
+    series._dedup_code = checked_dedup_code
+    try:
+        series.connected_classes(theory.dressed_types(), theory.klass,
+                                 max_edges)
+    except StopIteration:
+        pass
+    finally:
+        series._dedup_code = real_dedup
+    return count[0], bad
 
 
 def _least_rotation(chain):

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import marshal
 import random
 from math import factorial
 from pathlib import Path
@@ -609,6 +610,41 @@ def test_search_memo_keeps_one_and_two_graphs_apart():
         assert search_cache_info()[:2] == (2, 2), order
         assert sorted(tag for tag, _ in iso._search_memo) == \
             ["one", "two", "two"]
+
+
+def test_positional_keys_are_exact_and_apart_from_encoding_keys():
+    # a positional key is the marshal bytes of an 8-tuple that spells out
+    # the vertex count, the five structure maps by label position and the
+    # decorations, so equal keys mean equal graphs up to label names; an
+    # encoding key, stored under the same tag, is the marshal bytes of a
+    # 2-tuple, so the two kinds never meet in the memo
+    from strandhopf.series import _merge_marks, instantiate_dressed
+    cases = [(g, None, None) for g in fixtures.all_fixtures().values()]
+    cases += [(io.document_to_graph(e["graph"]), None, None)
+              for e in corpus_entries()]
+    for name in ("gw4", "mq3", "bgr"):
+        for dt in preset(name).dressed_types():
+            inst, col, par, ori = instantiate_dressed(dt, "t")
+            cases.append((inst, _merge_marks(col, ori), par))
+    for k, (g, sc, hm) in enumerate(cases):
+        for c in connected_components(g):
+            vpos, hpos, spos = ({x: i for i, x in enumerate(labels)}
+                                for labels in (c.vertices, c.half_edges,
+                                               c.strands))
+            hs, ss = c.half_edges, c.strands
+            tag, key = iso._positional_key(c, sc, hm)
+            fields = marshal.loads(key)
+            assert tag == "two" and len(fields) == 8, k
+            assert [fields[0]] + list(map(list, fields[1:6])) == [
+                len(c.vertices), [vpos[c.nu[h]] for h in hs],
+                [hpos[c.iota[h]] for h in hs], [hpos[c.mu[s]] for s in ss],
+                [spos[c.sigma1[s]] for s in ss],
+                [spos[c.sigma2[s]] for s in ss]], k
+            assert fields[6:] == (
+                None if sc is None else [sc[s] for s in ss],
+                None if hm is None else [hm[h] for h in hs]), k
+            encoding = marshal.dumps(_encode_two_graph(c, sc, hm)[:2], 2)
+            assert len(marshal.loads(encoding)) == 2 and encoding != key, k
 
 
 def memo_outputs(rng):

@@ -1,5 +1,6 @@
 """Subgraphs, contraction, insertion, and their duality."""
 
+import functools
 import json
 import random
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from strandhopf import fixtures, io, iso
+from strandhopf import fixtures, io, iso, preset
 from strandhopf import (
     GraphError,
     are_isomorphic,
@@ -102,7 +103,8 @@ def test_growth_child_of_a_connected_graph_is_marked_connected(monkeypatch):
     # joining two external half-edges keeps a graph connected, so the
     # growth child of a graph marked connected is marked so, and finding
     # its components runs no union-find and builds no piece; the child of
-    # a graph marked disconnected is left unmarked
+    # a graph marked disconnected takes its parent's partition with the
+    # joined components merged, so it is marked as a fresh union-find says
     from strandhopf import graphs
     from strandhopf.rewrite import _glue_options, _with_edges
     names = sorted(CORPUS)
@@ -119,13 +121,43 @@ def test_growth_child_of_a_connected_graph_is_marked_connected(monkeypatch):
     assert len(children[True]) > 20 and len(children[False]) > 20
     fresh = [len(graphs._pieces(c, c.edge_pairs())) for c in children[True]]
     assert fresh == [1] * len(children[True])
-    assert all(c.derived.connected is None for c in children[False])
+    assert [c.derived.connected for c in children[False]] == \
+        [len(graphs._pieces(c, c.edge_pairs())) == 1
+         for c in children[False]]
+    assert {c.derived.connected for c in children[False]} == {True, False}
     calls = []
     monkeypatch.setattr(graphs, "_pieces", lambda *a: calls.append(a))
     monkeypatch.setattr(graphs, "_piece", lambda *a: calls.append(a))
     for c in children[True]:
         assert connected_components(c) == (c,)
     assert not calls
+
+
+@functools.cache
+def growth_check(name):
+    """``oracles.inherited_view_mismatches`` of a preset up to 2 edges."""
+    return oracles.inherited_view_mismatches(preset(name), 2)
+
+
+@pytest.mark.parametrize("name", ["gw4", "mq3", "bgr", "gw4-generic"])
+def test_growth_child_view_and_encoding_match_a_fresh_graph(name):
+    # a growth child shares its parent's labels and view arrays, patches
+    # iota and sigma2, and takes its parent's keys for the faces away
+    # from the new edge; its view, positional key, face classes and
+    # encoding are those of a fresh graph built from its maps
+    count, bad = growth_check(name)
+    assert [b for b in bad if b[1] != "partition"] == []
+    assert count > 30
+
+
+@pytest.mark.parametrize("name", ["gw4", "mq3", "bgr", "gw4-generic"])
+def test_growth_child_partition_matches_a_fresh_union_find(name):
+    # the child's component partition is its parent's with the two
+    # joined components merged, and it is marked connected exactly when
+    # one component remains
+    count, bad = growth_check(name)
+    assert [b for b in bad if b[1] == "partition"] == []
+    assert count > 30
 
 
 def test_contract_rejects_non_edges():
