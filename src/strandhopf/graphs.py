@@ -18,14 +18,15 @@ graphs.
 
 What a 2-graph derives from its maps and keeps lives in one place, its
 ``derived`` record (``Derived``), each value computed at most once.  Its
-component partition comes from the one union-find of ``_groups``, or from
-``rewrite._with_edges``, which merges the two components a new edge
-joins; its connectivity mark from the partition, or from ``_piece`` and
-``_contract_edges``, which build graphs connected by construction.  Its
-integer view (``View``, from ``TwoGraph.view``) holds the label-to-position
-maps, the one place they are built, and the five structure maps over
-positions; the face walk, ``iso``'s keys and encodings read it instead of
-the label dicts.  The record holds no other graph, so it pins nothing.
+component partition comes from the one union-find of ``_groups``, from
+``rewrite._with_edges``, which merges the components a new edge joins,
+or from ``_piece`` and ``_contract_edges``, which build graphs connected
+by construction; the graph is connected when the partition has one
+group.  Its integer view (``View``, from ``TwoGraph.view``) holds the
+label-to-position maps, the one place they are built, and the five
+structure maps over positions; the face walk, ``iso``'s keys and
+encodings read it instead of the label dicts.  The record holds no other
+graph and no other record.
 
 A growth child (``rewrite._with_edges``) is built without sorting or
 copying what it shares with its parent: the label tuples, the ``nu``,
@@ -161,25 +162,16 @@ class Derived:
     ``edge_pairs`` is ``TwoGraph.edge_pairs()``, ``half_edges_at`` and
     ``strands_at`` map each vertex to its half-edges and each half-edge to
     its sections, ``faces`` is ``faces(G)`` and ``canon`` the (code,
-    |Aut|) pair of ``iso``.  ``connected`` is True once the graph is known
-    to have exactly one connected component and False once known not to.
-    ``groups`` is the component partition of ``_groups``.  ``view`` is
-    ``TwoGraph.view()``.  ``grown_from`` is the pair (parent's record,
-    stale) of a growth child (``rewrite._with_edges``), stale being the
-    sorted section positions whose faces may differ from the parent's;
-    ``face_keys`` is the pair (strand colour, keys) of the per-face keys
-    of ``iso._face_keys`` that a graph keeps once a growth child asked
-    for them, and it then drops its own ``grown_from``.
+    |Aut|) pair of ``iso``.  ``groups`` is the component partition of
+    ``_groups``, and ``view`` is ``TwoGraph.view()``.
     """
 
     __slots__ = ("edge_pairs", "half_edges_at", "strands_at", "faces",
-                 "canon", "connected", "groups", "view", "face_keys",
-                 "grown_from")
+                 "canon", "groups", "view")
 
     def __init__(self):
         self.edge_pairs = self.half_edges_at = self.strands_at = None
-        self.faces = self.canon = self.connected = self.groups = None
-        self.view = self.face_keys = self.grown_from = None
+        self.faces = self.canon = self.groups = self.view = None
 
 
 View = namedtuple("View", "vpos hpos spos nu iota mu sigma1 sigma2")
@@ -258,10 +250,7 @@ class TwoGraph:
     def edge_pairs(self):
         d = self.derived
         if d.edge_pairs is None:
-            # positions are in label order, so the pairs come sorted
-            hs = self.half_edges
-            d.edge_pairs = tuple((hs[k], hs[j]) for k, j in
-                                 enumerate(self.view().iota) if k < j)
+            d.edge_pairs = _pairs_of_involution(self.iota)
         return d.edge_pairs
 
     def view(self):
@@ -519,41 +508,29 @@ def faces(G):
     return G.derived.faces
 
 
-def _walk_faces(view, starts=None):
-    """The faces through the section positions ``starts`` of an integer
-    view, each walked once, as (kind, chain) pairs: a chain lists section
-    positions whose steps alternate sigma1 and sigma2, starting with
-    sigma1, and an external chain runs from one sigma2-fixed end to the
-    other.  A walk goes forward from its start and, when it meets an end,
-    backward from the start to the other end.
-
-    With ``starts`` None, every face is walked, in strand order: the
-    external faces from the sigma2-fixed sections, then the internal
-    ones.  Each walk then starts at the least section not yet visited,
-    which is the least of its chain (for an external chain, less than
-    the other end), so the chain is already its Face representative and
-    the faces come out sorted."""
+def _walk_faces(view):
+    """The faces of an integer view, walked in strand order, as (kind,
+    chain) pairs: a chain lists section positions whose steps alternate
+    sigma1 and sigma2, starting with sigma1.  The external faces come
+    first, walked from their sigma2-fixed sections to the other end, then
+    the internal ones.  Each walk starts at the least section not yet
+    visited, which is the least of its chain (for an external chain, less
+    than the other end), so the chain is already its Face representative
+    and the faces come out sorted."""
     s1, s2 = view.sigma1, view.sigma2
-    if starts is None:
-        starts = [a for a, b in enumerate(s2) if a == b]
-        starts += range(len(s2))
     visited = set()
-    for a in starts:
-        if a in visited:
-            continue
-        chain = [a, s1[a]]
-        while s2[chain[-1]] not in (chain[-1], a):
-            chain.append(s2[chain[-1]])
-            chain.append(s1[chain[-1]])
-        kind = "external" if s2[chain[-1]] == chain[-1] else "internal"
-        if kind == "external" and s2[a] != a:
-            head, b = [], a
-            while s2[b] != b:
-                head += (s2[b], s1[s2[b]])
-                b = head[-1]
-            chain = head[::-1] + chain
-        visited.update(chain)
-        yield kind, chain
+    for kind, starts in (("external",
+                          [a for a, b in enumerate(s2) if a == b]),
+                         ("internal", range(len(s2)))):
+        for a in starts:
+            if a in visited:
+                continue
+            chain = [a, s1[a]]
+            while s2[chain[-1]] not in (chain[-1], a):
+                chain.append(s2[chain[-1]])
+                chain.append(s1[chain[-1]])
+            visited.update(chain)
+            yield kind, chain
 
 
 def internal_face_count(G):
@@ -591,7 +568,7 @@ def _contract_edges(G, edges):
     sigma1 lead on, until a section off them ends the face.  A pair may
     be given in either order; a pair that is not an edge of ``G`` (an
     external half-edge with itself included) raises ``GraphError``.  The
-    contraction of a graph marked connected is marked connected.
+    contraction of a graph known to be connected is known to be so.
     """
     edges = tuple(edges)
     in_h = set()
@@ -624,8 +601,8 @@ def _contract_edges(G, edges):
             sigma1[b] = a
     out = _assembled(tuple(new_vertices), tuple(new_h), tuple(new_s), nu,
                      {s: mu[s] for s in new_s}, iota, sigma1, sigma2)
-    if G.derived.connected:
-        out.derived.connected = True
+    if _known_connected(G):
+        out.derived.groups = (out.vertices,)
     return out
 
 
@@ -689,9 +666,7 @@ def connected_components(G):
     """The connected components of ``G`` in the order of their least
     vertices; a connected ``G`` is its own only component (the same
     object, with its derived data), and the components built for a
-    disconnected one are marked connected."""
-    if G.derived.connected:
-        return (G,)
+    disconnected one are known to be connected."""
     groups = _groups(G)
     if len(groups) == 1:
         return (G,)
@@ -702,17 +677,20 @@ def connected_components(G):
 def _groups(G):
     """The component partition of ``G``, kept in ``derived``: the vertex
     tuples of its connected components, each in vertex order, in the
-    order of their least vertices.  Setting it marks the graph."""
+    order of their least vertices."""
     d = G.derived
     if d.groups is None:
-        if d.connected:
-            d.groups = (G.vertices,)
-        else:
-            nu = G.nu
-            d.groups = tuple(map(tuple, _connected_groups(
-                G.vertices, ((nu[a], nu[b]) for a, b in G.edge_pairs()))))
-            d.connected = len(d.groups) == 1
+        nu = G.nu
+        d.groups = tuple(map(tuple, _connected_groups(
+            G.vertices, ((nu[a], nu[b]) for a, b in G.edge_pairs()))))
     return d.groups
+
+
+def _known_connected(G):
+    """True when ``G``'s kept partition has one group; runs no
+    union-find."""
+    groups = G.derived.groups
+    return groups is not None and len(groups) == 1
 
 
 def _joined_groups(groups, vpos, ends):
@@ -756,7 +734,7 @@ def _piece(G, vs, edge_pairs):
     """The 2-graph of one of the ``_pieces`` (vs, edge_pairs) of ``G``: the
     vertices ``vs`` with all their half-edges and sections, paired across
     exactly ``edge_pairs``, every other half-edge at ``vs`` external.  It
-    is connected, and marked so."""
+    is connected, and its partition says so."""
     iota = {}
     for a, b in edge_pairs:
         iota[a], iota[b] = b, a
@@ -770,15 +748,13 @@ def _piece(G, vs, edge_pairs):
                      {h: iota.get(h, h) for h in hs},
                      {s: G.sigma1[s] for s in ss},
                      {s: (G.sigma2[s] if G.mu[s] in iota else s) for s in ss})
-    out.derived.connected = True
+    out.derived.groups = (out.vertices,)
     return out
 
 
 def is_connected(G):
     """At most one connected component (the empty graph has none)."""
-    if G.derived.connected is None:
-        _groups(G)
-    return G.derived.connected or not G.vertices
+    return len(_groups(G)) <= 1
 
 
 def is_bridgeless(G):

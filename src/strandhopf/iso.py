@@ -47,13 +47,10 @@ Encodings number their nodes by the positions of the labels in the
 graph's sorted label tuples, read from its integer view (``graphs.View``:
 the position maps and the five structure maps over positions), as are
 the positional keys and the faces, which are walked on the view's
-involutions (``graphs._walk_faces``, the one face walk) and never
-turned back into labels here.  Each face gets a key, its itinerary and
-its chain aligned to their least form (``_face_key``).  A growth child
-(``rewrite._with_edges``) shares its parent's view but for ``iota`` and
-``sigma2``, and takes its parent's face keys for every face that avoids
-the sections of the new edge; only the faces through them are walked and
-aligned again (``_face_keys``).
+involutions (``graphs._walk_faces``, the one face walk) and never turned
+back into labels here.  A growth child (``rewrite._with_edges``) shares
+its parent's view but for ``iota`` and ``sigma2``, which it copies and
+patches.
 
 One routine canonizes a connected graph of either kind from its
 encoding and returns (code, |Aut|), the code of the search and its
@@ -354,59 +351,6 @@ def _alignments(kind, n):
                   for d in range(1, n, 2)])
 
 
-def _face_key(kind, chain, itinerary):
-    """(kind, itinerary, chain, a) of a face chain: its itinerary (the
-    ``itinerary`` entry of each section) and the chain, both aligned by
-    the alignment whose pair of them is least, and the number a of
-    alignments that keep the itinerary.  The key is the same for every
-    chain of the face that starts with a sigma1 step."""
-    itin = tuple(map(itinerary.__getitem__, chain))
-    best = None
-    a = 0
-    for t in _alignments(kind, len(chain)):
-        key = (tuple(map(itin.__getitem__, t)),
-               tuple(map(chain.__getitem__, t)))
-        a += key[0] == itin
-        if best is None or key < best:
-            best = key
-    return kind, best[0], best[1], a
-
-
-def _face_keys(d, strands, strand_colour=None, keep=False):
-    """The ``_face_key`` of every face of the 2-graph with derived record
-    ``d`` (its view built) and sections ``strands``, under
-    ``strand_colour``: the itinerary entry of a section is its half-edge
-    position, paired with its colour if ``strand_colour`` is given.  The
-    faces are walked on the integer view; no ``Face`` is built or kept.
-
-    A growth child (``graphs.Derived.grown_from``) takes its parent's
-    keys under the same colour (the same object) for every face that
-    avoids the stale sections and walks only the faces through those.
-    It asks its parent with ``keep``: a graph asked so keeps the first
-    keys it makes, for its other children, and drops its own link to its
-    parent.  Nothing else keeps keys, so a graph that is no parent (most
-    classes, and what ``hopf.REGISTRY`` holds) keeps none."""
-    own = d.face_keys
-    if own is not None and own[0] is strand_colour:
-        return own[1]
-    view = d.view
-    if strand_colour is None:
-        itinerary = view.mu
-    else:
-        itinerary = [(h, strand_colour[s]) for h, s in zip(view.mu, strands)]
-    kept, starts = [], None
-    if d.grown_from is not None:
-        parent, starts = d.grown_from
-        stale = set(starts)
-        kept = [k for k in _face_keys(parent, strands, strand_colour, True)
-                if stale.isdisjoint(k[2])]
-    keys = kept + [_face_key(kind, chain, itinerary)
-                   for kind, chain in _walk_faces(view, starts)]
-    if own is None and keep:
-        d.face_keys, d.grown_from = (strand_colour, keys), None
-    return keys
-
-
 def _face_classes(G, strand_colour=None):
     """Group the faces of a connected 2-graph into parallel classes.
 
@@ -419,13 +363,26 @@ def _face_classes(G, strand_colour=None):
     itinerary.  The classes are sorted by (kind, m, itinerary), the
     itinerary aligned to its least form; (kind, itinerary) names a class,
     so the order, and with it the encoding, does not depend on the
-    strand labels.  The faces' keys are those of ``_face_keys``.
+    strand labels.  The faces are walked on the integer view; no ``Face``
+    is built or kept.
     """
-    G.view()
+    view = G.view()
+    if strand_colour is None:
+        itinerary = view.mu
+    else:
+        itinerary = [(h, strand_colour[s]) for h, s in zip(view.mu, G.strands)]
     groups = {}
-    for kind, itin, chain, a in _face_keys(G.derived, G.strands,
-                                           strand_colour):
-        groups.setdefault((kind, itin), []).append((chain, a))
+    for kind, chain in _walk_faces(view):
+        itin = tuple(map(itinerary.__getitem__, chain))
+        best = None
+        a = 0
+        for t in _alignments(kind, len(chain)):
+            key = (tuple(map(itin.__getitem__, t)),
+                   tuple(map(chain.__getitem__, t)))
+            a += key[0] == itin
+            if best is None or key < best:
+                best = key
+        groups.setdefault((kind, best[0]), []).append((best[1], a))
     out = []
     for (kind, _), members in sorted(
             groups.items(), key=lambda c: (c[0][0], len(c[1]), c[0][1])):

@@ -189,11 +189,8 @@ def _with_edges(G, matched, sigma2_pairs):
     ``strands_at`` maps, if built, are those of ``G``; only ``iota`` and
     ``sigma2`` are copied, dicts and arrays, with the joined entries
     patched.  Its component partition, when ``G``'s is known, is ``G``'s
-    with the joined components merged, and joining keeps a graph
-    connected, so the child of a graph marked connected is marked so.  It
-    links to ``G``'s derived record with the patched sections marked
-    stale (``graphs.Derived.grown_from``), so ``iso`` takes ``G``'s
-    per-face keys and walks again only the faces through the new edges.
+    with the joined components merged; joining keeps a graph connected,
+    so the child of a connected graph has one group.
     """
     view, d = G.view(), G.derived
     hpos, spos = view.hpos, view.spos
@@ -202,23 +199,18 @@ def _with_edges(G, matched, sigma2_pairs):
     for a, b in matched:
         iota[a], iota[b] = b, a
         viota[hpos[a]], viota[hpos[b]] = hpos[b], hpos[a]
-    stale = set()
     for x, y in sigma2_pairs:
         s2[x], s2[y] = y, x
-        i, j = spos[x], spos[y]
-        stale.update((i, j, vs2[i], vs2[j]))
-        vs2[i], vs2[j] = j, i
+        vs2[spos[x]], vs2[spos[y]] = spos[y], spos[x]
     out = _assembled(G.vertices, G.half_edges, G.strands, G.nu, G.mu, iota,
                      G.sigma1, s2)
     new = out.derived
     new.view = view._replace(iota=viota, sigma2=vs2)
     new.half_edges_at, new.strands_at = d.half_edges_at, d.strands_at
-    if d.connected:
-        new.connected = True
-    elif d.groups is not None:
+    if d.groups is not None and len(d.groups) > 1:
         nu = G.nu
         new.groups = _joined_groups(d.groups, view.vpos,
                                     [(nu[a], nu[b]) for a, b in matched])
-        new.connected = len(new.groups) == 1
-    new.grown_from = d, tuple(sorted(stale))
+    else:
+        new.groups = d.groups
     return out

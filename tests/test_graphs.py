@@ -316,10 +316,12 @@ def test_connected_graph_is_its_own_component():
 def test_derived_data_matches_a_fresh_computation(monkeypatch):
     # every graph built while splitting corpus classes and unions and
     # expanding their coproducts (components, pieces, contractions): one
-    # marked connected has a single group when its pieces are found from
-    # scratch, and its edge pairs are those of its iota
+    # whose kept partition has one group has a single group when its
+    # pieces are found from scratch, and its edge pairs are those of its
+    # iota
     from strandhopf import hopf, rewrite
-    from strandhopf.graphs import _pairs_of_involution, _pieces
+    from strandhopf.graphs import (_known_connected as known_connected,
+                                   _pairs_of_involution, _pieces)
     built, contractions = [], []
     real_init, real_contract = TwoGraph.__post_init__, rewrite._contract_edges
 
@@ -329,7 +331,7 @@ def test_derived_data_matches_a_fresh_computation(monkeypatch):
 
     def contract(G, edges):
         out = real_contract(G, edges)
-        contractions.append((G.derived.connected, out))
+        contractions.append((known_connected(G), out))
         return out
 
     monkeypatch.setattr(TwoGraph, "__post_init__", init)
@@ -345,10 +347,10 @@ def test_derived_data_matches_a_fresh_computation(monkeypatch):
     for k, G in enumerate(built):
         fresh = _pairs_of_involution(G.iota)
         assert G.edge_pairs() == fresh, k
-        if G.derived.connected:
+        if known_connected(G):
             marked += 1
             assert len(_pieces(G, fresh)) == 1, k
-    assert all(out.derived.connected for parent, out in contractions
+    assert all(known_connected(out) for parent, out in contractions
                if parent)
     assert marked > len(built) // 2
     assert sum(1 for parent, _ in contractions if parent) > 1000

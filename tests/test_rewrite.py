@@ -101,10 +101,11 @@ def test_contract_matches_materialized_contraction():
 
 def test_growth_child_of_a_connected_graph_is_marked_connected(monkeypatch):
     # joining two external half-edges keeps a graph connected, so the
-    # growth child of a graph marked connected is marked so, and finding
-    # its components runs no union-find and builds no piece; the child of
-    # a graph marked disconnected takes its parent's partition with the
-    # joined components merged, so it is marked as a fresh union-find says
+    # growth child of a graph known to be connected has a one-group
+    # partition, and finding its components runs no union-find and builds
+    # no piece; the child of a disconnected graph takes its parent's
+    # partition with the joined components merged, so its group count is
+    # that of a fresh union-find
     from strandhopf import graphs
     from strandhopf.rewrite import _glue_options, _with_edges
     names = sorted(CORPUS)
@@ -121,10 +122,10 @@ def test_growth_child_of_a_connected_graph_is_marked_connected(monkeypatch):
     assert len(children[True]) > 20 and len(children[False]) > 20
     fresh = [len(graphs._pieces(c, c.edge_pairs())) for c in children[True]]
     assert fresh == [1] * len(children[True])
-    assert [c.derived.connected for c in children[False]] == \
-        [len(graphs._pieces(c, c.edge_pairs())) == 1
-         for c in children[False]]
-    assert {c.derived.connected for c in children[False]} == {True, False}
+    kept = [len(c.derived.groups) for c in children[False]]
+    assert kept == [len(graphs._pieces(c, c.edge_pairs()))
+                    for c in children[False]]
+    assert 1 in kept and max(kept) > 1
     calls = []
     monkeypatch.setattr(graphs, "_pieces", lambda *a: calls.append(a))
     monkeypatch.setattr(graphs, "_piece", lambda *a: calls.append(a))
@@ -141,9 +142,8 @@ def growth_check(name):
 
 @pytest.mark.parametrize("name", ["gw4", "mq3", "bgr", "gw4-generic"])
 def test_growth_child_view_and_encoding_match_a_fresh_graph(name):
-    # a growth child shares its parent's labels and view arrays, patches
-    # iota and sigma2, and takes its parent's keys for the faces away
-    # from the new edge; its view, positional key, face classes and
+    # a growth child shares its parent's labels and view arrays and
+    # patches iota and sigma2; its view, positional key, face classes and
     # encoding are those of a fresh graph built from its maps
     count, bad = growth_check(name)
     assert [b for b in bad if b[1] != "partition"] == []
@@ -153,8 +153,7 @@ def test_growth_child_view_and_encoding_match_a_fresh_graph(name):
 @pytest.mark.parametrize("name", ["gw4", "mq3", "bgr", "gw4-generic"])
 def test_growth_child_partition_matches_a_fresh_union_find(name):
     # the child's component partition is its parent's with the two
-    # joined components merged, and it is marked connected exactly when
-    # one component remains
+    # joined components merged
     count, bad = growth_check(name)
     assert [b for b in bad if b[1] == "partition"] == []
     assert count > 30
