@@ -18,11 +18,10 @@ graphs.
 
 What a 2-graph derives from its maps and keeps lives in one place, its
 ``derived`` record (``Derived``), each value computed at most once.  Its
-component partition comes from the one union-find of ``_groups``, from
-``rewrite._with_edges``, which merges the components a new edge joins,
-or from ``_piece`` and ``_contract_edges``, which build graphs connected
-by construction; the graph is connected when the partition has one
-group.  Its integer view (``View``, from ``TwoGraph.view``) holds the
+component partition comes from the one union-find of ``_groups``, or is
+one group, set by ``rewrite._with_edges`` (growth children), ``_piece``
+and ``_contract_edges`` on graphs connected by construction.  Its
+integer view (``View``, from ``TwoGraph.view``) holds the
 label-to-position maps, the one place they are built, and the five
 structure maps over positions; the face walk, ``iso``'s keys and
 encodings read it instead of the label dicts.  The record holds no other
@@ -691,21 +690,6 @@ def _known_connected(G):
     union-find."""
     groups = G.derived.groups
     return groups is not None and len(groups) == 1
-
-
-def _joined_groups(groups, vpos, ends):
-    """The partition ``groups`` (as ``_groups`` gives it) with the groups
-    of the two vertices of each pair of ``ends`` merged; ``vpos`` gives
-    the vertex order."""
-    groups = list(groups)
-    for u, w in ends:
-        i, j = sorted(next(k for k, g in enumerate(groups) if x in g)
-                      for x in (u, w))
-        if i != j:
-            groups[i] = tuple(sorted(groups[i] + groups[j],
-                                     key=vpos.__getitem__))
-            del groups[j]
-    return tuple(groups)
 
 
 def _pieces(G, edge_pairs):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .graphs import (GraphError, TwoGraph, boundary, connected_components,
                      subgraph_with_edges, validate, vertex_graph,
-                     _assembled, _contract_edges, _joined_groups)
+                     _assembled, _contract_edges)
 from . import iso
 
 
@@ -188,9 +188,8 @@ def _with_edges(G, matched, sigma2_pairs):
     ``sigma1`` arrays of its view, and the ``half_edges_at`` and
     ``strands_at`` maps, if built, are those of ``G``; only ``iota`` and
     ``sigma2`` are copied, dicts and arrays, with the joined entries
-    patched.  Its component partition, when ``G``'s is known, is ``G``'s
-    with the joined components merged; joining keeps a graph connected,
-    so the child of a connected graph has one group.
+    patched.  The child must be connected, as every growth child is; its
+    component partition is the one group of its vertices.
     """
     view, d = G.view(), G.derived
     hpos, spos = view.hpos, view.spos
@@ -207,10 +206,5 @@ def _with_edges(G, matched, sigma2_pairs):
     new = out.derived
     new.view = view._replace(iota=viota, sigma2=vs2)
     new.half_edges_at, new.strands_at = d.half_edges_at, d.strands_at
-    if d.groups is not None and len(d.groups) > 1:
-        nu = G.nu
-        new.groups = _joined_groups(d.groups, view.vpos,
-                                    [(nu[a], nu[b]) for a, b in matched])
-    else:
-        new.groups = d.groups
+    new.groups = (out.vertices,)
     return out

@@ -1,10 +1,20 @@
 """Diagram enumeration and the coproduct identity on diagram series.
 
-Connected diagram classes of a theory are generated by edge growth: all
-multisets of dressed vertex types are instantiated, then edges are added
-one at a time between external half-edges, deduplicating each level by a
-dressing-aware canonical code.  The dressing (strand colours, half-edge
-parities, strand orientations) restricts which edge pairings are allowed:
+Connected diagram classes of a theory are grown from one vertex, the
+usual recursive build of connected Feynman graphs (Kajantie, Laine and
+Schroeder 2002; McKay 1998).  Growth starts from one instance of each
+dressed vertex type (of each frontier type in a closure round); a child
+joins two external half-edges of its parent, or one of them to a slot
+of a new instance of a type.  Every graph built is connected, each edge
+level is deduplicated by a dressing-aware canonical code, and no child
+over the cost budget (edges plus vertex costs) is built.  This is
+complete: a connected class with a frontier vertex v and an edge loses
+an edge that is not a bridge or, if it is a tree, a leaf other than v
+with its edge, and stays connected with v, so it is a child of a
+cheaper class grown from v.
+
+The dressing (strand colours, half-edge parities, strand orientations)
+restricts which edge pairings are allowed:
 
 * ``map`` theories glue oriented polygon vertices crosswise (out to in),
   which produces every orientable gluing exactly once up to isomorphism;
@@ -15,20 +25,23 @@ parities, strand orientations) restricts which edge pairings are allowed:
 Growth is orbit-reduced.  An automorphism g of a parent that keeps
 everything ``_edge_options`` reads maps the gluings at a pair of external
 half-edges onto those at its image, so the children at the image are
-isomorphic to children at the pair.  Each parent is therefore extended
+isomorphic to children at the pair; with an automorphism k of a new
+instance that keeps its dressing, g and k map the gluings of half-edge h
+to slot s onto those of g(h) to k(s).  Each parent is therefore joined
 only at the first pair of each orbit of pairs under its group, whose
-generators ``iso.automorphism_generators`` reads from the search memo.
-A skipped pair's children are images of children of an earlier pair of
-the same parent, so every dedup code is first met where it was met
-before: the per-level dicts, their order and their graphs are those of
-extending every pair.  The group each class uses:
+generators ``iso.automorphism_generators`` reads from the search memo,
+and to a new vertex only at the first half-edge of each orbit times the
+first slot of each orbit of the type's slots.  A skipped join's children
+are images of children of an earlier join of the same parent, so every
+dedup code is first met where it was met before: the per-level dicts,
+their order and their graphs are those of making every join.  The group
+each class uses:
 
 * ``generic``: the plain group, since every strand bijection is allowed;
 * ``coloured``: the group keeping strand colours and half-edge parities;
 * ``map``: the group keeping strand orientations (with any colour) and
-  parities.  The crosswise gluing reads the orientation, and a plain
-  automorphism that reverses it would map it onto a twisted gluing the
-  theory does not make.
+  parities.  The crosswise gluing reads the orientation, and a map that
+  reverses it on one side of a join only would make a twisted gluing.
 
 A ``map`` theory still dedups by the plain code, as ``generic`` does, and
 ``coloured`` by the code with colours and parities.  The group only
@@ -56,9 +69,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import (GraphError, OneGraph, TwoGraph, boundary,
-                     disjoint_union, is_bridgeless, is_connected,
-                     vertex_graph, _connected_groups, _groups, _label_key,
-                     _positions)
+                     disjoint_union, is_bridgeless, vertex_graph,
+                     _connected_groups, _label_key, _positions)
 from . import hopf, iso
 from .rewrite import instantiate_vertex_type, _glue_options, _with_edges
 
@@ -212,36 +224,72 @@ def _group_dressing(klass, dressing):
     return _merge_marks(col, ori), par
 
 
+def _orbit_leaders(items, gens):
+    """The first item of each orbit of ``items`` (in their order) under
+    the maps ``gens``; an item a map leaves out is fixed."""
+    links = [(x, m.get(x, x)) for m in gens for x in items]
+    return [orbit[0] for orbit in _connected_groups(items, links)]
+
+
 def _pair_orbit_leaders(ext, gens):
     """The first pair of each orbit of the pairs of ``ext`` (in
     ``itertools.combinations`` order) under the half-edge maps ``gens``."""
     pairs = list(itertools.combinations(ext, 2))
     pos = _positions(ext)
-    links = []
-    for m in gens:
-        for a, b in pairs:
-            x, y = m.get(a, a), m.get(b, b)
-            links.append(((a, b), (x, y) if pos[x] < pos[y] else (y, x)))
-    return [orbit[0] for orbit in _connected_groups(pairs, links)]
+    return _orbit_leaders(pairs, [
+        {(a, b): tuple(sorted((m.get(a, a), m.get(b, b)), key=pos.get))
+         for a, b in pairs} for m in gens])
 
 
-def _extend(parents, klass, dressing):
-    """One growth level: the graphs made from ``parents`` by one more edge
-    between two external half-edges, one per dedup code, each the first
-    found in parent, pair and option order.  A parent is extended only at
-    the first pair of each orbit of its group (see the module
-    docstring)."""
-    group = _group_dressing(klass, dressing)
+def _merge_dicts(ds):
+    ds = [d for d in ds if d is not None]
+    return {k: v for d in ds for k, v in d.items()} if ds else None
+
+
+def _slot_leaders(klass, dt):
+    """The positions among the slots of an instance of ``dt``, in label
+    order (whatever the tag), of the first of each orbit of its group."""
+    inst, *dressing = instantiate_dressed(dt, "0")
+    gens = iso.automorphism_generators(inst, *_group_dressing(klass,
+                                                              dressing))
+    pos = _positions(inst.half_edges)
+    return [pos[h] for h in _orbit_leaders(inst.half_edges, gens)]
+
+
+def _with_vertex(g, dressing, dt):
+    """``g`` beside a new instance of ``dt`` (tagged with the vertex count
+    of ``g``), their merged dressing, and the instance's slots."""
+    inst, *extra = instantiate_dressed(dt, str(len(g.vertices)))
+    return (disjoint_union([g, inst], prefix=False),
+            tuple(map(_merge_dicts, zip(dressing, extra))), inst.half_edges)
+
+
+def _grow(level, dtypes, slots, klass, budget):
+    """One growth level: the children within ``budget`` of the (graph,
+    dressing, cost) triples of ``level``, one per dedup code, each the
+    first found.  A parent is joined at its pair orbit leaders, then, per
+    type of ``dtypes``, at its half-edge orbit leaders times the type's
+    ``slots`` leaders, each in label order (see the module docstring)."""
     nxt = {}
-    for g in parents:
+    for g, dressing, cost in level.values():
+        if cost >= budget:
+            continue
         ext = sorted(g.external_half_edges(), key=_label_key)
-        for h1, h2 in _pair_orbit_leaders(
-                ext, iso.automorphism_generators(g, *group)):
-            for opt in _edge_options(klass, g, dressing, h1, h2):
-                g2 = _with_edges(g, [(h1, h2)], opt)
-                dc = _dedup_code(klass, g2, dressing)
-                if dc not in nxt:
-                    nxt[dc] = g2
+        gens = iso.automorphism_generators(g, *_group_dressing(klass,
+                                                               dressing))
+        joins = [(g, dressing, cost + 1, _pair_orbit_leaders(ext, gens))]
+        ends = _orbit_leaders(ext, gens)
+        for dt, leaders in zip(dtypes, slots):
+            if cost + 1 + dt.cost <= budget:
+                u, merged, new = _with_vertex(g, dressing, dt)
+                joins.append((u, merged, cost + 1 + dt.cost,
+                              [(h, new[k]) for h in ends for k in leaders]))
+        for base, dr, c, pairs in joins:
+            for h1, h2 in pairs:
+                for opt in _edge_options(klass, base, dr, h1, h2):
+                    child = _with_edges(base, [(h1, h2)], opt)
+                    nxt.setdefault(_dedup_code(klass, child, dr),
+                                   (child, dr, c))
     return nxt
 
 
@@ -259,16 +307,6 @@ class ConnectedClass:
         return iso.one_graph_code(boundary(self.graph))
 
 
-def _merge_dicts(ds):
-    ds = [d for d in ds if d is not None]
-    if not ds:
-        return None
-    out = {}
-    for d in ds:
-        out.update(d)
-    return out
-
-
 def _record(raw, g, n_edges, degree):
     code = iso.canonical_code(g)
     prev = raw.get(code)
@@ -284,40 +322,22 @@ def connected_classes(dtypes, klass, budget, frontier=None):
     The cost (*degree*) of a diagram is its edge count plus the costs of
     its vertex types; for theory types the costs are zero, so the budget
     caps the edge count.  With a ``frontier`` (a set of types), only the
-    classes using at least one frontier type are built.  Returns a dict
-    keyed by plain canonical code.
+    classes using at least one frontier type are built, grown from those
+    types.  Returns a dict keyed by plain canonical code.
     """
-    raw = {}
-    order = sorted(range(len(dtypes)),
-                   key=lambda i: (dtypes[i].cost, dtypes[i].dressed_code()))
-    dtypes = [dtypes[i] for i in order]
-    in_frontier = [frontier is None or dt in frontier for dt in dtypes]
-    for npieces in range(1, budget + 2):
-        for multi in itertools.combinations_with_replacement(
-                range(len(dtypes)), npieces):
-            if not any(in_frontier[i] for i in multi):
-                continue
-            cost_sum = sum(dtypes[i].cost for i in multi)
-            if cost_sum + max(0, npieces - 1) > budget:
-                continue
-            insts = []
-            for k in range(npieces):
-                insts.append(instantiate_dressed(dtypes[multi[k]], f"{k}"))
-            seed = disjoint_union([t[0] for t in insts], prefix=False)
-            dressing = (_merge_dicts([t[1] for t in insts]),
-                        _merge_dicts([t[2] for t in insts]),
-                        _merge_dicts([t[3] for t in insts]))
-            if npieces == 1:
-                _record(raw, seed, 0, cost_sum)
-            level = {0: seed}
-            for e in range(1, budget - cost_sum + 1):
-                spare = budget - cost_sum - (e - 1)
-                level = _extend([g for g in level.values()
-                                 if len(_groups(g)) - 1 <= spare],
-                                klass, dressing)
-                for g in level.values():
-                    if is_connected(g):
-                        _record(raw, g, e, cost_sum + e)
+    dtypes = sorted(dtypes, key=lambda dt: (dt.cost, dt.dressed_code()))
+    slots = [_slot_leaders(klass, dt) for dt in dtypes]
+    level = {}
+    for dt in dtypes:
+        if dt.cost <= budget and (frontier is None or dt in frontier):
+            g, *dressing = instantiate_dressed(dt, "0")
+            level.setdefault(_dedup_code(klass, g, dressing),
+                             (g, tuple(dressing), dt.cost))
+    raw, e = {}, 0
+    while level:
+        for g, _, cost in level.values():
+            _record(raw, g, e, cost)
+        level, e = _grow(level, dtypes, slots, klass, budget), e + 1
     return raw
 
 

@@ -10,7 +10,8 @@ the package, which the faster code must equal: the rank refinement, the
 1-graph isomorphism matcher that tries every permutation of every
 corolla (``brute_one_graph_isos``, the reference for the isomorphisms
 read from the canonization search), the growth level and coproduct
-expansion before orbit reduction (these two call the package's gluing,
+expansion before orbit reduction and the growth of every vertex
+multiset from its disjoint union (these call the package's gluing,
 dedup and interning), the face walk that sorts, orients and rotates
 its chains afresh, the contraction that reads the external faces of
 a materialized subgraph, the jacket degrees that count the faces of
@@ -400,26 +401,183 @@ def exhaustive_canon_search(descs, adj):
     return best_code[0], best_perm[0], count[0]
 
 
-def unreduced_extend(parents, klass, dressing):
-    """One growth level with every pair of external half-edges of every
-    parent extended: ``series._extend`` before its orbit reduction, kept
-    as the reference it must equal (same keys, order and graphs).  It
-    shares the gluing and dedup code with the package."""
+def unreduced_grow(level, dtypes, slots, klass, budget):
+    """One growth level with every pair of external half-edges and every
+    (external half-edge, slot of a new vertex) of every parent joined:
+    ``series._grow`` before its orbit reduction, kept as the reference it
+    must equal (same keys, order and triples; ``slots`` is not read).  It
+    shares the gluing, dedup and new-vertex code with the package."""
     from strandhopf.graphs import _label_key
     from strandhopf.rewrite import _with_edges
-    from strandhopf.series import _dedup_code, _edge_options
+    from strandhopf.series import _dedup_code, _edge_options, _with_vertex
     nxt = {}
-    for g in parents:
+
+    def join(base, dressing, cost, pairs):
+        for h1, h2 in pairs:
+            for opt in _edge_options(klass, base, dressing, h1, h2):
+                child = _with_edges(base, [(h1, h2)], opt)
+                dc = _dedup_code(klass, child, dressing)
+                if dc not in nxt:
+                    nxt[dc] = (child, dressing, cost)
+
+    for g, dressing, cost in level.values():
+        if cost >= budget:
+            continue
         ext = sorted(g.external_half_edges(), key=_label_key)
-        for i1 in range(len(ext)):
-            for i2 in range(i1 + 1, len(ext)):
-                for opt in _edge_options(klass, g, dressing, ext[i1],
-                                         ext[i2]):
-                    g2 = _with_edges(g, [(ext[i1], ext[i2])], opt)
-                    dc = _dedup_code(klass, g2, dressing)
-                    if dc not in nxt:
-                        nxt[dc] = g2
+        join(g, dressing, cost + 1, itertools.combinations(ext, 2))
+        for dt in dtypes:
+            if cost + 1 + dt.cost <= budget:
+                u, merged, new = _with_vertex(g, dressing, dt)
+                join(u, merged, cost + 1 + dt.cost,
+                     itertools.product(ext, new))
     return nxt
+
+
+def _joined(G, pair, sigma2_pairs):
+    """A fresh ``TwoGraph`` of ``G`` with ``pair`` joined into an edge and
+    ``sigma2_pairs`` paired across it."""
+    from strandhopf.graphs import TwoGraph
+    iota, sigma2 = dict(G.iota), dict(G.sigma2)
+    a, b = pair
+    iota[a], iota[b] = b, a
+    for x, y in sigma2_pairs:
+        sigma2[x], sigma2[y] = y, x
+    return TwoGraph(G.vertices, G.half_edges, G.strands, G.nu, G.mu, iota,
+                    G.sigma1, sigma2)
+
+
+def multiset_classes(dtypes, klass, budget, frontier=None):
+    """``series.connected_classes`` as it was before growth started from
+    one vertex, kept as the reference it must equal (same class dict up
+    to the representatives' labels).  Each multiset of at most budget + 1
+    types (with a frontier type, within the budget) is laid out as a
+    disjoint union, and edges are added one level at a time between
+    external half-edges, at the first pair of each orbit of the parent's
+    group, deduplicating each level by the dedup code; the connected
+    graphs of every level are the classes.  Children are fresh graphs,
+    since the intermediates are disconnected.  It shares the gluing,
+    dedup and recording code with the package."""
+    from strandhopf import iso
+    from strandhopf.graphs import _label_key, disjoint_union, is_connected
+    from strandhopf.series import (_dedup_code, _edge_options,
+                                   _group_dressing, _merge_dicts,
+                                   _pair_orbit_leaders, _record,
+                                   instantiate_dressed)
+
+    def extend(parents, dressing):
+        group = _group_dressing(klass, dressing)
+        nxt = {}
+        for g in parents:
+            ext = sorted(g.external_half_edges(), key=_label_key)
+            for h1, h2 in _pair_orbit_leaders(
+                    ext, iso.automorphism_generators(g, *group)):
+                for opt in _edge_options(klass, g, dressing, h1, h2):
+                    g2 = _joined(g, (h1, h2), opt)
+                    nxt.setdefault(_dedup_code(klass, g2, dressing), g2)
+        return nxt
+
+    raw = {}
+    dtypes = sorted(dtypes, key=lambda dt: (dt.cost, dt.dressed_code()))
+    for npieces in range(1, budget + 2):
+        for multi in itertools.combinations_with_replacement(dtypes,
+                                                             npieces):
+            if frontier is not None and not frontier.intersection(multi):
+                continue
+            cost_sum = sum(dt.cost for dt in multi)
+            if cost_sum + npieces - 1 > budget:
+                continue
+            insts = [instantiate_dressed(dt, f"{k}")
+                     for k, dt in enumerate(multi)]
+            seed = disjoint_union([t[0] for t in insts], prefix=False)
+            dressing = tuple(_merge_dicts([t[k] for t in insts])
+                             for k in (1, 2, 3))
+            if npieces == 1:
+                _record(raw, seed, 0, cost_sum)
+            level = {0: seed}
+            for e in range(1, budget - cost_sum + 1):
+                level = extend(level.values(), dressing)
+                for g in level.values():
+                    if is_connected(g):
+                        _record(raw, g, e, cost_sum + e)
+    return raw
+
+
+def _labelled_gluings(G, n_edges, connected):
+    """L(M, e): the ways to join ``n_edges`` disjoint pairs of the
+    half-edges of ``G`` (the labelled vertices of M side by side) into
+    edges, with a connected result if ``connected``, each weighted by its
+    number of strand pairings (``rewrite._glue_options``)."""
+    from strandhopf.rewrite import _glue_options
+    hs = G.half_edges
+
+    def is_connected(pairs):
+        parent = {v: v for v in G.vertices}
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for a, b in pairs:
+            parent[find(G.nu[a])] = find(G.nu[b])
+        return len({find(v) for v in G.vertices}) == 1
+
+    def count(start, used, pairs, weight):
+        if len(pairs) == n_edges:
+            return weight if not connected or is_connected(pairs) else 0
+        total = 0
+        for i in range(start, len(hs)):
+            for j in range(i + 1, len(hs)):
+                if hs[i] in used or hs[j] in used:
+                    continue
+                w = len(_glue_options(G, (hs[i], hs[j])))
+                if w:
+                    total += count(i + 1, used | {hs[i], hs[j]},
+                                   pairs + [(hs[i], hs[j])], weight * w)
+        return total
+
+    return count(0, frozenset(), [], 1)
+
+
+def orbit_count_cells(theory, max_edges, connected=True):
+    """Wick's theorem as orbit-stabilizer, for a ``generic`` theory: for
+    each vertex multiset M (n_t copies of each type t, at most
+    ``max_edges`` + 1 vertices) and edge count e, the pair (sum of 1/|Aut|
+    over the classes of ``enumerate_diagrams(theory, max_edges,
+    connected)`` with these vertices and edges, L(M, e) / prod_t n_t!
+    |Aut(t)|^n_t), for every cell where either is non-zero.  L counts the
+    labelled gluings (``_labelled_gluings``), and |Aut(t)| comes from the
+    brute-force automorphism count; neither canonizes.  The two must be
+    equal in every cell."""
+    from math import factorial
+    from strandhopf import iso
+    from strandhopf.graphs import disjoint_union, vertex_graph
+    from strandhopf.series import enumerate_diagrams, instantiate_dressed
+    types = theory.dressed_types()
+    codes = [dt.plain_code() for dt in types]
+    sums = {}
+    for t in enumerate_diagrams(theory, max_edges, connected).terms:
+        g = t.graph
+        multi = tuple(sorted(codes.index(iso.one_graph_code(
+            vertex_graph(g, v))) for v in g.vertices))
+        key = (multi, t.n_edges)
+        sums[key] = sums.get(key, 0) + t.coefficient
+    auts = [brute_two_graph_automorphism_count(
+        instantiate_dressed(dt, "t")[0]) for dt in types]
+    cells = {}
+    for n in range(1, max_edges + 2):
+        for multi in itertools.combinations_with_replacement(
+                range(len(types)), n):
+            G = disjoint_union([instantiate_dressed(types[i], f"{k}")[0]
+                                for k, i in enumerate(multi)], prefix=False)
+            denom = 1
+            for i in set(multi):
+                denom *= factorial(multi.count(i)) * auts[i] ** multi.count(i)
+            for e in range(max_edges + 1):
+                glued = Fraction(_labelled_gluings(G, e, connected), denom)
+                if glued or (multi, e) in sums:
+                    cells[(multi, e)] = (sums.get((multi, e), 0), glued)
+    return cells
 
 
 def inherited_view_mismatches(theory, max_edges):
@@ -429,14 +587,23 @@ def inherited_view_mismatches(theory, max_edges):
     built from its maps: its edge pairs and integer view, and its
     positional key, face classes and encoding under the decorations of
     its dedup code, all read from the view it inherits; and its component
-    partition, merged from its parent's, with a fresh union-find.  The
-    search memo is cleared first, and the growth stops at the first child
-    whose view differs.  Returns the number of children and a list of
-    (child index, what differs)."""
+    partition, one group, with a fresh union-find.  The search memo is
+    cleared first, and the growth stops at the first child whose view
+    differs.  Returns the number of children, the number of them that
+    join a new vertex (whose parent graph, a connected graph beside the
+    new vertex, has two components), and a list of (child index, what
+    differs)."""
     from strandhopf import iso, series
     from strandhopf.graphs import TwoGraph, _connected_groups, _groups
-    bad, count = [], [0]
-    real_dedup = series._dedup_code
+    bad, count, new_vertex = [], [0], [0]
+    real_dedup, real_with_edges = series._dedup_code, series._with_edges
+
+    def counted_with_edges(G, matched, sigma2_pairs):
+        nu = G.nu
+        if len(_connected_groups(G.vertices, ((nu[a], nu[b]) for a, b
+                                              in G.edge_pairs()))) > 1:
+            new_vertex[0] += 1
+        return real_with_edges(G, matched, sigma2_pairs)
 
     def checked_dedup_code(klass, c, dressing):
         col, par = dressing[:2] if klass == "coloured" else (None, None)
@@ -463,6 +630,7 @@ def inherited_view_mismatches(theory, max_edges):
 
     iso.search_cache_clear()
     series._dedup_code = checked_dedup_code
+    series._with_edges = counted_with_edges
     try:
         series.connected_classes(theory.dressed_types(), theory.klass,
                                  max_edges)
@@ -470,7 +638,8 @@ def inherited_view_mismatches(theory, max_edges):
         pass
     finally:
         series._dedup_code = real_dedup
-    return count[0], bad
+        series._with_edges = real_with_edges
+    return count[0], new_vertex[0], bad
 
 
 def _least_rotation(chain):

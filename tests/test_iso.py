@@ -29,8 +29,7 @@ from strandhopf.iso import (_canon_search, _encode_one_graph,
                             _encode_two_graph, _one_graph_fields,
                             boundary_multiset_aut_count, search_cache_clear,
                             search_cache_info)
-from strandhopf.rewrite import (instantiate_vertex_type, _glue_options,
-                                _with_edges)
+from strandhopf.rewrite import instantiate_vertex_type, _glue_options
 
 CORPUS = fixtures.all_fixtures()
 SMALL = {name: g for name, g in CORPUS.items() if len(g.half_edges) <= 6}
@@ -532,7 +531,9 @@ def random_gluing(rng, theory):
     """A random gluing of ``theory``'s vertex types with at most three
     edges, eight half-edges and sixteen strands (so the brute-force count
     stays quick); every bijection of strand corollas may join two
-    half-edges, and vertices left unjoined make it disconnected."""
+    half-edges, and vertices left unjoined make it disconnected, so each
+    join builds a fresh graph (``rewrite._with_edges`` makes connected
+    growth children only)."""
     types = [dt.graph for dt in preset(theory).dressed_types()]
     pieces = []
     for _ in range(rng.randint(1, 3)):
@@ -550,7 +551,7 @@ def random_gluing(rng, theory):
         if not pairs:
             break
         pair = rng.choice(pairs)
-        G = _with_edges(G, [pair], rng.choice(_glue_options(G, pair)))
+        G = oracles._joined(G, pair, rng.choice(_glue_options(G, pair)))
     return G
 
 
@@ -850,14 +851,14 @@ def decorated_growth_graphs(monkeypatch):
     parents undecorated."""
     from strandhopf import series
     found = []
-    real = series._extend
+    real = series._grow
 
-    def recording(parents, klass, dressing):
-        group = series._group_dressing(klass, dressing)
-        found.extend((g,) + group for g in parents)
-        return real(parents, klass, dressing)
+    def recording(level, dtypes, slots, klass, budget):
+        found.extend((g,) + series._group_dressing(klass, dressing)
+                     for g, dressing, _ in level.values())
+        return real(level, dtypes, slots, klass, budget)
 
-    monkeypatch.setattr(series, "_extend", recording)
+    monkeypatch.setattr(series, "_grow", recording)
     for name in ("gw4", "mq3", "gw4-generic"):
         theory = preset(name)
         series.connected_classes(theory.dressed_types(), theory.klass, 2)
@@ -867,9 +868,9 @@ def decorated_growth_graphs(monkeypatch):
 def test_automorphism_generators_give_brute_force_orbits(monkeypatch):
     # the half-edge orbits and the orbits of pairs of external half-edges
     # under the generators must be those under every automorphism, which
-    # the oracle enumerates; the pair orbit leaders that growth extends
-    # are the first pairs of those orbits
-    from strandhopf.series import _pair_orbit_leaders
+    # the oracle enumerates; the pair and half-edge orbit leaders that
+    # growth joins are the first pairs and half-edges of those orbits
+    from strandhopf.series import _orbit_leaders, _pair_orbit_leaders
     rng = random.Random(1998)
     small = [g for g in CORPUS.values() if len(g.half_edges) <= 8]
     melon = fixtures.all_fixtures()["rank3_melon"]
@@ -899,3 +900,6 @@ def test_automorphism_generators_give_brute_force_orbits(monkeypatch):
                          for orbit in want if p in orbit for q in orbit)]
         assert [frozenset(p) for p in _pair_orbit_leaders(ext, gens)] == \
             firsts, k
+        ends = orbit_partition(ext, every, point)
+        assert _orbit_leaders(ext, gens) == \
+            [h for h in ext if h == min(next(o for o in ends if h in o))], k

@@ -100,36 +100,36 @@ def test_contract_matches_materialized_contraction():
 
 
 def test_growth_child_of_a_connected_graph_is_marked_connected(monkeypatch):
-    # joining two external half-edges keeps a graph connected, so the
-    # growth child of a graph known to be connected has a one-group
-    # partition, and finding its components runs no union-find and builds
-    # no piece; the child of a disconnected graph takes its parent's
-    # partition with the joined components merged, so its group count is
-    # that of a fresh union-find
+    # a growth child joins two external half-edges of a connected graph,
+    # or one of them to a half-edge of a new vertex beside it; either way
+    # it is connected, its partition is one group, and finding its
+    # components runs no union-find and builds no piece
     from strandhopf import graphs
     from strandhopf.rewrite import _glue_options, _with_edges
     names = sorted(CORPUS)
-    parents = [CORPUS[n] for n in names]
-    parents += [disjoint_union([CORPUS[a], CORPUS[b]])
-                for a, b in zip(names, names[1:])]
-    children = {True: [], False: []}
-    for g in parents:
-        connected = len(connected_components(g)) == 1
+    parents = [CORPUS[n] for n in names
+               if len(connected_components(CORPUS[n])) == 1]
+    children = {"pair": [], "new vertex": []}
+    for g, other in zip(parents, parents[1:] + parents[:1]):
         ext = g.external_half_edges()
         for pair in list(zip(ext, ext[1:]))[:3]:
             for opt in _glue_options(g, pair)[:2]:
-                children[connected].append(_with_edges(g, [pair], opt))
-    assert len(children[True]) > 20 and len(children[False]) > 20
-    fresh = [len(graphs._pieces(c, c.edge_pairs())) for c in children[True]]
-    assert fresh == [1] * len(children[True])
-    kept = [len(c.derived.groups) for c in children[False]]
-    assert kept == [len(graphs._pieces(c, c.edge_pairs()))
-                    for c in children[False]]
-    assert 1 in kept and max(kept) > 1
+                children["pair"].append(_with_edges(g, [pair], opt))
+        u = disjoint_union([g, residue(other)])
+        v = u.vertices[-1]  # the residue's one vertex, labelled "1..."
+        old = [h for h in u.external_half_edges() if u.nu[h] != v]
+        for pair in [(h, k) for h in old for k in u.half_edges_at(v)][:6]:
+            for opt in _glue_options(u, pair)[:2]:
+                children["new vertex"].append(_with_edges(u, [pair], opt))
+    assert all(len(kids) > 20 for kids in children.values())
+    every = children["pair"] + children["new vertex"]
+    assert [len(graphs._pieces(c, c.edge_pairs())) for c in every] == \
+        [1] * len(every)
+    assert all(c.derived.groups == (c.vertices,) for c in every)
     calls = []
     monkeypatch.setattr(graphs, "_pieces", lambda *a: calls.append(a))
     monkeypatch.setattr(graphs, "_piece", lambda *a: calls.append(a))
-    for c in children[True]:
+    for c in every:
         assert connected_components(c) == (c,)
     assert not calls
 
@@ -144,19 +144,19 @@ def growth_check(name):
 def test_growth_child_view_and_encoding_match_a_fresh_graph(name):
     # a growth child shares its parent's labels and view arrays and
     # patches iota and sigma2; its view, positional key, face classes and
-    # encoding are those of a fresh graph built from its maps
-    count, bad = growth_check(name)
+    # encoding are those of a fresh graph built from its maps, also when
+    # the parent is a graph beside a new vertex
+    count, new_vertex, bad = growth_check(name)
     assert [b for b in bad if b[1] != "partition"] == []
-    assert count > 30
+    assert count > 30 and 0 < new_vertex < count
 
 
 @pytest.mark.parametrize("name", ["gw4", "mq3", "bgr", "gw4-generic"])
 def test_growth_child_partition_matches_a_fresh_union_find(name):
-    # the child's component partition is its parent's with the two
-    # joined components merged
-    count, bad = growth_check(name)
+    # every growth child is connected: its partition is one group
+    count, new_vertex, bad = growth_check(name)
     assert [b for b in bad if b[1] == "partition"] == []
-    assert count > 30
+    assert count > 30 and 0 < new_vertex < count
 
 
 def test_contract_rejects_non_edges():

@@ -241,17 +241,24 @@ def graph_fields(g):
             g.sigma1, g.sigma2)
 
 
+def level_fields(level):
+    return [(code, graph_fields(g), dressing, cost)
+            for code, (g, dressing, cost) in level.items()]
+
+
 def test_orbit_reduced_growth_matches_unreduced_growth(monkeypatch):
-    # each growth level extends a parent only at the first pair of each
-    # orbit of its group; it must give the dict of extending every pair,
-    # in the same order, under the same codes, with the same graphs, and
-    # build fewer children
+    # each growth level joins a parent's external pairs only at the first
+    # pair of each orbit of its group, and a new vertex only at the first
+    # (half-edge, slot) of each orbit of the product of the parent's group
+    # and the type's; it must give the level of making every join, in the
+    # same order, under the same codes, with the same graphs, and build
+    # fewer children
     levels = []
     built = {"reduced": 0, "every": 0}
 
-    def recording(parents, klass, dressing):
-        out = real(parents, klass, dressing)
-        levels.append((parents, klass, dressing, out))
+    def recording(level, dtypes, slots, klass, budget):
+        out = real(level, dtypes, slots, klass, budget)
+        levels.append((level, dtypes, slots, klass, budget, out))
         return out
 
     def counting(kind, glue):
@@ -260,8 +267,8 @@ def test_orbit_reduced_growth_matches_unreduced_growth(monkeypatch):
             return glue(*args)
         return wrapper
 
-    real = series._extend
-    monkeypatch.setattr(series, "_extend", recording)
+    real = series._grow
+    monkeypatch.setattr(series, "_grow", recording)
     monkeypatch.setattr(series, "_with_edges",
                         counting("reduced", series._with_edges))
     monkeypatch.setattr(rewrite, "_with_edges",
@@ -270,11 +277,13 @@ def test_orbit_reduced_growth_matches_unreduced_growth(monkeypatch):
         theory = preset(name)
         levels.clear()
         connected_classes(theory.dressed_types(), theory.klass, 2)
-        assert levels, name
-        for parents, klass, dressing, out in levels:
-            want = oracles.unreduced_extend(parents, klass, dressing)
-            assert [(code, graph_fields(g)) for code, g in out.items()] == \
-                [(code, graph_fields(g)) for code, g in want.items()], name
+        assert len(levels) == 3, name
+        for level, dtypes, slots, klass, budget, out in levels:
+            want = oracles.unreduced_grow(level, dtypes, slots, klass, budget)
+            assert level_fields(out) == level_fields(want), name
+        # the one-edge level holds loops and two-vertex graphs
+        sizes = {len(g.vertices) for g, _, _ in levels[0][-1].values()}
+        assert sizes == {1, 2}, name
     assert 0 < built["reduced"] < built["every"]
 
 
@@ -288,36 +297,97 @@ def test_orbit_reduced_closure_matches_unreduced_closure(monkeypatch):
                   c.n_edges, c.degree, c.boundary_code)
                  for code, c in classes.items()])
 
+    calls = []
+
+    def unreduced(*args):
+        calls.append(args)
+        return oracles.unreduced_grow(*args)
+
     reduced = summary(*closed_universe(preset("gw4"), 2))
-    monkeypatch.setattr(series, "_extend", oracles.unreduced_extend)
+    monkeypatch.setattr(series, "_grow", unreduced)
     assert summary(*closed_universe(preset("gw4"), 2)) == reduced
+    assert len(calls) > 3
 
 
 def test_map_growth_keeps_orientations():
-    # two quartic polygons, each closed by a loop on two neighbouring
-    # legs: a plain automorphism may mirror one polygon alone, which maps
-    # the crosswise gluing of a bridge onto a twisted one, so only the
-    # orientation-keeping group gives the three bridge classes
-    insts = [instantiate_dressed(polygon_type(4), tag) for tag in "01"]
-    g = disjoint_union([inst[0] for inst in insts], prefix=False)
-    dressing = tuple(series._merge_dicts([inst[k] for inst in insts])
-                     for k in (1, 2, 3))
-    for tag in "01":
-        a, b = f"{tag}.p0", f"{tag}.p1"
-        (opt,) = series._edge_options("map", g, dressing, a, b)
-        g = _with_edges(g, [(a, b)], opt)
-    out = series._extend([g], "map", dressing)
-    want = oracles.unreduced_extend([g], "map", dressing)
-    assert [(code, graph_fields(c)) for code, c in out.items()] == \
-        [(code, graph_fields(c)) for code, c in want.items()]
-    assert len(out) == 3
-    # the plain group has fewer pair orbits, so it would build too few
+    # a quartic polygon closed by a loop on two neighbouring legs: a plain
+    # automorphism mirrors it, swapping its two free legs, and maps the
+    # crosswise gluing of a new vertex at one leg onto a twisted one
+    # unless the new vertex is mirrored too; growth reduces by the
+    # orientation-keeping groups, and the level is that of making every
+    # join
+    p4 = polygon_type(4)
+    g, *dressing = instantiate_dressed(p4, "0")
+    dressing = tuple(dressing)
+    (opt,) = series._edge_options("map", g, dressing, "0.p0", "0.p1")
+    g = _with_edges(g, [("0.p0", "0.p1")], opt)
+    level = {"parent": (g, dressing, 1)}
+    slots = [series._slot_leaders("map", p4)]
+    out = series._grow(level, [p4], slots, "map", 2)
+    want = oracles.unreduced_grow(level, [p4], slots, "map", 2)
+    assert level_fields(out) == level_fields(want)
+    assert {len(c.vertices) for c, _, _ in out.values()} == {1, 2}
+    # the plain group has fewer orbits of free legs than the orientation
+    # keeping one
     ext = sorted(g.external_half_edges())
     plain = iso.automorphism_generators(g)
     dressed = iso.automorphism_generators(
         g, *series._group_dressing("map", dressing))
-    assert len(series._pair_orbit_leaders(ext, plain)) < \
-        len(series._pair_orbit_leaders(ext, dressed))
+    assert len(series._orbit_leaders(ext, plain)) == 1
+    assert len(series._orbit_leaders(ext, dressed)) == 2
+
+
+def test_connected_growth_matches_multiset_growth(monkeypatch):
+    # growing connected graphs from one vertex gives the classes (code,
+    # |Aut|, edges, degree) of growing every vertex multiset from its
+    # disjoint union, and the same contraction-closed universe
+    def summary(classes):
+        return {code: (c.automorphisms, c.n_edges, c.degree)
+                for code, c in classes.items()}
+
+    for name in ("gw4", "mq3", "bgr", "gw4-generic"):
+        theory = preset(name)
+        got = connected_classes(theory.dressed_types(), theory.klass, 2)
+        want = oracles.multiset_classes(theory.dressed_types(),
+                                        theory.klass, 2)
+        assert summary(got) == summary(want), name
+        assert all(code == c.code for code, c in got.items())
+
+    def universe(types, classes):
+        return ({dt.plain_code(): dt.cost for dt in types},
+                {code: (c.automorphisms, c.n_edges, c.degree,
+                        c.boundary_code) for code, c in classes.items()})
+
+    cases = (("gw4", 2), ("mq3", 1))
+    got = [universe(*closed_universe(preset(n), e)) for n, e in cases]
+    monkeypatch.setattr(series, "connected_classes", oracles.multiset_classes)
+    want = [universe(*closed_universe(preset(n), e)) for n, e in cases]
+    assert got == want
+
+
+def test_enumeration_matches_multiset_growth(monkeypatch):
+    # enumerate_diagrams gives the same terms (code, edges, coefficient),
+    # in the same order, on the classes of the multiset growth
+    def terms(name, connected):
+        return [(t.code, t.n_edges, t.coefficient) for t in
+                enumerate_diagrams(preset(name), 2, connected).terms]
+
+    cases = [(name, connected) for name in ("gw4", "mq3", "bgr", "gw4-generic")
+             for connected in (True, False)]
+    got = [terms(*case) for case in cases]
+    monkeypatch.setattr(series, "connected_classes", oracles.multiset_classes)
+    assert got == [terms(*case) for case in cases]
+
+
+def test_class_weights_count_labelled_gluings():
+    # Wick's theorem as orbit-stabilizer: per vertex multiset and edge
+    # count, the weights 1/|Aut| of the gw4-generic classes sum to the
+    # labelled gluings over the order of the relabelling group
+    for connected, n_cells in ((True, 15), (False, 26)):
+        cells = oracles.orbit_count_cells(preset("gw4-generic"), 2,
+                                          connected)
+        assert len(cells) == n_cells
+        assert all(ours == glued for ours, glued in cells.values())
 
 
 def test_disconnected_terms_build_their_union_on_first_access():
