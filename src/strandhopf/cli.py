@@ -2,7 +2,8 @@
 
 Outputs are deterministic: every listing is sorted.  Failures print one
 JSON object on stderr ({"error": kind, "message": text}) and exit with
-status 1; argparse usage problems keep the usual status 2.
+status 1; argparse usage problems keep the usual status 2.  ``enumerate``
+joins each line from its parts' ``io.graph_fragments``, one per class.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from . import hopf, io, iso, models, rewrite, series
 from .graphs import (GraphError, boundary, euler_characteristic, faces,
-                     union_member, validate)
+                     validate)
 
 
 def _jsonable(x):
@@ -205,27 +206,14 @@ def _cmd_enumerate(args):
     ts = series.enumerate_diagrams(theory, args.max_edges,
                                    connected=args.connected,
                                    boundary_graph=boundary_graph)
-    # a disconnected line is written from the documents of its parts as
-    # union members, one per (class, position), so no union is built
-    members = {}
-
-    def member(i, cls):
-        doc = members.get((i, cls.code))
-        if doc is None:
-            doc = members[i, cls.code] = io.graph_to_document(
-                union_member(cls.graph, i))
-        return doc
-
+    fragments = functools.cache(io.graph_fragments)
     for term in ts.terms:
-        if term.union:
-            doc = io.union_document([member(i, p)
-                                     for i, p in enumerate(term.parts)])
-        else:
-            doc = io.graph_to_document(term.graph)
-        doc["coefficient"] = _jsonable(term.coefficient)
-        doc["edges"] = term.n_edges
-        doc["automorphisms"] = term.automorphisms
-        sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
+        fields = {"automorphisms": term.automorphisms,
+                  "coefficient": _jsonable(term.coefficient),
+                  "edges": term.n_edges}
+        members = [(f"{i}:" if term.union else "", fragments(p.graph))
+                   for i, p in enumerate(term.parts)]
+        sys.stdout.write(io.document_line(fields, members))
     return 0
 
 

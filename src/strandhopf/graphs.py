@@ -337,28 +337,15 @@ def relabel(G, vmap=None, hmap=None, smap=None):
                                    lambda s: smap.get(s, s)))
 
 
-def _union_label(i):
-    """The label map of the i-th graph of a ``disjoint_union``: x becomes
-    ``f"{i}:{x}"`` if it is a string and ``f"{i}#{x}"`` otherwise, so
-    that labels such as 1 and "1" stay apart."""
-    t, o = f"{i}:", f"{i}#"
-    return lambda x: t + x if isinstance(x, str) else o + str(x)
-
-
-def union_member(G, i):
-    """The 2-graph ``G`` labelled as the i-th graph of a ``disjoint_union``,
-    with one string object per new label."""
-    f = _union_label(i)
-    names = {x: f(x) for x in G.vertices + G.half_edges + G.strands}
-    return relabel(G, names, names, names)
-
-
 def disjoint_union(graphs, prefix=True):
-    """Disjoint union of 2-graphs, or of 1-graphs; by default the labels
-    of each graph are those of its ``union_member``."""
+    """Disjoint union of 2-graphs, or of 1-graphs.  By default a label x of
+    the i-th graph becomes ``f"{i}:{x}"`` if it is a string and
+    ``f"{i}#{x}"`` otherwise, so that labels 1 and "1" stay apart."""
     kind, acc = TwoGraph, ([], [], [], {}, {}, {}, {}, {})
     for i, g in enumerate(graphs):
-        f = _union_label(i) if prefix else (lambda x: x)
+        t, o = f"{i}:", f"{i}#"
+        f = (lambda x: t + x if isinstance(x, str) else o + str(x)) \
+            if prefix else (lambda x: x)
         parts = _mapped_fields(g, f, f, f)
         if i == 0:
             kind, acc = type(g), parts

@@ -11,6 +11,7 @@ output.  Labels are JSON strings or numbers other than NaN and the
 infinities.  Labels of different types may mix within one list: lists
 sort by type name first (floats, then integers, then strings) and by
 value within a type, so a mixed document round-trips byte for byte too.
+``document_line`` joins a union's document from its parts' fragments.
 
 Theory documents carry the enumeration class, dimension, the propagator
 graphs with weights, and the dressed vertex types.  A vertex type may
@@ -24,11 +25,10 @@ types of a ``coloured`` theory or on none.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
-import operator
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .graphs import GraphError, OneGraph, TwoGraph, _sorted_labels
 from .series import DressedType
@@ -54,19 +54,42 @@ def graph_to_document(G):
     }
 
 
-# entries of these lists are objects, which sort by their label
-_MERGE_KEY = dict.fromkeys(("half_edges", "strands"),
-                           operator.itemgetter("id"))
+def _tokens(value, labels):
+    """``value`` with each label replaced by "@"; appends to ``labels`` each
+    label's JSON text but its opening quote, in ``json.dumps`` key order."""
+    if isinstance(value, str):
+        labels.append(encode_basestring_ascii(value)[1:])
+        return "@"
+    if isinstance(value, dict):
+        return {k: _tokens(v, labels) for k, v in sorted(value.items())}
+    return [_tokens(v, labels) for v in value]
 
 
-def union_document(members):
-    """``graph_to_document(disjoint_union(gs))`` from the documents of the
-    ``union_member(gs[i], i)``.  Their labels are all strings, each list
-    of a member's document is sorted in string order, and so is each
-    list of the union's, which is the merge of the members' lists."""
-    return {key: list(heapq.merge(*(m[key] for m in members),
-                                  key=_MERGE_KEY.get(key)))
-            for key in _GRAPH_KEYS}
+def graph_fragments(G):
+    """The JSON texts between the brackets of the lists of
+    ``graph_to_document(G)``, in key order, with "\\x80" (which no ASCII
+    JSON text holds) for each label's opening quote; labels are strings."""
+    doc = graph_to_document(G)
+    out = []
+    for key in sorted(_GRAPH_KEYS):
+        labels = [""]
+        parts = json.dumps(_tokens(doc[key], labels))[1:-1].split('"@"')
+        out.append("\x80".join(e + a for e, a in zip(labels, parts)))
+    return out
+
+
+def document_line(fields, members):
+    """``json.dumps(doc, sort_keys=True) + "\\n"``, ``doc`` the ``fields``
+    (non-empty, keys before "half_edges") and the document of a graph G,
+    from ``[("", graph_fragments(G))]``, or of a ``disjoint_union``, from
+    ``(f"{i}:", graph_fragments(g))`` for its i-th graph g."""
+    members = sorted(members, key=lambda m: m[0])    # "10:" before "1:"
+    items = [json.dumps(fields, sort_keys=True)[1:-1]]
+    for j, key in enumerate(sorted(_GRAPH_KEYS)):
+        body = ", ".join([f[j].replace("\x80", '"' + p)
+                          for p, f in members if f[j]])
+        items.append(f'"{key}": [{body}]')
+    return "{" + ", ".join(items) + "}\n"
 
 
 def _is_label(x):

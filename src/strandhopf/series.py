@@ -348,17 +348,19 @@ def connected_classes(dtypes, klass, budget, frontier=None):
 @dataclass
 class SeriesTerm:
     """One class of a series: the ConnectedClass of each component in
-    ``parts``, and the class's code, |Aut| (``iso._combine`` of the parts'),
-    edge count and coefficient.  ``graph`` is the one part's graph in a
-    connected series and the ``disjoint_union`` of the parts' graphs in a
-    disconnected one, built on first access."""
+    ``parts``, |Aut| (``iso._wreath`` of theirs), edge count, coefficient,
+    and, built on first access, ``code`` (``iso._combine`` of theirs) and
+    ``graph`` (the one part's, or the parts' ``disjoint_union``)."""
 
     parts: tuple
     union: bool
-    code: str
     automorphisms: int
     n_edges: int
     coefficient: Fraction
+
+    @functools.cached_property
+    def code(self):
+        return iso._combine([(p.code, p.automorphisms) for p in self.parts])[0]
 
     @functools.cached_property
     def graph(self):
@@ -390,10 +392,10 @@ def enumerate_diagrams(theory, max_edges, connected=True, boundary_graph=None):
 
     With ``connected=False`` the classes are disjoint unions; since bare
     vertices are diagrams, the vertex count is capped at ``max_edges + 1``
-    to keep the list finite.  Such a term holds its connected parts and
-    builds its union graph only when it is read.  Terms are in (edges,
-    code) order.
-    ``boundary_graph`` filters by boundary isomorphism class.
+    to keep the list finite.  Such a term builds its union graph and code
+    when read.  Terms are in (edges, code) order, sorted by (edges, parts >
+    1, part codes): codes start with "(", before "U(", and none is a prefix
+    of another.  ``boundary_graph`` filters by boundary isomorphism class.
     """
     classes = connected_classes(theory.dressed_types(), theory.klass,
                                 max_edges)
@@ -405,9 +407,8 @@ def enumerate_diagrams(theory, max_edges, connected=True, boundary_graph=None):
         for c in conn:
             if want is not None and c.boundary_code != want:
                 continue
-            terms.append(SeriesTerm((c,), False, c.code, c.automorphisms,
-                                    c.n_edges,
-                                    Fraction(1, c.automorphisms)))
+            terms.append(SeriesTerm((c,), False, c.automorphisms,
+                                    c.n_edges, Fraction(1, c.automorphisms)))
         return TruncatedSeries(max_edges, True, terms)
 
     sizes = [len(c.graph.vertices) for c in conn]
@@ -432,11 +433,12 @@ def enumerate_diagrams(theory, max_edges, connected=True, boundary_graph=None):
                 [p for i in combo for p in bparts[i]])[0] != want:
             continue
         parts = tuple(conn[i] for i in combo)
-        code, aut = iso._combine([(p.code, p.automorphisms) for p in parts])
-        terms.append(SeriesTerm(parts, True, code, aut,
+        aut = iso._wreath([(p.code, p.automorphisms) for p in parts])
+        terms.append(SeriesTerm(parts, True, aut,
                                 sum(p.n_edges for p in parts),
                                 Fraction(1, aut)))
-    terms.sort(key=lambda t: (t.n_edges, t.code))
+    terms.sort(key=lambda t: (t.n_edges, len(t.parts) > 1,
+                              sorted(p.code for p in t.parts)))
     return TruncatedSeries(max_edges, False, terms)
 
 

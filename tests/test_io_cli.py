@@ -11,7 +11,7 @@ import pytest
 import strandhopf
 from strandhopf import boundary, canonical_code, cli, io, preset
 from strandhopf import fixtures, graphs, hopf, iso, models, series
-from strandhopf.graphs import disjoint_union, relabel, union_member
+from strandhopf.graphs import disjoint_union, relabel
 from strandhopf.io import DocumentError
 from strandhopf.iso import one_graph_code
 from strandhopf.rewrite import contract
@@ -378,22 +378,35 @@ def test_cli_enumerate_with_boundary_filter(tmp_path, capsys):
         assert one_graph_code(boundary(g)) == one_graph_code(want)
 
 
-def test_union_document_equals_the_union_graphs_document():
-    fish = fixtures.fish(1, 2)
-    numbered = relabel(fish, *({x: k for k, x in enumerate(xs)} for xs in (
-        fish.vertices, fish.half_edges, fish.strands)))
-    assert len(fish.strands) > 10    # "0#10" sorts before "0#9"
-    h0, h1 = fish.half_edges[:2]
-    mixed = relabel(fish, hmap={h0: 1, h1: "1"})
-    # with 11 parts or more, "10:x" sorts between "1#x" and "1:x"
-    many = [fixtures.nested_tadpole(), mixed, fixtures.gw_ladder(),
-            numbered] * 3
-    for gs in ([numbered], [mixed], [numbered, mixed], many):
-        members = [io.graph_to_document(union_member(g, i))
-                   for i, g in enumerate(gs)]
-        want = io.graph_to_document(disjoint_union(gs))
-        assert io.union_document(members) == want
-    assert [v for m in members for v in m["vertices"]] != want["vertices"]
+def _string_labelled(g, form):
+    """``g`` with its k-th label x of each kind named ``form.format(k, x)``."""
+    return relabel(g, *({x: form.format(k, x) for k, x in enumerate(xs)}
+                        for xs in (g.vertices, g.half_edges, g.strands)))
+
+
+def test_document_line_is_the_json_of_the_union_document():
+    fields = {"automorphisms": 8, "coefficient": "1/8", "edges": 3}
+
+    def dumped(g):
+        doc = dict(io.graph_to_document(g), **fields)
+        return json.dumps(doc, sort_keys=True) + "\n"
+
+    # labels with characters JSON escapes, ":", "@" and non-ASCII ones
+    odd = _string_labelled(fixtures.fish(1, 2), '{0}"\\:@\u00e9\u0080{1}')
+    tadpole = _string_labelled(fixtures.nested_tadpole(), "t{0}")
+    bare = series.instantiate_dressed(preset("gw4").dressed_types()[0],
+                                      "b")[0]
+    assert not bare.edge_pairs()    # its iota and sigma2 bodies are empty
+    # with 11 parts or more, "10:x" sorts before "1:x"
+    many = [tadpole, odd, bare, fixtures.fish(1, 2)] * 3
+    for gs in ([odd], [bare], [bare, odd], many):
+        members = [(f"{i}:", io.graph_fragments(g)) for i, g in enumerate(gs)]
+        assert io.document_line(fields, members) == \
+            dumped(disjoint_union(gs))
+        assert io.document_line(fields, [("", members[0][1])]) == \
+            dumped(gs[0])
+    assert io.graph_to_document(disjoint_union(many))["vertices"] != \
+        [f"{i}:{v}" for i, g in enumerate(many) for v in g.vertices]
 
 
 def _count_calls(monkeypatch, calls, name, modules,
@@ -409,7 +422,7 @@ def _count_calls(monkeypatch, calls, name, modules,
 
 
 def test_cli_enumerate_builds_no_union_and_no_boundary(monkeypatch, capsys):
-    # disconnected lines come from their parts' documents: no union graph
+    # disconnected lines come from their parts' fragments: no union graph
     # (growth seeds are unions without prefixes, and so are not counted),
     # no boundary and no 1-graph canonization
     calls = {}
@@ -431,11 +444,11 @@ def test_cli_enumerate_builds_no_union_and_no_boundary(monkeypatch, capsys):
         terms = enumerate_diagrams(preset(name), 2, connected=False).terms
         assert len(lines) == len(terms) > 0, name
         for line, t in zip(lines, terms):
-            doc = json.loads(line)
-            assert (doc.pop("edges"), doc.pop("automorphisms")) == \
-                (t.n_edges, t.automorphisms)
-            assert Fraction(str(doc.pop("coefficient"))) == t.coefficient
-            assert doc == io.graph_to_document(t.graph), name
+            doc = dict(io.graph_to_document(t.graph), edges=t.n_edges,
+                       automorphisms=t.automorphisms,
+                       coefficient=cli._jsonable(t.coefficient))
+            assert line == json.dumps(doc, sort_keys=True), name
+            assert Fraction(str(doc["coefficient"])) == t.coefficient
 
 
 def test_cli_enumerate_boundary_filter_keeps_the_matching_lines(

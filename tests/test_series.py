@@ -6,7 +6,7 @@ import weakref
 from fractions import Fraction
 
 import oracles
-from strandhopf import fixtures, iso, rewrite, series
+from strandhopf import fixtures, iso, models, rewrite, series
 from strandhopf import (
     automorphism_count,
     boundary,
@@ -31,6 +31,17 @@ def profile(series):
         key = (len(t.graph.vertices), t.n_edges)
         out[key] = out.get(key, 0) + 1
     return out
+
+
+def test_term_order_is_the_order_of_the_code_strings():
+    # terms sort by (edges, parts > 1, part codes), which forms no union
+    # code; it must be the order of the codes themselves
+    for name in sorted(models.PRESETS):
+        for connected in (True, False):
+            terms = enumerate_diagrams(preset(name), 3, connected).terms
+            keys = [(t.n_edges, t.code) for t in terms]
+            assert keys == sorted(set(keys)), (name, connected)
+            assert any(len(t.parts) > 1 for t in terms) != connected, name
 
 
 def test_gw4_one_edge_classes():
