@@ -11,7 +11,8 @@ output.  Labels are JSON strings or numbers other than NaN and the
 infinities.  Labels of different types may mix within one list: lists
 sort by type name first (floats, then integers, then strings) and by
 value within a type, so a mixed document round-trips byte for byte too.
-``document_line`` joins a union's document from its parts' fragments.
+``graph_fragments`` writes a graph's lists from its integer view, each
+label encoded once; ``document_line`` joins a union's document from them.
 
 Theory documents carry the enumeration class, dimension, the propagator
 graphs with weights, and the dressed vertex types.  A vertex type may
@@ -54,28 +55,21 @@ def graph_to_document(G):
     }
 
 
-def _tokens(value, labels):
-    """``value`` with each label replaced by "@"; appends to ``labels`` each
-    label's JSON text but its opening quote, in ``json.dumps`` key order."""
-    if isinstance(value, str):
-        labels.append(encode_basestring_ascii(value)[1:])
-        return "@"
-    if isinstance(value, dict):
-        return {k: _tokens(v, labels) for k, v in sorted(value.items())}
-    return [_tokens(v, labels) for v in value]
-
-
 def graph_fragments(G):
     """The JSON texts between the brackets of the lists of
     ``graph_to_document(G)``, in key order, with "\\x80" (which no ASCII
     JSON text holds) for each label's opening quote; labels are strings."""
-    doc = graph_to_document(G)
-    out = []
-    for key in sorted(_GRAPH_KEYS):
-        labels = [""]
-        parts = json.dumps(_tokens(doc[key], labels))[1:-1].split('"@"')
-        out.append("\x80".join(e + a for e, a in zip(labels, parts)))
-    return out
+    view = G.view()
+    v, h, s = ([f"\x80{encode_basestring_ascii(x)[1:]}" for x in xs]
+               for xs in (G.vertices, G.half_edges, G.strands))
+    pairs = ([f"[{names[i]}, {names[j]}]" for i, j in enumerate(m) if i < j]
+             for m, names in ((view.iota, h), (view.sigma1, s),
+                              (view.sigma2, s)))
+    return [", ".join(xs) for xs in (
+        [f'{{"id": {x}, "vertex": {v[p]}}}' for x, p in zip(h, view.nu)],
+        *pairs,
+        [f'{{"half_edge": {h[p]}, "id": {x}}}' for x, p in zip(s, view.mu)],
+        v)]
 
 
 def document_line(fields, members):

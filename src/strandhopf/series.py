@@ -42,9 +42,14 @@ each class uses:
 * ``map``: the group keeping strand orientations (with any colour) and
   parities.  The crosswise gluing reads the orientation, and a map that
   reverses it on one side of a join only would make a twisted gluing.
+  With polygon types only, the plain group (``_group_class``): a plain
+  automorphism of a connected graph then reverses every vertex or none,
+  and a polygon has a reflection through each slot.
 
 A ``map`` theory still dedups by the plain code, as ``generic`` does, and
-``coloured`` by the code with colours and parities.  The group only
+``coloured`` by the code with colours and parities; a child never grown
+(cost at the budget) by the plain code ``_record`` keys it by, searched
+once (a coloured section's colour keeps the codes apart).  The group only
 decides which children are built; the dedup code decides which are the
 same class, and the output classes of ``enumerate_diagrams`` are plain
 classes weighted by plain |Aut|, so the plain code is the key they need.
@@ -204,9 +209,9 @@ def _edge_options(klass, G, dressing, h1, h2):
     raise GraphError(f"unknown theory class {klass!r}")
 
 
-def _dedup_code(klass, G, dressing):
+def _dedup_code(klass, G, dressing, grown=True):
     col, par, _ = dressing
-    if klass == "coloured":
+    if klass == "coloured" and grown:
         return iso.canonical_code(G, strand_colour=col, half_mark=par)
     return iso.canonical_code(G)
 
@@ -222,6 +227,15 @@ def _group_dressing(klass, dressing):
     if klass == "coloured":
         return col, par
     return _merge_marks(col, ori), par
+
+
+def _group_class(klass, dtypes):
+    """``generic`` (the plain group) if every type of a ``map`` theory is
+    one polygon: connected, no colour or parity, strands from in to out."""
+    return "generic" if klass == "map" and all(
+        len(dt.graph.components()) == 1 and not (dt.colour or dt.parity) and
+        {o + dict(dt.orient)[dt.graph.pairing[h]] for h, o in dt.orient}
+        == {1} for dt in dtypes) else klass
 
 
 def _orbit_leaders(items, gens):
@@ -270,12 +284,12 @@ def _grow(level, dtypes, slots, klass, budget):
     first found.  A parent is joined at its pair orbit leaders, then, per
     type of ``dtypes``, at its half-edge orbit leaders times the type's
     ``slots`` leaders, each in label order (see the module docstring)."""
-    nxt = {}
+    nxt, group = {}, _group_class(klass, dtypes)
     for g, dressing, cost in level.values():
         if cost >= budget:
             continue
         ext = sorted(g.external_half_edges(), key=_label_key)
-        gens = iso.automorphism_generators(g, *_group_dressing(klass,
+        gens = iso.automorphism_generators(g, *_group_dressing(group,
                                                                dressing))
         joins = [(g, dressing, cost + 1, _pair_orbit_leaders(ext, gens))]
         ends = _orbit_leaders(ext, gens)
@@ -288,8 +302,8 @@ def _grow(level, dtypes, slots, klass, budget):
             for h1, h2 in pairs:
                 for opt in _edge_options(klass, base, dr, h1, h2):
                     child = _with_edges(base, [(h1, h2)], opt)
-                    nxt.setdefault(_dedup_code(klass, child, dr),
-                                   (child, dr, c))
+                    nxt.setdefault(_dedup_code(klass, child, dr,
+                                               c < budget), (child, dr, c))
     return nxt
 
 
@@ -326,13 +340,14 @@ def connected_classes(dtypes, klass, budget, frontier=None):
     types.  Returns a dict keyed by plain canonical code.
     """
     dtypes = sorted(dtypes, key=lambda dt: (dt.cost, dt.dressed_code()))
-    slots = [_slot_leaders(klass, dt) for dt in dtypes]
+    group = _group_class(klass, dtypes)
+    slots = [_slot_leaders(group, dt) for dt in dtypes]
     level = {}
     for dt in dtypes:
         if dt.cost <= budget and (frontier is None or dt in frontier):
             g, *dressing = instantiate_dressed(dt, "0")
-            level.setdefault(_dedup_code(klass, g, dressing),
-                             (g, tuple(dressing), dt.cost))
+            key = _dedup_code(klass, g, dressing, dt.cost < budget)
+            level.setdefault(key, (g, tuple(dressing), dt.cost))
     raw, e = {}, 0
     while level:
         for g, _, cost in level.values():
@@ -348,15 +363,18 @@ def connected_classes(dtypes, klass, budget, frontier=None):
 @dataclass
 class SeriesTerm:
     """One class of a series: the ConnectedClass of each component in
-    ``parts``, |Aut| (``iso._wreath`` of theirs), edge count, coefficient,
-    and, built on first access, ``code`` (``iso._combine`` of theirs) and
-    ``graph`` (the one part's, or the parts' ``disjoint_union``)."""
+    ``parts``, |Aut| (``iso._wreath`` of theirs), edge count, coefficient
+    (1/|Aut|, on read), and, built on first access, ``code`` (``iso._combine``
+    of theirs) and ``graph`` (the one part's, or the parts' union)."""
 
     parts: tuple
     union: bool
     automorphisms: int
     n_edges: int
-    coefficient: Fraction
+
+    @property
+    def coefficient(self):
+        return Fraction(1, self.automorphisms)
 
     @functools.cached_property
     def code(self):
@@ -407,8 +425,7 @@ def enumerate_diagrams(theory, max_edges, connected=True, boundary_graph=None):
         for c in conn:
             if want is not None and c.boundary_code != want:
                 continue
-            terms.append(SeriesTerm((c,), False, c.automorphisms,
-                                    c.n_edges, Fraction(1, c.automorphisms)))
+            terms.append(SeriesTerm((c,), False, c.automorphisms, c.n_edges))
         return TruncatedSeries(max_edges, True, terms)
 
     sizes = [len(c.graph.vertices) for c in conn]
@@ -435,8 +452,7 @@ def enumerate_diagrams(theory, max_edges, connected=True, boundary_graph=None):
         parts = tuple(conn[i] for i in combo)
         aut = iso._wreath([(p.code, p.automorphisms) for p in parts])
         terms.append(SeriesTerm(parts, True, aut,
-                                sum(p.n_edges for p in parts),
-                                Fraction(1, aut)))
+                                sum(p.n_edges for p in parts)))
     terms.sort(key=lambda t: (t.n_edges, len(t.parts) > 1,
                               sorted(p.code for p in t.parts)))
     return TruncatedSeries(max_edges, False, terms)

@@ -416,7 +416,7 @@ def unreduced_grow(level, dtypes, slots, klass, budget):
         for h1, h2 in pairs:
             for opt in _edge_options(klass, base, dressing, h1, h2):
                 child = _with_edges(base, [(h1, h2)], opt)
-                dc = _dedup_code(klass, child, dressing)
+                dc = _dedup_code(klass, child, dressing, cost < budget)
                 if dc not in nxt:
                     nxt[dc] = (child, dressing, cost)
 
@@ -605,8 +605,9 @@ def inherited_view_mismatches(theory, max_edges):
             new_vertex[0] += 1
         return real_with_edges(G, matched, sigma2_pairs)
 
-    def checked_dedup_code(klass, c, dressing):
-        col, par = dressing[:2] if klass == "coloured" else (None, None)
+    def checked_dedup_code(klass, c, dressing, grown=True):
+        col, par = dressing[:2] if klass == "coloured" and grown \
+            else (None, None)
         fresh = TwoGraph(c.vertices, c.half_edges, c.strands, c.nu, c.mu,
                          c.iota, c.sigma1, c.sigma2)
         for what, of in (
@@ -626,7 +627,7 @@ def inherited_view_mismatches(theory, max_edges):
         if list(map(list, _groups(c))) != groups:
             bad.append((count[0], "partition"))
         count[0] += 1
-        return real_dedup(klass, c, dressing)
+        return real_dedup(klass, c, dressing, grown)
 
     iso.search_cache_clear()
     series._dedup_code = checked_dedup_code

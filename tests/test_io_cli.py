@@ -407,6 +407,16 @@ def test_document_line_is_the_json_of_the_union_document():
             dumped(gs[0])
     assert io.graph_to_document(disjoint_union(many))["vertices"] != \
         [f"{i}:{v}" for i, g in enumerate(many) for v in g.vertices]
+    # the fragments of every connected class the CLI writes are the list
+    # bodies of the sorted document, whose pairs are in label order
+    for name in ("gw4", "mq3", "bgr"):
+        for t in enumerate_diagrams(preset(name), 2).terms:
+            g, doc = t.graph, io.graph_to_document(t.graph)
+            bodies = [json.dumps(doc[key], sort_keys=True)[1:-1]
+                      for key in sorted(doc)]
+            fragments = io.graph_fragments(g)
+            assert [f.replace("\x80", '"') for f in fragments] == bodies
+            assert io.document_line(fields, [("", fragments)]) == dumped(g)
 
 
 def _count_calls(monkeypatch, calls, name, modules,

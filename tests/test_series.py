@@ -15,7 +15,7 @@ from strandhopf import (
     internal_face_count,
     preset,
 )
-from strandhopf.graphs import disjoint_union, vertex_graph
+from strandhopf.graphs import OneGraph, disjoint_union, vertex_graph
 from strandhopf.iso import one_graph_code
 from strandhopf.models import (Theory, melonic_quartic_type, polygon_type,
                                vertex_weight_tensorial)
@@ -324,9 +324,9 @@ def test_map_growth_keeps_orientations():
     # a quartic polygon closed by a loop on two neighbouring legs: a plain
     # automorphism mirrors it, swapping its two free legs, and maps the
     # crosswise gluing of a new vertex at one leg onto a twisted one
-    # unless the new vertex is mirrored too; growth reduces by the
-    # orientation-keeping groups, and the level is that of making every
-    # join
+    # unless the new vertex is mirrored too; a polygon has a mirror
+    # through each slot, so growth of polygon types reduces by the plain
+    # group, and the level is that of making every join
     p4 = polygon_type(4)
     g, *dressing = instantiate_dressed(p4, "0")
     dressing = tuple(dressing)
@@ -346,6 +346,82 @@ def test_map_growth_keeps_orientations():
         g, *series._group_dressing("map", dressing))
     assert len(series._orbit_leaders(ext, plain)) == 1
     assert len(series._orbit_leaders(ext, dressed)) == 2
+
+
+def _two_trace_type(n):
+    """A map vertex type of two n-gons, their labels prefixed by "a" and
+    "b"."""
+    vs, hs, attach, pairing, orient = [], [], {}, {}, []
+    p = polygon_type(n)
+    for tag in "ab":
+        vs += [tag + v for v in p.graph.vertices]
+        hs += [tag + h for h in p.graph.half_edges]
+        attach.update({tag + h: tag + v for h, v in p.graph.attach.items()})
+        pairing.update({tag + h: tag + k for h, k in p.graph.pairing.items()})
+        orient += [(tag + h, o) for h, o in p.orient]
+    return series.DressedType(OneGraph(vs, hs, attach, pairing),
+                              orient=tuple(sorted(orient)))
+
+
+def test_map_growth_of_a_two_trace_type_keeps_orientations(monkeypatch):
+    # two squares in one vertex, each closed by a loop on two neighbouring
+    # legs: mirroring one square alone is a plain automorphism, but it
+    # maps a crosswise join of the two squares onto a twisted one, and
+    # neither square can be mirrored alone through the leg it joins; so
+    # a type of two traces keeps the orientation group, and the level is
+    # that of making every join, where the plain group would lose a class
+    tt = _two_trace_type(4)
+    assert series._group_class("map", [polygon_type(4), polygon_type(1)]) \
+        == "generic"
+    assert series._group_class("map", [polygon_type(4), tt]) == "map"
+    assert series._group_class("coloured", [polygon_type(4)]) == "coloured"
+    # a polygon whose strands do not run from in to out is no polygon
+    flipped = polygon_type(3)
+    flipped = series.DressedType(flipped.graph, orient=tuple(
+        (h, 1 - o if h.startswith("p0") else o) for h, o in flipped.orient))
+    assert series._group_class("map", [flipped]) == "map"
+
+    g, *dressing = instantiate_dressed(tt, "0")
+    dressing = tuple(dressing)
+    for pair in (("0.ap0", "0.ap1"), ("0.bp0", "0.bp1")):
+        (opt,) = series._edge_options("map", g, dressing, *pair)
+        g = _with_edges(g, [pair], opt)
+    level = {"parent": (g, dressing, 2)}
+    slots = [series._slot_leaders("map", tt)]
+    want = oracles.unreduced_grow(level, [tt], slots, "map", 3)
+    out = series._grow(level, [tt], slots, "map", 3)
+    assert level_fields(out) == level_fields(want)
+    assert len(want) == 4
+    monkeypatch.setattr(series, "_group_class", lambda klass, dtypes:
+                        "generic")
+    assert len(series._grow(level, [tt], slots, "map", 3)) == 3
+
+
+def test_budget_level_is_keyed_by_the_plain_code(monkeypatch):
+    # a child at the budget is never grown, so growth keys it by the plain
+    # code that _record keys its class by; the levels below the budget
+    # of a coloured theory keep the code with colours and parities
+    levels = []
+    real = series._grow
+
+    def recording(level, dtypes, slots, klass, budget):
+        out = real(level, dtypes, slots, klass, budget)
+        levels.append(out)
+        return out
+
+    monkeypatch.setattr(series, "_grow", recording)
+    for name in ("mq3", "bgr"):
+        theory = preset(name)
+        levels.clear()
+        connected_classes(theory.dressed_types(), theory.klass, 2)
+        first, top, last = levels
+        assert top and not last, name
+        assert all(cost == 2 for _, _, cost in top.values())
+        assert all(code == iso.canonical_code(g)
+                   for code, (g, _, _) in top.items()), name
+        for code, (g, (col, par, _), _) in first.items():
+            assert code == iso.canonical_code(g, col, par) != \
+                iso.canonical_code(g), name
 
 
 def test_connected_growth_matches_multiset_growth(monkeypatch):
