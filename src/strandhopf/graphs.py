@@ -21,20 +21,20 @@ What a 2-graph derives from its maps and keeps lives in one place, its
 component partition comes from the one union-find of ``_groups``, or is
 one group, set by ``rewrite._with_edges`` (growth children), ``_piece``
 and ``_contract_edges`` on graphs connected by construction.  Its
-integer view (``View``, from ``TwoGraph.view``) holds the
-label-to-position maps, the one place they are built, and the five
+integer view (``View``, from ``TwoGraph.view``) holds the five
 structure maps over positions; the face walk, ``iso``'s keys and
-encodings read it instead of the label dicts.  The record holds no other
-graph and no other record.
+encodings read it instead of the label dicts.  The label-to-position
+maps it is built from are not kept.  The record holds no other graph and
+no other record.
 
 A growth child (``rewrite._with_edges``) is built without sorting or
 copying what it shares with its parent: the label tuples, the ``nu``,
-``mu`` and ``sigma1`` dicts, the position maps and ``nu``, ``mu`` and
-``sigma1`` arrays of the view, and the ``half_edges_at`` and
-``strands_at`` maps are the parent's own objects.  So nothing may write
-into a graph's label tuples, structure dicts, view or derived maps in
-place; no code in the package does (every write goes to a dict or list
-that the writing function built).
+``mu`` and ``sigma1`` dicts, the ``nu``, ``mu`` and ``sigma1`` arrays
+of the view, and the ``half_edges_at`` and ``strands_at`` maps are the
+parent's own objects.  So nothing may write into a graph's label tuples,
+structure dicts, view or derived maps in place; no code in the package
+does (every write goes to a dict or list that the writing function
+built).
 """
 
 from __future__ import annotations
@@ -173,12 +173,11 @@ class Derived:
         self.faces = self.canon = self.groups = self.view = None
 
 
-View = namedtuple("View", "vpos hpos spos nu iota mu sigma1 sigma2")
-View.__doc__ = """The integer view of a 2-graph: ``vpos``, ``hpos`` and
-``spos`` map each vertex, half-edge and section label to its position in
-``G.vertices``, ``G.half_edges`` and ``G.strands``; ``nu``, ``iota``,
-``mu``, ``sigma1`` and ``sigma2`` are lists over half-edge or section
-positions of the positions their maps send them to."""
+View = namedtuple("View", "nu iota mu sigma1 sigma2")
+View.__doc__ = """The integer view of a 2-graph: ``nu``, ``iota``, ``mu``,
+``sigma1`` and ``sigma2`` are lists over half-edge or section positions
+(in ``G.half_edges`` or ``G.strands``) of the positions their maps send
+them to (in ``G.vertices``, ``G.half_edges`` or ``G.strands``)."""
 
 
 def _positions(labels):
@@ -260,8 +259,7 @@ class TwoGraph:
                                                 self.half_edges,
                                                 self.strands))
             hs, ss = self.half_edges, self.strands
-            d.view = View(vpos, hpos, spos,
-                          [vpos[self.nu[h]] for h in hs],
+            d.view = View([vpos[self.nu[h]] for h in hs],
                           [hpos[self.iota[h]] for h in hs],
                           [hpos[self.mu[s]] for s in ss],
                           [spos[self.sigma1[s]] for s in ss],
@@ -366,7 +364,6 @@ def disjoint_union(graphs, prefix=True):
 class ValidationReport:
     valid: bool
     violations: list
-    pair_form_consistent: bool
 
 
 def validate(G):
@@ -393,7 +390,7 @@ def validate(G):
     if not inv_ok(G.sigma2, ss):
         bad.append("sigma2 is not an involution on the strand sections")
     if bad:
-        return ValidationReport(False, bad, False)
+        return ValidationReport(False, bad)
 
     for s in G.strands:
         if G.sigma1[s] == s:
@@ -413,28 +410,7 @@ def validate(G):
         if fixed_s != fixed_h:
             bad.append("sigma2 fixed points do not match external half-edges")
             break
-    if bad:
-        return ValidationReport(False, bad, False)
-
-    # Equivalence of the involution presentation with the partition form:
-    # orbits of sigma1 partition the sections into vertex-local pairs, and
-    # every edge carries a full bijection of its two strand corollas.
-    pair_ok = True
-    covered = set()
-    for a, b in G.vertex_strand_pairs():
-        covered.update((a, b))
-    if covered != ss:
-        pair_ok = False
-    for h1, h2 in G.edge_pairs():
-        c1 = set(G.strands_at(h1))
-        c2 = set(G.strands_at(h2))
-        if {G.sigma2[s] for s in c1} != c2 or len(c1) != len(c2):
-            pair_ok = False
-            bad.append("sigma2/iota incompatible")
-            break
-    if bad:
-        return ValidationReport(False, bad, False)
-    return ValidationReport(True, [], pair_ok)
+    return ValidationReport(not bad, bad)
 
 
 # ---------------------------------------------------------------------------

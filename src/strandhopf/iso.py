@@ -45,11 +45,11 @@ canonical 1-graph, and the 1-graph code string serializes that graph.
 
 Encodings number their nodes by the positions of the labels in the
 graph's sorted label tuples, read from its integer view (``graphs.View``:
-the position maps and the five structure maps over positions), as are
-the positional keys and the faces, which are walked on the view's
-involutions (``graphs._walk_faces``, the one face walk) and never turned
-back into labels here.  A growth child (``rewrite._with_edges``) shares
-its parent's view but for ``iota`` and ``sigma2``, which it copies and
+the five structure maps over positions), as are the positional keys and
+the faces, which are walked on the view's involutions
+(``graphs._walk_faces``, the one face walk) and never turned back into
+labels here.  A growth child (``rewrite._with_edges``) shares its
+parent's view but for ``iota`` and ``sigma2``, which it copies and
 patches.
 
 One routine canonizes a connected graph of either kind from its
@@ -86,22 +86,24 @@ miss the encoding (descs and adj) is built and looked up; it does not
 depend on the strand labels (``_face_classes`` orders the classes by their
 itineraries), so one shape with its strands named apart, such as a piece
 or a contraction met under another labelling, is found there.  Only when
-both miss does the search run; it stores its entry under the pair of
-keys, which are kept and dropped together, and an encoding hit stores
-the positional key on its own.  A 1-graph is keyed by its encoding
-alone, which has no faces and is cheap to build.  The encoding lists its
-class nodes in sorted order, so the key depends on the vertex order only
-and not on the half-edge labels: vertex graphs of one shape whose
-sections are named apart share an entry.  A connected 1-graph is encoded
-as itself, not as a copy of its one component.  The tags ("two", "one")
+both miss does the search run; it stores its entry under the encoding
+key and under the positional key, as two keys, and an encoding hit
+stores the positional key.  A 1-graph is keyed by its encoding alone,
+which has no faces and is cheap to build.  The encoding lists its class
+nodes in sorted order, so the key depends on the vertex order only and
+not on the half-edge labels: vertex graphs of one shape whose sections
+are named apart share an entry.  A connected 1-graph is encoded as
+itself, not as a copy of its one component.  The tags ("two", "one")
 keep the kinds apart.  Under "two" a positional key is the marshal of an
 8-tuple and an encoding key that of a 2-tuple, so the two never meet.
 Keys are ``marshal`` bytes, not tuples, because those take a fraction of
 their memory, and the view's maps go in as ``bytes`` where every
-position fits in one (``_packed``).  The memo holds at most 1024 units,
-a key pair or a single key, and evicts the least recently used;
-``search_cache_info()`` reports its hits (lookups answered without a
-search, by either key), misses (searches), bound and size in units.
+position fits in one (``_packed``).  The memo is a plain dict that holds
+at most ``_SEARCH_MEMO_BOUND`` keys: the store that takes it past the
+bound empties it, and later lookups search again and refill it.  It
+keeps no order or usage state.  ``search_cache_info()`` reports its hits
+(lookups answered without a search, by either key), misses (searches),
+bound and size in keys.
 
 1-graph isomorphisms come from the same entries.  The encoding
 isomorphisms of connected 1-graphs b, g of one code are c_g^-1 o c_b o a
@@ -118,7 +120,7 @@ from __future__ import annotations
 import functools
 import itertools
 import marshal
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from math import factorial
 
 from .graphs import (connected_components, disjoint_union, relabel,
@@ -408,7 +410,7 @@ def _encode_two_graph(G, strand_colour=None, half_mark=None):
     """
     classes = _face_classes(G, strand_colour)
     view = G.view()
-    nv = len(view.vpos)
+    nv = len(G.vertices)
     descs = [(0,)] * nv + [(1,) if half_mark is None else (1, half_mark[h])
                            for h in G.half_edges]
     owner = [None] * len(descs)
@@ -534,78 +536,63 @@ def _one_graph_serial(code):
 # codes and automorphism orders of both kinds
 
 
-# The search memo (see the module docstring), least recently used first.
-# A key maps to (entry, partner): the partner is the other key of the pair
-# (encoding key, positional key) that a 2-graph search stores, the two
-# kept and dropped together, or None.  The bound counts units, a pair or
-# a single key; 1024 of them held a workload's working set at a fraction
-# of the memory of an unbounded memo.
-_SEARCH_MEMO_BOUND = 1024
-_search_memo = OrderedDict()
-_search_stats = [0, 0, 0]  # hits, misses, pairs
+# The search memo (see the module docstring): a tagged key maps to the
+# entry of a connected graph.  The bound counts keys; the store that takes
+# the memo past it empties the whole memo.  Of the bounds measured on the
+# large cases (BENCH_24.json), 2048 keys searched 5-7% more in the
+# central checks and 4096 peaked 7% higher in mq3 <=4 enumerate.
+_SEARCH_MEMO_BOUND = 3072
+_search_memo = {}
+_search_stats = [0, 0]  # hits, misses
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 def search_cache_info():
-    """Hits, misses, bound and size (in units) of the search memo, in the
+    """Hits, misses, bound and size (in keys) of the search memo, in the
     shape of ``functools`` ``cache_info()``."""
-    return CacheInfo(*_search_stats[:2], _SEARCH_MEMO_BOUND, _units())
-
-
-def _units():
-    """The size of the search memo: its keys, a pair counting once."""
-    return len(_search_memo) - _search_stats[2]
+    return CacheInfo(*_search_stats, _SEARCH_MEMO_BOUND, len(_search_memo))
 
 
 def search_cache_clear():
     """Empty the search memo and reset its counts."""
     _search_memo.clear()
-    _search_stats[:] = [0, 0, 0]
+    _search_stats[:] = [0, 0]
 
 
 def _lookup(key):
-    """The entry stored under ``key``, counted as a hit and made the most
-    recently used with its partner, or None."""
-    found = _search_memo.get(key)
-    if found is None:
-        return None
-    _search_stats[0] += 1
-    _search_memo.move_to_end(key)
-    if found[1] is not None:
-        _search_memo.move_to_end(found[1])
-    return found[0]
+    """The entry stored under ``key``, counted as a hit, or None."""
+    entry = _search_memo.get(key)
+    if entry is not None:
+        _search_stats[0] += 1
+    return entry
+
+
+def _store(key, entry):
+    """Store ``entry`` under ``key``; a store that takes the memo past its
+    bound empties it."""
+    _search_memo[key] = entry
+    if len(_search_memo) > _SEARCH_MEMO_BOUND:
+        _search_memo.clear()
 
 
 def _memoized(tag, encoding, serial=repr, position=None):
     """The search memo entry of a connected graph of kind ``tag`` ("two"
     or "one") with encoding ``encoding``: the entry stored under (tag,
     the ``marshal`` bytes of its descs and adj), or the search's on a
-    miss.  A search stores its entry under that key, paired with a
-    2-graph's positional key ``position`` (which missed); a hit stores
-    ``position`` on its own.  While there are more units than the bound,
-    the least recently used one goes."""
+    miss, which stores it under that key.  A 2-graph's positional key
+    ``position`` (which missed) is then stored as a key of its own."""
     # marshal format 2 writes values only (later formats mark shared
     # objects), so equal keys mean equal encodings; it is many times
     # faster than repr
     key = tag, marshal.dumps(encoding[:2], 2)
     entry = _lookup(key)
-    if entry is not None and position is None:
-        return entry
     if entry is None:
         _search_stats[1] += 1
         entry = _canon_connected(encoding, serial)
-        _search_memo[key] = entry, position
-        if position is not None:
-            _search_memo[position] = entry, key
-            _search_stats[2] += 1
-    else:
-        _search_memo[position] = entry, None
-    while _units() > _SEARCH_MEMO_BOUND:
-        _, (_, partner) = _search_memo.popitem(last=False)
-        if partner is not None:
-            del _search_memo[partner]
-            _search_stats[2] -= 1
+        _store(key, entry)
+    if position is not None:
+        _store(position, entry)
     return entry
 
 
@@ -650,10 +637,8 @@ def _positional_key(G, strand_colour=None, half_mark=None):
     """Search memo key of a connected 2-graph: the ``marshal`` bytes of
     its vertex count, the five structure maps of its integer view (each
     ``_packed``), and its decorations by position."""
-    view = G.view()
     return "two", marshal.dumps((
-        len(view.vpos), *map(_packed, (view.nu, view.iota, view.mu,
-                                       view.sigma1, view.sigma2)),
+        len(G.vertices), *map(_packed, G.view()),
         None if strand_colour is None else [strand_colour[s]
                                             for s in G.strands],
         None if half_mark is None else [half_mark[h] for h in G.half_edges]),

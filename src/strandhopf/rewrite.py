@@ -184,23 +184,26 @@ def _with_edges(G, matched, sigma2_pairs):
 
     The child is built from ``G`` without sorting or copying what they
     share (see the ``graphs`` docstring): its label tuples, its ``nu``,
-    ``mu`` and ``sigma1`` dicts, the position maps and ``nu``, ``mu`` and
-    ``sigma1`` arrays of its view, and the ``half_edges_at`` and
-    ``strands_at`` maps, if built, are those of ``G``; only ``iota`` and
-    ``sigma2`` are copied, dicts and arrays, with the joined entries
-    patched.  The child must be connected, as every growth child is; its
-    component partition is the one group of its vertices.
+    ``mu`` and ``sigma1`` dicts, the ``nu``, ``mu`` and ``sigma1`` arrays
+    of its view, and the ``half_edges_at`` and ``strands_at`` maps, if
+    built, are those of ``G``; only ``iota`` and ``sigma2`` are copied,
+    dicts and arrays, with the joined entries patched.  No position map
+    is kept or shared: the few positions patched are found by searching
+    the label tuples.  The child must be connected, as every growth child
+    is; its component partition is the one group of its vertices.
     """
     view, d = G.view(), G.derived
-    hpos, spos = view.hpos, view.spos
+    hpos, spos = G.half_edges.index, G.strands.index
     iota, s2 = dict(G.iota), dict(G.sigma2)
     viota, vs2 = list(view.iota), list(view.sigma2)
     for a, b in matched:
         iota[a], iota[b] = b, a
-        viota[hpos[a]], viota[hpos[b]] = hpos[b], hpos[a]
+        i, j = hpos(a), hpos(b)
+        viota[i], viota[j] = j, i
     for x, y in sigma2_pairs:
         s2[x], s2[y] = y, x
-        vs2[spos[x]], vs2[spos[y]] = spos[y], spos[x]
+        i, j = spos(x), spos(y)
+        vs2[i], vs2[j] = j, i
     out = _assembled(G.vertices, G.half_edges, G.strands, G.nu, G.mu, iota,
                      G.sigma1, s2)
     new = out.derived

@@ -3,7 +3,6 @@
 import functools
 import json
 import random
-from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
 
@@ -322,7 +321,7 @@ def test_coproduct_of_a_union_is_the_product_of_its_factors(monkeypatch):
     monkeypatch.setattr(hopf, "REGISTRY", {})
     monkeypatch.setattr(hopf, "_coproduct",
                         functools.cache(hopf._coproduct.__wrapped__))
-    monkeypatch.setattr(iso, "_search_memo", OrderedDict())
+    monkeypatch.setattr(iso, "_search_memo", {})
     searches = []
     real = iso._canon_search
 

@@ -685,7 +685,7 @@ def test_search_memo_changes_no_code_or_order(monkeypatch):
     info = search_cache_info()
     assert info.hits + info.misses == calls["lookups"]
     assert info.misses == calls["searches"]
-    assert info.currsize <= info.maxsize == 1024
+    assert info.currsize <= info.maxsize == iso._SEARCH_MEMO_BOUND
     warm = memo_outputs(random.Random(3))
     assert warm == cold
     again = search_cache_info()
@@ -699,14 +699,29 @@ def test_search_memo_changes_no_code_or_order(monkeypatch):
     assert search_cache_info().hits == 0
 
 
-def test_search_memo_stays_within_its_bound():
+def test_search_memo_stays_within_its_bound(monkeypatch):
+    # every store adds a new key; the store that takes the memo past its
+    # bound empties it, so its size never exceeds the bound, and the
+    # lookups after it search again and give the same codes
+    bound = 40
+    monkeypatch.setattr(iso, "_SEARCH_MEMO_BOUND", bound)
+    sizes = []
+    real = iso._store
+
+    def recording(key, entry):
+        before = len(iso._search_memo)
+        assert key not in iso._search_memo
+        real(key, entry)
+        sizes.append((before, len(iso._search_memo)))
+
+    monkeypatch.setattr(iso, "_store", recording)
     rng = random.Random(11)
     g = max((g for g in CORPUS.values() if is_connected(g)),
             key=lambda g: len(g.strands))
     search_cache_clear()
     keys = set()
     copies = []
-    while len(keys) <= search_cache_info().maxsize + 50:
+    while len(keys) <= 3 * bound:
         h = oracles.random_relabelled(g, rng)
         key = iso._positional_key(h)
         if key not in keys:
@@ -715,15 +730,16 @@ def test_search_memo_stays_within_its_bound():
     code = canonical_code(g)
     for h in copies:
         assert canonical_code(h) == code
-        info = search_cache_info()
-        assert info.currsize <= info.maxsize
-    assert info.currsize == info.maxsize
-    # the least recently used entry went first, the latest one stays
-    for h, hit in ((copies[-1], 1), (copies[0], 0)):
-        before = search_cache_info().hits
-        assert canonical_code(io.document_to_graph(
-            io.graph_to_document(h))) == code
-        assert search_cache_info().hits - before == hit
+        assert search_cache_info().currsize <= bound
+    assert sizes == [(n, n + 1 if n < bound else 0) for n, _ in sizes]
+    assert sizes.count((bound, 0)) >= 2
+    # the first copy's key went with the first emptying; a fresh graph
+    # with its labels misses, gets the same code and is stored again
+    key = iso._positional_key(copies[0])
+    assert key not in iso._search_memo
+    assert canonical_code(io.document_to_graph(
+        io.graph_to_document(copies[0]))) == code
+    assert key in iso._search_memo
 
 
 def test_search_memo_hit_reads_only_the_graph_maps(monkeypatch):

@@ -99,12 +99,10 @@ def test_contract_matches_materialized_contraction():
                 oracles.materialized_contract(g, s.edges)), s.edges
 
 
-def test_growth_child_of_a_connected_graph_is_marked_connected(monkeypatch):
-    # a growth child joins two external half-edges of a connected graph,
-    # or one of them to a half-edge of a new vertex beside it; either way
-    # it is connected, its partition is one group, and finding its
-    # components runs no union-find and builds no piece
-    from strandhopf import graphs
+def growth_children():
+    """Growth children (``rewrite._with_edges``) of the connected corpus
+    graphs: joining two of their external half-edges ("pair"), or one of
+    them to a half-edge of a new vertex beside them ("new vertex")."""
     from strandhopf.rewrite import _glue_options, _with_edges
     names = sorted(CORPUS)
     parents = [CORPUS[n] for n in names
@@ -121,6 +119,16 @@ def test_growth_child_of_a_connected_graph_is_marked_connected(monkeypatch):
         for pair in [(h, k) for h in old for k in u.half_edges_at(v)][:6]:
             for opt in _glue_options(u, pair)[:2]:
                 children["new vertex"].append(_with_edges(u, [pair], opt))
+    return children
+
+
+def test_growth_child_of_a_connected_graph_is_marked_connected(monkeypatch):
+    # a growth child joins two external half-edges of a connected graph,
+    # or one of them to a half-edge of a new vertex beside it; either way
+    # it is connected, its partition is one group, and finding its
+    # components runs no union-find and builds no piece
+    from strandhopf import graphs
+    children = growth_children()
     assert all(len(kids) > 20 for kids in children.values())
     every = children["pair"] + children["new vertex"]
     assert [len(graphs._pieces(c, c.edge_pairs())) for c in every] == \
@@ -132,6 +140,26 @@ def test_growth_child_of_a_connected_graph_is_marked_connected(monkeypatch):
     for c in every:
         assert connected_components(c) == (c,)
     assert not calls
+
+
+def test_view_holds_only_the_five_position_lists():
+    # a view keeps no label-to-position map, only the five structure maps
+    # as lists of positions; a growth child's view, whose iota and sigma2
+    # lists are patched copies of its parent's, is that of a fresh graph
+    # built from its maps
+    from strandhopf.graphs import TwoGraph, View
+    assert View._fields == ("nu", "iota", "mu", "sigma1", "sigma2")
+    graphs = list(CORPUS.values())
+    graphs += [c for kids in growth_children().values() for c in kids]
+    for g in graphs:
+        fresh = TwoGraph(g.vertices, g.half_edges, g.strands, g.nu, g.mu,
+                         g.iota, g.sigma1, g.sigma2)
+        view = g.view()
+        assert type(view) is View and view == fresh.view()
+        assert all(type(x) is list for x in view)
+        assert list(map(len, view)) == [len(g.half_edges)] * 2 + \
+            [len(g.strands)] * 3
+        assert validate(g).valid
 
 
 @functools.cache

@@ -452,6 +452,31 @@ def test_connected_growth_matches_multiset_growth(monkeypatch):
     assert got == want
 
 
+def test_emptying_the_search_memo_during_growth_changes_nothing(monkeypatch):
+    # a memo of 8 keys empties again and again while the classes grow, so
+    # parents and children are searched again; the classes (code, |Aut|,
+    # edges, degree), in order, are those of a run with the default bound
+    def summary(name):
+        theory = preset(name)
+        iso.search_cache_clear()
+        classes = connected_classes(theory.dressed_types(), theory.klass, 2)
+        return [(code, c.automorphisms, c.n_edges, c.degree)
+                for code, c in classes.items()]
+
+    want = [summary(name) for name in ("mq3", "bgr")]
+    monkeypatch.setattr(iso, "_SEARCH_MEMO_BOUND", 8)
+    sizes = []
+    real = iso._store
+
+    def recording(key, entry):
+        real(key, entry)
+        sizes.append(len(iso._search_memo))
+
+    monkeypatch.setattr(iso, "_store", recording)
+    assert [summary(name) for name in ("mq3", "bgr")] == want
+    assert max(sizes) <= 8 and sizes.count(0) > 10
+
+
 def test_enumeration_matches_multiset_growth(monkeypatch):
     # enumerate_diagrams gives the same terms (code, edges, coefficient),
     # in the same order, on the classes of the multiset growth
