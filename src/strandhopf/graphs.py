@@ -338,12 +338,16 @@ def relabel(G, vmap=None, hmap=None, smap=None):
 def disjoint_union(graphs, prefix=True):
     """Disjoint union of 2-graphs, or of 1-graphs.  By default a label x of
     the i-th graph becomes ``f"{i}:{x}"`` if it is a string and
-    ``f"{i}#{x}"`` otherwise, so that labels 1 and "1" stay apart."""
+    ``f"{i}#{x}"`` otherwise, so that labels 1 and "1" stay apart.  A
+    non-negative int is zero-padded to the width of the largest in the
+    union ("0#02" before "0#10"), so the labels of each graph keep their
+    order (``_label_key``) unless it mixes floats or negative ints in,
+    and a component of the union has the positional structure it had in
+    its graph."""
+    graphs = list(graphs)
+    maps = _union_labels(graphs) if prefix else [lambda x: x] * len(graphs)
     kind, acc = TwoGraph, ([], [], [], {}, {}, {}, {}, {})
-    for i, g in enumerate(graphs):
-        t, o = f"{i}:", f"{i}#"
-        f = (lambda x: t + x if isinstance(x, str) else o + str(x)) \
-            if prefix else (lambda x: x)
+    for i, (g, f) in enumerate(zip(graphs, maps)):
         parts = _mapped_fields(g, f, f, f)
         if i == 0:
             kind, acc = type(g), parts
@@ -354,6 +358,24 @@ def disjoint_union(graphs, prefix=True):
             else:
                 a.extend(p)
     return kind(*acc)
+
+
+def _union_labels(graphs):
+    """The label map of each graph of a prefixed ``disjoint_union``."""
+    width = max((len(str(x)) for g in graphs
+                 for x in (*g.vertices, *g.half_edges,
+                           *getattr(g, "strands", ()))
+                 if type(x) is int and x >= 0), default=1)
+
+    def labels(i):
+        def f(x):
+            if isinstance(x, str):
+                return f"{i}:{x}"
+            if type(x) is int and x >= 0:
+                return f"{i}#{x:0{width}d}"
+            return f"{i}#{x}"
+        return f
+    return [labels(i) for i in range(len(graphs))]
 
 
 # ---------------------------------------------------------------------------

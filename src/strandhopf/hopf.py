@@ -6,7 +6,12 @@ and formally inverted.  Elements are sparse rational combinations of
 monomials; a monomial maps canonical codes to integer exponents, negative
 exponents being reserved for residue codes.  Laurent polynomials are the
 same kind of combination keyed by integer exponents, so both share one
-add, scale and product.
+add, scale and product.  The helpers keep whatever coefficients they are
+given: the coproduct, the antipode and the counit are integer valued, so
+their tables and elements hold ``int`` coefficients (an ``int`` compares,
+hashes and prints like the equal ``Fraction``), and a ``Fraction`` enters
+only with a rational coefficient a caller passes.  ``LaurentPoly`` keeps
+``Fraction`` coefficients.
 
 The coproduct sums over wide subgraphs, pairing each subgraph (as a
 product of its connected components) with the contraction by it, and
@@ -185,7 +190,6 @@ def el_zero():
 
 
 def el_unit(c=1):
-    c = Fraction(c)
     return {UNIT_MONOMIAL: c} if c else {}
 
 
@@ -194,7 +198,7 @@ def _el_of_components(G, exponent, c):
     for comp in connected_components(G):
         code = intern_graph(comp)
         mono[code] = mono.get(code, 0) + exponent
-    return {tuple(sorted(mono.items())): Fraction(c)}
+    return {tuple(sorted(mono.items())): c}
 
 
 def el_graph(G, c=1):
@@ -214,7 +218,7 @@ def el_residue_inverse(G, c=1):
 def el_add(a, b):
     out = dict(a)
     for m, c in b.items():
-        c2 = out.get(m, Fraction(0)) + c
+        c2 = out.get(m, 0) + c
         if c2:
             out[m] = c2
         else:
@@ -223,7 +227,6 @@ def el_add(a, b):
 
 
 def el_scale(a, c):
-    c = Fraction(c)
     if not c:
         return {}
     return {m: v * c for m, v in a.items()}
@@ -247,7 +250,7 @@ def _product(a, b, mono_mul):
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             m = mono_mul(m1, m2)
-            c = out.get(m, Fraction(0)) + c1 * c2
+            c = out.get(m, 0) + c1 * c2
             if c:
                 out[m] = c
             else:
@@ -264,7 +267,7 @@ def el_eq(a, b):
                                                  if c}
 
 
-# tensor elements: dict[(mono_left, mono_right)] -> Fraction
+# tensor elements: dict[(mono_left, mono_right)] -> coefficient
 
 
 def _tens_mono_mul(t1, t2):
@@ -315,7 +318,7 @@ def _coproduct(code):
             left[built[piece]] = left.get(built[piece], 0) + 1
         (rm, rc), = el_graph(sub.contract()).items()
         key = (tuple(sorted(left.items())), rm)
-        out[key] = out.get(key, Fraction(0)) + rc * len(orbit)
+        out[key] = out.get(key, 0) + rc * len(orbit)
     return out
 
 
@@ -328,13 +331,12 @@ def coproduct_of_monomial(mono):
     for code, e in mono:
         if e < 0:
             m = ((code, -1),)
-            t = {(m, m): Fraction(1)}
+            t = {(m, m): 1}
         else:
             t = _coproduct(code)
         for _ in range(abs(e)):
             out = t if out is None else tens_mul(out, t)
-    return {(UNIT_MONOMIAL, UNIT_MONOMIAL): Fraction(1)} if out is None \
-        else out
+    return {(UNIT_MONOMIAL, UNIT_MONOMIAL): 1} if out is None else out
 
 
 def coproduct_of_element(el):
@@ -349,18 +351,15 @@ def counit_of_monomial(mono):
     """1 on products of residue classes (and their inverses), else 0."""
     for code, _ in mono:
         if graph_of_code(code).n_edges():
-            return Fraction(0)
-    return Fraction(1)
+            return 0
+    return 1
 
 
 def counit(x):
     """Counit of an element (or a graph)."""
     if isinstance(x, TwoGraph):
         x = el_graph(x)
-    total = Fraction(0)
-    for mono, c in x.items():
-        total += c * counit_of_monomial(mono)
-    return total
+    return sum(c * counit_of_monomial(mono) for mono, c in x.items())
 
 
 def antipode(G):
@@ -380,13 +379,13 @@ def _antipode(code):
     """The antipode of a connected class."""
     G = graph_of_code(code)
     if G.n_edges() == 0:
-        return {((code, -1),): Fraction(1)}
+        return {((code, -1),): 1}
     full = ((code, 1),)
     total = el_zero()
     for (lm, rm), c in _coproduct(code).items():
         if lm != full:
             total = el_add(total, el_mul(antipode_of_element({lm: c}),
-                                         {rm: Fraction(1)}))
+                                         {rm: 1}))
     return el_scale(el_mul(total, el_residue_inverse(residue(G))), -1)
 
 
@@ -396,7 +395,7 @@ def antipode_of_element(el):
         term = el_unit(c)
         for code, e in mono:
             # the antipode of an inverted residue is the residue itself
-            s = {((code, 1),): Fraction(1)} if e < 0 else _antipode(code)
+            s = {((code, 1),): 1} if e < 0 else _antipode(code)
             for _ in range(abs(e)):
                 term = el_mul(term, s)
         out = el_add(out, term)
@@ -453,7 +452,7 @@ def _convolution_sum(phi, psi, G, proper=False):
     for (lm, rm), c in coproduct_of_monomial(full).items():
         if not (proper and lm == full):
             total = total + phi.on_element({lm: c}) * \
-                psi.on_element({rm: Fraction(1)})
+                psi.on_element({rm: 1})
     return total
 
 

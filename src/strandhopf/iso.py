@@ -74,9 +74,9 @@ graph with the same encoding.  ``automorphism_generators`` turns them
 into half-edge maps only when asked, and ``canonical_form`` reads its
 labellings from the memo.
 
-A connected 2-graph is looked up twice at most.  The first key is its
-positional structure: the ``marshal`` bytes of its vertex count, the five
-structure maps of its integer view, which replace every label by its
+A connected 2-graph is looked up three times at most.  The first key is
+its positional structure: the ``marshal`` bytes of its vertex count, the
+five structure maps of its integer view, which replace every label by its
 position in ``G.vertices``, ``G.half_edges`` or ``G.strands``, and its
 decorations by position.  The key is exact.  The encoding numbers its
 nodes by label position, and the faces are walked on positions; so
@@ -85,25 +85,35 @@ key (the search is deterministic), and a hit needs none of them.  On a
 miss the encoding (descs and adj) is built and looked up; it does not
 depend on the strand labels (``_face_classes`` orders the classes by their
 itineraries), so one shape with its strands named apart, such as a piece
-or a contraction met under another labelling, is found there.  Only when
-both miss does the search run; it stores its entry under the encoding
-key and under the positional key, as two keys, and an encoding hit
-stores the positional key.  A 1-graph is keyed by its encoding alone,
+or a contraction met under another labelling, is found there.  When
+both miss, the search descends its first path to the first leaf zeta,
+and zeta's search code is the third key (tag "code").  Codes are stored
+for minimal leaves only, so on a hit zeta is minimal: the full search
+would return that code, zeta's labelling and the same order, and it is
+not explored.  The entry's generators are carried onto this encoding
+through the two labellings; they may differ from those the full search
+would find, but generate the same group, and 2-graph callers read only
+its orbits.  Only when all three miss does
+the search explore; it stores its entry under the encoding key, the
+positional key and its code, as three keys, and a hit by encoding or
+code stores the keys that missed.  1-graphs take no code key, since
+their generators decide the order in which ``enumerate_one_graph_isos``
+lists isomorphisms.  A 1-graph is keyed by its encoding alone,
 which has no faces and is cheap to build.  The encoding lists its class
 nodes in sorted order, so the key depends on the vertex order only and
 not on the half-edge labels: vertex graphs of one shape whose sections
 are named apart share an entry.  A connected 1-graph is encoded as
-itself, not as a copy of its one component.  The tags ("two", "one")
-keep the kinds apart.  Under "two" a positional key is the marshal of an
-8-tuple and an encoding key that of a 2-tuple, so the two never meet.
-Keys are ``marshal`` bytes, not tuples, because those take a fraction of
-their memory, and the view's maps go in as ``bytes`` where every
-position fits in one (``_packed``).  The memo is a plain dict that holds
+itself, not as a copy of its one component.  The tags ("two", "one",
+"code") keep the kinds apart.  Under "two" a positional key is the
+marshal of an 8-tuple and an encoding key that of a 2-tuple, so the two
+never meet.  Keys are ``marshal`` bytes, not tuples, because those take
+a fraction of their memory, and the view's maps go in as ``bytes`` where
+every position fits in one (``_packed``).  The memo is a plain dict that holds
 at most ``_SEARCH_MEMO_BOUND`` keys: the store that takes it past the
 bound empties it, and later lookups search again and refill it.  It
 keeps no order or usage state.  ``search_cache_info()`` reports its hits
-(lookups answered without a search, by either key), misses (searches),
-bound and size in keys.
+(lookups answered without an explored search, by any key), misses
+(explored searches), bound and size in keys.
 
 1-graph isomorphisms come from the same entries.  The encoding
 isomorphisms of connected 1-graphs b, g of one code are c_g^-1 o c_b o a
@@ -223,10 +233,50 @@ def _child(adj, colors, cells, w):
     return _refine(adj, *_individualize(colors, cells, w), (w,))
 
 
-def _canon_search(descs, adj):
+def _first_path(descs, adj):
+    """The first path of the search from the root: its nodes as (colours,
+    cells, target cell), each with the first member of its target cell
+    individualized, and its leaf zeta as ``_leaf`` gives it.  The root
+    colours each node by the start of its class in the sorted ``descs``."""
+    start = {}
+    for k, d in enumerate(sorted(descs)):
+        start.setdefault(d, k)
+    colors = [start[d] for d in descs]
+    colors, cells = _refine(adj, colors, _cells(colors))
+    path = []
+    cell = _target_cell(cells)
+    while cell is not None:
+        path.append((colors, cells, cell))
+        colors, cells = _child(adj, colors, cells, cell[0])
+        cell = _target_cell(cells)
+    return path, _leaf(adj, colors)
+
+
+def _leaf(adj, colors):
+    """(edge code, labelling) of a discrete colouring, whose colours are
+    the positions 0..n-1; the node part of the code is the same sorted
+    descs at every leaf (``_leaf_code``)."""
+    pos = [0] * len(colors)
+    edges = []
+    for i, ri in enumerate(colors):
+        pos[ri] = i
+        for j in adj[i]:
+            if colors[j] > ri:
+                edges.append((ri, colors[j]))
+    edges.sort()
+    return edges, pos
+
+
+def _leaf_code(descs, leaf):
+    """The search code of a leaf (edge code, labelling)."""
+    return tuple(descs[i] for i in leaf[1]), tuple(leaf[0])
+
+
+def _canon_search(descs, adj, first=None):
     """Minimal leaf code, the first minimal labelling in depth-first
     order, the automorphism order of the encoded graph, and generators of
-    its automorphism group (as lists mapping node i to g[i]).
+    its automorphism group (as lists mapping node i to g[i]); ``first``
+    is ``_first_path(descs, adj)`` when the caller already has it.
 
     Individualization-refinement search pruned by automorphisms (McKay &
     Piperno 2014).  A leaf whose code equals that of the first leaf
@@ -245,8 +295,7 @@ def _canon_search(descs, adj):
     not end its subtree: a better leaf may follow.  Every skipped
     subtree is the image of an earlier explored one, so the first
     minimal leaf of the unpruned search is always visited and the result
-    equals that search's.  The root colours each node by the start of
-    its class in the sorted ``descs``.
+    equals that search's.
 
     Every automorphism met is kept, and together they generate the whole
     group.  Going up the path, those recorded so far fix the node's
@@ -256,34 +305,7 @@ def _canon_search(descs, adj):
     zeta); with the stabilizer of the first child, generated by
     induction from below, they generate the group that fixes the prefix.
     """
-    n = len(descs)
-    start = {}
-    for k, d in enumerate(sorted(descs)):
-        start.setdefault(d, k)
-    colors = [start[d] for d in descs]
-    colors, cells = _refine(adj, colors, _cells(colors))
-    path = []  # (colours, cells, target cell) of the nodes on zeta's path
-    cell = _target_cell(cells)
-    while cell is not None:
-        path.append((colors, cells, cell))
-        colors, cells = _child(adj, colors, cells, cell[0])
-        cell = _target_cell(cells)
-
-    def leaf_of(colors):
-        """(edge code, labelling) of a discrete colouring, whose colours
-        are the positions 0..n-1; the node part of the code is the same
-        sorted descs at every leaf."""
-        pos = [0] * n
-        edges = []
-        for i, ri in enumerate(colors):
-            pos[ri] = i
-            for j in adj[i]:
-                if colors[j] > ri:
-                    edges.append((ri, colors[j]))
-        edges.sort()
-        return edges, pos
-
-    zeta = leaf_of(colors)
+    path, zeta = first or _first_path(descs, adj)
     best = zeta
     gens = []
 
@@ -293,7 +315,7 @@ def _canon_search(descs, adj):
         nonlocal best
         cell = _target_cell(cells)
         if cell is None:
-            edges, pos = leaf_of(colors)
+            edges, pos = _leaf(adj, colors)
             for ref in (zeta, best):
                 if edges == ref[0]:
                     gens.append(_leaf_map(ref[1], pos))
@@ -315,8 +337,7 @@ def _canon_search(descs, adj):
             visit(*_child(adj, colors, cells, w))
         orbits = _orbits(cell, gens)
         count *= sum(1 for i in cell if orbits[i] == 0)
-    code = (tuple(descs[i] for i in best[1]), tuple(best[0]))
-    return code, best[1], count, gens
+    return _leaf_code(descs, best), best[1], count, gens
 
 
 def _orbits(cell, gens):
@@ -334,6 +355,23 @@ def _leaf_map(ref_pos, pos):
     for a, b in zip(ref_pos, pos):
         g[a] = b
     return g
+
+
+def _carried(gens, src, dst):
+    """Automorphisms ``gens`` of an encoding with canonical labelling
+    ``src`` carried onto an encoding of the same code labelled ``dst``:
+    g2[dst[k]] = dst[r[g[src[k]]]], r[i] being the position of node i in
+    ``src``."""
+    rank = [0] * len(src)
+    for k, i in enumerate(src):
+        rank[i] = k
+    out = []
+    for g in gens:
+        g2 = [0] * len(dst)
+        for a, b in zip(dst, src):
+            g2[a] = dst[rank[g[b]]]
+        out.append(g2)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +617,9 @@ def _store(key, entry):
 def _memoized(tag, encoding, serial=repr, position=None):
     """The search memo entry of a connected graph of kind ``tag`` ("two"
     or "one") with encoding ``encoding``: the entry stored under (tag,
-    the ``marshal`` bytes of its descs and adj), or the search's on a
-    miss, which stores it under that key.  A 2-graph's positional key
+    the ``marshal`` bytes of its descs and adj), or on a miss that of
+    ``_canon_connected`` (for a 2-graph, found by its first leaf's code
+    or searched), stored under that key.  A 2-graph's positional key
     ``position`` (which missed) is then stored as a key of its own."""
     # marshal format 2 writes values only (later formats mark shared
     # objects), so equal keys mean equal encodings; it is many times
@@ -588,22 +627,40 @@ def _memoized(tag, encoding, serial=repr, position=None):
     key = tag, marshal.dumps(encoding[:2], 2)
     entry = _lookup(key)
     if entry is None:
-        _search_stats[1] += 1
-        entry = _canon_connected(encoding, serial)
+        entry = _canon_connected(encoding, serial, tag == "two")
         _store(key, entry)
     if position is not None:
         _store(position, entry)
     return entry
 
 
-def _canon_connected(encoding, serial=repr):
+def _canon_connected(encoding, serial=repr, by_code=False):
     """(code, |Aut|, labelling, generators) of a connected graph from its
     encoding: ``serial`` of the search's code, the order the search finds
     times the encoding's closed-form factor, and the search's canonical
-    labelling and automorphism generators as it returns them."""
+    labelling and automorphism generators as it returns them.
+
+    With ``by_code`` the code of the first leaf zeta is looked up in the
+    memo before the search explores; a full search stores the entry under
+    its code.  On a hit zeta is minimal, so the search would return that
+    code, zeta's labelling and that order; the entry's generators are
+    carried onto this encoding (``_carried``), and nothing is explored."""
     descs, adj, factor = encoding[:3]
-    code, labelling, order, gens = _canon_search(descs, adj)
-    return serial(code), order * factor, labelling, gens
+    first = _first_path(descs, adj)
+    if by_code:
+        zeta = first[1]
+        known = _lookup(("code", marshal.dumps(_leaf_code(descs, zeta), 2)))
+        if known is not None:
+            code, aut, labelling, gens = known
+            return code, aut, zeta[1], _carried(gens, labelling, zeta[1])
+    _search_stats[1] += 1
+    code, labelling, order, gens = _canon_search(descs, adj, first)
+    entry = serial(code), order * factor, labelling, gens
+    if by_code:
+        key = "code", marshal.dumps(code, 2)
+        if key not in _search_memo:
+            _store(key, entry)
+    return entry
 
 
 def _combine(parts):

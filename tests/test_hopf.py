@@ -1,6 +1,7 @@
 """Coproduct, counit, antipode, and the toy renormalization calculus."""
 
 import functools
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -354,6 +355,66 @@ def test_coproduct_of_a_union_is_the_product_of_its_factors(monkeypatch):
         assert table == functools.reduce(tens_mul, tables), k
         assert table == oracles.unreduced_coproduct(union), k
     assert not any(code.startswith("U(") for code in hopf.REGISTRY)
+
+
+def test_union_of_int_labelled_graphs_runs_no_search(monkeypatch):
+    # graphs read from documents with numeric labels, like the corpus,
+    # have int labels; ``disjoint_union`` zero-pads them ("0#02" before
+    # "0#10"), so each factor keeps its label order, and once the factors
+    # are expanded the union's pieces and contractions are found by their
+    # positional keys: its coproduct builds no encoding and runs no search
+    monkeypatch.setattr(hopf, "REGISTRY", {})
+    monkeypatch.setattr(hopf, "_coproduct",
+                        functools.cache(hopf._coproduct.__wrapped__))
+    monkeypatch.setattr(iso, "_search_memo", {})
+    encoded = []
+    real = iso._encode_two_graph
+
+    def counting(*args):
+        encoded.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(iso, "_encode_two_graph", counting)
+    graphs = [io.document_to_graph(e["graph"]) for e in corpus_entries()
+              if e["edges"] == 3][:10]
+    assert all(10 in g.half_edges and 10 in g.strands for g in graphs)
+    for k, (g1, g2) in enumerate(zip(graphs[::2], graphs[1::2])):
+        tables = [coproduct(g1), coproduct(g2)]
+        union = disjoint_union([g1, g2])
+        assert union.half_edges[:3] == ("0#00", "0#01", "0#02"), k
+        del encoded[:]
+        assert coproduct(union) == tens_mul(*tables), k
+        assert not encoded, k
+
+
+def test_coefficients_stay_integers_unless_a_caller_passes_a_fraction():
+    # coproduct and antipode coefficients are integers: the corpus tables
+    # hold ints, and their values are pinned (a digest of the sorted terms
+    # with each coefficient as its string) from before they were
+    # Fractions; a rational coefficient a caller passes stays exact
+    # through the product, the coproduct and the antipode
+    digests = [hashlib.sha256(), hashlib.sha256()]
+    for e in corpus_entries():
+        g = io.document_to_graph(e["graph"])
+        for table, digest in zip((coproduct(g), antipode(g)), digests):
+            assert all(type(c) is int for c in table.values())
+            digest.update(repr(sorted((k, str(c))
+                                      for k, c in table.items())).encode())
+    assert [d.hexdigest() for d in digests] == [
+        "25563f64ef69a3c262f10466452d9136b28dbe9cb94599dd7792d99aae64fae9",
+        "7b78ed05044b2da3dc9a42f75683dbdecf9903da8baf598d304e25f612835c90"]
+    half = Fraction(1, 2)
+    halves = 0
+    for name, g in SMALL.items():
+        x = el_graph(g, half)
+        (mono, _), = el_graph(g).items()
+        assert el_mul(x, x) == {hopf._mono_mul(mono, mono): Fraction(1, 4)}
+        for got, whole in ((hopf.coproduct_of_element(x), coproduct(g)),
+                           (antipode_of_element(x), antipode(g))):
+            assert got == {k: Fraction(c, 2) for k, c in whole.items()}, name
+            assert all(type(c) is Fraction for c in got.values()), name
+            halves += sum(c.denominator == 2 for c in got.values())
+    assert halves > 0
 
 
 def test_coproduct_builds_each_piece_once(monkeypatch):

@@ -457,6 +457,68 @@ def test_pruned_search_matches_exhaustive_search():
             assert len(generated_group(gens, len(descs))) == order, name
 
 
+def renumbered(descs, adj, order):
+    """The encoding with node order[k] renumbered k."""
+    new = {old: k for k, old in enumerate(order)}
+    return (tuple(descs[old] for old in order),
+            [tuple(sorted(new[j] for j in adj[old])) for old in order])
+
+
+def test_first_leaf_hit_matches_exhaustive_search(monkeypatch):
+    # a full 2-graph search stores its entry under its code; a later
+    # search whose first leaf zeta has that code explores nothing.  Each
+    # encoding is searched in a shuffled node order, then renumbered in
+    # its canonical order with the first path's individualized nodes in
+    # front of a shuffled rest, so its first path reaches a minimal leaf.
+    # The second search must take the first-leaf path, and its code,
+    # labelling and order must still be those of the unpruned search,
+    # its carried generators automorphisms that generate the whole group.
+    # With a bound of one key, storing the second encoding's key empties
+    # the memo, and the same encoding is then searched in full again
+    calls = {"_first_path": 0, "_canon_search": 0}
+    for name in calls:
+        def counting(*args, real=getattr(iso, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(iso, name, counting)
+    monkeypatch.setattr(iso, "_SEARCH_MEMO_BOUND", 1)
+    rng = random.Random(1998)
+    encodings = search_encodings(random.Random(1981))
+    first_leaf = 0
+    for name, descs, adj in encodings:
+        n = len(descs)
+        search_cache_clear()
+        descs, adj = renumbered(descs, adj, rng.sample(range(n), n))
+        labelling = iso._canon_connected((descs, adj, 1), repr, True)[2]
+        canon = renumbered(descs, adj, labelling)
+        front = [cell[0] for _, _, cell in iso._first_path(*canon)[0]]
+        rest = [i for i in range(n) if i not in front]
+        rng.shuffle(rest)
+        encoding = renumbered(*canon, front + rest) + (1,)
+        before = dict(calls)
+        code, order, labelling, gens = iso._canon_connected(encoding, repr,
+                                                            True)
+        first_leaf += calls == {"_first_path": before["_first_path"] + 1,
+                                "_canon_search": before["_canon_search"]}
+        want = oracles.exhaustive_canon_search(*encoding[:2])
+        assert (code, labelling, order) == (repr(want[0]), *want[1:]), name
+        descs, adj = encoding[:2]
+        edges = {(i, j) for i, js in enumerate(adj) for j in js}
+        for g in gens:
+            assert sorted(g) == list(range(n)), name
+            assert all(descs[g[i]] == descs[i] for i in range(n)), name
+            assert {(g[i], g[j]) for i, j in edges} == edges, name
+        if order <= 1000:
+            assert len(generated_group(gens, n)) == order, name
+        iso._memoized("two", encoding)
+        assert not iso._search_memo, name
+        searches = calls["_canon_search"]
+        assert iso._canon_connected(encoding, repr, True)[:3] == \
+            (code, order, labelling), name
+        assert calls["_canon_search"] == searches + 1, name
+    assert first_leaf == len(encodings)
+
+
 def test_refine_matches_rank_refinement():
     # a colouring by cell starts must be the oracle's colouring by cell
     # ranks, relabelled monotonically, after the first refinement and
@@ -596,7 +658,8 @@ def test_codes_and_orders_build_no_representative(monkeypatch):
 def test_search_memo_keeps_one_and_two_graphs_apart():
     # a one-vertex edgeless 2-graph and a one-vertex 1-graph share their
     # encoding but not their code, in whichever order they are canonized
-    # (each call builds a fresh graph, so only the search memo can answer)
+    # (each call builds a fresh graph, so only the search memo can answer);
+    # the 2-graph search also stores its search code, tagged apart
     code_of = {
         "two": lambda: canonical_code(TwoGraph.make(["v"], [], [], {}, {})),
         "one": lambda: one_graph_code(OneGraph.make(["v"], [], {})),
@@ -610,7 +673,7 @@ def test_search_memo_keeps_one_and_two_graphs_apart():
             assert code_of[kind]() == want[kind], order
         assert search_cache_info()[:2] == (2, 2), order
         assert sorted(tag for tag, _ in iso._search_memo) == \
-            ["one", "two", "two"]
+            ["code", "one", "two", "two"]
 
 
 def test_positional_keys_are_exact_and_apart_from_encoding_keys():
@@ -666,7 +729,8 @@ def memo_outputs(rng):
 def test_search_memo_changes_no_code_or_order(monkeypatch):
     # every connected component canonized is one memo lookup (a 2-graph
     # forms its positional key, a 1-graph its encoding), and every miss
-    # is one search
+    # is one explored search (a 2-graph whose first leaf's code hits
+    # explores nothing)
     calls = {"lookups": 0, "searches": 0}
 
     def counting(name, count):
@@ -679,7 +743,7 @@ def test_search_memo_changes_no_code_or_order(monkeypatch):
 
     counting("_positional_key", "lookups")
     counting("_encode_one_graph", "lookups")
-    counting("_canon_connected", "searches")
+    counting("_canon_search", "searches")
     search_cache_clear()
     cold = memo_outputs(random.Random(3))
     info = search_cache_info()
