@@ -24,8 +24,11 @@ and ``_contract_edges`` on graphs connected by construction.  Its
 integer view (``View``, from ``TwoGraph.view``) holds the five
 structure maps over positions; the face walk, ``iso``'s keys and
 encodings read it instead of the label dicts.  The label-to-position
-maps it is built from are not kept.  The record holds no other graph and
-no other record.
+maps it is built from are not kept.  Its vertex classes
+(``iso.vertex_classes``) are the (code, |Aut|) pairs of its vertex
+graphs in vertex order, read from the view without building a
+``OneGraph``; power counting and the central check weigh and match
+vertices by them.  The record holds no other graph and no other record.
 
 A growth child (``rewrite._with_edges``) is built without sorting or
 copying what it shares with its parent: the label tuples, the ``nu``,
@@ -162,15 +165,18 @@ class Derived:
     ``strands_at`` map each vertex to its half-edges and each half-edge to
     its sections, ``faces`` is ``faces(G)`` and ``canon`` the (code,
     |Aut|) pair of ``iso``.  ``groups`` is the component partition of
-    ``_groups``, and ``view`` is ``TwoGraph.view()``.
+    ``_groups``, ``view`` is ``TwoGraph.view()``, and ``vertex_classes``
+    the (code, |Aut|) pair of each vertex graph, in vertex order
+    (``iso.vertex_classes``).
     """
 
     __slots__ = ("edge_pairs", "half_edges_at", "strands_at", "faces",
-                 "canon", "groups", "view")
+                 "canon", "groups", "view", "vertex_classes")
 
     def __init__(self):
         self.edge_pairs = self.half_edges_at = self.strands_at = None
         self.faces = self.canon = self.groups = self.view = None
+        self.vertex_classes = None
 
 
 View = namedtuple("View", "nu iota mu sigma1 sigma2")

@@ -60,7 +60,8 @@ One combine step assembles a graph from its connected components: the
 code of a disconnected graph is "U(...)" over the sorted component
 codes, its automorphism order the wreath product of the component
 orders (m! per repeated factor).  A 2-graph keeps its (code, |Aut|)
-pair with its derived data (``graphs.Derived``).  Only
+pair, and that of each of its vertex graphs (``vertex_classes``), with
+its derived data (``graphs.Derived``).  Only
 ``canonical_form`` builds a relabelled representative, the disjoint
 union of the component representatives in code order.
 
@@ -96,29 +97,39 @@ would find, but generate the same group, and 2-graph callers read only
 its orbits.  Only when all three miss does
 the search explore; it stores its entry under the encoding key, the
 positional key and its code, as three keys, and a hit by encoding or
-code stores the keys that missed.  1-graphs take no code key, since
-their generators decide the order in which ``enumerate_one_graph_isos``
-lists isomorphisms.  A 1-graph is keyed by its encoding alone,
-which has no faces and is cheap to build.  The encoding lists its class
-nodes in sorted order, so the key depends on the vertex order only and
-not on the half-edge labels: vertex graphs of one shape whose sections
-are named apart share an entry.  A connected 1-graph is encoded as
-itself, not as a copy of its one component.  The tags ("two", "one",
-"code") keep the kinds apart.  Under "two" a positional key is the
-marshal of an 8-tuple and an encoding key that of a 2-tuple, so the two
-never meet.  Keys are ``marshal`` bytes, not tuples, because those take
-a fraction of their memory, and the view's maps go in as ``bytes`` where
-every position fits in one (``_packed``).  The memo is a plain dict that holds
-at most ``_SEARCH_MEMO_BOUND`` keys: the store that takes it past the
-bound empties it, and later lookups search again and refill it.  It
-keeps no order or usage state.  ``search_cache_info()`` reports its hits
-(lookups answered without an explored search, by any key), misses
-(explored searches), bound and size in keys.
+code stores the keys that missed.
+
+A connected 1-graph is looked up twice at most: by its encoding, which
+has no faces and is cheap to build, then by its first leaf's code under
+a code tag of its own ("one-code"), since an edgeless one-vertex 1-graph
+and 2-graph share a search code.  An explored 1-graph search stores its
+entry under both keys.  A code hit carries generators that may differ
+from those of the full search, so ``enumerate_one_graph_isos`` lists the
+isomorphisms sorted by node map, an order that depends on neither.  The
+encoding lists its class nodes in sorted order, so the key depends on
+the vertex order only and not on the half-edge numbers: vertex graphs of
+one shape whose sections are named apart share an entry.  One position
+encoder, ``_encode_one``, serves a ``OneGraph`` (a connected one is
+encoded as itself, not as a copy of its one component) and the
+components of the vertex graphs of a 2-graph, read from its integer view
+by ``vertex_classes`` with no ``OneGraph`` built; both are keyed
+alike.  The tags ("two", "one", "code", "one-code") keep the kinds
+apart.  Under "two" a positional key is the marshal of an 8-tuple and an
+encoding key that of a 2-tuple, so the two never meet.  Keys are
+``marshal`` bytes, not tuples, because those take a fraction of their
+memory, and the view's maps go in as ``bytes`` where every position fits
+in one (``_packed``).  The memo is a plain dict that holds at most
+``_SEARCH_MEMO_BOUND`` keys: the store that takes it past the bound
+empties it, and later lookups search again and refill it.  It keeps no
+order or usage state.  ``search_cache_info()`` reports its hits (lookups
+answered without an explored search, by any key), misses (explored
+searches), bound and size in keys.
 
 1-graph isomorphisms come from the same entries.  The encoding
 isomorphisms of connected 1-graphs b, g of one code are c_g^-1 o c_b o a
 for a in the group that b's generators generate, c sending each node to
-its canonical position (the labelling is its inverse).  Each lifts to
+its canonical position (the labelling is its inverse), and they are
+listed sorted as node maps.  Each lifts to
 half-edges class by class, which gives the m! and m! * 2^m factors the
 encoding hides: any bijection of a class's members onto those of its
 image, each edge's ends following the vertex map, each loop in either
@@ -489,34 +500,46 @@ def _encode_two_graph(G, strand_colour=None, half_mark=None):
 
 
 def _encode_one_graph(g):
-    """Node-classed simple graph for a connected 1-graph, with each class
-    of interchangeable half-edges collapsed to one node.
+    """``_encode_one`` of a connected 1-graph, its vertices and half-edges
+    numbered by their positions in ``g.vertices`` and ``g.half_edges``;
+    ``_one_entries`` passes a connected 1-graph itself."""
+    vpos, hpos = _positions(g.vertices), _positions(g.half_edges)
+    return _encode_one(len(g.vertices), range(len(g.half_edges)),
+                       [vpos[g.attach[h]] for h in g.half_edges],
+                       [hpos[g.pairing[h]] for h in g.half_edges])
+
+
+def _encode_one(nv, halves, attach, pairing):
+    """Node-classed simple graph for a connected 1-graph given by
+    positions, with each class of interchangeable half-edges collapsed to
+    one node: vertices 0..nv-1, the half-edges ``halves`` in increasing
+    order, ``attach[h]`` the vertex and ``pairing[h]`` the partner of a
+    half-edge h (h itself for a leg).
 
     The classes are the legs at one vertex (kind 0), the loops at one
     vertex (kind 1) and the parallel edges between two distinct vertices
-    (kind 2).  The nodes are the vertices in label order, then one node
-    per class carrying its kind and multiplicity m, adjacent to its one
-    or two vertices, the classes in sorted (kind, ends) order.  So the
-    encoding, and the search memo key made from it, depends on the vertex
-    order only, not on the half-edge labels; ``_one_entries`` passes a
-    connected 1-graph itself.  Returns (descs, adj, factor, classes),
-    factor being the closed-form order of the classes: m! per leg or
-    parallel-edge class and m! * 2^m per loop class (the loops permute
-    and each can be reversed); classes lists ((kind, ends), members) in
-    node order, a member being a leg (h, h) or an edge (h, k) with h
-    before k in ``g.half_edges``.
+    (kind 2).  The nodes are the vertices, then one node per class
+    carrying its kind and multiplicity m, adjacent to its one or two
+    vertices, the classes in sorted (kind, ends) order.  So the encoding,
+    and the search memo key made from it, depends on the vertex order
+    only, not on the half-edge numbers.  Returns (descs, adj, factor,
+    classes), factor being the closed-form order of the classes: m! per
+    leg or parallel-edge class and m! * 2^m per loop class (the loops
+    permute and each can be reversed); classes lists ((kind, ends),
+    members) in node order, a member being a leg (h, h) or an edge (h, k)
+    with h < k.
     """
-    vpos, hpos = _positions(g.vertices), _positions(g.half_edges)
     classes = {}
-    for h in g.half_edges:
-        k = g.pairing[h]
-        if hpos[k] < hpos[h]:
+    for h in halves:
+        k = pairing[h]
+        if k < h:
             continue
-        ends = tuple(sorted({vpos[g.attach[h]], vpos[g.attach[k]]}))
-        kind = 0 if k == h else 1 if len(ends) == 1 else 2
+        a, b = attach[h], attach[k]
+        ends = (a,) if a == b else (a, b) if a < b else (b, a)
+        kind = 0 if k == h else 1 if a == b else 2
         classes.setdefault((kind, ends), []).append((h, k))
     classes = sorted(classes.items())
-    descs = [(0,)] * len(g.vertices)
+    descs = [(0,)] * nv
     adj = [[] for _ in descs]
     factor = 1
     for (kind, ends), members in classes:
@@ -576,11 +599,17 @@ def _one_graph_serial(code):
 
 # The search memo (see the module docstring): a tagged key maps to the
 # entry of a connected graph.  The bound counts keys; the store that takes
-# the memo past it empties the whole memo.  Of the bounds measured on the
-# large cases (BENCH_24.json), 2048 keys searched 5-7% more in the
-# central checks and 4096 peaked 7% higher in mq3 <=4 enumerate.
+# the memo past it empties the whole memo.  An explored 2-graph search
+# stores three keys, an explored 1-graph search two.  Measured on mq3 <=3
+# and gw4 <=4 central-check, six alternating runs each (BENCH_26.json):
+# 2048 keys explored 9-12% more searches and had the slowest median time
+# on both, for 0.5-1.0 MiB less peak RSS; 4096 explored 9% fewer but was
+# not faster, and peaked 0.2-1.5 MiB higher (in BENCH_24.json, 7% higher
+# in mq3 <=4 enumerate).
 _SEARCH_MEMO_BOUND = 3072
 _search_memo = {}
+# the tag of each kind's first-leaf code keys
+_CODE_TAGS = {"two": "code", "one": "one-code"}
 _search_stats = [0, 0]  # hits, misses
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -618,46 +647,49 @@ def _memoized(tag, encoding, serial=repr, position=None):
     """The search memo entry of a connected graph of kind ``tag`` ("two"
     or "one") with encoding ``encoding``: the entry stored under (tag,
     the ``marshal`` bytes of its descs and adj), or on a miss that of
-    ``_canon_connected`` (for a 2-graph, found by its first leaf's code
-    or searched), stored under that key.  A 2-graph's positional key
-    ``position`` (which missed) is then stored as a key of its own."""
+    ``_canon_connected`` (found by its first leaf's code under the kind's
+    code tag, or searched), stored under that key.  A 2-graph's
+    positional key ``position`` (which missed) is then stored as a key of
+    its own."""
     # marshal format 2 writes values only (later formats mark shared
     # objects), so equal keys mean equal encodings; it is many times
     # faster than repr
     key = tag, marshal.dumps(encoding[:2], 2)
     entry = _lookup(key)
     if entry is None:
-        entry = _canon_connected(encoding, serial, tag == "two")
+        entry = _canon_connected(encoding, serial, _CODE_TAGS[tag])
         _store(key, entry)
     if position is not None:
         _store(position, entry)
     return entry
 
 
-def _canon_connected(encoding, serial=repr, by_code=False):
+def _canon_connected(encoding, serial=repr, code_tag=None):
     """(code, |Aut|, labelling, generators) of a connected graph from its
     encoding: ``serial`` of the search's code, the order the search finds
     times the encoding's closed-form factor, and the search's canonical
     labelling and automorphism generators as it returns them.
 
-    With ``by_code`` the code of the first leaf zeta is looked up in the
-    memo before the search explores; a full search stores the entry under
-    its code.  On a hit zeta is minimal, so the search would return that
-    code, zeta's labelling and that order; the entry's generators are
-    carried onto this encoding (``_carried``), and nothing is explored."""
+    With a ``code_tag`` the code of the first leaf zeta is looked up in
+    the memo, under that tag, before the search explores; a full search
+    stores the entry under its code.  On a hit zeta is minimal, so the
+    search would return that code, zeta's labelling and that order; the
+    entry's generators are carried onto this encoding (``_carried``), and
+    nothing is explored."""
     descs, adj, factor = encoding[:3]
     first = _first_path(descs, adj)
-    if by_code:
+    if code_tag is not None:
         zeta = first[1]
-        known = _lookup(("code", marshal.dumps(_leaf_code(descs, zeta), 2)))
+        known = _lookup((code_tag,
+                         marshal.dumps(_leaf_code(descs, zeta), 2)))
         if known is not None:
             code, aut, labelling, gens = known
             return code, aut, zeta[1], _carried(gens, labelling, zeta[1])
     _search_stats[1] += 1
     code, labelling, order, gens = _canon_search(descs, adj, first)
     entry = serial(code), order * factor, labelling, gens
-    if by_code:
-        key = "code", marshal.dumps(code, 2)
+    if code_tag is not None:
+        key = code_tag, marshal.dumps(code, 2)
         if key not in _search_memo:
             _store(key, entry)
     return entry
@@ -845,6 +877,41 @@ def _canon_one(g):
     return _combine(_one_parts(g))
 
 
+def vertex_classes(G):
+    """The (code, |Aut|) pair of each vertex graph of a 2-graph, in the
+    order of ``G.vertices``, kept in ``G.derived``; each equals
+    ``_canon_one(vertex_graph(G, v))``, but no 1-graph is built.
+
+    The vertex graph at v has the half-edges at v as vertices and their
+    sections as half-edges, attached by ``mu`` and paired by ``sigma1``.
+    Since ``sigma1`` is vertex-local, its components are the classes of
+    half-edges joined by ``sigma1``, read from the integer view.  Each
+    component is encoded by ``_encode_one`` with its half-edges numbered
+    by their positions in ``G.strands`` and its vertices in the order of
+    ``G.half_edges``, the encoding its 1-graph would have."""
+    d = G.derived
+    if d.vertex_classes is None:
+        view = G.view()
+        mu, s1 = view.mu, view.sigma1
+        groups = _connected_groups(range(len(view.nu)),
+                                   ((mu[s], mu[t]) for s, t in enumerate(s1)))
+        group_of, local = [0] * len(view.nu), [0] * len(view.nu)
+        for k, hs in enumerate(groups):
+            for i, h in enumerate(hs):
+                group_of[h], local[h] = k, i
+        halves = [[] for _ in groups]
+        for s, h in enumerate(mu):
+            halves[group_of[h]].append(s)
+        attach = [local[h] for h in mu]
+        parts = [[] for _ in G.vertices]
+        for hs, ss in zip(groups, halves):
+            parts[view.nu[hs[0]]].append(_memoized(
+                "one", _encode_one(len(hs), ss, attach, s1),
+                _one_graph_serial)[:2])
+        d.vertex_classes = tuple(map(_combine, parts))
+    return d.vertex_classes
+
+
 def one_graph_code(g):
     return _canon_one(g)[0]
 
@@ -905,13 +972,14 @@ def _matched_unions(codes, images, maps):
 def _connected_isos(b, b_entry, g, g_entry):
     """The isomorphisms (vmap, hmap) of a connected 1-graph ``b`` onto a
     connected ``g`` of the same code, from their search memo entries:
-    each encoding isomorphism lifted class by class."""
+    each encoding isomorphism lifted class by class, the encoding
+    isomorphisms sorted by node map, so that the order does not depend on
+    which labellings and generators the entries hold."""
     labelling, gens = b_entry[2:]
     phi = dict(zip(labelling, g_entry[2]))
     nv = len(b.vertices)
     b_classes, g_classes = _encode_one_graph(b)[3], _encode_one_graph(g)[3]
-    for a in _group(gens, len(phi)):
-        f = [phi[x] for x in a]
+    for f in sorted([phi[x] for x in a] for a in _group(gens, len(phi))):
         vmap = {v: g.vertices[f[i]] for i, v in enumerate(b.vertices)}
         lifts = [_class_lifts(b, g, vmap, *b_classes[p - nv],
                               g_classes[f[p] - nv][1])
@@ -935,14 +1003,17 @@ def _group(gens, n):
 
 def _class_lifts(b, g, vmap, key, members, images):
     """The half-edge maps of the class (key, members) of ``b`` onto the
-    members ``images`` of its image class in ``g``: every bijection of
-    the members, each edge's ends following ``vmap``, each loop (kind 1)
-    in either orientation."""
+    members ``images`` of its image class in ``g`` (both by half-edge
+    position): every bijection of the members, each edge's ends following
+    ``vmap``, each loop (kind 1) in either orientation."""
+    bh, gh = b.half_edges, g.half_edges
     out = []
     for perm in itertools.permutations(images):
         ways = [(t, t[::-1]) if key[0] == 1 else
-                (t if vmap[b.attach[h]] == g.attach[t[0]] else t[::-1],)
+                (t if vmap[b.attach[bh[h]]] == g.attach[gh[t[0]]]
+                 else t[::-1],)
                 for (h, _), t in zip(members, perm)]
-        out += [{h: k for m, t in zip(members, chosen) for h, k in zip(m, t)}
+        out += [{bh[h]: gh[k] for m, t in zip(members, chosen)
+                 for h, k in zip(m, t)}
                 for chosen in itertools.product(*ways)]
     return out

@@ -33,7 +33,7 @@ from .graphs import (GraphError, OneGraph, _connected_groups, boundary,
                      connected_components, faces, internal_face_count,
                      is_bridgeless, is_connected, vertex_graph)
 from . import iso, series
-from .series import DressedType
+from .series import DressedType, _memo_on_type
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +156,23 @@ class Theory:
         raise GraphError(f"no edge weight for strand degree {strand_degree}")
 
     def vertex_weight(self, gamma):
-        code = iso.one_graph_code(gamma)
+        return self.code_weight(iso.one_graph_code(gamma))
+
+    def code_weight(self, code):
+        """The weight of the vertex type with 1-graph code ``code``."""
+        try:
+            return self._weights_by_code()[code]
+        except KeyError:
+            raise GraphError("vertex type not in the theory") from None
+
+    @_memo_on_type
+    def _weights_by_code(self):
+        """Each type's plain code mapped to its weight, the first type in
+        theory order winning; memoized on the theory object."""
+        weights = {}
         for dt in self.types:
-            if dt.plain_code() == code:
-                return dt.weight
-        raise GraphError("vertex type not in the theory")
+            weights.setdefault(dt.plain_code(), dt.weight)
+        return weights
 
     def max_interaction_order(self):
         """Largest external-leg count of a divergent boundary in the tuned
@@ -233,10 +245,11 @@ def preset(name):
 
 def superficial_degree(theory, G):
     """Vertex weights minus edge weights plus dimension times internal
-    faces."""
+    faces; each vertex is weighed by the code of its vertex graph, read
+    from ``iso.vertex_classes``."""
     total = Fraction(0)
-    for v in G.vertices:
-        total += theory.vertex_weight(vertex_graph(G, v))
+    for code, _ in iso.vertex_classes(G):
+        total += theory.code_weight(code)
     for a, b in G.edge_pairs():
         total -= theory.edge_weight(G.strand_degree(a))
     total += Fraction(theory.dimension) * internal_face_count(G)

@@ -74,8 +74,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import (GraphError, OneGraph, TwoGraph, boundary,
-                     disjoint_union, is_bridgeless, vertex_graph,
-                     _connected_groups, _label_key, _positions)
+                     disjoint_union, is_bridgeless, _connected_groups,
+                     _label_key, _positions)
 from . import hopf, iso
 from .rewrite import instantiate_vertex_type, _glue_options, _with_edges
 
@@ -85,10 +85,10 @@ from .rewrite import instantiate_vertex_type, _glue_options, _with_edges
 
 
 def _memo_on_type(method):
-    """Cache a no-argument method of a type in the instance ``__dict__``,
-    so that the value lives exactly as long as the type (a frozen
-    dataclass allows this write; ``functools.cache`` would keep every type
-    it has seen alive)."""
+    """Cache a no-argument method of a vertex type or a theory in the
+    instance ``__dict__``, so that the value lives exactly as long as the
+    object (a frozen dataclass allows this write; ``functools.cache``
+    would keep every object it has seen alive)."""
     name = "_" + method.__name__
 
     @functools.wraps(method)
@@ -580,8 +580,7 @@ def check_central_identity(theory, max_edges, bridgeless_only=False):
         pools = []
         gamma_auts = []
         ok = True
-        for v in g.vertices:
-            vg_code, vg_aut = iso._canon_one(vertex_graph(g, v))
+        for vg_code, vg_aut in iso.vertex_classes(g):
             pool = by_boundary.get(vg_code, [])
             if not pool:
                 ok = False
@@ -601,8 +600,8 @@ def check_central_identity(theory, max_edges, bridgeless_only=False):
     mismatches = [(key, lhs.get(key, Fraction(0)), rhs.get(key, Fraction(0)))
                   for key in sorted(hopf.el_add(lhs, hopf.el_scale(rhs, -1)))]
     multi_trace = sum(1 for cls in classes.values()
-                      if any(len(vertex_graph(cls.graph, v).components()) > 1
-                             for v in cls.graph.vertices))
+                      if any(code.startswith("U(")
+                             for code, _ in iso.vertex_classes(cls.graph)))
     return CentralIdentityReport(not mismatches, max_edges, len(classes),
                                  len(set(lhs) | set(rhs)), mismatches,
                                  multi_trace, bridgeless_only)

@@ -517,6 +517,12 @@ def test_cli_error_exits(tmp_path, capsys):
     assert cli.main(["info", str(tmp_path / "missing.json")]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "file"
 
+    # a vertex whose type the theory lacks (the fish's quartic under gw4)
+    assert cli.main(["info", path, "--theory", "gw4"]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == "" and json.loads(cap.err) == {
+        "error": "graph", "message": "vertex type not in the theory"}
+
     with pytest.raises(SystemExit) as exc:
         cli.main(["enumerate", "--max-edges", "1"])
     assert exc.value.code == 2

@@ -464,6 +464,57 @@ def renumbered(descs, adj, order):
             [tuple(sorted(new[j] for j in adj[old])) for old in order])
 
 
+def check_first_leaf_hits(monkeypatch, kind, encodings, serial):
+    """Search each encoding twice through ``iso._canon_connected`` with
+    the first-leaf code tag of ``kind`` and code strings ``serial``, the
+    second time renumbered so that its first path reaches a minimal leaf
+    (see the tests below).  The memo is left empty."""
+    tag = iso._CODE_TAGS[kind]
+    calls = {"_first_path": 0, "_canon_search": 0}
+    for name in calls:
+        def counting(*args, real=getattr(iso, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(iso, name, counting)
+    monkeypatch.setattr(iso, "_SEARCH_MEMO_BOUND", 1)
+    rng = random.Random(1998)
+    first_leaf = 0
+    for name, descs, adj in encodings:
+        n = len(descs)
+        search_cache_clear()
+        descs, adj = renumbered(descs, adj, rng.sample(range(n), n))
+        labelling = iso._canon_connected((descs, adj, 1), serial, tag)[2]
+        canon = renumbered(descs, adj, labelling)
+        front = [cell[0] for _, _, cell in iso._first_path(*canon)[0]]
+        rest = [i for i in range(n) if i not in front]
+        rng.shuffle(rest)
+        encoding = renumbered(*canon, front + rest) + (1,)
+        before = dict(calls)
+        code, order, labelling, gens = iso._canon_connected(encoding,
+                                                            serial, tag)
+        first_leaf += calls == {"_first_path": before["_first_path"] + 1,
+                                "_canon_search": before["_canon_search"]}
+        want = oracles.exhaustive_canon_search(*encoding[:2])
+        assert (code, labelling, order) == (serial(want[0]), *want[1:]), \
+            name
+        descs, adj = encoding[:2]
+        edges = {(i, j) for i, js in enumerate(adj) for j in js}
+        for g in gens:
+            assert sorted(g) == list(range(n)), name
+            assert all(descs[g[i]] == descs[i] for i in range(n)), name
+            assert {(g[i], g[j]) for i, j in edges} == edges, name
+        if order <= 1000:
+            assert len(generated_group(gens, n)) == order, name
+        iso._memoized(kind, encoding, serial)
+        assert not iso._search_memo, name
+        searches = calls["_canon_search"]
+        assert iso._canon_connected(encoding, serial, tag)[:3] == \
+            (code, order, labelling), name
+        assert calls["_canon_search"] == searches + 1, name
+    assert first_leaf == len(encodings)
+    search_cache_clear()
+
+
 def test_first_leaf_hit_matches_exhaustive_search(monkeypatch):
     # a full 2-graph search stores its entry under its code; a later
     # search whose first leaf zeta has that code explores nothing.  Each
@@ -475,48 +526,36 @@ def test_first_leaf_hit_matches_exhaustive_search(monkeypatch):
     # its carried generators automorphisms that generate the whole group.
     # With a bound of one key, storing the second encoding's key empties
     # the memo, and the same encoding is then searched in full again
-    calls = {"_first_path": 0, "_canon_search": 0}
-    for name in calls:
-        def counting(*args, real=getattr(iso, name), name=name):
-            calls[name] += 1
-            return real(*args)
-        monkeypatch.setattr(iso, name, counting)
-    monkeypatch.setattr(iso, "_SEARCH_MEMO_BOUND", 1)
-    rng = random.Random(1998)
-    encodings = search_encodings(random.Random(1981))
-    first_leaf = 0
-    for name, descs, adj in encodings:
-        n = len(descs)
-        search_cache_clear()
-        descs, adj = renumbered(descs, adj, rng.sample(range(n), n))
-        labelling = iso._canon_connected((descs, adj, 1), repr, True)[2]
-        canon = renumbered(descs, adj, labelling)
-        front = [cell[0] for _, _, cell in iso._first_path(*canon)[0]]
-        rest = [i for i in range(n) if i not in front]
-        rng.shuffle(rest)
-        encoding = renumbered(*canon, front + rest) + (1,)
-        before = dict(calls)
-        code, order, labelling, gens = iso._canon_connected(encoding, repr,
-                                                            True)
-        first_leaf += calls == {"_first_path": before["_first_path"] + 1,
-                                "_canon_search": before["_canon_search"]}
-        want = oracles.exhaustive_canon_search(*encoding[:2])
-        assert (code, labelling, order) == (repr(want[0]), *want[1:]), name
-        descs, adj = encoding[:2]
-        edges = {(i, j) for i, js in enumerate(adj) for j in js}
-        for g in gens:
-            assert sorted(g) == list(range(n)), name
-            assert all(descs[g[i]] == descs[i] for i in range(n)), name
-            assert {(g[i], g[j]) for i, j in edges} == edges, name
-        if order <= 1000:
-            assert len(generated_group(gens, n)) == order, name
-        iso._memoized("two", encoding)
-        assert not iso._search_memo, name
-        searches = calls["_canon_search"]
-        assert iso._canon_connected(encoding, repr, True)[:3] == \
-            (code, order, labelling), name
-        assert calls["_canon_search"] == searches + 1, name
-    assert first_leaf == len(encodings)
+    check_first_leaf_hits(monkeypatch, "two",
+                          search_encodings(random.Random(1981)), repr)
+
+
+def one_graph_encodings(rng):
+    """(name, descs, adj) of the encoded connected components of
+    collapsed and random 1-graphs, of the preset vertex types (bgr's
+    double dipole has two), and of the boundary and the vertex graphs of
+    every fixture."""
+    graphs = dict(COLLAPSED)
+    graphs.update((f"random{k}", random_one_graph(rng)) for k in range(40))
+    graphs.update((f"{name}:{dt.name}", dt.graph)
+                  for name in ("gw4", "mq3", "bgr")
+                  for dt in preset(name).dressed_types())
+    for name, g in CORPUS.items():
+        graphs[f"{name}:boundary"] = boundary(g)
+        graphs.update((f"{name}:{v}", vertex_graph(g, v)) for v in g.vertices)
+    return [(f"{name}#{k}",) + _encode_one_graph(g.induced(vs))[:2]
+            for name, g in graphs.items()
+            for k, vs in enumerate(g.components())]
+
+
+def test_one_graph_first_leaf_hit_matches_exhaustive_search(monkeypatch):
+    # the 1-graph counterpart of the test above, under the 1-graph code
+    # tag: a search whose first leaf has the code of an explored search
+    # explores nothing and returns the unpruned search's code, labelling
+    # and order, with carried generators of the whole group
+    check_first_leaf_hits(monkeypatch, "one",
+                          one_graph_encodings(random.Random(1981)),
+                          iso._one_graph_serial)
 
 
 def test_refine_matches_rank_refinement():
@@ -659,7 +698,7 @@ def test_search_memo_keeps_one_and_two_graphs_apart():
     # a one-vertex edgeless 2-graph and a one-vertex 1-graph share their
     # encoding but not their code, in whichever order they are canonized
     # (each call builds a fresh graph, so only the search memo can answer);
-    # the 2-graph search also stores its search code, tagged apart
+    # each search also stores its search code, under a code tag of its kind
     code_of = {
         "two": lambda: canonical_code(TwoGraph.make(["v"], [], [], {}, {})),
         "one": lambda: one_graph_code(OneGraph.make(["v"], [], {})),
@@ -673,7 +712,7 @@ def test_search_memo_keeps_one_and_two_graphs_apart():
             assert code_of[kind]() == want[kind], order
         assert search_cache_info()[:2] == (2, 2), order
         assert sorted(tag for tag, _ in iso._search_memo) == \
-            ["code", "one", "two", "two"]
+            ["code", "one", "one-code", "two", "two"]
 
 
 def test_positional_keys_are_exact_and_apart_from_encoding_keys():
@@ -983,3 +1022,84 @@ def test_automorphism_generators_give_brute_force_orbits(monkeypatch):
         ends = orbit_partition(ext, every, point)
         assert _orbit_leaders(ext, gens) == \
             [h for h in ext if h == min(next(o for o in ends if h in o))], k
+
+
+def test_vertex_classes_equal_the_vertex_graph_classes():
+    # iso.vertex_classes reads the (code, |Aut|) of each vertex graph from
+    # the integer view; vertex by vertex it equals the canonization of the
+    # built vertex graph, on the fixtures, the corpus classes and random
+    # relabellings of both (bgr's double-dipole vertices have two
+    # components, and so "U(...)" codes), and on the small vertex graphs
+    # |Aut| is the brute-force count
+    rng = random.Random(2626)
+    graphs = list(CORPUS.values())
+    graphs += [io.document_to_graph(e["graph"]) for e in corpus_entries()]
+    graphs += [oracles.random_relabelled(g, rng) for g in list(graphs)]
+    graphs += [TwoGraph.make([], [], [], {}, {}),
+               TwoGraph.make(["v"], [], [], {}, {})]
+    brute, multi = {}, 0
+    for k, g in enumerate(graphs):
+        got = iso.vertex_classes(g)
+        assert g.derived.vertex_classes is got
+        want = []
+        for v in g.vertices:
+            vg = vertex_graph(g, v)
+            want.append(iso._canon_one(vg))
+            cost = factorial(len(vg.vertices))
+            for u in vg.vertices:
+                cost *= factorial(vg.degree(u))
+            if cost <= 40000 and want[-1][0] not in brute:
+                brute[want[-1][0]] = \
+                    oracles.brute_one_graph_automorphism_count(vg)
+            assert brute.get(want[-1][0], want[-1][1]) == want[-1][1], k
+        assert list(got) == want, k
+        multi += sum(code.startswith("U(") for code, _ in got)
+    assert len(graphs) > 700 and len(brute) >= 5 and multi > 0
+    assert iso.vertex_classes(graphs[-1]) == (("empty", 1),)
+
+
+def test_one_graph_iso_order_does_not_depend_on_the_memo(monkeypatch):
+    # the isomorphisms are listed sorted by encoding node map, so the list
+    # is the same from a cold memo, from a memo warmed by a relabelled
+    # copy of the source (whose entry then answers by the 1-graph code
+    # key, with carried generators, at least sometimes), and with a memo
+    # of 64 keys that keeps emptying; the set is the brute-force one
+    rng = random.Random(2627)
+    graphs = list(COLLAPSED.values()) + [random_one_graph(rng)
+                                         for _ in range(40)]
+    graphs += [disjoint_union([g, h]) for g, h in zip(graphs[::7],
+                                                      graphs[1::7])]
+    graphs += [cycle_one_graph(n) for n in range(3, 7)]
+    graphs += [dt.graph for name in ("gw4", "mq3", "bgr")
+               for dt in preset(name).dressed_types()]
+    pairs = [(g, relabelled_one_graph(g, rng)) for g in graphs]
+    hits = []
+    real = iso._lookup
+
+    def lookup(key):
+        entry = real(key)
+        hits.append(key[0] == "one-code" and entry is not None)
+        return entry
+
+    monkeypatch.setattr(iso, "_lookup", lookup)
+    cold = []
+    for g, h in pairs:
+        search_cache_clear()
+        cold.append(iso_list(iso.enumerate_one_graph_isos(g, h)))
+    code_hits = 0
+    for k, (g, h) in enumerate(pairs):
+        search_cache_clear()
+        one_graph_code(relabelled_one_graph(g, rng))
+        hits.clear()
+        assert iso_list(iso.enumerate_one_graph_isos(g, h)) == cold[k], k
+        code_hits += any(hits)
+        assert set(cold[k]) == \
+            set(iso_list(oracles.brute_one_graph_isos(g, h))), k
+        assert len(cold[k]) == one_graph_automorphism_count(g), k
+    assert code_hits >= 10
+    monkeypatch.setattr(iso, "_SEARCH_MEMO_BOUND", 64)
+    search_cache_clear()
+    for k, (g, h) in enumerate(pairs * 3):
+        assert iso_list(iso.enumerate_one_graph_isos(g, h)) == \
+            cold[k % len(pairs)], k
+    search_cache_clear()

@@ -58,6 +58,43 @@ def test_degree_needs_theory_vertex_types():
         superficial_degree(GW4, fixtures.fish(1, 2))
 
 
+def test_classify_and_degree_read_the_vertex_classes_once(monkeypatch):
+    # classify (which weighs each component) and superficial_degree on one
+    # connected graph build no vertex graph: the vertex classes are read
+    # from the integer view once, one encoding per vertex-graph component,
+    # and kept on the graph.  The graph is the first bgr corpus class with
+    # a double-dipole vertex, whose vertex graph has two components.
+    from strandhopf import graphs, iso, rewrite
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "data" / \
+        "corpus.json"
+    entry = next(e for e in json.loads(path.read_text(encoding="utf-8"))[
+        "graphs"] if e["theory"] == "bgr" and any(
+            len(graphs.vertex_graph(g, v).components()) > 1
+            for g in [io.document_to_graph(e["graph"])] for v in g.vertices))
+    g = io.document_to_graph(entry["graph"])
+    components = sum(len(graphs.vertex_graph(g, v).components())
+                     for v in g.vertices)
+    calls = {"_encode_one": 0, "_encode_one_graph": 0}
+    for name in calls:
+        def counting(*args, real=getattr(iso, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(iso, name, counting)
+
+    def forbidden(*args):
+        raise AssertionError("vertex graph built")
+
+    for module in (graphs, models, rewrite):
+        monkeypatch.setattr(module, "vertex_graph", forbidden)
+    assert g.derived.vertex_classes is None
+    reps = classify(BGR, g)
+    degree = superficial_degree(BGR, g)
+    assert [str(rep.degree) for rep in reps] == [str(degree)] == \
+        [entry["superficial_degree"]]
+    assert calls["_encode_one"] - calls["_encode_one_graph"] == components
+    assert len(g.derived.vertex_classes) == len(g.vertices)
+
+
 def test_genus_on_map_fixtures():
     assert genus(fixtures.paper_map()) == 0
     assert genus(fixtures.gw_ladder()) == 0
