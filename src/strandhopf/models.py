@@ -155,11 +155,9 @@ class Theory:
                 return w
         raise GraphError(f"no edge weight for strand degree {strand_degree}")
 
-    def vertex_weight(self, gamma):
-        return self.code_weight(iso.one_graph_code(gamma))
-
-    def code_weight(self, code):
-        """The weight of the vertex type with 1-graph code ``code``."""
+    def vertex_weight(self, code):
+        """The weight of the vertex type whose vertex graph has 1-graph
+        code ``code``."""
         try:
             return self._weights_by_code()[code]
         except KeyError:
@@ -249,7 +247,7 @@ def superficial_degree(theory, G):
     from ``iso.vertex_classes``."""
     total = Fraction(0)
     for code, _ in iso.vertex_classes(G):
-        total += theory.code_weight(code)
+        total += theory.vertex_weight(code)
     for a, b in G.edge_pairs():
         total -= theory.edge_weight(G.strand_degree(a))
     total += Fraction(theory.dimension) * internal_face_count(G)
