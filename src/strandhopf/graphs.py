@@ -26,9 +26,9 @@ structure maps over positions; the face walk, ``iso``'s keys and
 encodings read it instead of the label dicts.  The label-to-position
 maps it is built from are not kept.  Its vertex classes
 (``iso.vertex_classes``) are the (code, |Aut|) pairs of its vertex
-graphs in vertex order, read from the view without building a
-``OneGraph``; power counting and the central check weigh and match
-vertices by them.  The record holds no other graph and no other record.
+graphs in vertex order, split from the view by the one 1-graph split of
+``iso``; power counting and the central check weigh and match vertices
+by them.  The record holds no other graph and no other record.
 
 A growth child (``rewrite._with_edges``) is built without sorting or
 copying what it shares with its parent: the label tuples, the ``nu``,
@@ -447,14 +447,13 @@ def validate(G):
 
 def vertex_graph(G, v):
     """The 1-graph of through-strands at ``v``; its vertices are the
-    half-edges of ``G`` at ``v`` and its edges the local sigma1 pairs."""
+    half-edges of ``G`` at ``v`` and its edges the local sigma1 pairs: the
+    part of ``vertex_graphs_union`` induced on those half-edges."""
     try:
         hs = G.half_edges_at(v)
     except KeyError:
         raise GraphError(f"unknown vertex {v!r}") from None
-    ss = [s for h in hs for s in G.strands_at(h)]
-    return OneGraph(hs, ss, {s: G.mu[s] for s in ss},
-                    {s: G.sigma1[s] for s in ss})
+    return vertex_graphs_union(G).induced(hs)
 
 
 def vertex_graphs_multiset(G):

@@ -99,21 +99,20 @@ the search explore; it stores its entry under the encoding key, the
 positional key and its code, as three keys, and a hit by encoding or
 code stores the keys that missed.
 
-A connected 1-graph is looked up twice at most: by its encoding, which
-has no faces and is cheap to build, then by its first leaf's code under
-a code tag of its own ("one-code"), since an edgeless one-vertex 1-graph
-and 2-graph share a search code.  An explored 1-graph search stores its
-entry under both keys.  A code hit carries generators that may differ
-from those of the full search, so ``enumerate_one_graph_isos`` lists the
-isomorphisms sorted by node map, an order that depends on neither.  The
-encoding lists its class nodes in sorted order, so the key depends on
-the vertex order only and not on the half-edge numbers: vertex graphs of
-one shape whose sections are named apart share an entry.  One position
-encoder, ``_encode_one``, serves a ``OneGraph`` (a connected one is
-encoded as itself, not as a copy of its one component) and the
-components of the vertex graphs of a 2-graph, read from its integer view
-by ``vertex_classes`` with no ``OneGraph`` built; both are keyed
-alike.  The tags ("two", "one", "code", "one-code") keep the kinds
+A 1-graph is split into its connected components in one place,
+``_one_components``: one union-find over vertex positions, then per
+component its ``_encode_one`` encoding and memo entry.  It reads a
+``OneGraph``'s label positions (``_one_entries``) or, for the union of
+the vertex graphs of a 2-graph, the integer view (``_vertex_components``,
+no ``OneGraph`` built), so both are keyed alike.  A component is looked up
+twice at most: by its encoding, which has no faces and is cheap to
+build, then by its first leaf's code under a code tag of its own
+("one-code"), since an edgeless one-vertex 1-graph and 2-graph share a
+search code.  An explored 1-graph search stores its entry under both
+keys.  The encoding lists its class nodes in sorted order, so the key
+depends on the vertex order only and not on the half-edge numbers:
+vertex graphs of one shape whose sections are named apart share an
+entry.  The tags ("two", "one", "code", "one-code") keep the kinds
 apart.  Under "two" a positional key is the marshal of an 8-tuple and an
 encoding key that of a 2-tuple, so the two never meet.  Keys are
 ``marshal`` bytes, not tuples, because those take a fraction of their
@@ -125,15 +124,16 @@ order or usage state.  ``search_cache_info()`` reports its hits (lookups
 answered without an explored search, by any key), misses (explored
 searches), bound and size in keys.
 
-1-graph isomorphisms come from the same entries.  The encoding
-isomorphisms of connected 1-graphs b, g of one code are c_g^-1 o c_b o a
-for a in the group that b's generators generate, c sending each node to
-its canonical position (the labelling is its inverse), and they are
-listed sorted as node maps.  Each lifts to
-half-edges class by class, which gives the m! and m! * 2^m factors the
-encoding hides: any bijection of a class's members onto those of its
-image, each edge's ends following the vertex map, each loop in either
-orientation.  Components are paired code by code in every way.
+1-graph isomorphisms come from the components' entries and encodings.
+The encoding isomorphisms of connected 1-graphs b, g of one code are
+c_g^-1 o c_b o a for a in the group that b's generators generate, c
+sending each node to its canonical position (the labelling is its
+inverse), listed sorted as node maps, an order that does not depend on
+which generators a code hit carried.  Each lifts to half-edges class by
+class, which gives the m! and m! * 2^m factors the encoding hides: any
+bijection of a class's members onto those of its image, each edge's ends
+following the vertex map, each loop in either orientation.  Components
+are paired code by code in every way (``_union_isos``).
 """
 
 from __future__ import annotations
@@ -499,45 +499,22 @@ def _encode_two_graph(G, strand_colour=None, half_mark=None):
             owner)
 
 
-def _encode_one_graph(g):
-    """``_encode_one`` of a connected 1-graph, its vertices and half-edges
-    numbered by their positions in ``g.vertices`` and ``g.half_edges``;
-    ``_one_entries`` passes a connected 1-graph itself."""
-    vpos, hpos = _positions(g.vertices), _positions(g.half_edges)
-    return _encode_one(len(g.vertices), range(len(g.half_edges)),
-                       [vpos[g.attach[h]] for h in g.half_edges],
-                       [hpos[g.pairing[h]] for h in g.half_edges])
+def _encode_one(nv, classes):
+    """Node-classed simple graph for a connected 1-graph with vertices
+    0..nv-1, each class of interchangeable half-edges collapsed to one
+    node: ``classes`` maps each (kind, ends) to its members, as
+    ``_one_components`` collects them.
 
-
-def _encode_one(nv, halves, attach, pairing):
-    """Node-classed simple graph for a connected 1-graph given by
-    positions, with each class of interchangeable half-edges collapsed to
-    one node: vertices 0..nv-1, the half-edges ``halves`` in increasing
-    order, ``attach[h]`` the vertex and ``pairing[h]`` the partner of a
-    half-edge h (h itself for a leg).
-
-    The classes are the legs at one vertex (kind 0), the loops at one
-    vertex (kind 1) and the parallel edges between two distinct vertices
-    (kind 2).  The nodes are the vertices, then one node per class
-    carrying its kind and multiplicity m, adjacent to its one or two
-    vertices, the classes in sorted (kind, ends) order.  So the encoding,
-    and the search memo key made from it, depends on the vertex order
-    only, not on the half-edge numbers.  Returns (descs, adj, factor,
-    classes), factor being the closed-form order of the classes: m! per
-    leg or parallel-edge class and m! * 2^m per loop class (the loops
-    permute and each can be reversed); classes lists ((kind, ends),
-    members) in node order, a member being a leg (h, h) or an edge (h, k)
-    with h < k.
+    The nodes are the vertices, then one node per class carrying its kind
+    and multiplicity m, adjacent to its one or two vertices, the classes
+    in sorted (kind, ends) order.  So the encoding, and the search memo
+    key made from it, depends on the vertex order only, not on the
+    half-edge numbers.  Returns (descs, adj, factor, classes), factor
+    being the closed-form order of the classes: m! per leg or
+    parallel-edge class and m! * 2^m per loop class (the loops permute
+    and each can be reversed); classes lists ((kind, ends), members) in
+    node order.
     """
-    classes = {}
-    for h in halves:
-        k = pairing[h]
-        if k < h:
-            continue
-        a, b = attach[h], attach[k]
-        ends = (a,) if a == b else (a, b) if a < b else (b, a)
-        kind = 0 if k == h else 1 if a == b else 2
-        classes.setdefault((kind, ends), []).append((h, k))
     classes = sorted(classes.items())
     descs = [(0,)] * nv
     adj = [[] for _ in descs]
@@ -554,7 +531,7 @@ def _encode_one(nv, halves, attach, pairing):
 
 def _one_graph_fields(code):
     """(vertices, half_edges, attach, pairs) of the canonical 1-graph
-    with search code ``code`` (of an _encode_one_graph encoding).
+    with search code ``code`` (of an ``_encode_one`` encoding).
 
     Vertex "v{r}" sits at canonical position r (the vertex nodes come
     first); half-edges "h{k}" are numbered class by class in canonical
@@ -664,34 +641,31 @@ def _memoized(tag, encoding, serial=repr, position=None):
     return entry
 
 
-def _canon_connected(encoding, serial=repr, code_tag=None):
+def _canon_connected(encoding, serial, code_tag):
     """(code, |Aut|, labelling, generators) of a connected graph from its
     encoding: ``serial`` of the search's code, the order the search finds
     times the encoding's closed-form factor, and the search's canonical
     labelling and automorphism generators as it returns them.
 
-    With a ``code_tag`` the code of the first leaf zeta is looked up in
-    the memo, under that tag, before the search explores; a full search
-    stores the entry under its code.  On a hit zeta is minimal, so the
-    search would return that code, zeta's labelling and that order; the
-    entry's generators are carried onto this encoding (``_carried``), and
-    nothing is explored."""
+    The code of the first leaf zeta is looked up in the memo, under
+    ``code_tag``, before the search explores; a full search stores the
+    entry under its code.  On a hit zeta is minimal, so the search would
+    return that code, zeta's labelling and that order; the entry's
+    generators are carried onto this encoding (``_carried``), and nothing
+    is explored."""
     descs, adj, factor = encoding[:3]
     first = _first_path(descs, adj)
-    if code_tag is not None:
-        zeta = first[1]
-        known = _lookup((code_tag,
-                         marshal.dumps(_leaf_code(descs, zeta), 2)))
-        if known is not None:
-            code, aut, labelling, gens = known
-            return code, aut, zeta[1], _carried(gens, labelling, zeta[1])
+    zeta = first[1]
+    known = _lookup((code_tag, marshal.dumps(_leaf_code(descs, zeta), 2)))
+    if known is not None:
+        code, aut, labelling, gens = known
+        return code, aut, zeta[1], _carried(gens, labelling, zeta[1])
     _search_stats[1] += 1
     code, labelling, order, gens = _canon_search(descs, adj, first)
     entry = serial(code), order * factor, labelling, gens
-    if code_tag is not None:
-        key = code_tag, marshal.dumps(code, 2)
-        if key not in _search_memo:
-            _store(key, entry)
+    key = code_tag, marshal.dumps(code, 2)
+    if key not in _search_memo:
+        _store(key, entry)
     return entry
 
 
@@ -855,60 +829,77 @@ def automorphism_generators(G, strand_colour=None, half_mark=None):
 # 1-graphs
 
 
-def _one_entries(g):
-    """(component, search memo entry) for each connected component of a
-    1-graph; a connected 1-graph is encoded as itself."""
-    comps = g.components()
+def _one_components(nv, attach, pairing):
+    """The connected components, by least vertex, of the 1-graph with
+    vertices 0..nv-1 and ``attach[h]`` the vertex and ``pairing[h]`` the
+    partner of half-edge h: each as (its vertices in increasing order, its
+    ``_encode_one`` encoding, numbering them 0.., its search memo entry).
+
+    The classes of interchangeable half-edges are the legs at one vertex
+    (kind 0), the loops at one vertex (kind 1) and the parallel edges
+    between two distinct vertices (kind 2).  A member is a leg (h, h), a
+    loop (h, k) with h < k or an edge (h, k) with h at ends[0], in the
+    order of their least half-edges."""
+    groups = _connected_groups(range(nv), ((attach[h], attach[k])
+                                           for h, k in enumerate(pairing)))
+    where = {v: (c, i) for c, vs in enumerate(groups)
+             for i, v in enumerate(vs)}
+    classes = [{} for _ in groups]
+    for h, k in enumerate(pairing):
+        if k < h:
+            continue
+        (c, a), (_, b) = where[attach[h]], where[attach[k]]
+        if a > b:
+            h, k, a, b = k, h, b, a
+        kind = 0 if k == h else 1 if a == b else 2
+        classes[c].setdefault((kind, (a,) if a == b else (a, b)),
+                              []).append((h, k))
     out = []
-    for vs in comps:
-        c = g if len(comps) == 1 else g.induced(vs)
-        out.append((c, _memoized("one", _encode_one_graph(c),
-                                 _one_graph_serial)))
+    for vs, found in zip(groups, classes):
+        encoding = _encode_one(len(vs), found)
+        out.append((vs, encoding,
+                    _memoized("one", encoding, _one_graph_serial)))
     return out
 
 
-def _one_parts(g):
-    """The (code, |Aut|) pairs of the connected components of a 1-graph."""
-    return [entry[:2] for _, entry in _one_entries(g)]
+def _one_entries(g):
+    """``_one_components`` of a 1-graph, read from its label positions."""
+    vpos, hpos = _positions(g.vertices), _positions(g.half_edges)
+    return _one_components(len(g.vertices),
+                           [vpos[g.attach[h]] for h in g.half_edges],
+                           [hpos[g.pairing[h]] for h in g.half_edges])
+
+
+def _one_class(components):
+    """The (code, |Aut|) pair of a 1-graph from its ``_one_components``."""
+    return _combine([entry[:2] for *_, entry in components])
 
 
 def _canon_one(g):
     """The (code, |Aut|) pair of a 1-graph."""
-    return _combine(_one_parts(g))
+    return _one_class(_one_entries(g))
+
+
+def _vertex_components(G):
+    """The ``_one_components`` of the union of the vertex graphs of a
+    2-graph (its sections attached by ``mu`` to its half-edges and paired
+    by ``sigma1``), split from its integer view and listed per vertex of
+    ``G.vertices``: since ``sigma1`` is vertex-local, each lies at the
+    vertex ``nu`` of its vertices."""
+    view = G.view()
+    parts = [[] for _ in G.vertices]
+    for piece in _one_components(len(view.nu), view.mu, view.sigma1):
+        parts[view.nu[piece[0][0]]].append(piece)
+    return parts
 
 
 def vertex_classes(G):
     """The (code, |Aut|) pair of each vertex graph of a 2-graph, in the
     order of ``G.vertices``, kept in ``G.derived``; each equals
-    ``_canon_one(vertex_graph(G, v))``, but no 1-graph is built.
-
-    The vertex graph at v has the half-edges at v as vertices and their
-    sections as half-edges, attached by ``mu`` and paired by ``sigma1``.
-    Since ``sigma1`` is vertex-local, its components are the classes of
-    half-edges joined by ``sigma1``, read from the integer view.  Each
-    component is encoded by ``_encode_one`` with its half-edges numbered
-    by their positions in ``G.strands`` and its vertices in the order of
-    ``G.half_edges``, the encoding its 1-graph would have."""
+    ``_canon_one(vertex_graph(G, v))``, but no 1-graph is built."""
     d = G.derived
     if d.vertex_classes is None:
-        view = G.view()
-        mu, s1 = view.mu, view.sigma1
-        groups = _connected_groups(range(len(view.nu)),
-                                   ((mu[s], mu[t]) for s, t in enumerate(s1)))
-        group_of, local = [0] * len(view.nu), [0] * len(view.nu)
-        for k, hs in enumerate(groups):
-            for i, h in enumerate(hs):
-                group_of[h], local[h] = k, i
-        halves = [[] for _ in groups]
-        for s, h in enumerate(mu):
-            halves[group_of[h]].append(s)
-        attach = [local[h] for h in mu]
-        parts = [[] for _ in G.vertices]
-        for hs, ss in zip(groups, halves):
-            parts[view.nu[hs[0]]].append(_memoized(
-                "one", _encode_one(len(hs), ss, attach, s1),
-                _one_graph_serial)[:2])
-        d.vertex_classes = tuple(map(_combine, parts))
+        d.vertex_classes = tuple(map(_one_class, _vertex_components(G)))
     return d.vertex_classes
 
 
@@ -934,13 +925,18 @@ def boundary_multiset_aut_count(entries):
 
 
 def enumerate_one_graph_isos(g1, g2):
-    """Yield all isomorphisms (vmap, hmap) from g1 onto g2: the connected
-    components paired code by code in every way, and one isomorphism
-    (``_connected_isos``) per pair."""
-    sources, targets = _one_entries(g1), _one_entries(g2)
-    yield from _matched_unions(
-        [entry[0] for _, entry in sources], [entry[0] for _, entry in targets],
-        lambda k, l: _connected_isos(*sources[k], *targets[l]))
+    """Yield all isomorphisms (vmap, hmap) from g1 onto g2 (``_union_isos``
+    of their components)."""
+    yield from _union_isos(g1, _one_entries(g1), g2, _one_entries(g2))
+
+
+def _union_isos(b, sources, g, targets):
+    """The isomorphisms (vmap, hmap) of the ``_one_components`` ``sources``
+    of ``b`` onto ``targets`` of ``g``: ``_connected_isos`` per code."""
+    return _matched_unions(
+        [entry[0] for _, _, entry in sources],
+        [entry[0] for _, _, entry in targets],
+        lambda k, l: _connected_isos(b, sources[k], g, targets[l]))
 
 
 def _matched_unions(codes, images, maps):
@@ -969,20 +965,22 @@ def _matched_unions(codes, images, maps):
             yield vmap, hmap
 
 
-def _connected_isos(b, b_entry, g, g_entry):
-    """The isomorphisms (vmap, hmap) of a connected 1-graph ``b`` onto a
-    connected ``g`` of the same code, from their search memo entries:
+def _connected_isos(b, source, g, target):
+    """The isomorphisms (vmap, hmap), in labels, of the component
+    ``source`` of the 1-graph ``b`` onto the component ``target`` of
+    ``g`` of the same code, from their encodings and search memo entries:
     each encoding isomorphism lifted class by class, the encoding
     isomorphisms sorted by node map, so that the order does not depend on
     which labellings and generators the entries hold."""
-    labelling, gens = b_entry[2:]
-    phi = dict(zip(labelling, g_entry[2]))
-    nv = len(b.vertices)
-    b_classes, g_classes = _encode_one_graph(b)[3], _encode_one_graph(g)[3]
+    b_vs, (*_, b_classes), (*_, labelling, gens) = source
+    g_vs, (*_, g_classes), (*_, g_labelling, _) = target
+    phi = dict(zip(labelling, g_labelling))
+    nv = len(b_vs)
     for f in sorted([phi[x] for x in a] for a in _group(gens, len(phi))):
-        vmap = {v: g.vertices[f[i]] for i, v in enumerate(b.vertices)}
-        lifts = [_class_lifts(b, g, vmap, *b_classes[p - nv],
-                              g_classes[f[p] - nv][1])
+        vmap = {b.vertices[v]: g.vertices[g_vs[f[i]]]
+                for i, v in enumerate(b_vs)}
+        lifts = [_class_lifts(b.half_edges, g.half_edges, f,
+                              *b_classes[p - nv], g_classes[f[p] - nv])
                  for p in range(nv, len(f))]
         for combo in itertools.product(*lifts):
             yield vmap, {h: k for part in combo for h, k in part.items()}
@@ -1001,18 +999,17 @@ def _group(gens, n):
     return found
 
 
-def _class_lifts(b, g, vmap, key, members, images):
-    """The half-edge maps of the class (key, members) of ``b`` onto the
-    members ``images`` of its image class in ``g`` (both by half-edge
-    position): every bijection of the members, each edge's ends following
-    ``vmap``, each loop (kind 1) in either orientation."""
-    bh, gh = b.half_edges, g.half_edges
+def _class_lifts(bh, gh, f, key, members, image):
+    """The half-edge maps (labels ``bh`` onto ``gh``) of the class (key,
+    members) onto its image class ``image`` under the encoding
+    isomorphism ``f``: every bijection of the members, each edge's ends
+    following ``f``, each loop (kind 1) in either orientation."""
+    (kind, ends), ((_, image_ends), images) = key, image
+    flip = kind == 2 and f[ends[0]] != image_ends[0]
     out = []
     for perm in itertools.permutations(images):
-        ways = [(t, t[::-1]) if key[0] == 1 else
-                (t if vmap[b.attach[bh[h]]] == g.attach[gh[t[0]]]
-                 else t[::-1],)
-                for (h, _), t in zip(members, perm)]
+        ways = [(t, t[::-1]) if kind == 1 else (t[::-1] if flip else t,)
+                for t in perm]
         out += [{bh[h]: gh[k] for m, t in zip(members, chosen)
                  for h, k in zip(m, t)}
                 for chosen in itertools.product(*ways)]

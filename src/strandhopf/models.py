@@ -30,8 +30,9 @@ from fractions import Fraction
 from math import floor
 
 from .graphs import (GraphError, OneGraph, _connected_groups, boundary,
-                     connected_components, faces, internal_face_count,
-                     is_bridgeless, is_connected, vertex_graph)
+                     connected_components, euler_characteristic, faces,
+                     internal_face_count, is_bridgeless, is_connected,
+                     vertex_graphs_union)
 from . import iso, series
 from .series import DressedType, _memo_on_type
 
@@ -269,8 +270,7 @@ def _genus(G, b):
     """``genus`` of a connected ``G`` with boundary ``b``."""
     if any(G.strand_degree(h) != 2 for h in G.half_edges):
         raise GraphError("genus needs strand degree two everywhere")
-    chi = len(G.vertices) - G.n_edges() + internal_face_count(G)
-    g, odd = divmod(2 - len(b.components()) - chi, 2)
+    g, odd = divmod(2 - len(b.components()) - euler_characteristic(G), 2)
     if odd or g < 0:
         raise GraphError("no orientable surface realizes this graph")
     return g
@@ -526,7 +526,7 @@ def _tensorial_form(theory, G):
     opened, _, bounding = _jacket_graphs(G, infer_colouring(G), b)
     wg = _coloured_graph_degree(*opened)
     wb = _coloured_graph_degree(*bounding)
-    bubbles = sum(len(vertex_graph(G, v).components()) for v in G.vertices)
+    bubbles = len(vertex_graphs_union(G).components())
     inv = v_ext, k, wg, wb, excess, n_inc = (
         len(b.vertices), len(b.components()), wg, wb,
         len(G.vertices) - bubbles,

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from .graphs import (GraphError, TwoGraph, boundary, connected_components,
-                     subgraph_with_edges, validate, vertex_graph,
+                     subgraph_with_edges, validate, vertex_graphs_union,
                      _assembled, _contract_edges)
 from . import iso
 
@@ -95,27 +95,29 @@ class InsertionMap:
 def insertions(H, G2):
     """All insertion maps of ``H`` into ``G2``: bijections of the boundary
     components of ``H`` with the vertices of ``G2`` together with
-    1-graph isomorphisms (``iso.enumerate_one_graph_isos``) of the
-    matched pieces.  The maps come bijection by bijection, and within one
-    in the order of the pieces' isomorphisms; each lists the external
-    half-edges and strands of ``H`` in label order."""
+    1-graph isomorphisms (``iso._union_isos``) of the matched pieces, the
+    vertex graphs of ``G2`` split once from their union.  The maps come
+    bijection by bijection, and within one in the order of the pieces'
+    isomorphisms; each lists the external half-edges and strands of ``H``
+    in label order."""
     bds = [boundary(c) for c in connected_components(H)]
-    vgs = [vertex_graph(G2, v) for v in G2.vertices]
+    sources = [iso._one_entries(b) for b in bds]
+    union, targets = vertex_graphs_union(G2), iso._vertex_components(G2)
 
     def items(i, j):
-        """The isomorphisms of boundary i onto vertex graph j as maps of
-        each half-edge and strand to its (label, image) item, which every
-        insertion map that uses it shares."""
-        for vm, hm in iso.enumerate_one_graph_isos(bds[i], vgs[j]):
+        """The isomorphisms of boundary i onto the vertex graph of vertex
+        j as maps of each half-edge and strand to its (label, image)
+        item, which every insertion map that uses it shares."""
+        for vm, hm in iso._union_isos(bds[i], sources[i], union, targets[j]):
             yield ({h: (h, k) for h, k in vm.items()},
                    {s: (s, t) for s, t in hm.items()})
 
+    codes = [[iso._one_class(p)[0] for p in side]
+             for side in (sources, targets)]
     hs, ss = H.external_half_edges(), H.external_strands()
     return [InsertionMap(H, G2, tuple(map(hitems.get, hs)),
                          tuple(map(sitems.get, ss)))
-            for hitems, sitems in iso._matched_unions(
-                [iso.one_graph_code(b) for b in bds],
-                [iso.one_graph_code(g) for g in vgs], items)]
+            for hitems, sitems in iso._matched_unions(*codes, items)]
 
 
 def insert(G2, H, ins):

@@ -444,9 +444,9 @@ def enumerate_diagrams(theory, max_edges, connected=True, boundary_graph=None):
 
     if want is not None:
         # the boundary of a union is the union of the parts' boundaries
-        bparts = [iso._one_parts(boundary(c.graph)) for c in conn]
+        bparts = [iso._one_entries(boundary(c.graph)) for c in conn]
     for combo in build(0, 0, 0, []):
-        if want is not None and iso._combine(
+        if want is not None and iso._one_class(
                 [p for i in combo for p in bparts[i]])[0] != want:
             continue
         parts = tuple(conn[i] for i in combo)

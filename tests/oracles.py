@@ -141,6 +141,36 @@ def brute_one_graph_isos(g1, g2):
     yield from extend(0, {}, {}, set())
 
 
+def brute_insertions(H, G2):
+    """The set of insertion maps (on_half_edges, on_strands) of ``H`` into
+    ``G2`` from ``brute_one_graph_isos``: every bijection of the boundary
+    components of ``H`` with the vertices of ``G2``, and every choice of
+    one isomorphism of each boundary onto the vertex graph it is matched
+    with; no code or canonization is read."""
+    from strandhopf.graphs import (boundary, connected_components,
+                                   vertex_graph)
+
+    bds = [boundary(c) for c in connected_components(H)]
+    vgs = [vertex_graph(G2, v) for v in G2.vertices]
+    isos = {}
+    hs, ss = H.external_half_edges(), H.external_strands()
+    out = set()
+    if len(bds) != len(vgs):
+        return out
+    for perm in itertools.permutations(range(len(vgs))):
+        for i, j in enumerate(perm):
+            if (i, j) not in isos:
+                isos[i, j] = list(brute_one_graph_isos(bds[i], vgs[j]))
+        for combo in itertools.product(*(isos[p] for p in enumerate(perm))):
+            vmap, hmap = {}, {}
+            for vm, hm in combo:
+                vmap.update(vm)
+                hmap.update(hm)
+            out.add((tuple((h, vmap[h]) for h in hs),
+                     tuple((s, hmap[s]) for s in ss)))
+    return out
+
+
 def _strand_extensions(G, jh, strand_colour=None):
     """Number of strand bijections compatible with a fixed half-edge
     bijection (and keeping ``strand_colour`` if given): fibre-by-fibre

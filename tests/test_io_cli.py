@@ -442,7 +442,7 @@ def test_cli_enumerate_builds_no_union_and_no_boundary(monkeypatch, capsys):
     _count_calls(monkeypatch, calls, "boundary",
                  (graphs, series, models, cli))
     _count_calls(monkeypatch, calls, "one_graph_code", (iso,))
-    _count_calls(monkeypatch, calls, "_one_parts", (iso,))
+    _count_calls(monkeypatch, calls, "_one_entries", (iso,))
     outs = {}
     for name in sorted(models.PRESETS):
         assert cli.main(["enumerate", "--theory", name,

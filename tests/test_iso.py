@@ -25,8 +25,8 @@ from strandhopf import (
 )
 from strandhopf.graphs import (boundary, connected_components, faces,
                               is_connected, vertex_graph)
-from strandhopf.iso import (_canon_search, _encode_one_graph,
-                            _encode_two_graph, _one_graph_fields,
+from strandhopf.iso import (_canon_search, _encode_two_graph,
+                            _one_entries, _one_graph_fields,
                             boundary_multiset_aut_count, search_cache_clear,
                             search_cache_info)
 from strandhopf.rewrite import instantiate_vertex_type, _glue_options
@@ -199,10 +199,10 @@ def test_one_graph_collapsed_classes_match_brute_force():
         assert one_graph_automorphism_count(g) == \
             oracles.brute_one_graph_automorphism_count(g), name
         code = one_graph_code(g)
-        for vs in g.components():
+        for vs, encoding, _ in _one_entries(g):
             # the search's code determines a canonical 1-graph per component
-            comp = g.induced(vs)
-            found = _canon_search(*_encode_one_graph(comp)[:2])[0]
+            comp = g.induced(g.vertices[i] for i in vs)
+            found = _canon_search(*encoding[:2])[0]
             rep = OneGraph.make(*_one_graph_fields(found))
             assert one_graph_code(rep) == one_graph_code(comp), name
         for _ in range(5):
@@ -227,8 +227,8 @@ def section_relabelled(g, rng):
 def test_section_labels_leave_the_one_graph_memo_key_alone(monkeypatch):
     # the 1-graph memo key depends on the vertex order only: copies of a
     # vertex graph or boundary that differ in their half-edge labels run
-    # no search after the first, and a connected 1-graph is encoded as
-    # itself
+    # no search after the first, and each component is encoded as its
+    # induced 1-graph would be
     rng = random.Random(1402)
     graphs = list(CORPUS.values())
     graphs += [io.document_to_graph(e["graph"])
@@ -259,9 +259,10 @@ def test_section_labels_leave_the_one_graph_memo_key_alone(monkeypatch):
                 == want, k
         assert not searches, k
         assert one_graph_code(g) == want[0], k
-        if len(g.components()) == 1:
-            assert _encode_one_graph(g) == \
-                _encode_one_graph(g.induced(g.vertices)), k
+        # up to the numbers of its half-edges, which no key reads
+        assert [encoding[:3] for _, encoding, _ in _one_entries(g)] == \
+            [_one_entries(g.induced(vs))[0][1][:3]
+             for vs in g.components()], k
         cost = factorial(len(g.vertices))
         for v in g.vertices:
             cost *= factorial(g.degree(v))
@@ -416,9 +417,8 @@ def search_encodings(rng):
             for c in connected_components(h):
                 out.append((f"{name}#{k}",) + _encode_two_graph(c)[:2])
         b = boundary(g)
-        for vs in b.components():
-            out.append((f"{name}:boundary",)
-                       + _encode_one_graph(b.induced(vs))[:2])
+        for _, encoding, _ in _one_entries(b):
+            out.append((f"{name}:boundary",) + encoding[:2])
     out += [(f"{kind}#{k}",) + random_encoding(rng, kind) for k in range(50)
             for kind in ("cycles", "circulant", "random")]
     return out
@@ -543,9 +543,9 @@ def one_graph_encodings(rng):
     for name, g in CORPUS.items():
         graphs[f"{name}:boundary"] = boundary(g)
         graphs.update((f"{name}:{v}", vertex_graph(g, v)) for v in g.vertices)
-    return [(f"{name}#{k}",) + _encode_one_graph(g.induced(vs))[:2]
+    return [(f"{name}#{k}",) + encoding[:2]
             for name, g in graphs.items()
-            for k, vs in enumerate(g.components())]
+            for k, (_, encoding, _) in enumerate(_one_entries(g))]
 
 
 def test_one_graph_first_leaf_hit_matches_exhaustive_search(monkeypatch):
@@ -705,7 +705,7 @@ def test_search_memo_keeps_one_and_two_graphs_apart():
     }
     want = {"two": "(((0,),), ())", "one": "(1, 0, (), ())"}
     assert _encode_two_graph(TwoGraph.make(["v"], [], [], {}, {}))[:2] == \
-        _encode_one_graph(OneGraph.make(["v"], [], {}))[:2]
+        _one_entries(OneGraph.make(["v"], [], {}))[0][1][:2]
     for order in (("two", "one"), ("one", "two")):
         search_cache_clear()
         for kind in order * 2:
@@ -769,19 +769,21 @@ def test_search_memo_changes_no_code_or_order(monkeypatch):
     # every connected component canonized is one memo lookup (a 2-graph
     # forms its positional key, a 1-graph its encoding), and every miss
     # is one explored search (a 2-graph whose first leaf's code hits
-    # explores nothing)
+    # explores nothing); a 1-graph split into components makes one
+    # lookup per component
     calls = {"lookups": 0, "searches": 0}
 
-    def counting(name, count):
+    def counting(name, count, weight=lambda result: 1):
         counted = getattr(iso, name)
 
         def wrapper(*args, **kwargs):
-            calls[count] += 1
-            return counted(*args, **kwargs)
+            result = counted(*args, **kwargs)
+            calls[count] += weight(result)
+            return result
         monkeypatch.setattr(iso, name, wrapper)
 
     counting("_positional_key", "lookups")
-    counting("_encode_one_graph", "lookups")
+    counting("_one_components", "lookups", len)
     counting("_canon_search", "searches")
     search_cache_clear()
     cold = memo_outputs(random.Random(3))
@@ -1056,6 +1058,32 @@ def test_vertex_classes_equal_the_vertex_graph_classes():
         multi += sum(code.startswith("U(") for code, _ in got)
     assert len(graphs) > 700 and len(brute) >= 5 and multi > 0
     assert iso.vertex_classes(graphs[-1]) == (("empty", 1),)
+
+
+def test_vertex_graphs_share_the_keys_of_the_vertex_classes(monkeypatch):
+    # vertex_classes and a built vertex graph split and encode alike, so
+    # after vertex_classes(G) the code of each vertex graph of G is read
+    # from the memo by its encoding keys, with no first path descended
+    calls = [0]
+    real = iso._first_path
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(iso, "_first_path", counting)
+    search_cache_clear()
+    # fresh graphs, whose vertex classes are not kept yet
+    graphs = list(fixtures.all_fixtures().values())
+    graphs += [io.document_to_graph(e["graph"]) for e in corpus_entries()]
+    for k, g in enumerate(graphs):
+        assert g.derived.vertex_classes is None, k
+        codes = [code for code, _ in iso.vertex_classes(g)]
+        calls[0] = 0
+        assert [one_graph_code(vertex_graph(g, v)) for v in g.vertices] \
+            == codes, k
+        assert calls[0] == 0, k
+    search_cache_clear()
 
 
 def test_one_graph_iso_order_does_not_depend_on_the_memo(monkeypatch):

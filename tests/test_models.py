@@ -63,7 +63,9 @@ def test_classify_and_degree_read_the_vertex_classes_once(monkeypatch):
     # connected graph build no vertex graph: the vertex classes are read
     # from the integer view once, one encoding per vertex-graph component,
     # and kept on the graph.  The graph is the first bgr corpus class with
-    # a double-dipole vertex, whose vertex graph has two components.
+    # a double-dipole vertex, whose vertex graph has two components.  The
+    # encodings of 1-graphs split from their labels (the boundaries) are
+    # not counted.
     from strandhopf import graphs, iso, rewrite
     path = Path(__file__).resolve().parent.parent / "perfbench" / "data" / \
         "corpus.json"
@@ -74,24 +76,26 @@ def test_classify_and_degree_read_the_vertex_classes_once(monkeypatch):
     g = io.document_to_graph(entry["graph"])
     components = sum(len(graphs.vertex_graph(g, v).components())
                      for v in g.vertices)
-    calls = {"_encode_one": 0, "_encode_one_graph": 0}
+    calls = {"_encode_one": 0, "_one_entries": 0}
+    weights = {"_encode_one": lambda result: 1, "_one_entries": len}
     for name in calls:
         def counting(*args, real=getattr(iso, name), name=name):
-            calls[name] += 1
-            return real(*args)
+            result = real(*args)
+            calls[name] += weights[name](result)
+            return result
         monkeypatch.setattr(iso, name, counting)
 
     def forbidden(*args):
         raise AssertionError("vertex graph built")
 
     for module in (graphs, models, rewrite):
-        monkeypatch.setattr(module, "vertex_graph", forbidden)
+        monkeypatch.setattr(module, "vertex_graph", forbidden, raising=False)
     assert g.derived.vertex_classes is None
     reps = classify(BGR, g)
     degree = superficial_degree(BGR, g)
     assert [str(rep.degree) for rep in reps] == [str(degree)] == \
         [entry["superficial_degree"]]
-    assert calls["_encode_one"] - calls["_encode_one_graph"] == components
+    assert calls["_encode_one"] - calls["_one_entries"] == components
     assert len(g.derived.vertex_classes) == len(g.vertices)
 
 
@@ -274,6 +278,44 @@ def test_tensorial_closed_form_matches_face_count():
     assert BGR.max_interaction_order() == 6
     assert MQ3.max_interaction_order() == 4
     assert GW4.max_interaction_order() is None
+
+
+def test_tensorial_form_counts_bubbles_on_the_vertex_graph_union(
+        monkeypatch):
+    # the tensorial closed form counts bubbles as the components of the
+    # union of the vertex graphs: renormalizability_check and the closed
+    # form run with no vertex graph built, and on every fixture and corpus
+    # graph the form takes, its excess V - B is that of the per-vertex
+    # vertex graphs (bgr's double dipoles make it negative)
+    from strandhopf import graphs
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "data" / \
+        "corpus.json"
+    cases = list(fixtures.all_fixtures().values())
+    cases += [io.document_to_graph(e["graph"]) for e in json.loads(
+        path.read_text(encoding="utf-8"))["graphs"]]
+
+    def forbidden(*args):
+        raise AssertionError("vertex graph built")
+
+    for module in (graphs, models):
+        monkeypatch.setattr(module, "vertex_graph", forbidden, raising=False)
+    rep = renormalizability_check(BGR, 2)
+    assert rep.passed and rep.n_checked == 83
+    assert not rep.closed_form_mismatches and not rep.invariant_clashes
+    excess = {}
+    for k, g in enumerate(cases):
+        try:
+            form, inv = models._tensorial_form(BGR, g)
+        except GraphError:
+            continue
+        assert tensorial_degree_closed_form(BGR, g) == form, k
+        excess[k] = inv[4]
+    monkeypatch.undo()
+    for k, e in excess.items():
+        g = cases[k]
+        assert e == len(g.vertices) - sum(
+            len(graphs.vertex_graph(g, v).components()) for v in g.vertices)
+    assert len(excess) > 100 and min(excess.values()) < 0
 
 
 def test_jacket_degree_is_contraction_invariant():

@@ -1,6 +1,7 @@
 """Subgraphs, contraction, insertion, and their duality."""
 
 import functools
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -248,7 +249,7 @@ def test_insertion_inverts_contraction():
                     (name, s.edges)
 
 
-def test_insertions_match_the_brute_force_matcher(monkeypatch):
+def test_insertions_match_the_brute_force_matcher():
     # insertions from the canonization search's 1-graph isomorphisms are,
     # map for map, those built on the brute-force matcher: on every wide
     # subgraph of every corpus graph, each residue and the disjoint unions
@@ -261,15 +262,41 @@ def test_insertions_match_the_brute_force_matcher(monkeypatch):
     for big in (disjoint_union([t, t]),
                 disjoint_union([fixtures.fish(1, 2), t])):
         cases.append((big, residue(big)))
-    found = [[(m.on_half_edges, m.on_strands) for m in insertions(H, G2)]
-             for H, G2 in cases]
-    monkeypatch.setattr(iso, "enumerate_one_graph_isos",
-                        oracles.brute_one_graph_isos)
-    for k, ((H, G2), got) in enumerate(zip(cases, found)):
-        want = {(m.on_half_edges, m.on_strands) for m in insertions(H, G2)}
+    total = 0
+    for k, (H, G2) in enumerate(cases):
+        got = [(m.on_half_edges, m.on_strands) for m in insertions(H, G2)]
         assert len(set(got)) == len(got), k
-        assert set(got) == want, k
-    assert sum(map(len, found)) > 10000
+        assert set(got) == oracles.brute_insertions(H, G2), k
+        total += len(got)
+    assert total > 10000
+
+
+def test_insertion_order_is_pinned(monkeypatch):
+    # the insertion maps of two sources into two targets each, and of a
+    # disjoint union into its residue, come in a fixed order (the sha256
+    # of their reprs in order) and build no vertex graph: the boundaries
+    # and the union of the target's vertex graphs are split into
+    # components once
+    from strandhopf import graphs, rewrite
+
+    def forbidden(*args):
+        raise AssertionError("vertex graph built")
+
+    for module in (graphs, rewrite):
+        monkeypatch.setattr(module, "vertex_graph", forbidden, raising=False)
+    cases = [(H, G2) for H in (fixtures.melon_two_point(), fixtures.fish(1, 1))
+             for G2 in (fixtures.fish(1, 2), fixtures.quartic_tadpole("same"))]
+    union = disjoint_union([fixtures.fish(1, 2),
+                            fixtures.quartic_tadpole("same")])
+    cases.append((union, residue(union)))
+    digest, count = hashlib.sha256(), 0
+    for H, G2 in cases:
+        for m in insertions(H, G2):
+            digest.update(repr((m.on_half_edges, m.on_strands)).encode())
+            count += 1
+    assert count == 221328
+    assert digest.hexdigest() == \
+        "c74e5a07b9d45eda37364ab52399eacf8f1ff05bc8da792008d0d5c5c39cf64b"
 
 
 def test_insert_rejects_bad_maps():
