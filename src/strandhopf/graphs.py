@@ -599,20 +599,21 @@ def _connected_groups(nodes, pairs):
     """Union-find: the classes of ``nodes`` joined by ``pairs``, each a
     list in ``nodes`` order, listed in the order of their first members."""
     parent = {u: u for u in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    # find, with path halving, is written out where it is used: a call
+    # per lookup cost more than the lookup
     for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
     groups = {}
     for u in nodes:
-        groups.setdefault(find(u), []).append(u)
+        r = u
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        groups.setdefault(r, []).append(u)
     return list(groups.values())
 
 

@@ -22,15 +22,20 @@ piece, a vertex set with the edges inside it, is built as a 2-graph and
 interned only the first time it occurs in the expansion (a dict local to
 the call); the contraction walks the representative's own strands.
 Pieces and the contractions of a connected class are built marked
-connected, so interning them runs no second union-find.  The
-antipode follows the usual triangular recursion, using a residue inverse
-in place of division by the group-like part.  Both are memoized by class
-code (``functools.cache``; ``cache_info()`` gives their size and hit
-rate).  ``REGISTRY`` is not a memo: it gives the codes held by elements
-their meaning, so it is never cleared.  A disconnected graph is the
-product of its components' classes, so its coproduct is the product of
-their tables (the coproduct is an algebra morphism) and no union graph
-is built or registered for it.
+connected, so interning them runs no second union-find.  Two terms of a
+connected class are known without building a graph: in ``vertices (x)
+Gamma`` the contraction by the empty subgraph is the class itself, and
+in ``Gamma (x) residue`` the full subgraph's only piece is the class
+itself.  The antipode follows the usual triangular recursion, using a
+residue inverse in place of division by the group-like part; it reads
+the residue from the table's ``Gamma (x) residue`` term and builds no
+graph.  Both are memoized by class code (``functools.cache``;
+``cache_info()`` gives their size and hit rate).  ``REGISTRY`` is not a
+memo: it gives the codes held by elements their meaning, so it is never
+cleared.  A disconnected graph is the product of its components'
+classes, so its coproduct is the product of their tables (the coproduct
+is an algebra morphism) and no union graph is built or registered for
+it.
 
 Renormalization works for any character into Laurent polynomials and any
 Rota-Baxter projection; the toy minimal-subtraction character sends a
@@ -43,8 +48,8 @@ import functools
 import operator
 from fractions import Fraction
 
-from .graphs import (TwoGraph, connected_components, residue,
-                     _connected_groups, _piece, _pieces)
+from .graphs import (TwoGraph, connected_components, _connected_groups,
+                     _known_connected, _piece, _pieces)
 from .iso import automorphism_generators, canonical_code
 from .rewrite import subgraphs
 
@@ -193,26 +198,14 @@ def el_unit(c=1):
     return {UNIT_MONOMIAL: c} if c else {}
 
 
-def _el_of_components(G, exponent, c):
-    mono = {}
-    for comp in connected_components(G):
-        code = intern_graph(comp)
-        mono[code] = mono.get(code, 0) + exponent
-    return {tuple(sorted(mono.items())): c}
-
-
 def el_graph(G, c=1):
     """The element of a (possibly disconnected) graph: the product of its
     connected components' classes."""
-    return _el_of_components(G, 1, c)
-
-
-def el_residue_inverse(G, c=1):
-    """Formal inverse of the residue class of ``G`` (graph must be
-    edgeless)."""
-    if G.n_edges():
-        raise ValueError("inverses exist for edgeless classes only")
-    return _el_of_components(G, -1, c)
+    mono = {}
+    for comp in connected_components(G):
+        code = intern_graph(comp)
+        mono[code] = mono.get(code, 0) + 1
+    return {tuple(sorted(mono.items())): c}
 
 
 def el_add(a, b):
@@ -285,9 +278,10 @@ def tens_mul(a, b):
 def coproduct(G):
     """Coproduct of a graph: sum over wide subgraphs of (subgraph
     components) tensor (contraction), the product of its components'
-    tables (see ``coproduct_of_monomial``)."""
+    tables (see ``coproduct_of_monomial``), as a dict of the caller's
+    own."""
     (mono, _), = el_graph(G).items()
-    return coproduct_of_monomial(mono)
+    return dict(coproduct_of_monomial(mono))
 
 
 @functools.cache
@@ -302,13 +296,23 @@ def _coproduct(code):
     graphs interned (in the same order) are those of expanding every
     subgraph.  The left side is the product of the subgraph's pieces; a
     piece that an earlier subgraph already had is looked up in ``built``
-    instead of being built and canonized again."""
+    instead of being built and canonized again.
+
+    On a connected representative two terms are known without a graph:
+    the full subgraph's only piece is the representative itself (``built``
+    starts with it), and the contraction by the empty subgraph is the
+    representative again, so its right side is the class itself.  A
+    disconnected representative (a union given to ``intern_graph``) has
+    neither shortcut."""
     G = graph_of_code(code)
     subs = {frozenset(h for edge in sub.edges for h in edge): sub
             for sub in subgraphs(G)}
     links = [(halves, frozenset(m.get(h, h) for h in halves))
              for m in automorphism_generators(G) for halves in subs]
     built, out = {}, {}   # built: (vertices, edges inside) -> class code
+    connected = _known_connected(G)
+    if connected:
+        built[G.vertices, G.edge_pairs()] = code
     for orbit in _connected_groups(subs, links):
         sub = subs[orbit[0]]
         left = {}
@@ -316,7 +320,10 @@ def _coproduct(code):
             if piece not in built:
                 built[piece] = intern_graph(_piece(G, *piece))
             left[built[piece]] = left.get(built[piece], 0) + 1
-        (rm, rc), = el_graph(sub.contract()).items()
+        if connected and not sub.edges:
+            rm, rc = ((code, 1),), 1
+        else:
+            (rm, rc), = el_graph(sub.contract()).items()
         key = (tuple(sorted(left.items())), rm)
         out[key] = out.get(key, 0) + rc * len(orbit)
     return out
@@ -376,17 +383,22 @@ def antipode(G):
 
 @functools.cache
 def _antipode(code):
-    """The antipode of a connected class."""
-    G = graph_of_code(code)
-    if G.n_edges() == 0:
+    """The antipode of a class, from its coproduct table alone.
+
+    The full subgraph's term, the class tensor its residue, comes last in
+    the table, and its right side is the residue monomial, so the inverse
+    residue is that monomial with its exponents negated: no residue graph
+    is built.  For a disconnected representative (a union given to
+    ``intern_graph``) that term's left side is the product of the
+    components, and the recursion gives the product of their antipodes."""
+    if graph_of_code(code).n_edges() == 0:
         return {((code, -1),): 1}
-    full = ((code, 1),)
+    *proper, ((_, residue_mono), _) = _coproduct(code).items()
     total = el_zero()
-    for (lm, rm), c in _coproduct(code).items():
-        if lm != full:
-            total = el_add(total, el_mul(antipode_of_element({lm: c}),
-                                         {rm: 1}))
-    return el_scale(el_mul(total, el_residue_inverse(residue(G))), -1)
+    for (lm, rm), c in proper:
+        total = el_add(total, el_mul(antipode_of_element({lm: c}), {rm: 1}))
+    inverse = tuple((r, -e) for r, e in residue_mono)
+    return el_scale(el_mul(total, {inverse: 1}), -1)
 
 
 def antipode_of_element(el):

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import oracles
-from strandhopf import fixtures, hopf, io, iso, preset
+from strandhopf import fixtures, hopf, io, iso, preset, rewrite
 from strandhopf import (
     LaurentPoly,
     Renormalization,
@@ -22,12 +22,12 @@ from strandhopf import (
     residue,
     toy_ms_character,
 )
-from strandhopf.graphs import (connected_components, disjoint_union,
-                               internal_face_count, relabel, validate)
+from strandhopf.graphs import (TwoGraph, connected_components,
+                               disjoint_union, internal_face_count, relabel,
+                               validate)
 from strandhopf.hopf import (coproduct_of_monomial, el_add, el_eq, el_graph,
-                             el_mul, el_residue_inverse, el_scale, el_unit,
-                             el_zero, graph_of_code, intern_graph,
-                             tens_mul)
+                             el_mul, el_scale, el_unit, el_zero,
+                             graph_of_code, intern_graph, tens_mul)
 from strandhopf.rewrite import subgraphs
 from strandhopf.series import enumerate_diagrams
 from test_iso import corpus_entries
@@ -204,13 +204,20 @@ def test_character_inverse_convolves_to_counit():
 # the coproduct table the library derives them from
 
 
+def _residue_inverse(G):
+    """Formal inverse of the residue class of ``G``: the element of its
+    residue graph with every exponent negated."""
+    (mono, _), = el_graph(residue(G)).items()
+    return {tuple((code, -e) for code, e in mono): 1}
+
+
 def _reference_antipode(G, memo):
     """Antipode of a connected graph by the recursion over its proper
     wide subgraphs."""
     code = intern_graph(G)
     if code not in memo:
         if not G.n_edges():
-            memo[code] = el_residue_inverse(G)
+            memo[code] = _residue_inverse(G)
             return memo[code]
         total = el_zero()
         for sub in subgraphs(G):
@@ -221,7 +228,7 @@ def _reference_antipode(G, memo):
                 left = el_mul(left, _reference_antipode(comp, memo))
             total = el_add(total, el_mul(left, el_graph(sub.contract())))
         memo[code] = el_scale(
-            el_mul(total, el_residue_inverse(residue(G))), -1)
+            el_mul(total, _residue_inverse(G)), -1)
     return memo[code]
 
 
@@ -419,7 +426,8 @@ def test_coefficients_stay_integers_unless_a_caller_passes_a_fraction():
 
 def test_coproduct_builds_each_piece_once(monkeypatch):
     # a piece (vertex set, edges inside) met again in one expansion is
-    # looked up, not built again
+    # looked up, not built again; the whole graph, the full subgraph's
+    # only piece, is the class itself and is never built
     path = Path(__file__).resolve().parent.parent / "perfbench" / "data" / \
         "corpus.json"
     entries = json.loads(path.read_text(encoding="utf-8"))["graphs"]
@@ -440,8 +448,11 @@ def test_coproduct_builds_each_piece_once(monkeypatch):
     monkeypatch.setattr(hopf, "_pieces", pieces)
     monkeypatch.setattr(hopf, "_piece", piece)
     code = hopf.intern_graph(g)
+    rep = hopf.graph_of_code(code)
+    whole = (rep.vertices, rep.edge_pairs())
     table = hopf._coproduct.__wrapped__(code)
-    assert sorted(builds) == sorted(set(visits))
+    assert whole in visits
+    assert sorted(builds) == sorted(set(visits) - {whole})
     assert len(builds) < len(visits)
     assert table == oracles.unreduced_coproduct(hopf.graph_of_code(code))
 
@@ -462,3 +473,92 @@ def test_union_with_labels_1_and_text_1_is_multiplicative(monkeypatch):
     expand = hopf._coproduct.__wrapped__
     assert expand(code) == tens_mul(expand(intern_graph(fish)),
                                     expand(intern_graph(tad)))
+
+
+def test_coproduct_returns_a_table_of_the_callers_own():
+    # editing a returned table leaves the cached one, and the antipode
+    # read from it, as they were
+    g = fixtures.fish(1, 2)
+    want = oracles.unreduced_coproduct(g)
+    s = antipode(g)
+    assert len(want) == 3 and len(s) == 2
+    table = coproduct(g)
+    table.clear()
+    table[(), ()] = 7
+    assert coproduct(g) == want
+    assert list(coproduct(g)) == list(want)
+    assert antipode(g) == s
+    assert el_eq(s, _reference_antipode(g, {}))
+
+
+def test_known_terms_build_no_graph(monkeypatch):
+    # on a connected class the empty subgraph contracts to the class itself
+    # and the full subgraph's only piece is the class itself, so neither is
+    # built; once the tables are cached, the antipode reads the residue from
+    # them and builds no graph at all.  A union interned as it is (a
+    # disconnected representative) takes the general path.  Checked on a
+    # corpus stride, its relabellings and the fixtures
+    monkeypatch.setattr(hopf, "REGISTRY", {})
+    monkeypatch.setattr(hopf, "_coproduct",
+                        functools.cache(hopf._coproduct.__wrapped__))
+    monkeypatch.setattr(hopf, "_antipode",
+                        functools.cache(hopf._antipode.__wrapped__))
+    rng = random.Random(28)
+    sample = [io.document_to_graph(e["graph"])
+              for e in corpus_entries()[::12]]
+    sample += [oracles.random_relabelled(g, rng) for g in sample[::3]]
+    sample += list(CORPUS.values())
+    contractions, pieces = [], []
+    real_contract, real_piece = rewrite._contract_edges, hopf._piece
+
+    def contract(G, edges):
+        contractions.append(tuple(edges))
+        return real_contract(G, edges)
+
+    def piece(G, vs, edges):
+        pieces.append((vs, edges))
+        return real_piece(G, vs, edges)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(rewrite, "_contract_edges", contract)
+    monkeypatch.setattr(hopf, "_piece", piece)
+    codes = [hopf.intern_graph(c)
+             for g in sample for c in connected_components(g)]
+    for code in codes:
+        rep = graph_of_code(code)
+        del contractions[:], pieces[:]
+        table = hopf._coproduct(code)
+        assert all(contractions), code
+        assert (rep.vertices, rep.edge_pairs()) not in pieces, code
+        assert list(table.items()) == list(
+            oracles.unreduced_coproduct(rep).items()), code
+    seen, todo = set(), list(codes)
+    while todo:             # cache every table the antipode recursion reads
+        code = todo.pop()
+        if code not in seen:
+            seen.add(code)
+            todo += [c for lm, _ in hopf._coproduct(code) for c, _ in lm]
+    with monkeypatch.context() as m:
+        m.setattr("strandhopf.graphs._assembled", refuse)
+        m.setattr(rewrite, "_assembled", refuse)
+        m.setattr(TwoGraph, "__post_init__", refuse)
+        got = [hopf._antipode(code) for code in codes]
+    reference = {}
+    for code, s in zip(codes, got):
+        assert el_eq(s, _reference_antipode(graph_of_code(code),
+                                            reference)), code
+
+    small = [g for g in sample if g.n_edges() == 1 and
+             len(connected_components(g)) == 1]
+    assert len(small) > 4
+    for a, b in zip(small, small[1:]):
+        union = disjoint_union([a, b])
+        code = hopf.intern_graph(union)
+        rep = graph_of_code(code)
+        assert len(connected_components(rep)) == 2
+        assert list(hopf._coproduct(code).items()) == list(
+            oracles.unreduced_coproduct(rep).items())
+        assert el_eq(antipode_of_element({((code, 1),): 1}),
+                     antipode(union))
