@@ -9,7 +9,6 @@ joins each line from its parts' ``io.graph_fragments``, one per class.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -131,7 +130,7 @@ def _info_dict(g, theory):
     if theory is not None:
         info["theory"] = theory.name
         info["superficial_degree"] = models.superficial_degree(theory, g)
-        info["components"] = [dataclasses.asdict(rep)
+        info["components"] = [dict(vars(rep))
                               for rep in models.classify(theory, g)]
     return info
 
@@ -192,7 +191,7 @@ def _cmd_antipode(args):
 def _cmd_classify(args):
     g = io.read_graph(args.file)
     theory = _load_theory(args.theory)
-    reports = [dataclasses.asdict(rep) for rep in models.classify(theory, g)]
+    reports = [dict(vars(rep)) for rep in models.classify(theory, g)]
     _emit(reports, args.format, sys.stdout)
     return 0
 

@@ -43,11 +43,49 @@ built).
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 
 class GraphError(ValueError):
     """Raised for structurally invalid inputs or unsatisfied preconditions."""
+
+
+# ---------------------------------------------------------------------------
+# records, written out: ``dataclasses`` would import ``inspect`` and build
+# each class's code at import time
+
+
+class _Value:
+    """A record of the fields in ``_fields``, shown by ``repr``, equal to
+    one of its class with equal fields, unhashable as they may change."""
+
+    __hash__ = None
+
+    def __repr__(self):
+        items = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._fields)
+        return f"{type(self).__qualname__}({items})"
+
+    def _key(self):
+        return tuple(getattr(self, k) for k in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+
+class _Frozen(_Value):
+    """A record that hashes by its fields and refuses assignment.  Its
+    ``__init__`` uses ``object.__setattr__``, or ``__dict__`` where memos
+    write there anyway (a used ``__dict__`` slows attribute reads)."""
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _label_key(x):
@@ -83,20 +121,13 @@ def _involution_of_pairs(domain, pairs):
 # 1-graphs
 
 
-@dataclass(eq=False)
 class OneGraph:
     """Multigraph with half-edge presentation; legs = pairing fixed points."""
 
-    vertices: tuple
-    half_edges: tuple
-    attach: dict
-    pairing: dict
-
-    def __post_init__(self):
-        self.vertices = _sorted_labels(self.vertices)
-        self.half_edges = _sorted_labels(self.half_edges)
-        self.attach = dict(self.attach)
-        self.pairing = dict(self.pairing)
+    def __init__(self, vertices, half_edges, attach, pairing):
+        self.vertices = _sorted_labels(vertices)
+        self.half_edges = _sorted_labels(half_edges)
+        self.attach, self.pairing = dict(attach), dict(pairing)
 
     @classmethod
     def make(cls, vertices, half_edges, attach, pairing_pairs=()):
@@ -191,7 +222,6 @@ def _positions(labels):
     return {x: k for k, x in enumerate(labels)}
 
 
-@dataclass(eq=False)
 class TwoGraph:
     """Stranded graph.
 
@@ -201,27 +231,16 @@ class TwoGraph:
     vertex-local), ``sigma2`` pairs sections across edges (compatible with
     ``iota``; fixes exactly the sections of external half-edges).  Every
     value derived from these maps and kept is in ``derived`` (see the
-    module docstring).
+    module docstring).  Equal only to itself.
     """
 
-    vertices: tuple
-    half_edges: tuple
-    strands: tuple
-    nu: dict
-    mu: dict
-    iota: dict
-    sigma1: dict
-    sigma2: dict
-
-    def __post_init__(self):
-        self.vertices = _sorted_labels(self.vertices)
-        self.half_edges = _sorted_labels(self.half_edges)
-        self.strands = _sorted_labels(self.strands)
-        self.nu = dict(self.nu)
-        self.mu = dict(self.mu)
-        self.iota = dict(self.iota)
-        self.sigma1 = dict(self.sigma1)
-        self.sigma2 = dict(self.sigma2)
+    def __init__(self, vertices, half_edges, strands, nu, mu, iota, sigma1,
+                 sigma2):
+        self.vertices = _sorted_labels(vertices)
+        self.half_edges = _sorted_labels(half_edges)
+        self.strands = _sorted_labels(strands)
+        self.nu, self.mu, self.iota = dict(nu), dict(mu), dict(iota)
+        self.sigma1, self.sigma2 = dict(sigma1), dict(sigma2)
         self.derived = Derived()
 
     @classmethod
@@ -388,10 +407,11 @@ def _union_labels(graphs):
 # validation
 
 
-@dataclass
-class ValidationReport:
-    valid: bool
-    violations: list
+class ValidationReport(_Value):
+    _fields = ("valid", "violations")
+
+    def __init__(self, valid, violations):
+        self.valid, self.violations = valid, violations
 
 
 def validate(G):
@@ -470,8 +490,7 @@ def vertex_graphs_union(G):
 # faces
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(_Frozen):
     """Maximal alternating chain of strand sections.
 
     ``sections`` alternate sigma1/sigma2 steps starting with sigma1.  For
@@ -481,8 +500,11 @@ class Face:
     end sections are sigma2-fixed and the smaller endpoint comes first.
     """
 
-    kind: str
-    sections: tuple
+    _fields = ("kind", "sections")
+
+    def __init__(self, kind, sections):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "sections", sections)
 
 
 def faces(G):
@@ -626,8 +648,9 @@ def _component_vertex_sets(G, edge_pairs):
 
 def residue(G):
     """Contract everything: one vertex per connected component, external
-    structure only."""
-    return _contract_edges(G, G.edge_pairs())
+    structure only.  An edgeless graph is its own residue."""
+    edges = G.edge_pairs()
+    return _contract_edges(G, edges) if edges else G
 
 
 def skeleton(G):
@@ -755,12 +778,12 @@ def euler_characteristic(G):
 # cell complex view
 
 
-@dataclass
-class CellComplexReport:
-    cells: dict
-    covers: tuple
-    pure: bool
-    two_dimensional: bool
+class CellComplexReport(_Value):
+    _fields = ("cells", "covers", "pure", "two_dimensional")
+
+    def __init__(self, cells, covers, pure, two_dimensional):
+        self.cells, self.covers = cells, covers
+        self.pure, self.two_dimensional = pure, two_dimensional
 
 
 def to_complex(G):

@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
 from .graphs import (GraphError, OneGraph, _connected_groups, boundary,
                      connected_components, euler_characteristic, faces,
                      internal_face_count, is_bridgeless, is_connected,
-                     vertex_graphs_union)
+                     vertex_graphs_union, _Frozen, _Value)
 from . import iso, series
 from .series import DressedType, _memo_on_type
 
@@ -135,17 +134,18 @@ def vertex_weight_tensorial(d, r, zeta, n_slots):
 # theories
 
 
-@dataclass(frozen=True)
-class Theory:
-    """Enumeration class, vertex types, and power counting weights."""
+class Theory(_Frozen):
+    """Enumeration class, vertex types, and power counting weights;
+    ``edge_weights`` is ((strand degree, weight), ...)."""
 
-    name: str
-    klass: str
-    dimension: Fraction
-    types: tuple
-    edge_weights: tuple   # ((strand degree, weight), ...)
-    rank: int = None
-    zeta: Fraction = None
+    _fields = ("name", "klass", "dimension", "types", "edge_weights", "rank",
+               "zeta")
+
+    def __init__(self, name, klass, dimension, types, edge_weights,
+                 rank=None, zeta=None):
+        self.__dict__.update(name=name, klass=klass, dimension=dimension,
+                             types=types, edge_weights=edge_weights,
+                             rank=rank, zeta=zeta)
 
     def dressed_types(self):
         return list(self.types)
@@ -554,21 +554,22 @@ def tensorial_degree_closed_form(theory, G):
 # divergence reports
 
 
-@dataclass
-class DivergenceReport:
-    code: str
-    n_vertices: int
-    n_edges: int
-    n_internal_faces: int
-    n_external: int
-    boundary_code: str
-    degree: Fraction
-    divergent: bool
-    bridgeless: bool
-    genus: int = None
-    gurau: Fraction = None
-    gurau_capped: Fraction = None
-    boundary_gurau: Fraction = None
+class DivergenceReport(_Value):
+    _fields = ("code", "n_vertices", "n_edges", "n_internal_faces",
+               "n_external", "boundary_code", "degree", "divergent",
+               "bridgeless", "genus", "gurau", "gurau_capped",
+               "boundary_gurau")
+
+    def __init__(self, code, n_vertices, n_edges, n_internal_faces,
+                 n_external, boundary_code, degree, divergent, bridgeless,
+                 genus=None, gurau=None, gurau_capped=None,
+                 boundary_gurau=None):
+        self.code, self.n_vertices, self.n_edges = code, n_vertices, n_edges
+        self.n_internal_faces, self.n_external = n_internal_faces, n_external
+        self.boundary_code, self.degree = boundary_code, degree
+        self.divergent, self.bridgeless = divergent, bridgeless
+        self.genus, self.gurau = genus, gurau
+        self.gurau_capped, self.boundary_gurau = gurau_capped, boundary_gurau
 
 
 def classify(theory, G):
@@ -617,17 +618,19 @@ def divergent_set(theory, max_edges):
     return out
 
 
-@dataclass
-class RenormalizabilityReport:
-    theory: str
-    max_edges: int
-    n_checked: int
-    n_divergent: int
-    max_external: int
-    order_bound: int
-    closed_form_mismatches: list
-    invariant_clashes: list
-    passed: bool
+class RenormalizabilityReport(_Value):
+    _fields = ("theory", "max_edges", "n_checked", "n_divergent",
+               "max_external", "order_bound", "closed_form_mismatches",
+               "invariant_clashes", "passed")
+
+    def __init__(self, theory, max_edges, n_checked, n_divergent,
+                 max_external, order_bound, closed_form_mismatches,
+                 invariant_clashes, passed):
+        self.theory, self.max_edges = theory, max_edges
+        self.n_checked, self.n_divergent = n_checked, n_divergent
+        self.max_external, self.order_bound = max_external, order_bound
+        self.closed_form_mismatches = closed_form_mismatches
+        self.invariant_clashes, self.passed = invariant_clashes, passed
 
 
 def renormalizability_check(theory, max_edges):

@@ -14,11 +14,10 @@ of ``series`` builds its diagrams and its contraction closure from these.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .graphs import (GraphError, TwoGraph, boundary, connected_components,
                      subgraph_with_edges, validate, vertex_graphs_union,
-                     _assembled, _contract_edges)
+                     _assembled, _contract_edges, _Frozen)
 from . import iso
 
 
@@ -26,12 +25,14 @@ from . import iso
 # subgraphs and contraction
 
 
-@dataclass(frozen=True)
-class Subgraph:
+class Subgraph(_Frozen):
     """Edge subset of a parent graph (wide subgraph)."""
 
-    parent: TwoGraph
-    edges: tuple
+    _fields = ("parent", "edges")
+
+    def __init__(self, parent, edges):
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "edges", edges)
 
     def materialize(self):
         """The subgraph as a 2-graph on the full carrier sets."""
@@ -70,8 +71,7 @@ def contract(G, edges):
 # insertion
 
 
-@dataclass(frozen=True)
-class InsertionMap:
+class InsertionMap(_Frozen):
     """Component-sensitive identification of the boundary of ``source``
     with the vertex-graph union of ``target``.
 
@@ -80,10 +80,13 @@ class InsertionMap:
     external sections of the source to strand sections of the target.
     """
 
-    source: TwoGraph
-    target: TwoGraph
-    on_half_edges: tuple
-    on_strands: tuple
+    _fields = ("source", "target", "on_half_edges", "on_strands")
+
+    def __init__(self, source, target, on_half_edges, on_strands):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "on_half_edges", on_half_edges)
+        object.__setattr__(self, "on_strands", on_strands)
 
     def half_edge_map(self):
         return dict(self.on_half_edges)

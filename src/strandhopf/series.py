@@ -70,12 +70,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import (GraphError, OneGraph, TwoGraph, boundary,
-                     disjoint_union, is_bridgeless, _connected_groups,
-                     _label_key, _positions)
+from .graphs import (GraphError, boundary, disjoint_union, is_bridgeless,
+                     _connected_groups, _label_key, _positions, _Frozen,
+                     _Value)
 from . import hopf, iso
 from .rewrite import instantiate_vertex_type, _glue_options, _with_edges
 
@@ -87,8 +86,8 @@ from .rewrite import instantiate_vertex_type, _glue_options, _with_edges
 def _memo_on_type(method):
     """Cache a no-argument method of a vertex type or a theory in the
     instance ``__dict__``, so that the value lives exactly as long as the
-    object (a frozen dataclass allows this write; ``functools.cache``
-    would keep every object it has seen alive)."""
+    object (the write skips a frozen record's ``__setattr__``;
+    ``functools.cache`` would keep every object it has seen alive)."""
     name = "_" + method.__name__
 
     @functools.wraps(method)
@@ -100,8 +99,7 @@ def _memo_on_type(method):
     return cached
 
 
-@dataclass(frozen=True)
-class DressedType:
+class DressedType(_Frozen):
     """Vertex type: a 1-graph of through-strands plus enumeration data.
 
     ``graph`` has the future half-edges as vertices (slots) and the future
@@ -114,13 +112,14 @@ class DressedType:
     and die with it.
     """
 
-    graph: OneGraph
-    weight: Fraction = Fraction(0)
-    cost: int = 0
-    colour: tuple = None
-    parity: tuple = None
-    orient: tuple = None
-    name: str = ""
+    _fields = ("graph", "weight", "cost", "colour", "parity", "orient",
+               "name")
+
+    def __init__(self, graph, weight=Fraction(0), cost=0, colour=None,
+                 parity=None, orient=None, name=""):
+        self.__dict__.update(graph=graph, weight=weight, cost=cost,
+                             colour=colour, parity=parity, orient=orient,
+                             name=name)
 
     @_memo_on_type
     def plain_code(self):
@@ -307,13 +306,12 @@ def _grow(level, dtypes, slots, klass, budget):
     return nxt
 
 
-@dataclass
-class ConnectedClass:
-    graph: TwoGraph
-    code: str
-    automorphisms: int
-    n_edges: int
-    degree: int
+class ConnectedClass(_Value):
+    _fields = ("graph", "code", "automorphisms", "n_edges", "degree")
+
+    def __init__(self, graph, code, automorphisms, n_edges, degree):
+        self.graph, self.code, self.automorphisms = graph, code, automorphisms
+        self.n_edges, self.degree = n_edges, degree
 
     @functools.cached_property
     def boundary_code(self):
@@ -360,17 +358,17 @@ def connected_classes(dtypes, klass, budget, frontier=None):
 # public enumeration
 
 
-@dataclass
-class SeriesTerm:
+class SeriesTerm(_Value):
     """One class of a series: the ConnectedClass of each component in
     ``parts``, |Aut| (``iso._wreath`` of theirs), edge count, coefficient
     (1/|Aut|, on read), and, built on first access, ``code`` (``iso._combine``
     of theirs) and ``graph`` (the one part's, or the parts' union)."""
 
-    parts: tuple
-    union: bool
-    automorphisms: int
-    n_edges: int
+    _fields = ("parts", "union", "automorphisms", "n_edges")
+
+    def __init__(self, parts, union, automorphisms, n_edges):
+        self.parts, self.union = parts, union
+        self.automorphisms, self.n_edges = automorphisms, n_edges
 
     @property
     def coefficient(self):
@@ -387,14 +385,15 @@ class SeriesTerm:
         return disjoint_union([p.graph for p in self.parts])
 
 
-@dataclass
-class TruncatedSeries:
+class TruncatedSeries(_Value):
     """Diagram series truncated by edge count: one term per isomorphism
     class, with coefficient 1/|Aut|."""
 
-    max_edges: int
-    connected: bool
-    terms: list
+    _fields = ("max_edges", "connected", "terms")
+
+    def __init__(self, max_edges, connected, terms):
+        self.max_edges, self.connected = max_edges, connected
+        self.terms = terms
 
     def coefficient(self, G):
         code = iso.canonical_code(G)
@@ -462,15 +461,17 @@ def enumerate_diagrams(theory, max_edges, connected=True, boundary_graph=None):
 # central identity
 
 
-@dataclass
-class CentralIdentityReport:
-    passed: bool
-    max_edges: int
-    universe_size: int
-    pairs_checked: int
-    mismatches: list
-    multi_trace_vertex_classes: int
-    bridgeless_only: bool
+class CentralIdentityReport(_Value):
+    _fields = ("passed", "max_edges", "universe_size", "pairs_checked",
+               "mismatches", "multi_trace_vertex_classes", "bridgeless_only")
+
+    def __init__(self, passed, max_edges, universe_size, pairs_checked,
+                 mismatches, multi_trace_vertex_classes, bridgeless_only):
+        self.passed, self.max_edges = passed, max_edges
+        self.universe_size, self.pairs_checked = universe_size, pairs_checked
+        self.mismatches = mismatches
+        self.multi_trace_vertex_classes = multi_trace_vertex_classes
+        self.bridgeless_only = bridgeless_only
 
 
 def closed_universe(theory, max_edges):

@@ -10,7 +10,8 @@ from strandhopf.graphs import (GraphError, OneGraph, TwoGraph, boundary,
                                from_combinatorial_map, internal_face_count,
                                is_bridgeless, is_connected, relabel, residue,
                                skeleton, subgraph_with_edges, to_complex,
-                               validate, vertex_graph, vertex_graphs_multiset)
+                               validate, vertex_graph, vertex_graphs_multiset,
+                               vertex_graphs_union)
 from test_iso import corpus_entries
 
 CORPUS = fixtures.all_fixtures()
@@ -203,6 +204,28 @@ def test_residue_of_fish():
     assert len(vertex_graph(mixed, mixed.vertices[0]).components()) == 2
 
 
+def test_residue_of_an_edgeless_graph_is_the_graph(monkeypatch):
+    # contracting no edges would copy the graph: the residue is the graph
+    # itself, with the boundary code of that copy, and nothing contracts
+    from strandhopf import graphs
+    edgeless = [skeleton(g) for g in CORPUS.values()]
+    edgeless.append(disjoint_union(edgeless[:3]))
+    want = [iso.one_graph_code(vertex_graphs_union(
+        graphs._contract_edges(g, ()))) for g in edgeless]
+    calls, real = [], graphs._contract_edges
+
+    def contract(G, edges):
+        calls.append(edges)
+        return real(G, edges)
+
+    monkeypatch.setattr(graphs, "_contract_edges", contract)
+    assert all(residue(g) is g for g in edgeless)
+    assert [iso.one_graph_code(boundary(g)) for g in edgeless] == want
+    assert calls == []
+    residue(fixtures.fish(1, 2))
+    assert len(calls) == 1 and calls[0]
+
+
 def test_skeleton_forgets_edges_only():
     g = fixtures.fish(1, 2)
     s = skeleton(g)
@@ -323,10 +346,10 @@ def test_derived_data_matches_a_fresh_computation(monkeypatch):
     from strandhopf.graphs import (_known_connected as known_connected,
                                    _pairs_of_involution, _pieces)
     built, contractions = [], []
-    real_init, real_contract = TwoGraph.__post_init__, rewrite._contract_edges
+    real_init, real_contract = TwoGraph.__init__, rewrite._contract_edges
 
-    def init(self):
-        real_init(self)
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
         built.append(self)
 
     def contract(G, edges):
@@ -334,7 +357,7 @@ def test_derived_data_matches_a_fresh_computation(monkeypatch):
         contractions.append((known_connected(G), out))
         return out
 
-    monkeypatch.setattr(TwoGraph, "__post_init__", init)
+    monkeypatch.setattr(TwoGraph, "__init__", init)
     monkeypatch.setattr(rewrite, "_contract_edges", contract)
     graphs = [io.document_to_graph(e["graph"]) for e in corpus_entries()]
     names = sorted(CORPUS)

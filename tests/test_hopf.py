@@ -543,7 +543,7 @@ def test_known_terms_build_no_graph(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr("strandhopf.graphs._assembled", refuse)
         m.setattr(rewrite, "_assembled", refuse)
-        m.setattr(TwoGraph, "__post_init__", refuse)
+        m.setattr(TwoGraph, "__init__", refuse)
         got = [hopf._antipode(code) for code in codes]
     reference = {}
     for code, s in zip(codes, got):
