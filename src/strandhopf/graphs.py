@@ -75,8 +75,14 @@ class _Value:
 
 class _Frozen(_Value):
     """A record that hashes by its fields and refuses assignment.  Its
-    ``__init__`` uses ``object.__setattr__``, or ``__dict__`` where memos
-    write there anyway (a used ``__dict__`` slows attribute reads)."""
+    ``__init__`` sets the fields with ``object.__setattr__``, never
+    through ``__dict__`` (on CPython 3.11 a used ``__dict__`` slows every
+    later attribute read)."""
+
+    def _set_fields(self, *values):
+        """Set the fields, given in ``_fields`` order."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def __hash__(self):
         return hash(self._key())

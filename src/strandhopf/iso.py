@@ -29,7 +29,13 @@ synchronous, and starts are a monotone relabelling of the cell ranks a
 full re-signing round would give, so every comparison, the leaves, the
 code, the labelling and the order are those of that rank refinement
 (``tests/oracles.py`` keeps it as the reference).  At a discrete leaf
-the starts are the positions 0..n-1.
+the starts are the positions 0..n-1.  A node's signature is read with
+its neighbour getter, one per node of the encoding (``_getters``), built
+once by ``_first_path`` and shared by every refinement along the first
+path and through the search.  A round skips singleton cells, splits a
+cell of two members by comparing its two signatures, and writes its new
+colours in place once all its cells are signed, so a round that splits
+nothing copies nothing.
 
 1-graphs (boundaries, vertex graphs) are canonized through a
 multiplicity quotient in the same spirit.  The legs at one vertex, the
@@ -138,11 +144,11 @@ are paired code by code in every way (``_union_isos``).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import marshal
 from collections import namedtuple
 from math import factorial
+from operator import itemgetter
 
 from .graphs import (connected_components, disjoint_union, relabel,
                      _connected_groups, _positions, _walk_faces)
@@ -161,19 +167,32 @@ def _cells(colors):
     return cells
 
 
-def _refine(adj, colors, cells, moved=None):
+def _getters(adj):
+    """One neighbour getter per node of an encoding: called on a colour
+    list, it gives the colours of the node's neighbours, exactly one per
+    neighbour (``itemgetter`` of two or more, a slice of one or none
+    otherwise, since ``itemgetter`` of one gives a bare value)."""
+    return [itemgetter(*a) if len(a) > 1 else
+            itemgetter(slice(a[0], a[0] + 1) if a else slice(0, 0))
+            for a in adj]
+
+
+def _refine(nbrs, colors, cells, moved=None):
     """Equitable refinement of a colouring, as (colours, cells).
 
     A node's colour is the start of its cell in the ordered partition,
-    and ``cells`` maps each start to the cell's nodes in node order; it
-    is refined in place.  Rounds are synchronous: every signature of a
-    round is read from the previous round's colours.  A round re-signs
+    and ``cells`` maps each start to the cell's nodes in node order; both
+    are refined in place.  ``nbrs`` are the nodes' neighbour getters
+    (``_getters``).  Rounds are synchronous: every signature of a round
+    is read from the previous round's colours, and the round's new
+    colours are written once all its cells are signed.  A round re-signs
     only the non-singleton cells that hold a neighbour of a node in
     ``moved``; ``moved=None`` re-signs every cell.  A node's signature is
-    the sorted tuple of its neighbours' colours.  A cell whose signatures
+    the sorted list of its neighbours' colours.  A cell whose signatures
     differ splits into parts that take consecutive starts from its own,
-    in signature order, and every other cell keeps its colour.  The nodes
-    of every part but the first are the next round's ``moved``.  The
+    in signature order, and every other cell keeps its colour; a cell of
+    two members is split by comparing its two signatures.  The nodes of
+    every part but the first are the next round's ``moved``.  The
     colouring is stable once no cell splits.
 
     This is the rank refinement (each round, every node's new colour is
@@ -188,30 +207,44 @@ def _refine(adj, colors, cells, moved=None):
     if moved is None:
         todo = [c for c, members in cells.items() if len(members) > 1]
     else:
-        todo = {colors[j] for i in moved for j in adj[i]}
+        todo = set()
+        for i in moved:
+            todo.update(nbrs[i](colors))
     while todo:
-        new = list(colors)
-        moved = []
+        split = []
         for c in todo:
             members = cells[c]
             if len(members) == 1:
                 continue
+            if len(members) == 2:
+                a, b = members
+                sig_a, sig_b = sorted(nbrs[a](colors)), sorted(nbrs[b](colors))
+                if sig_a == sig_b:
+                    continue
+                if sig_b < sig_a:
+                    a, b = b, a
+                cells[c], cells[c + 1] = [a], [b]
+                split.append((c + 1, cells[c + 1]))
+                continue
             parts = {}
             for i in members:
-                parts.setdefault(tuple(sorted(map(colors.__getitem__,
-                                                  adj[i]))), []).append(i)
+                parts.setdefault(tuple(sorted(nbrs[i](colors))),
+                                 []).append(i)
             if len(parts) == 1:
                 continue
             start = c
             for sig in sorted(parts):
                 part = cells[start] = parts[sig]
                 if start != c:
-                    for i in part:
-                        new[i] = start
-                    moved += part
+                    split.append((start, part))
                 start += len(part)
-        colors = new
-        todo = {colors[j] for i in moved for j in adj[i]}
+        for start, part in split:
+            for i in part:
+                colors[i] = start
+        todo = set()
+        for _, part in split:
+            for i in part:
+                todo.update(nbrs[i](colors))
     return colors, cells
 
 
@@ -238,29 +271,31 @@ def _individualize(colors, cells, w):
     return colors, cells
 
 
-def _child(adj, colors, cells, w):
+def _child(nbrs, colors, cells, w):
     """The refined colouring below (colours, cells) with node ``w``
     individualized; only the neighbours of ``w`` can split a cell."""
-    return _refine(adj, *_individualize(colors, cells, w), (w,))
+    return _refine(nbrs, *_individualize(colors, cells, w), (w,))
 
 
 def _first_path(descs, adj):
     """The first path of the search from the root: its nodes as (colours,
     cells, target cell), each with the first member of its target cell
-    individualized, and its leaf zeta as ``_leaf`` gives it.  The root
-    colours each node by the start of its class in the sorted ``descs``."""
+    individualized, its leaf zeta as ``_leaf`` gives it, and the
+    encoding's neighbour getters.  The root colours each node by the
+    start of its class in the sorted ``descs``."""
+    nbrs = _getters(adj)
     start = {}
     for k, d in enumerate(sorted(descs)):
         start.setdefault(d, k)
     colors = [start[d] for d in descs]
-    colors, cells = _refine(adj, colors, _cells(colors))
+    colors, cells = _refine(nbrs, colors, _cells(colors))
     path = []
     cell = _target_cell(cells)
     while cell is not None:
         path.append((colors, cells, cell))
-        colors, cells = _child(adj, colors, cells, cell[0])
+        colors, cells = _child(nbrs, colors, cells, cell[0])
         cell = _target_cell(cells)
-    return path, _leaf(adj, colors)
+    return path, _leaf(adj, colors), nbrs
 
 
 def _leaf(adj, colors):
@@ -316,7 +351,7 @@ def _canon_search(descs, adj, first=None):
     zeta); with the stabilizer of the first child, generated by
     induction from below, they generate the group that fixes the prefix.
     """
-    path, zeta = first or _first_path(descs, adj)
+    path, zeta, nbrs = first or _first_path(descs, adj)
     best = zeta
     gens = []
 
@@ -334,7 +369,7 @@ def _canon_search(descs, adj, first=None):
             if edges < best[0]:
                 best = (edges, pos)
             return False
-        return any(visit(*_child(adj, colors, cells, i)) for i in cell)
+        return any(visit(*_child(nbrs, colors, cells, i)) for i in cell)
 
     count = 1
     for colors, cells, cell in reversed(path):
@@ -345,7 +380,7 @@ def _canon_search(descs, adj, first=None):
             if orbits[w] in {orbits[x] for x in explored}:
                 continue
             explored.append(w)
-            visit(*_child(adj, colors, cells, w))
+            visit(*_child(nbrs, colors, cells, w))
         orbits = _orbits(cell, gens)
         count *= sum(1 for i in cell if orbits[i] == 0)
     return _leaf_code(descs, best), best[1], count, gens
@@ -389,33 +424,24 @@ def _carried(gens, src, dst):
 # encodings
 
 
-@functools.cache
-def _alignments(kind, n):
-    """Index maps of a face chain onto itself that keep sigma1 steps at
-    even positions: even rotations and odd reflections for cycles, the
-    identity and the reversal for open chains."""
-    if kind == "external":
-        return tuple(range(n)), tuple(range(n - 1, -1, -1))
-    return tuple([tuple((i + d) % n for i in range(n))
-                  for d in range(0, n, 2)] +
-                 [tuple((d - i) % n for i in range(n))
-                  for d in range(1, n, 2)])
-
-
 def _face_classes(G, strand_colour=None):
     """Group the faces of a connected 2-graph into parallel classes.
 
     Two faces are parallel when some alignment matches their itineraries
-    (per-position half-edge plus decoration colour) exactly.  Sections
-    and half-edges are numbered by their positions in ``G.strands`` and
-    ``G.half_edges``, which are in label order.  Returns a list of (kind,
-    m, a, members), where members are the aligned section number tuples,
-    least first, and a is the number of self-alignments of the shared
-    itinerary.  The classes are sorted by (kind, m, itinerary), the
-    itinerary aligned to its least form; (kind, itinerary) names a class,
-    so the order, and with it the encoding, does not depend on the
-    strand labels.  The faces are walked on the integer view; no ``Face``
-    is built or kept.
+    (per-position half-edge plus decoration colour) exactly.  The
+    alignments keep sigma1 steps at even positions: the chain and its
+    reversal for an external face, and for an internal one the even
+    rotations of the chain and of its reversal (the latter are its odd
+    reflections), each taken by slicing the itinerary and the chain.
+    Sections and half-edges are numbered by their positions in
+    ``G.strands`` and ``G.half_edges``, which are in label order.  Returns
+    a list of (kind, m, a, members), where members are the aligned
+    section number tuples, least first, and a is the number of
+    self-alignments of the shared itinerary.  The classes are sorted by
+    (kind, m, itinerary), the itinerary aligned to its least form; (kind,
+    itinerary) names a class, so the order, and with it the encoding,
+    does not depend on the strand labels.  The faces are walked on the
+    integer view; no ``Face`` is built or kept.
     """
     view = G.view()
     if strand_colour is None:
@@ -424,15 +450,17 @@ def _face_classes(G, strand_colour=None):
         itinerary = [(h, strand_colour[s]) for h, s in zip(view.mu, G.strands)]
     groups = {}
     for kind, chain in _walk_faces(view):
+        chain = tuple(chain)
         itin = tuple(map(itinerary.__getitem__, chain))
+        shifts = range(0, len(chain), 2) if kind == "internal" else (0,)
         best = None
         a = 0
-        for t in _alignments(kind, len(chain)):
-            key = (tuple(map(itin.__getitem__, t)),
-                   tuple(map(chain.__getitem__, t)))
-            a += key[0] == itin
-            if best is None or key < best:
-                best = key
+        for seq, sections in ((itin, chain), (itin[::-1], chain[::-1])):
+            for d in shifts:
+                key = seq[d:] + seq[:d], sections[d:] + sections[:d]
+                a += key[0] == itin
+                if best is None or key < best:
+                    best = key
         groups.setdefault((kind, best[0]), []).append((best[1], a))
     out = []
     for (kind, _), members in sorted(
@@ -492,11 +520,12 @@ def _encode_two_graph(G, strand_colour=None, half_mark=None):
             x, y = base + i, base + (i + 1) % n
             adj[x].append(len(adj))
             adj[y].append(len(adj))
-            adj.append([x, y])
+            adj.append([x, y] if x < y else [y, x])
             descs.append((3,))
             owner.append(None)
-    return (tuple(descs), [tuple(sorted(s)) for s in adj], factor, classes,
-            owner)
+    # every list was built in increasing order, the relation node that
+    # closes an internal chain with its ends put in order
+    return tuple(descs), list(map(tuple, adj)), factor, classes, owner
 
 
 def _encode_one(nv, classes):

@@ -143,9 +143,8 @@ class Theory(_Frozen):
 
     def __init__(self, name, klass, dimension, types, edge_weights,
                  rank=None, zeta=None):
-        self.__dict__.update(name=name, klass=klass, dimension=dimension,
-                             types=types, edge_weights=edge_weights,
-                             rank=rank, zeta=zeta)
+        self._set_fields(name, klass, dimension, types, edge_weights, rank,
+                         zeta)
 
     def dressed_types(self):
         return list(self.types)

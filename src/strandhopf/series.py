@@ -84,17 +84,24 @@ from .rewrite import instantiate_vertex_type, _glue_options, _with_edges
 
 
 def _memo_on_type(method):
-    """Cache a no-argument method of a vertex type or a theory in the
-    instance ``__dict__``, so that the value lives exactly as long as the
-    object (the write skips a frozen record's ``__setattr__``;
-    ``functools.cache`` would keep every object it has seen alive)."""
+    """Cache a no-argument method of a vertex type or a theory as an
+    attribute of the instance, so that the value lives exactly as long as
+    the object (``functools.cache`` would keep every object it has seen
+    alive).  The memo is read as an attribute and written with
+    ``object.__setattr__``, past a frozen record's ``__setattr__``; it
+    never goes through ``__dict__``, which on CPython 3.11 would turn the
+    instance's inline attribute values into a dict and slow every later
+    attribute read."""
     name = "_" + method.__name__
 
     @functools.wraps(method)
     def cached(self):
-        found = self.__dict__.get(name)
-        if found is None:
-            found = self.__dict__[name] = method(self)
+        try:
+            return getattr(self, name)
+        except AttributeError:
+            pass
+        found = method(self)
+        object.__setattr__(self, name, found)
         return found
     return cached
 
@@ -117,9 +124,7 @@ class DressedType(_Frozen):
 
     def __init__(self, graph, weight=Fraction(0), cost=0, colour=None,
                  parity=None, orient=None, name=""):
-        self.__dict__.update(graph=graph, weight=weight, cost=cost,
-                             colour=colour, parity=parity, orient=orient,
-                             name=name)
+        self._set_fields(graph, weight, cost, colour, parity, orient, name)
 
     @_memo_on_type
     def plain_code(self):

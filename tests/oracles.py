@@ -13,9 +13,10 @@ read from the canonization search), the growth level and coproduct
 expansion before orbit reduction and the growth of every vertex
 multiset from its disjoint union (these call the package's gluing,
 dedup and interning), the face walk that sorts, orients and rotates
-its chains afresh, the contraction that reads the external faces of
-a materialized subgraph, the jacket degrees that count the faces of
-every jacket afresh, and the pinched closure built as a 2-graph.  One
+its chains afresh, the face classes that align chains by index maps,
+the contraction that reads the external faces of a materialized
+subgraph, the jacket degrees that count the faces of every jacket
+afresh, and the pinched closure built as a 2-graph.  One
 check compares the package with itself: ``inherited_view_mismatches``
 holds every growth child, built from its parent's data, against a
 fresh graph built from its maps.
@@ -686,6 +687,46 @@ def _least_rotation(chain):
             if best is None or key < best[0]:
                 best = (key, cand)
     return best[1]
+
+
+def aligned_face_classes(G, strand_colour=None):
+    """``iso._face_classes`` as it was computed before rotations and
+    reflections were taken by slicing: every alignment of a chain onto
+    itself is an index map (even rotations and odd reflections of an
+    internal chain, the identity and the reversal of an external one),
+    applied to the itinerary and the chain position by position.  The
+    faces come from the package's walk on the integer view."""
+    from strandhopf.graphs import _walk_faces
+
+    def alignments(kind, n):
+        if kind == "external":
+            return [list(range(n)), list(range(n - 1, -1, -1))]
+        return ([[(i + d) % n for i in range(n)] for d in range(0, n, 2)] +
+                [[(d - i) % n for i in range(n)] for d in range(1, n, 2)])
+
+    view = G.view()
+    if strand_colour is None:
+        itinerary = view.mu
+    else:
+        itinerary = [(h, strand_colour[s]) for h, s in zip(view.mu, G.strands)]
+    groups = {}
+    for kind, chain in _walk_faces(view):
+        itin = tuple(itinerary[i] for i in chain)
+        best = None
+        a = 0
+        for t in alignments(kind, len(chain)):
+            key = (tuple(itin[i] for i in t), tuple(chain[i] for i in t))
+            a += key[0] == itin
+            if best is None or key < best:
+                best = key
+        groups.setdefault((kind, best[0]), []).append((best[1], a))
+    out = []
+    for (kind, _), members in sorted(
+            groups.items(), key=lambda c: (c[0][0], len(c[1]), c[0][1])):
+        members.sort()
+        out.append((kind, len(members), members[0][1],
+                    [seq for seq, _ in members]))
+    return out
 
 
 def sorted_walk_faces(G):

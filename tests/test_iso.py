@@ -558,36 +558,104 @@ def test_one_graph_first_leaf_hit_matches_exhaustive_search(monkeypatch):
                           iso._one_graph_serial)
 
 
+def check_refinement(name, descs, adj, rng):
+    """A colouring by cell starts must be the oracle's colouring by cell
+    ranks, relabelled monotonically, after the first refinement and after
+    every individualization along a random chain to a leaf."""
+    n = len(descs)
+    nbrs = iso._getters(adj)
+    start = {}
+    for k, d in enumerate(sorted(descs)):
+        start.setdefault(d, k)
+    colors = [start[d] for d in descs]
+    colors, cells = iso._refine(nbrs, colors, iso._cells(colors))
+    rank = {d: k for k, d in enumerate(sorted(set(descs)))}
+    ranks = oracles._exhaustive_refine(n, adj, [rank[d] for d in descs])
+    while True:
+        assert cells == iso._cells(colors), name
+        assert all(c == sum(1 for x in colors if x < c) for c in cells), name
+        rank = {c: k for k, c in enumerate(sorted(cells))}
+        assert [rank[c] for c in colors] == ranks, name
+        targets = [c for c, members in cells.items() if len(members) > 1]
+        if not targets:
+            assert sorted(colors) == list(range(n)), name
+            return
+        w = rng.choice(cells[rng.choice(targets)])
+        colors, cells = iso._child(nbrs, colors, cells, w)
+        split = [(c, 0 if i == w else 1) for i, c in enumerate(ranks)]
+        rank = {s: k for k, s in enumerate(sorted(set(split)))}
+        ranks = oracles._exhaustive_refine(n, adj, [rank[s] for s in split])
+
+
 def test_refine_matches_rank_refinement():
-    # a colouring by cell starts must be the oracle's colouring by cell
-    # ranks, relabelled monotonically, after the first refinement and
-    # after every individualization along random chains to a leaf
     rng = random.Random(2014)
     for name, descs, adj in search_encodings(rng):
-        n = len(descs)
-        start = {}
-        for k, d in enumerate(sorted(descs)):
-            start.setdefault(d, k)
-        colors = [start[d] for d in descs]
-        colors, cells = iso._refine(adj, colors, iso._cells(colors))
-        rank = {d: k for k, d in enumerate(sorted(set(descs)))}
-        ranks = oracles._exhaustive_refine(n, adj, [rank[d] for d in descs])
-        while True:
-            assert cells == iso._cells(colors), name
-            assert all(c == sum(1 for x in colors if x < c)
-                       for c in cells), name
-            rank = {c: k for k, c in enumerate(sorted(cells))}
-            assert [rank[c] for c in colors] == ranks, name
-            targets = [c for c, members in cells.items() if len(members) > 1]
-            if not targets:
-                assert sorted(colors) == list(range(n)), name
-                break
-            w = rng.choice(cells[rng.choice(targets)])
-            colors, cells = iso._child(adj, colors, cells, w)
-            split = [(c, 0 if i == w else 1) for i, c in enumerate(ranks)]
-            rank = {s: k for k, s in enumerate(sorted(set(split)))}
-            ranks = oracles._exhaustive_refine(n, adj,
-                                               [rank[s] for s in split])
+        check_refinement(name, descs, adj, rng)
+
+
+# the root cells {0, 1, 2} and {6, 7} mix nodes of degree 0, 1 and 2
+# whose neighbours all have one colour: a signature padded to two
+# entries would tie node 1 with node 2, and node 7 with node 6
+MIXED_DEGREES = ((0,) * 3 + (1,) * 3 + (2,) * 2 + (3,) * 2,
+                 [(), (3,), (4, 5), (1,), (2,), (2,), (8, 9), (8,), (6, 7),
+                  (6,)])
+
+
+def test_refine_matches_rank_refinement_on_one_graph_encodings():
+    # 1-graph encodings have degree-1 leg and loop class nodes and
+    # degree-0 single-node components, which take the neighbour getters
+    # that are not an itemgetter of two or more nodes
+    rng = random.Random(2015)
+    encodings = one_graph_encodings(random.Random(1981))
+    degrees = {len(a) for _, _, adj in encodings for a in adj}
+    assert {0, 1, 2} <= degrees
+    for name, descs, adj in encodings + [("mixed degrees", *MIXED_DEGREES)]:
+        check_refinement(name, descs, adj, rng)
+    root = [0] * 3 + [3] * 3 + [6] * 2 + [8] * 2
+    colors, _ = iso._refine(iso._getters(MIXED_DEGREES[1]), root,
+                            iso._cells(root))
+    assert colors == [0, 1, 2, 3, 4, 4, 7, 6, 9, 8]
+
+
+def test_face_classes_match_index_map_alignments():
+    # rotations and reflections are taken by slicing; the oracle applies
+    # every alignment as an index map.  The whole (kind, m, a, members)
+    # lists must agree on every fixture and corpus class, on two random
+    # relabellings of each, and under the inferred strand colouring of
+    # the mq3 and bgr classes.  Two hand-built graphs have self-aligned
+    # itineraries: an external face running out and back along one
+    # half-edge, and two parallel internal faces that each go twice
+    # around one loop edge
+    from strandhopf.models import infer_colouring
+    rng = random.Random(1990)
+    out_and_back = TwoGraph.make(["v"], ["h"], ["a", "b"], {"h": "v"},
+                                 {"a": "h", "b": "h"}, (), [("a", "b")])
+    twice_around = TwoGraph.make(
+        ["v"], ["h1", "h2"], list("abcdefgh"), {"h1": "v", "h2": "v"},
+        dict(zip("abcdefgh", ["h1", "h2"] * 4)), [("h1", "h2")],
+        [("a", "b"), ("c", "d"), ("e", "f"), ("g", "h")],
+        [("b", "c"), ("d", "a"), ("f", "g"), ("h", "e")])
+    cases = [(name, g, None) for name, g in CORPUS.items()]
+    cases += [("out_and_back", out_and_back, None),
+              ("twice_around", twice_around, None)]
+    cases += [(f"corpus{k}", io.document_to_graph(e["graph"]), e["theory"])
+              for k, e in enumerate(corpus_entries())]
+    seen = set()
+    for name, g, theory in cases:
+        copies = [g] + [oracles.random_relabelled(g, rng) for _ in range(2)]
+        for k, h in enumerate(copies):
+            colourings = [None]
+            if theory in ("mq3", "bgr"):
+                colourings.append(infer_colouring(h))
+            for col in colourings:
+                for c in connected_components(h):
+                    got = iso._face_classes(c, col)
+                    assert got == oracles.aligned_face_classes(c, col), \
+                        (name, k, col is not None)
+                    seen.update((kind, len(members[0]), m > 1, a)
+                                for kind, m, a, members in got)
+    assert {("external", 2, False, 2), ("internal", 4, True, 2),
+            ("internal", 2, False, 1), ("internal", 2, True, 1)} <= seen
 
 
 def corpus_entries():

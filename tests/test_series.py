@@ -523,6 +523,30 @@ def test_disconnected_terms_build_their_union_on_first_access():
         sorted((t.n_edges, t.code) for t in ts.terms)
 
 
+def test_type_memos_are_computed_once_per_object(monkeypatch):
+    # plain_code runs the 1-graph canonization once per type object, and
+    # a theory's weights by code are built once per theory object; an
+    # equal object made afresh computes its own
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    real = iso.one_graph_code
+    monkeypatch.setattr(iso, "one_graph_code", counting)
+    dt = preset("mq3").dressed_types()[0]
+    code = dt.plain_code()
+    assert dt.plain_code() is code and len(calls) == 1
+    again = series.DressedType(dt.graph, dt.weight, dt.cost, dt.colour,
+                               dt.parity, dt.orient, dt.name)
+    assert again == dt and again.plain_code() == code and len(calls) == 2
+    theory = preset("gw4")
+    weights = theory._weights_by_code()
+    assert theory._weights_by_code() is weights
+    assert len(calls) == 2 + len(theory.types)
+
+
 def test_boundary_codes_are_computed_on_first_access():
     theory = preset("mq3")
     classes = connected_classes(theory.dressed_types(), theory.klass, 2)
