@@ -19,16 +19,28 @@ graphs.
 What a 2-graph derives from its maps and keeps lives in one place, its
 ``derived`` record (``Derived``), each value computed at most once.  Its
 component partition comes from the one union-find of ``_groups``, or is
-one group, set by ``rewrite._with_edges`` (growth children), ``_piece``
-and ``_contract_edges`` on graphs connected by construction.  Its
-integer view (``View``, from ``TwoGraph.view``) holds the five
-structure maps over positions; the face walk, ``iso``'s keys and
-encodings read it instead of the label dicts.  The label-to-position
-maps it is built from are not kept.  Its vertex classes
-(``iso.vertex_classes``) are the (code, |Aut|) pairs of its vertex
-graphs in vertex order, split from the view by the one 1-graph split of
-``iso``; power counting and the central check weigh and match vertices
-by them.  The record holds no other graph and no other record.
+one group, set by ``rewrite._with_edges`` (growth children) and the
+materializer on graphs connected by construction.  Its integer view
+(``View``, from ``TwoGraph.view``) holds the five structure maps over
+positions; the face walk, ``iso``'s keys and encodings read it instead
+of the label dicts.  The label-to-position maps it is built from are not
+kept.  Its vertex classes (``iso.vertex_classes``) are the (code, |Aut|)
+pairs of its vertex graphs in vertex order, split from the view by the
+one 1-graph split of ``iso``; power counting and the central check weigh
+and match vertices by them.  The record holds no other graph and no
+other record.
+
+Pieces (a vertex set with some edges inside it) and contractions are
+built on positions: one piece builder (``_piece_view``) and one
+contraction builder (``_contracted_view``) each take a view and return
+the positions of the parent they keep with the new ``View``.  The
+coproduct canonizes that view as it is; only the materializer
+(``_materialized``) attaches the parent's labels, and it presets the
+graph's view and partition.  The view split (``_split_view``), the
+components of a graph or of a built view by the piece builder, serves
+``connected_components``, the canonization of a disconnected graph and
+the coproduct alike; ``connected_components``, ``contract`` and
+``residue`` materialize what it or the contraction builder gives.
 
 A growth child (``rewrite._with_edges``) is built without sorting or
 copying what it shares with its parent: the label tuples, the ``nu``,
@@ -573,53 +585,113 @@ def subgraph_with_edges(G, kept):
 
 
 def _contract_edges(G, edges):
-    """Contract the wide subgraph spanned by ``edges``.
-
-    The contracted graph keeps one vertex per connected component of the
-    subgraph, keeps the subgraph-external half-edges and sections, removes
-    the contracted pairings, and closes the through-strand structure by
-    pairing the two endpoints of every external face of the subgraph.
-    Those faces are walked on ``G`` itself, and no subgraph is built: from
-    a section off the contracted half-edges, sigma1 leads to the next
-    section, and while that lies on a contracted half-edge, sigma2 then
-    sigma1 lead on, until a section off them ends the face.  A pair may
-    be given in either order; a pair that is not an edge of ``G`` (an
-    external half-edge with itself included) raises ``GraphError``.  The
-    contraction of a graph known to be connected is known to be so.
-    """
-    edges = tuple(edges)
-    in_h = set()
+    """Contract the wide subgraph spanned by ``edges``: the contraction
+    builder (``_contracted_view``) on their positions, then the
+    materializer.  A pair may be given in either order; a pair that is
+    not an edge of ``G`` (an external half-edge with itself included)
+    raises ``GraphError``.  The contraction of a graph known to be
+    connected is known to be so."""
+    hpos = _positions(G.half_edges)
+    pairs = []
     for a, b in edges:
         if a == b or G.iota.get(a) != b:
             raise GraphError("edges to contract are not edges of the graph")
-        in_h.update((a, b))
+        pairs.append((hpos[a], hpos[b]))
+    return _materialized(G, *_contracted_view(len(G.vertices), G.view(),
+                                              pairs), _known_connected(G))
 
-    comp_of = {}
-    for vs in _component_vertex_sets(G, edges):
-        tag = min(vs, key=_label_key)
+
+def _contracted_view(nv, view, edges):
+    """The contraction builder: the kept positions and the ``View`` of the
+    contraction of the wide subgraph spanned by ``edges`` (half-edge
+    position pairs) of a graph with ``nv`` vertices and view ``view``.
+
+    The contraction keeps one vertex per connected component of the
+    subgraph, the least, keeps the subgraph-external half-edges and
+    sections, removes the contracted pairings, and closes the
+    through-strand structure by pairing the two endpoints of every
+    external face of the subgraph.  Those faces are walked on the view
+    itself, and no subgraph is built: from a section off the contracted
+    half-edges, sigma1 leads to the next section, and while that lies on
+    a contracted half-edge, sigma2 then sigma1 lead on, until a section
+    off them ends the face.  Kept positions are (vertices, half-edges,
+    sections), each increasing, so the labels of a materialized
+    contraction keep their order and each vertex is named by the least
+    vertex of its component."""
+    nu, iota, mu, s1, s2 = view
+    gone = [False] * len(nu)
+    for a, b in edges:
+        gone[a] = gone[b] = True
+    groups = _connected_groups(range(nv), [(nu[a], nu[b]) for a, b in edges])
+    comp = [0] * nv
+    for k, vs in enumerate(groups):
         for v in vs:
-            comp_of[v] = tag
-    new_vertices = sorted(set(comp_of.values()), key=_label_key)
-
-    mu, s1, s2 = G.mu, G.sigma1, G.sigma2
-    new_h = [h for h in G.half_edges if h not in in_h]
-    new_s = [s for s in G.strands if mu[s] not in in_h]
-    nu = {h: comp_of[G.nu[h]] for h in new_h}
+            comp[v] = k
+    hs = [h for h, out in enumerate(gone) if not out]
+    ss = [s for s, h in enumerate(mu) if not gone[h]]
+    hnew, snew = _new_positions(hs, len(nu)), _new_positions(ss, len(mu))
     # contracted pairs are gone entirely, so iota restricts cleanly
-    iota = {h: G.iota[h] for h in new_h}
-    sigma2 = {s: s2[s] for s in new_s}
-    sigma1 = {}
-    for a in new_s:
-        if a not in sigma1:
+    sigma1 = [None] * len(ss)
+    for k, a in enumerate(ss):
+        if sigma1[k] is None:
             b = s1[a]
-            while mu[b] in in_h:
+            while gone[mu[b]]:
                 b = s1[s2[b]]
-            sigma1[a] = b
-            sigma1[b] = a
-    out = _assembled(tuple(new_vertices), tuple(new_h), tuple(new_s), nu,
-                     {s: mu[s] for s in new_s}, iota, sigma1, sigma2)
-    if _known_connected(G):
-        out.derived.groups = (out.vertices,)
+            sigma1[k] = j = snew[b]
+            sigma1[j] = k
+    return ([vs[0] for vs in groups], hs, ss), View(
+        [comp[nu[h]] for h in hs], [hnew[iota[h]] for h in hs],
+        [hnew[mu[s]] for s in ss], sigma1, [snew[s2[s]] for s in ss])
+
+
+def _piece_view(view, vs, edges):
+    """The piece builder: the kept positions and the ``View`` of one of
+    the ``_pieces`` (vs, edges) of a view, the vertex positions ``vs``
+    (increasing) with all their half-edges and sections, paired across
+    exactly ``edges``, every other half-edge at ``vs`` external."""
+    nu, _, mu, s1, s2 = view
+    vnew = _positions(vs)
+    paired = {}
+    for a, b in edges:
+        paired[a], paired[b] = b, a
+    hs = [h for h, v in enumerate(nu) if v in vnew]
+    hnew = _new_positions(hs, len(nu))
+    ss = [s for s, h in enumerate(mu) if hnew[h] is not None]
+    snew = _new_positions(ss, len(mu))
+    return (vs, hs, ss), View(
+        [vnew[nu[h]] for h in hs],
+        [hnew[paired[h]] if h in paired else k for k, h in enumerate(hs)],
+        [hnew[mu[s]] for s in ss], [snew[s1[s]] for s in ss],
+        [snew[s2[s]] if mu[s] in paired else k for k, s in enumerate(ss)])
+
+
+def _new_positions(kept, n):
+    """A list over range(n) of each kept position's place in ``kept``,
+    None for the others."""
+    out = [None] * n
+    for k, i in enumerate(kept):
+        out[i] = k
+    return out
+
+
+def _materialized(G, kept, view, connected):
+    """The materializer: the 2-graph on the positions ``kept`` (vertices,
+    half-edges, sections, each increasing) of ``G``, with the labels
+    there and the structure maps of ``view``, which becomes its integer
+    view.  Marked connected when ``connected`` is true."""
+    vs, hs, ss = kept
+    vs = tuple([G.vertices[i] for i in vs])
+    hs = tuple([G.half_edges[i] for i in hs])
+    ss = tuple([G.strands[i] for i in ss])
+    nu, iota, mu, s1, s2 = view
+    out = _assembled(vs, hs, ss, {h: vs[p] for h, p in zip(hs, nu)},
+                     {s: hs[p] for s, p in zip(ss, mu)},
+                     {h: hs[p] for h, p in zip(hs, iota)},
+                     {s: ss[p] for s, p in zip(ss, s1)},
+                     {s: ss[p] for s, p in zip(ss, s2)})
+    out.derived.view = view
+    if connected:
+        out.derived.groups = (vs,)
     return out
 
 
@@ -684,13 +756,12 @@ def boundary_components(G):
 def connected_components(G):
     """The connected components of ``G`` in the order of their least
     vertices; a connected ``G`` is its own only component (the same
-    object, with its derived data), and the components built for a
-    disconnected one are known to be connected."""
-    groups = _groups(G)
-    if len(groups) == 1:
+    object, with its derived data), and the components materialized from
+    the view split of a disconnected one are known to be connected."""
+    if len(_groups(G)) == 1:
         return (G,)
-    return tuple(_piece(G, vs, inside)
-                 for vs, inside in _split(G, groups, G.edge_pairs()))
+    return tuple(_materialized(G, kept, view, True)
+                 for kept, view in _split_view(G))
 
 
 def _groups(G):
@@ -712,47 +783,49 @@ def _known_connected(G):
     return groups is not None and len(groups) == 1
 
 
-def _pieces(G, edge_pairs):
-    """The connected components of ``G`` restricted to ``edge_pairs`` as
-    (vertices, edges inside) pairs of tuples, in the order of their least
-    vertices; vertices and edges keep their order in ``G.vertices`` and
-    ``edge_pairs``."""
-    nu = G.nu
-    groups = _connected_groups(G.vertices,
-                               ((nu[a], nu[b]) for a, b in edge_pairs))
-    return _split(G, groups, edge_pairs)
+def _edge_positions(view):
+    """The edges of a view as half-edge position pairs (i, j), i < j, in
+    increasing order, which is the order of ``TwoGraph.edge_pairs``."""
+    return [(h, k) for h, k in enumerate(view.iota) if h < k]
 
 
-def _split(G, groups, edge_pairs):
-    """Each vertex group of ``groups`` with the pairs of ``edge_pairs``
-    inside it, as (vertices, edges inside) pairs of tuples."""
-    nu = G.nu
-    where = {v: k for k, vs in enumerate(groups) for v in vs}
+def _pieces(nv, view, edges):
+    """The connected components of a view with ``nv`` vertices restricted
+    to ``edges`` (half-edge position pairs) as (vertex positions, edges
+    inside) pairs of tuples, in the order of their least vertices; both
+    keep their order in range(nv) and ``edges``."""
+    nu = view.nu
+    groups = _connected_groups(range(nv), ((nu[a], nu[b]) for a, b in edges))
+    where = [0] * nv
+    for k, vs in enumerate(groups):
+        for v in vs:
+            where[v] = k
     inside = [[] for _ in groups]
-    for p in edge_pairs:
+    for p in edges:
         inside[where[nu[p[0]]]].append(p)
     return [(tuple(vs), tuple(es)) for vs, es in zip(groups, inside)]
 
 
-def _piece(G, vs, edge_pairs):
-    """The 2-graph of one of the ``_pieces`` (vs, edge_pairs) of ``G``: the
-    vertices ``vs`` with all their half-edges and sections, paired across
-    exactly ``edge_pairs``, every other half-edge at ``vs`` external.  It
-    is connected, and its partition says so."""
-    iota = {}
-    for a, b in edge_pairs:
-        iota[a], iota[b] = b, a
-    vset = set(vs)
-    hs = tuple(h for h in G.half_edges if G.nu[h] in vset)
-    hset = set(hs)
-    ss = tuple(s for s in G.strands if G.mu[s] in hset)
-    out = _assembled(tuple(vs), hs, ss,
-                     {h: G.nu[h] for h in hs},
-                     {s: G.mu[s] for s in ss},
-                     {h: iota.get(h, h) for h in hs},
-                     {s: G.sigma1[s] for s in ss},
-                     {s: (G.sigma2[s] if G.mu[s] in iota else s) for s in ss})
-    out.derived.groups = (out.vertices,)
+def _split_view(G, kept=None, view=None):
+    """The view split: (kept positions, view) of each connected component
+    of ``G``, or of the graph with view ``view`` on the positions ``kept``
+    of ``G`` (such as a contraction), with positions in ``G``.  A graph
+    of one component gives its own view and kept positions; a graph
+    known to be connected runs no union-find."""
+    if view is None:
+        view = G.view()
+        kept = (range(len(G.vertices)), range(len(view.nu)),
+                range(len(view.mu)))
+        if len(_groups(G)) == 1:
+            return [(kept, view)]
+    pieces = _pieces(len(kept[0]), view, _edge_positions(view))
+    if len(pieces) == 1:
+        return [(kept, view)]
+    out = []
+    for piece in pieces:
+        inner, part = _piece_view(view, *piece)
+        out.append((tuple([outer[i] for i in ks]
+                          for outer, ks in zip(kept, inner)), part))
     return out
 
 

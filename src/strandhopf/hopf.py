@@ -16,14 +16,17 @@ only with a rational coefficient a caller passes.  ``LaurentPoly`` keeps
 The coproduct sums over wide subgraphs, pairing each subgraph (as a
 product of its connected components) with the contraction by it, and
 expands one subgraph per orbit of the class's automorphisms.  A term is
-read from the edge set of its subgraph on the class's representative:
-the components (pieces) come from a union-find over its vertices, and a
-piece, a vertex set with the edges inside it, is built as a 2-graph and
-interned only the first time it occurs in the expansion (a dict local to
-the call); the contraction walks the representative's own strands.
-Pieces and the contractions of a connected class are built marked
-connected, so interning them runs no second union-find.  Two terms of a
-connected class are known without building a graph: in ``vertices (x)
+read from the edge set of its subgraph on the integer view of the
+class's representative (``graphs.View``), its edges as half-edge
+position pairs: the components (pieces) come from a union-find over
+vertex positions, and a piece, a vertex set with the edges inside it, is
+built as a view by the piece builder only the first time it occurs in
+the expansion (a dict local to the call); the contraction builder walks
+the representative's own strands.  Each view is canonized as it is (its
+positional key, the search memo's first key), so a term needs no
+labelled graph: one is materialized, with the representative's labels,
+only for a class new to ``REGISTRY``, which it then represents.  Two
+terms of a connected class are known without a view: in ``vertices (x)
 Gamma`` the contraction by the empty subgraph is the class itself, and
 in ``Gamma (x) residue`` the full subgraph's only piece is the class
 itself.  The antipode follows the usual triangular recursion, using a
@@ -35,7 +38,8 @@ memo: it gives the codes held by elements their meaning, so it is never
 cleared.  A disconnected graph is the product of its components'
 classes, so its coproduct is the product of their tables (the coproduct
 is an algebra morphism) and no union graph is built or registered for
-it.
+it; its components, like those of the contractions of a union interned
+as it is, come from the view split (``graphs._split_view``).
 
 Renormalization works for any character into Laurent polynomials and any
 Rota-Baxter projection; the toy minimal-subtraction character sends a
@@ -45,13 +49,14 @@ superficially divergent graph of degree ``w`` to ``z**-(w+1)``.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from fractions import Fraction
 
-from .graphs import (TwoGraph, connected_components, _connected_groups,
-                     _known_connected, _piece, _pieces)
-from .iso import automorphism_generators, canonical_code
-from .rewrite import subgraphs
+from .graphs import (TwoGraph, _connected_groups, _contracted_view,
+                     _edge_positions, _groups, _known_connected,
+                     _materialized, _piece_view, _pieces, _split_view)
+from .iso import _half_edge_generators, _view_entry, canonical_code
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +205,32 @@ def el_unit(c=1):
 
 def el_graph(G, c=1):
     """The element of a (possibly disconnected) graph: the product of its
-    connected components' classes."""
+    connected components' classes.  A connected ``G`` is interned as it
+    is; the components of a disconnected one are canonized on the view
+    split (``_split_view``) and materialized only for a new class."""
+    if len(_groups(G)) == 1:
+        return {((intern_graph(G), 1),): c}
+    return {_monomial([_interned(G, kept, view)
+                       for kept, view in _split_view(G)]): c}
+
+
+def _monomial(codes):
+    """The monomial of the product of the classes ``codes``."""
     mono = {}
-    for comp in connected_components(G):
-        code = intern_graph(comp)
+    for code in codes:
         mono[code] = mono.get(code, 0) + 1
-    return {tuple(sorted(mono.items())): c}
+    return tuple(sorted(mono.items()))
+
+
+def _interned(G, kept, view):
+    """The class code of the connected graph with integer view ``view``
+    on the positions ``kept`` of ``G``, looked up on the view.  Its graph
+    is materialized (``graphs._materialized``) and interned only when the
+    code is new to ``REGISTRY``."""
+    code = _view_entry(len(kept[0]), view)[0]
+    if code not in REGISTRY:
+        intern_graph(_materialized(G, kept, view, True))
+    return code
 
 
 def el_add(a, b):
@@ -286,46 +311,59 @@ def coproduct(G):
 
 @functools.cache
 def _coproduct(code):
-    """The coproduct table of a class, expanded on its representative.
+    """The coproduct table of a class, expanded on the integer view of its
+    representative.
 
-    An automorphism maps a wide subgraph and its contraction onto those
-    of its image, so a subgraph in the orbit of an earlier one under the
-    representative's automorphisms (acting on its edge sets) adds the
-    same term.  Only the first subgraph of each orbit is expanded, and
-    its term counts once per member; the keys, their order and the
-    graphs interned (in the same order) are those of expanding every
-    subgraph.  The left side is the product of the subgraph's pieces; a
-    piece that an earlier subgraph already had is looked up in ``built``
-    instead of being built and canonized again.
+    A subgraph is a set of edges, half-edge position pairs, and the
+    subgraphs come in the order of ``rewrite.subgraphs``.  An automorphism
+    maps a wide subgraph and its contraction onto those of its image, so
+    a subgraph in the orbit of an earlier one under the representative's
+    automorphisms (the generators of its search memo entries, acting on
+    its edge sets) adds the same term.  Only the first subgraph of each
+    orbit is expanded, and its term counts once per member; the keys and
+    their order are those of expanding every subgraph.  The left side is
+    the product of the subgraph's pieces; a piece that an earlier
+    subgraph already had is looked up in ``built`` instead of being built
+    again.  A class new to ``REGISTRY`` is registered by the same graph,
+    in the same order, as interning every piece and contraction would
+    register (``_interned``).
 
-    On a connected representative two terms are known without a graph:
-    the full subgraph's only piece is the representative itself (``built``
-    starts with it), and the contraction by the empty subgraph is the
-    representative again, so its right side is the class itself.  A
-    disconnected representative (a union given to ``intern_graph``) has
-    neither shortcut."""
+    On a connected representative two terms are known without a view:
+    the full subgraph's only piece is the representative itself
+    (``built`` starts with it), and the contraction by the empty subgraph
+    is the representative again, so its right side is the class itself.
+    A disconnected representative (a union given to ``intern_graph``) has
+    neither shortcut, and its contractions are split into components by
+    the view split."""
     G = graph_of_code(code)
-    subs = {frozenset(h for edge in sub.edges for h in edge): sub
-            for sub in subgraphs(G)}
+    nv, view = len(G.vertices), G.view()
+    edges = _edge_positions(view)
+    subs = {frozenset(h for edge in chosen for h in edge): chosen
+            for k in range(len(edges) + 1)
+            for chosen in itertools.combinations(edges, k)}
     links = [(halves, frozenset(m.get(h, h) for h in halves))
-             for m in automorphism_generators(G) for halves in subs]
+             for m in _half_edge_generators(G) for halves in subs]
     built, out = {}, {}   # built: (vertices, edges inside) -> class code
     connected = _known_connected(G)
     if connected:
-        built[G.vertices, G.edge_pairs()] = code
+        built[tuple(range(nv)), tuple(edges)] = code
     for orbit in _connected_groups(subs, links):
-        sub = subs[orbit[0]]
-        left = {}
-        for piece in _pieces(G, sub.edges):
+        chosen = subs[orbit[0]]
+        left = []
+        for piece in _pieces(nv, view, chosen):
             if piece not in built:
-                built[piece] = intern_graph(_piece(G, *piece))
-            left[built[piece]] = left.get(built[piece], 0) + 1
-        if connected and not sub.edges:
-            rm, rc = ((code, 1),), 1
+                built[piece] = _interned(G, *_piece_view(view, *piece))
+            left.append(built[piece])
+        if connected and not chosen:
+            right = ((code, 1),)
         else:
-            (rm, rc), = el_graph(sub.contract()).items()
-        key = (tuple(sorted(left.items())), rm)
-        out[key] = out.get(key, 0) + rc * len(orbit)
+            kept, contracted = _contracted_view(nv, view, chosen)
+            right = _monomial(
+                [_interned(G, kept, contracted)] if connected else
+                [_interned(G, *part)
+                 for part in _split_view(G, kept, contracted)])
+        key = (_monomial(left), right)
+        out[key] = out.get(key, 0) + len(orbit)
     return out
 
 

@@ -54,9 +54,15 @@ graph's sorted label tuples, read from its integer view (``graphs.View``:
 the five structure maps over positions), as are the positional keys and
 the faces, which are walked on the view's involutions
 (``graphs._walk_faces``, the one face walk) and never turned back into
-labels here.  A growth child (``rewrite._with_edges``) shares its
-parent's view but for ``iota`` and ``sigma2``, which it copies and
-patches.
+labels here.  So keys, face classes and encodings take a vertex count,
+an integer view and decorations by position (``_decorations``), not a
+graph, and one function, ``_view_entry``, gives the memo entry of a
+connected view: the coproduct canonizes the pieces and contractions it
+builds as views (``graphs._piece_view``, ``graphs._contracted_view``)
+with no labelled graph, and a 2-graph's components come from the view
+split (``graphs._split_view``; ``_two_entries``).  A growth child
+(``rewrite._with_edges``) shares its parent's view but for ``iota`` and
+``sigma2``, which it copies and patches.
 
 One routine canonizes a connected graph of either kind from its
 encoding and returns (code, |Aut|), the code of the search and its
@@ -77,9 +83,10 @@ factor folded in, and the search's canonical labelling and automorphism
 generators on encoding nodes.  In a 2-graph's encoding node k < nv is
 vertex k of ``G.vertices`` and node nv + k half-edge k of
 ``G.half_edges``, so these too are positional, and an entry serves every
-graph with the same encoding.  ``automorphism_generators`` turns them
-into half-edge maps only when asked, and ``canonical_form`` reads its
-labellings from the memo.
+graph with the same encoding.  ``_half_edge_generators`` turns them
+into maps of half-edge positions, which the coproduct's orbits read,
+``automorphism_generators`` into half-edge maps, and ``canonical_form``
+reads its labellings from the memo.
 
 A connected 2-graph is looked up three times at most.  The first key is
 its positional structure: the ``marshal`` bytes of its vertex count, the
@@ -151,7 +158,8 @@ from math import factorial
 from operator import itemgetter
 
 from .graphs import (connected_components, disjoint_union, relabel,
-                     _connected_groups, _positions, _walk_faces)
+                     _connected_groups, _positions, _split_view,
+                     _walk_faces)
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +432,9 @@ def _carried(gens, src, dst):
 # encodings
 
 
-def _face_classes(G, strand_colour=None):
-    """Group the faces of a connected 2-graph into parallel classes.
+def _face_classes(view, colours=None):
+    """Group the faces of a connected 2-graph, given by its integer view,
+    into parallel classes.
 
     Two faces are parallel when some alignment matches their itineraries
     (per-position half-edge plus decoration colour) exactly.  The
@@ -433,8 +442,9 @@ def _face_classes(G, strand_colour=None):
     reversal for an external face, and for an internal one the even
     rotations of the chain and of its reversal (the latter are its odd
     reflections), each taken by slicing the itinerary and the chain.
-    Sections and half-edges are numbered by their positions in
-    ``G.strands`` and ``G.half_edges``, which are in label order.  Returns
+    Sections and half-edges are numbered by their positions, which are in
+    label order; ``colours``, if given, lists each section's colour by
+    position.  Returns
     a list of (kind, m, a, members), where members are the aligned
     section number tuples, least first, and a is the number of
     self-alignments of the shared itinerary.  The classes are sorted by
@@ -443,11 +453,7 @@ def _face_classes(G, strand_colour=None):
     does not depend on the strand labels.  The faces are walked on the
     integer view; no ``Face`` is built or kept.
     """
-    view = G.view()
-    if strand_colour is None:
-        itinerary = view.mu
-    else:
-        itinerary = [(h, strand_colour[s]) for h, s in zip(view.mu, G.strands)]
+    itinerary = view.mu if colours is None else list(zip(view.mu, colours))
     groups = {}
     for kind, chain in _walk_faces(view):
         chain = tuple(chain)
@@ -471,25 +477,23 @@ def _face_classes(G, strand_colour=None):
     return out
 
 
-def _encode_two_graph(G, strand_colour=None, half_mark=None):
-    """Node-classed simple graph for a connected 2-graph, with parallel
-    faces collapsed to one representative chain each.
+def _encode_two_graph(nv, view, colours=None, marks=None):
+    """Node-classed simple graph for a connected 2-graph with ``nv``
+    vertices and integer view ``view``, with parallel faces collapsed to
+    one representative chain each.
 
-    The nodes are the vertices and the half-edges in label order, then,
-    per face class, the sections of its first member followed by one
-    relation node per sigma2 step.  Optional decorations refine the node
-    classes: ``strand_colour`` maps strands to small ints, ``half_mark``
-    maps half-edges to small ints.  Returns (descs, adj, factor, classes,
+    The nodes are the vertices and the half-edges by position, then, per
+    face class, the sections of its first member followed by one
+    relation node per sigma2 step.  Optional decorations by position
+    refine the node classes: ``colours`` lists each section's small int,
+    ``marks`` each half-edge's.  Returns (descs, adj, factor, classes,
     owner): factor is the closed-form order of the collapsed faces,
     m! * a^(m-1) per class, classes the _face_classes output, and owner
     the class index of each section node (None for the other nodes).
-    The nodes are numbered from the integer view.
     """
-    classes = _face_classes(G, strand_colour)
-    view = G.view()
-    nv = len(G.vertices)
-    descs = [(0,)] * nv + [(1,) if half_mark is None else (1, half_mark[h])
-                           for h in G.half_edges]
+    classes = _face_classes(view, colours)
+    descs = [(0,)] * nv + ([(1,)] * len(view.nu) if marks is None else
+                           [(1, m) for m in marks])
     owner = [None] * len(descs)
     # every edge of the encoding is met once, so adj needs no set
     adj = [[] for _ in range(nv)] + [[v] for v in view.nu]
@@ -506,9 +510,7 @@ def _encode_two_graph(G, strand_colour=None, half_mark=None):
             h = nv + view.mu[i]
             adj[h].append(len(adj))
             adj.append([h])
-            col = None if strand_colour is None else \
-                strand_colour[G.strands[i]]
-            descs.append((2, col, m))
+            descs.append((2, None if colours is None else colours[i], m))
             owner.append(idx)
         # chains have even length: sigma1 joins positions 2i and 2i + 1,
         # and a relation node each sigma2 step 2i + 1, 2i + 2 (mod n for
@@ -555,7 +557,10 @@ def _encode_one(nv, classes):
         for v in ends:
             adj[v].append(len(descs))
         descs.append((1, kind, m))
-    return tuple(descs), [tuple(sorted(a)) for a in adj], factor, classes
+    # every list was built in increasing order: the class nodes come
+    # after the vertices, in node order, and a class's ends are (a,) or
+    # (a, b) with a < b
+    return tuple(descs), list(map(tuple, adj)), factor, classes
 
 
 def _one_graph_fields(code):
@@ -725,16 +730,11 @@ def _wreath(coded_auts):
 # 2-graphs
 
 
-def _positional_key(G, strand_colour=None, half_mark=None):
+def _positional_key(nv, view, colours=None, marks=None):
     """Search memo key of a connected 2-graph: the ``marshal`` bytes of
     its vertex count, the five structure maps of its integer view (each
     ``_packed``), and its decorations by position."""
-    return "two", marshal.dumps((
-        len(G.vertices), *map(_packed, G.view()),
-        None if strand_colour is None else [strand_colour[s]
-                                            for s in G.strands],
-        None if half_mark is None else [half_mark[h] for h in G.half_edges]),
-        2)
+    return "two", marshal.dumps((nv, *map(_packed, view), colours, marks), 2)
 
 
 def _packed(positions):
@@ -747,20 +747,50 @@ def _packed(positions):
         return positions
 
 
-def _two_entry(c, strand_colour=None, half_mark=None, encoding=None):
-    """(code, |Aut|, labelling, generators) of a connected 2-graph from the
-    search memo, looked up by its positional key and, on a miss, by its
-    encoding: ``encoding`` if given, else built on that miss only."""
-    key = _positional_key(c, strand_colour, half_mark)
+def _view_entry(nv, view, colours=None, marks=None, encoding=None):
+    """(code, |Aut|, labelling, generators) of the connected 2-graph with
+    ``nv`` vertices, integer view ``view`` and decorations by position,
+    from the search memo: looked up by its positional key, on a miss by
+    its encoding (``encoding`` if given, else built on that miss only),
+    then by its first leaf's code, and searched only when all three
+    miss."""
+    key = _positional_key(nv, view, colours, marks)
     return _lookup(key) or _memoized(
-        "two", encoding or _encode_two_graph(c, strand_colour, half_mark),
+        "two", encoding or _encode_two_graph(nv, view, colours, marks),
         position=key)
+
+
+def _decorations(G, strand_colour=None, half_mark=None):
+    """The decorations of a 2-graph by position: its sections' colours
+    and its half-edges' marks as lists in label order, None where not
+    given."""
+    return (None if strand_colour is None else
+            [strand_colour[s] for s in G.strands],
+            None if half_mark is None else
+            [half_mark[h] for h in G.half_edges])
+
+
+def _two_entries(G, strand_colour=None, half_mark=None):
+    """(kept positions, memo entry) of each connected component of a
+    2-graph, from the view split (``graphs._split_view``): the entry of
+    each component's view (``_view_entry``) with the decorations
+    restricted to its positions."""
+    colours, marks = _decorations(G, strand_colour, half_mark)
+    views = _split_view(G)
+    if len(views) == 1:
+        kept, view = views[0]
+        return [(kept, _view_entry(len(kept[0]), view, colours, marks))]
+    return [(kept, _view_entry(
+        len(kept[0]), view,
+        None if colours is None else [colours[s] for s in kept[2]],
+        None if marks is None else [marks[h] for h in kept[1]]))
+        for kept, view in views]
 
 
 def _two_parts(G, strand_colour=None, half_mark=None):
     """The (code, |Aut|) pairs of the connected components of a 2-graph."""
-    return [_two_entry(c, strand_colour, half_mark)[:2]
-            for c in connected_components(G)]
+    return [entry[:2]
+            for _, entry in _two_entries(G, strand_colour, half_mark)]
 
 
 def _canon_two(G):
@@ -787,10 +817,10 @@ def canonical_form(G):
     """
     forms = []
     for c in connected_components(G):
-        encoding = _encode_two_graph(c)
-        code, _, perm, _ = _two_entry(c, encoding=encoding)
+        nv, nh, view = len(c.vertices), len(c.half_edges), c.view()
+        encoding = _encode_two_graph(nv, view)
+        code, _, perm, _ = _view_entry(nv, view, encoding=encoding)
         classes, owner = encoding[3:]
-        nv, nh = len(c.vertices), len(c.half_edges)
         vmap = {c.vertices[p]: f"v{k}"
                 for k, p in enumerate(p for p in perm if p < nv)}
         hmap = {c.half_edges[p - nv]: f"h{k}"
@@ -826,7 +856,17 @@ def are_isomorphic(G1, G2):
 def automorphism_generators(G, strand_colour=None, half_mark=None):
     """Generators of the automorphism group of a 2-graph, with its
     decorations if given (as in ``canonical_code``), as maps of its
-    half-edges; a half-edge a map leaves out is fixed.
+    half-edges; a half-edge a map leaves out is fixed (the labels of
+    ``_half_edge_generators``)."""
+    hs = G.half_edges
+    return [{hs[a]: hs[b] for a, b in m.items()}
+            for m in _half_edge_generators(G, strand_colour, half_mark)]
+
+
+def _half_edge_generators(G, strand_colour=None, half_mark=None):
+    """Generators of the automorphism group of a 2-graph, with its
+    decorations if given, as maps of its half-edge positions, each
+    listing the positions it moves.
 
     A connected component gives the half-edge action of the generators
     its search found, read from its search memo entry.  Components of one
@@ -838,19 +878,21 @@ def automorphism_generators(G, strand_colour=None, half_mark=None):
     encoding lifts to one of the graph, so the maps are the half-edge
     action of the group.
     """
+    entries = _two_entries(G, strand_colour, half_mark)
     gens, last = [], {}
-    for c in connected_components(G):
-        code, _, labelling, found = _two_entry(c, strand_colour, half_mark)
-        nv, hs = len(c.vertices), c.half_edges
-        gens += [{h: hs[g[nv + k] - nv] for k, h in enumerate(hs)
-                  if g[nv + k] != nv + k} for g in found]
-        # the half-edge nodes come right after the vertices at every leaf
-        order = [hs[p - nv] for p in labelling[nv:nv + len(hs)]]
-        if code in last:
-            swap = dict(zip(last[code], order))
-            swap.update(zip(order, last[code]))
-            gens.append(swap)
-        last[code] = order
+    for (vs, hs, _), (code, _, labelling, found) in entries:
+        nv, end = len(vs), len(vs) + len(hs)
+        gens += [{hs[k]: hs[j - nv] for k, j in enumerate(g[nv:end])
+                  if j - nv != k} for g in found]
+        if len(entries) > 1:
+            # the half-edge nodes come right after the vertices at every
+            # leaf
+            order = [hs[p - nv] for p in labelling[nv:end]]
+            if code in last:
+                swap = dict(zip(last[code], order))
+                swap.update(zip(order, last[code]))
+                gens.append(swap)
+            last[code] = order
     return gens
 
 

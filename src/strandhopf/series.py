@@ -521,13 +521,12 @@ def closed_universe(theory, max_edges):
 
 def _within_budget(pools, budget):
     """Every tuple of one class per pool, in pool order, whose degrees sum
-    to at most ``budget``.
+    to at most ``budget``; each pool is sorted by degree.
 
-    Each pool is walked in degree order, and its loop stops at the first
+    Each pool is walked in its order, and its loop stops at the first
     class whose degree plus the least degrees of the later pools is over
     the budget left, so no tuple over the budget is ever built.
     """
-    pools = [sorted(pool, key=lambda a: a.degree) for pool in pools]
     least = [0] * (len(pools) + 1)  # least degree sum of pools[k:]
     for k in range(len(pools) - 1, -1, -1):
         least[k] = least[k + 1] + pools[k][0].degree
@@ -578,6 +577,8 @@ def check_central_identity(theory, max_edges, bridgeless_only=False):
     by_boundary = {}
     for cls in keep.values():
         by_boundary.setdefault(cls.boundary_code, []).append(cls)
+    for pool in by_boundary.values():   # once, for ``_within_budget``
+        pool.sort(key=lambda a: a.degree)
 
     rhs = {}
     for code, cls in keep.items():

@@ -15,7 +15,7 @@ multiset from its disjoint union (these call the package's gluing,
 dedup and interning), the face walk that sorts, orients and rotates
 its chains afresh, the face classes that align chains by index maps,
 the contraction that reads the external faces of a materialized
-subgraph, the jacket degrees that count the faces of every jacket
+subgraph, the piece built from label dicts, the jacket degrees that count the faces of every jacket
 afresh, and the pinched closure built as a 2-graph.  One
 check compares the package with itself: ``inherited_view_mismatches``
 holds every growth child, built from its parent's data, against a
@@ -611,6 +611,15 @@ def orbit_count_cells(theory, max_edges, connected=True):
     return cells
 
 
+def view_args(G, strand_colour=None, half_mark=None):
+    """The arguments ``iso._positional_key`` and ``iso._encode_two_graph``
+    take for a connected 2-graph with label decorations: its vertex
+    count, its integer view and its decorations by position."""
+    from strandhopf import iso
+    return (len(G.vertices), G.view(),
+            *iso._decorations(G, strand_colour, half_mark))
+
+
 def inherited_view_mismatches(theory, max_edges):
     """Run the growth of ``series.connected_classes`` for ``theory`` up to
     ``max_edges`` edges, as ``enumerate`` does, and compare every growth
@@ -644,9 +653,12 @@ def inherited_view_mismatches(theory, max_edges):
         for what, of in (
                 ("edge pairs", lambda g: g.edge_pairs()),
                 ("view", lambda g: g.view()),
-                ("positional key", lambda g: iso._positional_key(g, col, par)),
-                ("face classes", lambda g: iso._face_classes(g, col)),
-                ("encoding", lambda g: iso._encode_two_graph(g, col, par))):
+                ("positional key",
+                 lambda g: iso._positional_key(*view_args(g, col, par))),
+                ("face classes", lambda g: iso._face_classes(
+                    g.view(), iso._decorations(g, col)[0])),
+                ("encoding",
+                 lambda g: iso._encode_two_graph(*view_args(g, col, par)))):
             if of(c) != of(fresh):
                 bad.append((count[0], what))
                 if what == "view":
@@ -806,6 +818,27 @@ def materialized_contract(G, edges):
                     {s: G.mu[s] for s in new_s},
                     {h: G.iota[h] for h in new_h}, sigma1,
                     {s: G.sigma2[s] for s in new_s})
+
+
+def dict_piece(G, vs, edge_pairs):
+    """The piece of ``G`` on the vertices ``vs`` paired across exactly
+    ``edge_pairs``, every other half-edge at ``vs`` external, built from
+    label dicts: ``graphs._piece`` before pieces were built on positions,
+    kept as the reference the materialized piece must equal."""
+    from strandhopf.graphs import TwoGraph
+    iota = {}
+    for a, b in edge_pairs:
+        iota[a], iota[b] = b, a
+    vset = set(vs)
+    hs = [h for h in G.half_edges if G.nu[h] in vset]
+    hset = set(hs)
+    ss = [s for s in G.strands if G.mu[s] in hset]
+    return TwoGraph(vs, hs, ss, {h: G.nu[h] for h in hs},
+                    {s: G.mu[s] for s in ss},
+                    {h: iota.get(h, h) for h in hs},
+                    {s: G.sigma1[s] for s in ss},
+                    {s: (G.sigma2[s] if G.mu[s] in iota else s)
+                     for s in ss})
 
 
 def unreduced_coproduct(G):

@@ -337,46 +337,54 @@ def test_connected_graph_is_its_own_component():
 
 
 def test_derived_data_matches_a_fresh_computation(monkeypatch):
-    # every graph built while splitting corpus classes and unions and
-    # expanding their coproducts (components, pieces, contractions): one
-    # whose kept partition has one group has a single group when its
-    # pieces are found from scratch, and its edge pairs are those of its
-    # iota
-    from strandhopf import hopf, rewrite
-    from strandhopf.graphs import (_known_connected as known_connected,
-                                   _pairs_of_involution, _pieces)
-    built, contractions = [], []
-    real_init, real_contract = TwoGraph.__init__, rewrite._contract_edges
+    # every graph materialized while splitting corpus classes and unions,
+    # expanding their coproducts into an empty registry and contracting
+    # their subgraphs (components, pieces, contractions) has the integer
+    # view and edge pairs of a fresh graph built from its maps, and one
+    # whose kept partition has one group has a single group when found
+    # from scratch; a contraction of a connected graph is marked so
+    from strandhopf import hopf
+    from strandhopf.graphs import (_connected_groups,
+                                   _known_connected as known_connected,
+                                   _pairs_of_involution)
+    from strandhopf.rewrite import subgraphs
+    built = []
+    real = hopf._materialized
 
-    def init(self, *args, **kwargs):
-        real_init(self, *args, **kwargs)
-        built.append(self)
-
-    def contract(G, edges):
-        out = real_contract(G, edges)
-        contractions.append((known_connected(G), out))
+    def materialized(*args):
+        out = real(*args)
+        built.append(out)
         return out
 
-    monkeypatch.setattr(TwoGraph, "__init__", init)
-    monkeypatch.setattr(rewrite, "_contract_edges", contract)
+    monkeypatch.setattr("strandhopf.graphs._materialized", materialized)
+    monkeypatch.setattr(hopf, "_materialized", materialized)
+    monkeypatch.setattr(hopf, "REGISTRY", {})
     graphs = [io.document_to_graph(e["graph"]) for e in corpus_entries()]
     names = sorted(CORPUS)
     graphs += [disjoint_union([CORPUS[a], CORPUS[b]])
                for a, b in zip(names, names[1:])]
+    contracted = 0
     for g in graphs:
         connected_components(g)
         hopf._coproduct.__wrapped__(hopf.intern_graph(g))
+        for s in subgraphs(g):
+            out = s.contract()
+            if known_connected(g):
+                contracted += 1
+                assert known_connected(out)
     marked = 0
     for k, G in enumerate(built):
-        fresh = _pairs_of_involution(G.iota)
-        assert G.edge_pairs() == fresh, k
+        fresh = TwoGraph(G.vertices, G.half_edges, G.strands, G.nu, G.mu,
+                         G.iota, G.sigma1, G.sigma2)
+        assert G.view() == fresh.view(), k
+        assert G.edge_pairs() == _pairs_of_involution(G.iota), k
         if known_connected(G):
             marked += 1
-            assert len(_pieces(G, fresh)) == 1, k
-    assert all(known_connected(out) for parent, out in contractions
-               if parent)
+            nu = G.nu
+            assert len(_connected_groups(G.vertices, (
+                (nu[a], nu[b]) for a, b in G.edge_pairs()))) == 1, k
     assert marked > len(built) // 2
-    assert sum(1 for parent, _ in contractions if parent) > 1000
+    assert contracted > 1000
 
 
 def test_map_constructor_matches_face_oracle():

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import oracles
-from strandhopf import fixtures, hopf, io, iso, preset, rewrite
+from strandhopf import fixtures, graphs, hopf, io, iso, preset, rewrite
 from strandhopf import (
     LaurentPoly,
     Renormalization,
@@ -295,26 +295,29 @@ def test_orbit_reduced_coproduct_matches_every_subgraph(monkeypatch):
     graphs += [disjoint_union([a, b]) for a, b in zip(small, small[1:])]
     graphs += [disjoint_union([g, g]) for g in small[:4]]
 
-    def tables(expand):
+    def tables(expand, counted):
+        """The tables, the registry and the calls of ``hopf.counted``."""
         registry, expanded = {}, []
+        real = getattr(hopf, counted)
 
         def counting(*args):
             expanded.append(1)
             return real(*args)
 
         monkeypatch.setattr(hopf, "REGISTRY", registry)
-        monkeypatch.setattr(hopf, "el_graph", counting)
+        monkeypatch.setattr(hopf, counted, counting)
         out = [list(expand(hopf.intern_graph(g)).items()) for g in graphs]
-        monkeypatch.setattr(hopf, "el_graph", real)
+        monkeypatch.setattr(hopf, counted, real)
         reps = [(code, graph_fields(g)) for code, g in registry.items()]
         return out, reps, len(expanded)
 
-    real = hopf.el_graph
-    *reduced, n_reduced = tables(hopf._coproduct.__wrapped__)
+    # the expansion finds the pieces once per subgraph it expands, the
+    # oracle forms two elements (left and right side) per subgraph
+    *reduced, n_reduced = tables(hopf._coproduct.__wrapped__, "_pieces")
     *every, n_every = tables(lambda code: oracles.unreduced_coproduct(
-        hopf.graph_of_code(code)))
+        hopf.graph_of_code(code)), "el_graph")
     assert reduced == every
-    assert 0 < n_reduced < n_every
+    assert 0 < n_reduced < n_every // 2
 
 
 def test_coproduct_of_a_union_is_the_product_of_its_factors(monkeypatch):
@@ -425,36 +428,107 @@ def test_coefficients_stay_integers_unless_a_caller_passes_a_fraction():
 
 
 def test_coproduct_builds_each_piece_once(monkeypatch):
-    # a piece (vertex set, edges inside) met again in one expansion is
-    # looked up, not built again; the whole graph, the full subgraph's
-    # only piece, is the class itself and is never built
+    # a piece (vertex positions, edges inside) met again in one expansion
+    # is looked up, not built again by the piece builder; the whole graph,
+    # the full subgraph's only piece, is the class itself and is never
+    # built
     path = Path(__file__).resolve().parent.parent / "perfbench" / "data" / \
         "corpus.json"
     entries = json.loads(path.read_text(encoding="utf-8"))["graphs"]
     g = next(io.document_to_graph(e["graph"]) for e in entries
              if e["edges"] == 3 and e["coproduct_terms"] >= 6)
     visits, builds = [], []
-    real_pieces, real_piece = hopf._pieces, hopf._piece
+    real_pieces, real_piece_view = hopf._pieces, hopf._piece_view
 
     def pieces(*args):
         out = real_pieces(*args)
         visits.extend(out)
         return out
 
-    def piece(G, *key):
+    def piece_view(view, *key):
         builds.append(key)
-        return real_piece(G, *key)
+        return real_piece_view(view, *key)
 
     monkeypatch.setattr(hopf, "_pieces", pieces)
-    monkeypatch.setattr(hopf, "_piece", piece)
+    monkeypatch.setattr(hopf, "_piece_view", piece_view)
     code = hopf.intern_graph(g)
     rep = hopf.graph_of_code(code)
-    whole = (rep.vertices, rep.edge_pairs())
+    whole = (tuple(range(len(rep.vertices))),
+             tuple(graphs._edge_positions(rep.view())))
     table = hopf._coproduct.__wrapped__(code)
     assert whole in visits
     assert sorted(builds) == sorted(set(visits) - {whole})
     assert len(builds) < len(visits)
     assert table == oracles.unreduced_coproduct(hopf.graph_of_code(code))
+
+
+def test_disconnected_representative_expands_like_every_subgraph(
+        monkeypatch):
+    # a union interned as it is has no known term: its pieces come from
+    # the view, its contractions are split into components by the view
+    # split, and its automorphisms swap equal components; its table must
+    # be the expansion over every wide subgraph, keys in order, and the
+    # classes it registers, in order, those the expansion registers
+    rng = random.Random(1031)
+    smalls = [oracles.random_relabelled(g, rng) for g in CORPUS.values()
+              if g.n_edges() <= 2 and len(connected_components(g)) == 1]
+    unions = [disjoint_union([a, b]) for a, b in zip(smalls, smalls[1:])]
+    unions += [disjoint_union([g, g]) for g in smalls[:3]]
+    unions.append(disjoint_union([smalls[0], smalls[1], smalls[0]]))
+
+    def expand(table_of):
+        registry = {}
+        monkeypatch.setattr(hopf, "REGISTRY", registry)
+        tables = []
+        for g in unions:
+            tables.append(list(table_of(hopf.intern_graph(g)).items()))
+        return tables, [(code, graph_fields(g))
+                        for code, g in registry.items()]
+
+    got = expand(hopf._coproduct.__wrapped__)
+    want = expand(lambda code: oracles.unreduced_coproduct(
+        hopf.graph_of_code(code)))
+    assert all(len(connected_components(g)) >= 2 for g in unions)
+    assert got == want
+    assert any(len(rm) > 1 or rm[0][1] > 1 for table in got[0]
+               for (_, rm), _ in table)
+
+
+def test_expanding_known_term_classes_materializes_nothing(monkeypatch):
+    # once every class a table names is registered, expanding the class
+    # again looks each piece and contraction up as a view and
+    # materializes no graph; the table is the same
+    monkeypatch.setattr(hopf, "REGISTRY", {})
+    rng = random.Random(1032)
+    sample = [io.document_to_graph(e["graph"])
+              for e in corpus_entries()[::15]]
+    sample += [oracles.random_relabelled(g, rng) for g in sample[::2]]
+    sample.append(disjoint_union(sample[:2]))
+    codes = [hopf.intern_graph(g) for g in sample]
+    first = [list(hopf._coproduct.__wrapped__(code).items())
+             for code in codes]
+    made = []
+    real = hopf._materialized
+
+    def counting(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hopf, "_materialized", counting)
+    # a fresh registry with the same classes, in a new order
+    monkeypatch.setattr(hopf, "REGISTRY", dict(reversed(
+        hopf.REGISTRY.items())))
+    again = [list(hopf._coproduct.__wrapped__(code).items())
+             for code in codes]
+    assert again == first
+    assert not made
+    # against an empty registry the same expansions must materialize
+    monkeypatch.setattr(hopf, "REGISTRY", {})
+    for code, g in zip(codes, sample):
+        hopf.REGISTRY.setdefault(code, g)
+    assert [list(hopf._coproduct.__wrapped__(code).items())
+            for code in codes] == first
+    assert made
 
 
 def test_union_with_labels_1_and_text_1_is_multiplicative(monkeypatch):
@@ -509,31 +583,35 @@ def test_known_terms_build_no_graph(monkeypatch):
     sample += [oracles.random_relabelled(g, rng) for g in sample[::3]]
     sample += list(CORPUS.values())
     contractions, pieces = [], []
-    real_contract, real_piece = rewrite._contract_edges, hopf._piece
+    real_contract, real_piece = hopf._contracted_view, hopf._piece_view
 
-    def contract(G, edges):
+    def contract(nv, view, edges):
         contractions.append(tuple(edges))
-        return real_contract(G, edges)
+        return real_contract(nv, view, edges)
 
-    def piece(G, vs, edges):
+    def piece(view, vs, edges):
         pieces.append((vs, edges))
-        return real_piece(G, vs, edges)
+        return real_piece(view, vs, edges)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a graph was built")
 
-    monkeypatch.setattr(rewrite, "_contract_edges", contract)
-    monkeypatch.setattr(hopf, "_piece", piece)
+    monkeypatch.setattr(hopf, "_contracted_view", contract)
+    monkeypatch.setattr(hopf, "_piece_view", piece)
     codes = [hopf.intern_graph(c)
              for g in sample for c in connected_components(g)]
+    contracted = 0
     for code in codes:
         rep = graph_of_code(code)
         del contractions[:], pieces[:]
         table = hopf._coproduct(code)
+        contracted += len(contractions)
         assert all(contractions), code
-        assert (rep.vertices, rep.edge_pairs()) not in pieces, code
+        assert (tuple(range(len(rep.vertices))), tuple(
+            graphs._edge_positions(rep.view()))) not in pieces, code
         assert list(table.items()) == list(
             oracles.unreduced_coproduct(rep).items()), code
+    assert contracted > len(codes)
     seen, todo = set(), list(codes)
     while todo:             # cache every table the antipode recursion reads
         code = todo.pop()

@@ -100,6 +100,42 @@ def test_contract_matches_materialized_contraction():
                 oracles.materialized_contract(g, s.edges)), s.edges
 
 
+def test_materialized_pieces_and_contractions_match_label_builds():
+    # on every wide subgraph of each fixture and of a relabelling of it,
+    # each piece built on positions and materialized equals the piece
+    # built from label dicts, and the materialized contraction equals the
+    # one read off the materialized subgraph: labels, maps and the view
+    # (preset by the materializer, computed afresh by the references)
+    from test_series import graph_fields   # test_series imports this file
+    from strandhopf import graphs
+    rng = random.Random(31)
+    cases = list(CORPUS.values())
+    cases += [oracles.random_relabelled(g, rng) for g in cases]
+    pieces = contractions = 0
+    for g in cases:
+        nv, view = len(g.vertices), g.view()
+        hpos = {h: k for k, h in enumerate(g.half_edges)}
+        for s in subgraphs(g):
+            edges = [tuple(sorted((hpos[a], hpos[b]))) for a, b in s.edges]
+            for vs, inside in graphs._pieces(nv, view, edges):
+                got = graphs._materialized(
+                    g, *graphs._piece_view(view, vs, inside), True)
+                want = oracles.dict_piece(
+                    g, [g.vertices[v] for v in vs],
+                    [(g.half_edges[a], g.half_edges[b]) for a, b in inside])
+                assert graph_fields(got) == graph_fields(want), s.edges
+                assert got.view() == want.view(), s.edges
+                assert got.derived.groups == (got.vertices,)
+                pieces += 1
+            got = graphs._materialized(
+                g, *graphs._contracted_view(nv, view, edges), False)
+            want = oracles.materialized_contract(g, s.edges)
+            assert graph_fields(got) == graph_fields(want), s.edges
+            assert got.view() == want.view(), s.edges
+            contractions += 1
+    assert pieces > contractions > 100
+
+
 def growth_children():
     """Growth children (``rewrite._with_edges``) of the connected corpus
     graphs: joining two of their external half-edges ("pair"), or one of
@@ -132,12 +168,13 @@ def test_growth_child_of_a_connected_graph_is_marked_connected(monkeypatch):
     children = growth_children()
     assert all(len(kids) > 20 for kids in children.values())
     every = children["pair"] + children["new vertex"]
-    assert [len(graphs._pieces(c, c.edge_pairs())) for c in every] == \
-        [1] * len(every)
+    assert [len(graphs._pieces(len(c.vertices), c.view(),
+                               graphs._edge_positions(c.view())))
+            for c in every] == [1] * len(every)
     assert all(c.derived.groups == (c.vertices,) for c in every)
     calls = []
     monkeypatch.setattr(graphs, "_pieces", lambda *a: calls.append(a))
-    monkeypatch.setattr(graphs, "_piece", lambda *a: calls.append(a))
+    monkeypatch.setattr(graphs, "_materialized", lambda *a: calls.append(a))
     for c in every:
         assert connected_components(c) == (c,)
     assert not calls

@@ -2,6 +2,8 @@
 
 import gc
 import itertools
+import random
+import types
 import weakref
 from fractions import Fraction
 
@@ -163,11 +165,14 @@ def test_central_identity_small_bounds():
 def test_central_check_builds_only_assignments_within_budget():
     # the right-hand side of the check walks only the assignments of
     # universe classes to vertices within the degree budget; they must be
-    # exactly those that filtering itertools.product keeps
+    # exactly those that filtering itertools.product keeps (the pools
+    # sorted by degree, as the check sorts them)
     _, classes = closed_universe(preset("gw4"), 2)
     by_boundary = {}
     for cls in classes.values():
         by_boundary.setdefault(cls.boundary_code, []).append(cls)
+    for pool in by_boundary.values():
+        pool.sort(key=lambda a: a.degree)
     built = kept = 0
     for cls in classes.values():
         pools = [by_boundary.get(one_graph_code(vertex_graph(cls.graph, v)))
@@ -186,6 +191,25 @@ def test_central_check_builds_only_assignments_within_budget():
     assert (len(classes), built, kept) == (64, 31877, 158)
     assert list(series._within_budget([], 0)) == [()]
     assert list(series._within_budget([], -1)) == []
+
+
+def test_within_budget_is_the_filtered_product_of_sorted_pools():
+    # on pools sorted by degree, the walk yields exactly the tuples of
+    # itertools.product whose degrees fit the budget, in product order
+    rng = random.Random(31)
+    tried = kept = 0
+    for _ in range(300):
+        pools = [sorted((types.SimpleNamespace(degree=rng.randrange(4))
+                         for _ in range(rng.randrange(1, 5))),
+                        key=lambda a: a.degree)
+                 for _ in range(rng.randrange(1, 4))]
+        budget = rng.randrange(-1, 7)
+        want = [a for a in itertools.product(*pools)
+                if sum(c.degree for c in a) <= budget]
+        assert list(series._within_budget(pools, budget)) == want
+        tried += 1
+        kept += bool(want)
+    assert 0 < kept < tried
 
 
 def test_central_check_keeps_no_universe_type_alive(monkeypatch):
