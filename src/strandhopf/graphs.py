@@ -40,7 +40,8 @@ graph's view and partition.  The view split (``_split_view``), the
 components of a graph or of a built view by the piece builder, serves
 ``connected_components``, the canonization of a disconnected graph and
 the coproduct alike; ``connected_components``, ``contract`` and
-``residue`` materialize what it or the contraction builder gives.
+``residue`` materialize what it or the contraction builder gives, and
+``boundary`` reads the residue's view (``_residue_view``) unmaterialized.
 
 A growth child (``rewrite._with_edges``) is built without sorting or
 copying what it shares with its parent: the label tuples, the ``nu``,
@@ -731,6 +732,13 @@ def residue(G):
     return _contract_edges(G, edges) if edges else G
 
 
+def _residue_view(G):
+    """The kept positions and the ``View`` of the residue of ``G``, whose
+    vertex-graph union is the boundary, with no graph built."""
+    view = G.view()
+    return _contracted_view(len(G.vertices), view, _edge_positions(view))
+
+
 def skeleton(G):
     """Forget all edges and edge-strand pairs, keep everything else."""
     return TwoGraph(G.vertices, G.half_edges, G.strands, dict(G.nu),
@@ -740,8 +748,12 @@ def skeleton(G):
 
 def boundary(G):
     """The 1-graph of external half-edges with external-face endpoint
-    pairs as edges (the vertex-graph union of the residue)."""
-    return vertex_graphs_union(residue(G))
+    pairs as edges (the vertex-graph union of ``_residue_view``)."""
+    (_, hs, ss), view = _residue_view(G)
+    hs = [G.half_edges[i] for i in hs]
+    ss = [G.strands[i] for i in ss]
+    return OneGraph(hs, ss, {s: hs[p] for s, p in zip(ss, view.mu)},
+                    {s: ss[p] for s, p in zip(ss, view.sigma1)})
 
 
 def boundary_components(G):

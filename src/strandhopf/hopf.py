@@ -226,10 +226,13 @@ def _interned(G, kept, view):
     """The class code of the connected graph with integer view ``view``
     on the positions ``kept`` of ``G``, looked up on the view.  Its graph
     is materialized (``graphs._materialized``) and interned only when the
-    code is new to ``REGISTRY``."""
-    code = _view_entry(len(kept[0]), view)[0]
+    code is new to ``REGISTRY``, with the (code, |Aut|) pair of the entry
+    in hand, so it is not keyed again."""
+    code, aut = _view_entry(len(kept[0]), view)[:2]
     if code not in REGISTRY:
-        intern_graph(_materialized(G, kept, view, True))
+        g = _materialized(G, kept, view, True)
+        g.derived.canon = code, aut
+        intern_graph(g)
     return code
 
 

@@ -951,15 +951,20 @@ def _canon_one(g):
     return _one_class(_one_entries(g))
 
 
+def _union_components(view):
+    """The ``_one_components`` of the union of the vertex graphs (sections
+    attached by ``mu``, paired by ``sigma1``) of an integer view; of the
+    boundary on ``graphs._residue_view``, with no 1-graph built."""
+    return _one_components(len(view.nu), view.mu, view.sigma1)
+
+
 def _vertex_components(G):
-    """The ``_one_components`` of the union of the vertex graphs of a
-    2-graph (its sections attached by ``mu`` to its half-edges and paired
-    by ``sigma1``), split from its integer view and listed per vertex of
+    """The ``_union_components`` of a 2-graph listed per vertex of
     ``G.vertices``: since ``sigma1`` is vertex-local, each lies at the
     vertex ``nu`` of its vertices."""
     view = G.view()
     parts = [[] for _ in G.vertices]
-    for piece in _one_components(len(view.nu), view.mu, view.sigma1):
+    for piece in _union_components(view):
         parts[view.nu[piece[0][0]]].append(piece)
     return parts
 

@@ -13,12 +13,22 @@ through an exact correction term), and both are checked against it in
 the tests.
 
 The jacket (Gurau) degrees of a graph, of its pinched closure and of
-its boundary all come from one routine, ``_coloured_graph_degree``,
-which reads them off perfect matchings of the half-edges, one per
-colour.  The closure's matchings extend the graph's by one node per
-external half-edge, so no capped graph is built.  ``classify`` builds
-each component's boundary and strand colouring once and reads every
-report field from them.
+its boundary all come from one routine, ``_coloured_graph_degree``, on
+a coloured graph: n colours, each matching the N nodes, colour 0 fixing
+L of them.  A jacket is a cyclic order of the colours up to rotation
+and reflection, (n-1)!/2 of them.  Per component and jacket four times
+the genus is 4 - 2 (nodes + faces + boundary circles) + N n - L.  Each
+colour pair is adjacent in (n-2)! jackets, colour 0 sits between a
+given pair of other colours in (n-3)!, and the rest adds up over the K
+components, so four times the degree is
+
+    (n-1)!/2 (4K - 2N + N n - L) - 2 (n-2)! F - 2 (n-3)! C,
+
+F the faces summed over the colour pairs and C the boundary circles
+over the pairs of non-zero colours: one union-find and one cycle walk
+per colour pair.  The closure adds one node per fixed node, so no capped
+graph is built.  ``classify`` reads every report field from one residue
+view and one strand colouring per component.
 """
 
 from __future__ import annotations
@@ -29,9 +39,10 @@ from fractions import Fraction
 from math import floor
 
 from .graphs import (GraphError, OneGraph, _connected_groups, boundary,
-                     connected_components, euler_characteristic, faces,
+                     connected_components, euler_characteristic,
                      internal_face_count, is_bridgeless, is_connected,
-                     vertex_graphs_union, _Frozen, _Value)
+                     vertex_graphs_union, _residue_view, _walk_faces,
+                     _Frozen, _Value)
 from . import iso, series
 from .series import DressedType, _memo_on_type
 
@@ -261,15 +272,15 @@ def genus(G):
     negative result (pinched or twisted gluings, multi-trace vertices)
     raises GraphError.
     """
-    return sum(_genus(comp, boundary(comp))
+    return sum(_genus(comp, len(boundary(comp).components()))
                for comp in connected_components(G))
 
 
-def _genus(G, b):
-    """``genus`` of a connected ``G`` with boundary ``b``."""
+def _genus(G, k):
+    """``genus`` of a connected ``G`` with ``k`` boundary components."""
     if any(G.strand_degree(h) != 2 for h in G.half_edges):
         raise GraphError("genus needs strand degree two everywhere")
-    g, odd = divmod(2 - len(b.components()) - euler_characteristic(G), 2)
+    g, odd = divmod(2 - k - euler_characteristic(G), 2)
     if odd or g < 0:
         raise GraphError("no orientable surface realizes this graph")
     return g
@@ -278,24 +289,28 @@ def _genus(G, b):
 def infer_colouring(G):
     """Assign colours 1..r to the strand sections so that sections paired
     by either involution share a colour and each half-edge sees every
-    colour once.  Raises GraphError when no proper colouring exists."""
+    colour once.  Raises GraphError when no proper colouring exists.
+
+    The faces are walked on the integer view and numbered in the order of
+    ``faces(G)``, internal first, which fixes the colouring found."""
     degs = {G.strand_degree(h) for h in G.half_edges}
     if not degs:
         return {}
     if len(degs) != 1:
         raise GraphError("mixed strand degrees cannot be coloured")
     r = degs.pop()
-    internal, external = faces(G)
-    face_of = {}
-    for k, f in enumerate(internal + external):
-        for s in f.sections:
+    _, _, mu, _, _ = view = G.view()
+    chains = sorted(_walk_faces(view), key=lambda f: f[0] == "external")
+    nfaces = len(chains)
+    face_of = [0] * len(mu)
+    for k, (_, chain) in enumerate(chains):
+        for s in chain:
             face_of[s] = k
-    nfaces = len(internal) + len(external)
-    at_half = {h: [] for h in G.half_edges}
-    for s in G.strands:
-        at_half[G.mu[s]].append(face_of[s])
+    at_half = [[] for _ in view.nu]
+    for s, h in enumerate(mu):
+        at_half[h].append(face_of[s])
     conflict = [set() for _ in range(nfaces)]
-    for h, fs in at_half.items():
+    for fs in at_half:
         if len(set(fs)) != len(fs):
             raise GraphError("a face repeats a half-edge; not colourable")
         for a, b in itertools.combinations(fs, 2):
@@ -319,129 +334,86 @@ def infer_colouring(G):
 
     if not assign(0):
         raise GraphError("no proper strand colouring exists")
-    return {s: colour_of[face_of[s]] for s in G.strands}
+    return {s: colour_of[f] for s, f in zip(G.strands, face_of)}
 
 
-def _cyclic_orders(colours):
-    """Cyclic orders of the colour set up to rotation and reflection."""
-    colours = sorted(colours)
-    if len(colours) <= 2:
-        return [tuple(colours)]
-    first = colours[0]
-    rest = colours[1:]
-    out = []
-    for perm in itertools.permutations(rest):
-        if perm[0] < perm[-1]:
-            out.append((first,) + perm)
-    return out
-
-
-def _coloured_graph_degree(nodes, match, ends=(), circles=None):
-    """Total jacket genus of the graph on ``nodes`` whose edges of colour c
-    are the pairs of the matching ``match[c]``, each jacket's boundary
-    circles filled by discs.
+def _coloured_graph_degree(match, ends=(), circles=None):
+    """Total jacket genus of the graph on the nodes 0..N-1 whose edges of
+    colour c are the pairs of ``match[c]``, a list over the nodes, each
+    jacket's boundary circles filled by discs, by the closed form of the
+    module docstring.
 
     Colour 0 may fix the nodes in ``ends``.  A face run of colours 0 and
     c that starts at an end stops at an end; such runs close into
-    boundary circles through ``circles[c]``, which joins each end to the
-    end its colour-c run reaches.  A jacket is a cyclic order of the colours up
-    to rotation and reflection; where 0 sits between ca and cb its
-    circles alternate ``circles[ca]`` and ``circles[cb]``.  Per connected
-    component and jacket, four times the genus is
-    4 - 2 (nodes + faces + circles) + the nodes matched by each colour,
-    summed over the colours.  With at most two colours the degree is
-    zero: by convention for one colour, and exactly for two."""
-    colours = sorted(match)
-    if len(colours) <= 2:
+    boundary circles through ``circles[c]``, a list over range(len(ends))
+    that joins the k-th end to the end its colour-c run reaches.  With at
+    most two colours the degree is zero: by convention for one colour,
+    and exactly for two."""
+    n = len(match)
+    if n <= 2:
         return Fraction(0)
-    jackets = _cyclic_orders(colours)
-    pairs = (p for m in match.values() for p in m.items())
-    quarters = 0   # four times the genus, so every step stays an integer
-    for members in _connected_groups(nodes, pairs):
-        legs = [x for x in members if x in ends]
-        base = 4 - 2 * len(members) + len(members) * len(colours) - len(legs)
-        # faces per colour pair and circles per pair of colours beside 0,
-        # each counted once and shared by the jackets that have them
-        faces, n_circles = {}, {}
-        for cyc in jackets:
-            quarters += base
-            for pair in zip(cyc, cyc[1:] + cyc[:1]):
-                a, b = sorted(pair, reverse=True)   # colour 0 comes last
-                if (a, b) not in faces:
-                    faces[a, b] = _count_cycles_in(
-                        members, match[a], match[b], ends if b == 0 else ())
-                quarters -= 2 * faces[a, b]
-            if legs:
-                i0 = cyc.index(0)
-                ca, cb = sorted((cyc[i0 - 1], cyc[(i0 + 1) % len(cyc)]))
-                if (ca, cb) not in n_circles:
-                    n_circles[ca, cb] = _count_cycles_in(legs, circles[ca],
-                                                         circles[cb])
-                quarters -= 2 * n_circles[ca, cb]
-    return Fraction(quarters, 4)
+    nodes = len(match[0])
+    k = len(_connected_groups(range(nodes), (
+        (x, y) for m in match for x, y in enumerate(m) if x < y)))
+    n_faces = sum(_cycle_count(match[b], match[a], ends if a == 0 else ())
+                  for a, b in itertools.combinations(range(n), 2))
+    n_circles = sum(_cycle_count(circles[a], circles[b]) for a, b in
+                    itertools.combinations(range(1, n), 2)) if ends else 0
+    f = math.factorial
+    return Fraction(f(n - 1) // 2 * (4 * k - 2 * nodes + nodes * n - len(ends))
+                    - 2 * f(n - 2) * n_faces - 2 * f(n - 3) * n_circles, 4)
 
 
-def _count_cycles_in(members, ma, mb, ends=()):
-    """Closed cycles among ``members`` that alternate the matchings ``ma``
-    and ``mb``.  Runs that start at a node in ``ends`` are walked first and
-    do not count; they stop where ``ma`` reaches a node in ``ends``."""
-    seen = set()
+def _cycle_count(ma, mb, ends=()):
+    """Closed cycles that alternate the matchings ``ma`` and ``mb``, lists
+    over the same nodes.  The runs from the nodes in ``ends``, all the
+    nodes ``mb`` fixes, are walked first and do not count."""
+    seen = [False] * len(ma)
     count = 0
-    for n in itertools.chain((h for h in members if h in ends), members):
-        if n in seen:
-            continue
-        if n not in ends:
-            count += 1
-        cur = n
-        while True:
-            seen.add(cur)
-            cur = ma[cur]
-            seen.add(cur)
-            if cur in ends:
-                break
-            cur = mb[cur]
-            if cur == n:
-                break
+    for x in itertools.chain(ends, range(len(ma))):
+        if not seen[x]:
+            count += mb[x] != x
+            while not seen[x]:
+                seen[x] = True
+                x = ma[x]
+                seen[x] = True
+                x = mb[x]
     return count
 
 
-def _colour_matchings(sections, attach, pair, col, r):
-    """One matching of carriers per colour 1..r: each ``pair``-joined
-    couple of sections of a colour matches their ``attach`` carriers."""
-    match = {c: {} for c in range(1, r + 1)}
-    for s in sections:
-        match[col[s]][attach[s]] = attach[pair[s]]
-    return match
-
-
-def _jacket_graphs(G, col, b):
+def _jacket_graphs(G, col, residue):
     """The coloured graphs whose jacket degrees are those of ``G`` (open),
-    of its pinched closure and of its boundary ``b``, as argument tuples
-    of ``_coloured_graph_degree``, all made from one set of colour
-    matchings under the strand colouring ``col``.
+    of its pinched closure and of its boundary, as argument tuples of
+    ``_coloured_graph_degree``, made on positions from one set of colour
+    matchings under the strand colouring ``col``; ``residue`` is
+    ``graphs._residue_view(G)``.
 
-    The half-edges of ``G`` are the nodes; colour 0 pairs them along
-    edges and fixes the external half-edges (the vertices of ``b``),
-    colours 1..r pair them along through-strands, and the boundary's
-    colour-c matching pairs the external half-edges along the external
-    faces of colour c.  The pinched closure caps every boundary component
-    with one vertex carrying its vertex graph; it adds one node per
-    external half-edge h, joined to h by colour 0 and to the other new
-    nodes by colour c as the boundary's colour-c matching joins the
-    external half-edges.  The cap vertices never enter the count, so no
-    capped 2-graph is built; the new nodes are fresh objects, equal to no
-    label of ``G``."""
+    The half-edge positions of ``G`` are the nodes; colour 0 pairs them
+    along edges and fixes the external half-edges (the legs, kept by the
+    residue), colours 1..r pair them along through-strands, and the
+    boundary's colour-c matching (the residue's ``sigma1``) pairs the
+    legs along the external faces of colour c.  The pinched closure caps
+    every boundary component with one vertex carrying its vertex graph:
+    one new node per leg, after ``G``'s, joined to its leg by colour 0 and
+    to the other new nodes by colour c as the boundary joins the legs."""
+    _, iota, mu, s1, _ = G.view()
+    (_, legs, kept), bview = residue
     r = G.strand_degree(G.half_edges[0]) if G.strands else 0
-    match = _colour_matchings(G.strands, G.mu, G.sigma1, col, r)
-    match[0] = G.iota
-    circles = _colour_matchings(b.half_edges, b.attach, b.pairing, col, r)
-    cap = {h: object() for h in b.vertices}
-    closed = {c: {**match[c], **{cap[h]: cap[k] for h, k in m.items()}}
-              for c, m in circles.items()}
-    closed[0] = {**G.iota, **cap, **{k: h for h, k in cap.items()}}
-    return ((G.half_edges, match, cap.keys(), circles),
-            ([*G.half_edges, *cap.values()], closed),
-            (b.vertices, circles))
+    cols = [col[s] for s in G.strands]
+    n = len(iota)
+    match = [iota] + [[None] * n for _ in range(r)]
+    for s, c in enumerate(cols):
+        match[c][mu[s]] = mu[s1[s]]
+    circles = [None] + [[None] * len(legs) for _ in range(r)]
+    at, pair = bview.mu, bview.sigma1
+    for k, s in enumerate(kept):
+        circles[cols[s]][at[k]] = at[pair[k]]
+    capped = list(iota) + legs
+    for k, h in enumerate(legs):
+        capped[h] = n + k
+    closed = [capped] + [m + [n + x for x in c]
+                         for m, c in zip(match[1:], circles[1:])]
+    return (match, legs, circles), (closed,), (circles[1:],)
 
 
 def gurau_degree(G, colouring=None):
@@ -457,7 +429,8 @@ def boundary_gurau_degree(G, colouring=None):
     the strand colours of ``G``; zero when the boundary has at most two
     strand colours."""
     col = infer_colouring(G) if colouring is None else colouring
-    return _coloured_graph_degree(*_jacket_graphs(G, col, boundary(G))[2])
+    return _coloured_graph_degree(
+        *_jacket_graphs(G, col, _residue_view(G))[2])
 
 
 def gurau_degree_open(G):
@@ -467,18 +440,18 @@ def gurau_degree_open(G):
     vertex, so its degree can exceed the jacket-by-jacket degree of
     ``open_jacket_degree``; both are reported so the gap stays visible.
     """
-    _, closed, bounding = _jacket_graphs(G, infer_colouring(G), boundary(G))
+    _, closed, bounding = _jacket_graphs(G, infer_colouring(G),
+                                         _residue_view(G))
     return _coloured_graph_degree(*closed), _coloured_graph_degree(*bounding)
 
 
-def _incidence_components(G):
-    """Half-edge classes connected through edges or through-strands.
-
-    A multi-trace vertex graph does not tie its components together, so
-    this can be finer than the vertex-level component split."""
-    strand_pairs = ((G.mu[s], G.mu[G.sigma1[s]]) for s in G.strands)
-    return _connected_groups(G.half_edges,
-                             itertools.chain(G.iota.items(), strand_pairs))
+def _incidence_count(G):
+    """The number of half-edge classes joined by edges or through-strands;
+    a multi-trace vertex graph does not tie its components together, so
+    this can exceed the number of connected components."""
+    _, iota, mu, s1, _ = G.view()
+    return len(_connected_groups(range(len(iota)), itertools.chain(
+        enumerate(iota), ((mu[s], mu[t]) for s, t in enumerate(s1)))))
 
 
 def open_jacket_degree(G, colouring=None):
@@ -488,7 +461,8 @@ def open_jacket_degree(G, colouring=None):
     components; zero without strands.  On a closed graph this is the
     Gurau degree."""
     col = infer_colouring(G) if colouring is None else colouring
-    return _coloured_graph_degree(*_jacket_graphs(G, col, boundary(G))[0])
+    return _coloured_graph_degree(
+        *_jacket_graphs(G, col, _residue_view(G))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +472,10 @@ def open_jacket_degree(G, colouring=None):
 def _matrix_form(theory, G):
     """(matrix closed form, the invariants it reads)."""
     d = Fraction(theory.dimension)
-    b = boundary(G)
+    k = len(boundary(G).components())
     inv = v_ext, k, g, slot_sum, V = (
-        len(G.external_half_edges()), len(b.components()),
-        _genus(G, b) if is_connected(G) else genus(G), len(G.half_edges),
+        len(G.external_half_edges()), k,
+        _genus(G, k) if is_connected(G) else genus(G), len(G.half_edges),
         len(G.vertices))
     return (-d * (V - 1) + (d - 1) / 2 * (slot_sum - v_ext)
             - d * (2 * g + k - 1)), inv
@@ -521,15 +495,15 @@ def _tensorial_form(theory, G):
     d = Fraction(theory.dimension)
     r = theory.rank
     d_r = d * (r - 1)
-    b = boundary(G)
-    opened, _, bounding = _jacket_graphs(G, infer_colouring(G), b)
+    residue = _residue_view(G)
+    opened, _, bounding = _jacket_graphs(G, infer_colouring(G), residue)
     wg = _coloured_graph_degree(*opened)
     wb = _coloured_graph_degree(*bounding)
     bubbles = len(vertex_graphs_union(G).components())
     inv = v_ext, k, wg, wb, excess, n_inc = (
-        len(b.vertices), len(b.components()), wg, wb,
+        len(residue[0][1]), len(iso._union_components(residue[1])), wg, wb,
         len(G.vertices) - bubbles,
-        len(_incidence_components(G)) if G.half_edges else 1)
+        _incidence_count(G) if G.half_edges else 1)
     jackets = Fraction(math.factorial(r - 1))
     return (d_r - (d_r - theory.zeta) / 2 * v_ext
             - d * ((wg - wb) * 2 / jackets + k - 1)
@@ -572,27 +546,30 @@ class DivergenceReport(_Value):
 
 
 def classify(theory, G):
-    """Per-component divergence report list.  Each component's boundary
-    and strand colouring are built once, and every report field is read
-    from them."""
+    """Per-component divergence report list.  Each component's residue
+    view and strand colouring are built once, and every report field is
+    read from them: the boundary's legs, code and components from the
+    view's ``iso._union_components``, with no residue or boundary graph
+    built, and the jacket degrees from ``_jacket_graphs``."""
     out = []
     for comp in connected_components(G):
         deg = superficial_degree(theory, comp)
         bridgeless = is_bridgeless(comp)
-        b = boundary(comp)
+        residue = _residue_view(comp)
+        bparts = iso._union_components(residue[1])
         rep = DivergenceReport(
             iso.canonical_code(comp), len(comp.vertices), comp.n_edges(),
-            internal_face_count(comp), len(b.vertices),
-            iso.one_graph_code(b), deg,
+            internal_face_count(comp), len(residue[0][1]),
+            iso._one_class(bparts)[0], deg,
             deg >= 0 and comp.n_edges() > 0 and bridgeless, bridgeless)
         try:
-            rep.genus = _genus(comp, b)
+            rep.genus = _genus(comp, len(bparts))
         except GraphError:
             pass
         try:
             rep.gurau, rep.gurau_capped, rep.boundary_gurau = (
                 _coloured_graph_degree(*args) for args in
-                _jacket_graphs(comp, infer_colouring(comp), b))
+                _jacket_graphs(comp, infer_colouring(comp), residue))
         except GraphError:
             pass
         out.append(rep)

@@ -73,8 +73,8 @@ import itertools
 from fractions import Fraction
 
 from .graphs import (GraphError, boundary, disjoint_union, is_bridgeless,
-                     _connected_groups, _label_key, _positions, _Frozen,
-                     _Value)
+                     _connected_groups, _label_key, _positions,
+                     _residue_view, _Frozen, _Value)
 from . import hopf, iso
 from .rewrite import instantiate_vertex_type, _glue_options, _with_edges
 
@@ -321,7 +321,8 @@ class ConnectedClass(_Value):
     @functools.cached_property
     def boundary_code(self):
         """Plain code of the boundary, computed on first access."""
-        return iso.one_graph_code(boundary(self.graph))
+        return iso._one_class(
+            iso._union_components(_residue_view(self.graph)[1]))[0]
 
 
 def _record(raw, g, n_edges, degree):
@@ -448,7 +449,8 @@ def enumerate_diagrams(theory, max_edges, connected=True, boundary_graph=None):
 
     if want is not None:
         # the boundary of a union is the union of the parts' boundaries
-        bparts = [iso._one_entries(boundary(c.graph)) for c in conn]
+        bparts = [iso._union_components(_residue_view(c.graph)[1])
+                  for c in conn]
     for combo in build(0, 0, 0, []):
         if want is not None and iso._one_class(
                 [p for i in combo for p in bparts[i]])[0] != want:

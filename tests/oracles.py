@@ -15,8 +15,10 @@ multiset from its disjoint union (these call the package's gluing,
 dedup and interning), the face walk that sorts, orients and rotates
 its chains afresh, the face classes that align chains by index maps,
 the contraction that reads the external faces of a materialized
-subgraph, the piece built from label dicts, the jacket degrees that count the faces of every jacket
-afresh, and the pinched closure built as a 2-graph.  One
+subgraph, the piece built from label dicts and the pinched closure
+built as a 2-graph.  The jacket degrees that count the faces of every
+jacket afresh share no code with the package: their matchings, face
+walk, components and cyclic orders are their own.  One
 check compares the package with itself: ``inherited_view_mismatches``
 holds every growth child, built from its parent's data, against a
 fresh graph built from its maps.
@@ -903,86 +905,128 @@ def cap_boundary(G):
     return TwoGraph(vertices, half_edges, strands, nu, mu, iota, s1, s2)
 
 
-def per_jacket_coloured_degree(nodes, match_by_colour):
-    """Total jacket genus of a properly edge-coloured graph, counting the
-    faces of every jacket afresh: ``models._coloured_graph_degree``
-    before it counted each colour pair once, kept as the reference it
-    must equal.  It shares the cycle count with the package."""
-    from strandhopf.graphs import _connected_groups
-    from strandhopf.models import _count_cycles_in, _cyclic_orders
+def cyclic_orders(colours):
+    """Every cyclic order of ``colours`` up to rotation and reflection:
+    each permutation reduced to the least of its rotations and their
+    reversals, the distinct results sorted."""
+    found = set()
+    for perm in itertools.permutations(sorted(colours)):
+        turns = [perm[i:] + perm[:i] for i in range(len(perm))]
+        found.add(min(turns + [t[::-1] for t in turns]))
+    return sorted(found)
+
+
+def matching_components(nodes, matchings):
+    """Connected components (lists) of the graph on ``nodes`` whose edges
+    are the pairs of the dict ``matchings``, by depth-first search; a node
+    that a matching leaves out or fixes has no edge of it."""
+    where = {}
+    out = []
+    for x in nodes:
+        if x in where:
+            continue
+        where[x] = x
+        members, stack = [x], [x]
+        while stack:
+            y = stack.pop()
+            for m in matchings:
+                z = m.get(y, y)
+                if z not in where:
+                    where[z] = x
+                    members.append(z)
+                    stack.append(z)
+        out.append(members)
+    return out
+
+
+def alternating_cycles(nodes, ma, mb, ends=()):
+    """Closed cycles among ``nodes`` that alternate the dict matchings
+    ``ma`` and ``mb``: the components of their union with no node in
+    ``ends`` (a component with an end is a path between two ends)."""
+    return sum(1 for c in matching_components(nodes, (ma, mb))
+               if not any(x in ends for x in c))
+
+
+def coloured_matchings(G, colouring):
+    """The coloured graph of a properly strand-coloured 2-graph, read from
+    its label dicts: colour 0 is ``iota`` (fixing the external
+    half-edges), colour c >= 1 joins the half-edges of the two sections
+    of each colour-c through-strand."""
+    match = {0: dict(G.iota)}
+    for s in G.strands:
+        match.setdefault(colouring[s], {})[G.mu[s]] = G.mu[G.sigma1[s]]
+    return match
+
+
+def boundary_matchings(G, colouring):
+    """The boundary's coloured matchings: the colour-c matching joins the
+    external half-edges at the two ends of each external face of colour
+    c, found by walking sigma1 then sigma2 from each sigma2-fixed section
+    to the other end."""
+    match = {}
+    for s in G.strands:
+        if G.sigma2[s] != s:
+            continue
+        t = G.sigma1[s]
+        while G.sigma2[t] != t:
+            t = G.sigma1[G.sigma2[t]]
+        match.setdefault(colouring[s], {})[G.mu[s]] = G.mu[t]
+    return match
+
+
+def per_jacket_coloured_degree(nodes, match_by_colour, ends=(),
+                               circles=None):
+    """Total jacket genus of a properly edge-coloured graph (dict
+    matchings per colour), each jacket's boundary circles filled by
+    discs, counting the faces of every jacket afresh: per connected
+    component and jacket (``cyclic_orders``), the genus from V - E + F +
+    circles.  Colour 0 may fix the nodes in ``ends``; a face run of
+    colours 0 and c from an end stops at an end and is no face
+    (``alternating_cycles``), and the jacket's boundary circles alternate
+    ``circles[ca]`` and ``circles[cb]`` (dicts over the ends), ca and cb
+    the colours beside 0."""
     colours = sorted(match_by_colour)
     if len(colours) <= 2:
         return Fraction(0)
-    pairs = (p for m in match_by_colour.values() for p in m.items())
+    ends = set(ends)
     total = Fraction(0)
-    for members in _connected_groups(nodes, pairs):
+    for members in matching_components(nodes, match_by_colour.values()):
         v = len(members)
-        e = Fraction(v * len(colours), 2)
-        for cyc in _cyclic_orders(colours):
-            fj = 0
-            for i in range(len(cyc)):
-                a, b = cyc[i], cyc[(i + 1) % len(cyc)]
-                fj += _count_cycles_in(members, match_by_colour[a],
-                                       match_by_colour[b])
-            total += Fraction(2 - (v - e + fj), 2)
+        legs = [x for x in members if x in ends]
+        e = Fraction(v * len(colours) - len(legs), 2)
+        for cyc in cyclic_orders(colours):
+            fj = sum(alternating_cycles(members, match_by_colour[a],
+                                        match_by_colour[b],
+                                        ends if 0 in (a, b) else ())
+                     for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+            bj = 0
+            if legs:
+                i0 = cyc.index(0)
+                bj = alternating_cycles(legs, circles[cyc[i0 - 1]],
+                                        circles[cyc[(i0 + 1) % len(cyc)]])
+            total += Fraction(2 - bj - (v - e + fj), 2)
     return total
 
 
 def per_jacket_open_degree(G, colouring):
     """Total jacket genus of a uniformly stranded graph with its boundary
-    circles filled, counting the face runs and boundary circles of every
-    jacket afresh: ``models.open_jacket_degree`` before it counted each
-    colour pair once, kept as the reference it must equal.  It shares
-    the matchings, components and cycle count with the package."""
-    from strandhopf.graphs import boundary
-    from strandhopf.models import (_colour_matchings, _count_cycles_in,
-                                   _cyclic_orders, _incidence_components)
-    if not G.strands:
-        return Fraction(0)
-    r = G.strand_degree(G.half_edges[0])
-    match = _colour_matchings(G.strands, G.mu, G.sigma1, colouring, r)
-    externals = set(G.external_half_edges())
-    if externals:
-        b = boundary(G)
-        pcol = _colour_matchings(b.half_edges, b.attach, b.pairing,
-                                 colouring, r)
-    total = Fraction(0)
-    for members in _incidence_components(G):
-        n = len(members)
-        e0 = sum(1 for h in members if G.iota[h] != h) // 2
-        e_tot = e0 + Fraction(n * r, 2)
-        legs = [h for h in members if h in externals]
-        for cyc in _cyclic_orders(range(r + 1)):
-            fj = 0
-            for i in range(len(cyc)):
-                a, c = cyc[i], cyc[(i + 1) % len(cyc)]
-                if 0 in (a, c):
-                    fj += _count_cycles_in(members, match[a or c], G.iota,
-                                           externals)
-                else:
-                    fj += _count_cycles_in(members, match[a], match[c])
-            bj = 0
-            if legs:
-                i0 = cyc.index(0)
-                ca, cb = cyc[i0 - 1], cyc[(i0 + 1) % len(cyc)]
-                bj = _count_cycles_in(legs, pcol[ca], pcol[cb])
-            total += Fraction(2 - bj - (n - e_tot + fj), 2)
-    return total
+    circles filled: ``per_jacket_coloured_degree`` of its coloured graph
+    (``coloured_matchings``), whose colour 0 fixes the external
+    half-edges, with the boundary's matchings (``boundary_matchings``) as
+    the circles."""
+    return per_jacket_coloured_degree(
+        G.half_edges, coloured_matchings(G, colouring),
+        [h for h in G.half_edges if G.iota[h] == h],
+        boundary_matchings(G, colouring))
 
 
 def per_jacket_boundary_degree(G, colouring):
     """``models.boundary_gurau_degree`` on ``per_jacket_coloured_degree``:
     the jacket genus of the boundary of ``G``, coloured by the strand
-    colours of ``G``."""
-    from strandhopf.graphs import boundary
-    from strandhopf.models import _colour_matchings
-    b = boundary(G)
-    if not b.vertices:
-        return Fraction(0)
-    r = G.strand_degree(G.half_edges[0])
-    match = _colour_matchings(b.half_edges, b.attach, b.pairing, colouring,
-                              r)
-    return per_jacket_coloured_degree(list(b.vertices), match)
+    colours of ``G`` (``boundary_matchings``)."""
+    return per_jacket_coloured_degree(
+        [h for h in G.half_edges if G.iota[h] == h],
+        boundary_matchings(G, colouring))
 
 
 def random_laurent(rng, span=4, terms=3):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 import oracles
 import strandhopf
-from strandhopf import cli, fixtures, io, models, series
+from strandhopf import cli, fixtures, graphs, io, models, series
 from strandhopf import (
     GraphError,
     boundary,
@@ -34,8 +35,7 @@ from strandhopf import (
 )
 from strandhopf.graphs import (connected_components, disjoint_union,
                                relabel)
-from strandhopf.models import (_colour_matchings, _coloured_graph_degree,
-                               boundary_gurau_degree)
+from strandhopf.models import boundary_gurau_degree
 from oracles import cap_boundary
 
 BGR = preset("bgr")
@@ -64,8 +64,8 @@ def test_classify_and_degree_read_the_vertex_classes_once(monkeypatch):
     # from the integer view once, one encoding per vertex-graph component,
     # and kept on the graph.  The graph is the first bgr corpus class with
     # a double-dipole vertex, whose vertex graph has two components.  The
-    # encodings of 1-graphs split from their labels (the boundaries) are
-    # not counted.
+    # boundary is split from the residue's view too, one encoding per
+    # boundary component, and no 1-graph is split from its labels.
     from strandhopf import graphs, iso, rewrite
     path = Path(__file__).resolve().parent.parent / "perfbench" / "data" / \
         "corpus.json"
@@ -76,6 +76,7 @@ def test_classify_and_degree_read_the_vertex_classes_once(monkeypatch):
     g = io.document_to_graph(entry["graph"])
     components = sum(len(graphs.vertex_graph(g, v).components())
                      for v in g.vertices)
+    n_boundary = len(boundary(g).components())
     calls = {"_encode_one": 0, "_one_entries": 0}
     weights = {"_encode_one": lambda result: 1, "_one_entries": len}
     for name in calls:
@@ -95,7 +96,8 @@ def test_classify_and_degree_read_the_vertex_classes_once(monkeypatch):
     degree = superficial_degree(BGR, g)
     assert [str(rep.degree) for rep in reps] == [str(degree)] == \
         [entry["superficial_degree"]]
-    assert calls["_encode_one"] - calls["_one_entries"] == components
+    assert calls == {"_encode_one": components + n_boundary,
+                     "_one_entries": 0}
     assert len(g.derived.vertex_classes) == len(g.vertices)
 
 
@@ -116,9 +118,10 @@ def test_gurau_degree_equals_genus_for_two_strands():
 
 
 def test_gurau_degree_matches_coloured_graph_degree_on_closed_graphs():
-    # reference: the jacket genus of the properly (r+1)-edge-coloured
-    # graph whose colour-0 matching is the edges, on every colourable
-    # capped component of the corpus and the fixtures
+    # reference: the per-jacket genus of the properly (r+1)-edge-coloured
+    # graph whose colour-0 matching is the edges, built by the oracle from
+    # the label dicts, on every colourable capped component of the corpus
+    # and the fixtures
     path = Path(__file__).resolve().parent.parent / "perfbench" / "data" / \
         "corpus.json"
     entries = json.loads(path.read_text(encoding="utf-8"))["graphs"]
@@ -131,11 +134,8 @@ def test_gurau_degree_matches_coloured_graph_degree_on_closed_graphs():
                 col = infer_colouring(c)
             except GraphError:
                 continue
-            r = c.strand_degree(c.half_edges[0])
-            match = _colour_matchings(c.strands, c.mu, c.sigma1, col, r)
-            match[0] = dict(c.iota)
-            assert gurau_degree(c, col) == \
-                _coloured_graph_degree(list(c.half_edges), match)
+            assert gurau_degree(c, col) == oracles.per_jacket_coloured_degree(
+                list(c.half_edges), oracles.coloured_matchings(c, col))
             checked += 1
     assert checked == 321
 
@@ -366,16 +366,67 @@ def test_jacket_degrees_match_the_per_jacket_reference():
             assert gurau_degree(capped, cap_col) == closed, t.code
             assert open_jacket_degree(capped, cap_col) == closed, t.code
             assert boundary_gurau_degree(capped, cap_col) == 0, t.code
-            r = capped.strand_degree(capped.half_edges[0])
-            match = _colour_matchings(capped.strands, capped.mu,
-                                      capped.sigma1, cap_col, r)
-            match[0] = dict(capped.iota)
-            assert _coloured_graph_degree(list(capped.half_edges), match) \
-                == oracles.per_jacket_coloured_degree(
-                    list(capped.half_edges), match) == closed, t.code
+            assert oracles.per_jacket_coloured_degree(
+                list(capped.half_edges),
+                oracles.coloured_matchings(capped, cap_col)) == closed, t.code
             checked += 1
             positive += want > 0 or closed > 0
     assert (checked, positive) == (47, 29)
+
+
+def random_coloured_graph(rng, n):
+    """(matchings as lists over the nodes, ends) of a random properly
+    n-edge-coloured graph made of one to three parts; colour 0 leaves an
+    even number of nodes of each part fixed, the ends."""
+    match, ends = [[] for _ in range(n)], []
+    for _ in range(rng.randint(1, 3)):
+        base, size = len(match[0]), 2 * rng.randint(1, 4)
+        for c in range(n):
+            nodes = rng.sample(range(base, base + size), size)
+            legs = 2 * rng.randint(0, size // 2) if c == 0 else 0
+            part = list(range(base, base + size))
+            for x, y in zip(nodes[legs::2], nodes[legs + 1::2]):
+                part[x - base], part[y - base] = y, x
+            match[c] += part
+            ends += nodes[:legs]
+    return match, sorted(ends)
+
+
+def test_jacket_closed_form_matches_the_per_jacket_oracle_on_random_graphs():
+    # the closed form counts each colour pair once and multiplies by the
+    # number of jackets that have it; the oracle counts every jacket of
+    # every component afresh.  The boundary circles join each end to the
+    # end its run of colours c and 0 reaches
+    rng = random.Random(3201)
+    seen = set()
+    positive = 0
+    for _ in range(150):
+        n = rng.randint(3, 5)
+        match, ends = random_coloured_graph(rng, n)
+        index = {x: k for k, x in enumerate(ends)}
+        circles = [None]
+        for c in range(1, n):
+            reached = []
+            for x in ends:
+                y = match[c][x]
+                while match[0][y] != y:
+                    y = match[c][match[0][y]]
+                reached.append(index[y])
+            circles.append(reached)
+        got = models._coloured_graph_degree(match, ends, circles)
+        dicts = {c: dict(enumerate(m)) for c, m in enumerate(match)}
+        want = oracles.per_jacket_coloured_degree(
+            range(len(match[0])), dicts, ends,
+            {c: {ends[k]: ends[j] for k, j in enumerate(m)}
+             for c, m in enumerate(circles) if m is not None})
+        assert got == want, (n, match, ends)
+        parts = len(oracles.matching_components(range(len(match[0])),
+                                                dicts.values()))
+        seen.add((n, bool(ends), parts > 1))
+        positive += got > 0
+    assert seen == {(n, legs, split) for n in (3, 4, 5)
+                    for legs in (False, True) for split in (False, True)}
+    assert positive > 50
 
 
 def test_divergent_sets_are_contraction_closed_in_class():
@@ -414,7 +465,9 @@ def test_classify_flags():
 
 def test_classify_builds_one_boundary_and_colouring_per_component(
         monkeypatch):
-    calls = {"boundary": 0, "infer_colouring": 0}
+    # the boundary is read from one residue view per component; no
+    # boundary 1-graph is built
+    calls = {"_residue_view": 0, "infer_colouring": 0, "boundary": 0}
     for name in calls:
         def counting(G, real=getattr(models, name), name=name):
             calls[name] += 1
@@ -426,20 +479,23 @@ def test_classify_builds_one_boundary_and_colouring_per_component(
                       (GW4, fixtures.gw_ladder())):
         calls.update(dict.fromkeys(calls, 0))
         n = len(classify(theory, g))
-        assert calls == {"boundary": n, "infer_colouring": n}
+        assert calls == {"_residue_view": n, "infer_colouring": n,
+                         "boundary": 0}
 
 
 def test_renormalizability_check_builds_one_boundary_per_class(
         monkeypatch):
-    # enumeration builds no boundary, and the matrix closed form hands
-    # its boundary to the genus of the connected class
+    # enumeration builds no boundary, the matrix closed form hands its
+    # boundary's component count to the genus of the connected class, and
+    # the tensorial one reads its boundary from one residue view (which
+    # ``boundary`` builds too)
     calls = [0]
 
-    def counting(G, real=models.boundary):
+    def counting(G, real=graphs._residue_view):
         calls[0] += 1
         return real(G)
-    for module in (models, series):
-        monkeypatch.setattr(module, "boundary", counting)
+    for module in (graphs, models, series):
+        monkeypatch.setattr(module, "_residue_view", counting)
     for theory, e, report in ((GW4, 2, (30, 3, 4)), (MQ3, 2, (33, 5, 4)),
                               (BGR, 1, (14, 3, 2))):
         with_edges = sum(1 for t in enumerate_diagrams(theory, e).terms
