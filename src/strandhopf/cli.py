@@ -15,8 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import hopf, io, iso, models, rewrite, series
-from .graphs import (GraphError, boundary, euler_characteristic, faces,
-                     validate)
+from .graphs import GraphError, euler_characteristic, faces, validate
 
 
 def _jsonable(x):
@@ -108,7 +107,8 @@ def _cmd_validate(args):
 
 def _info_dict(g, theory):
     internal, external = faces(g)
-    b = boundary(g)
+    parts = models._boundaries(g)
+    bparts = [p for *_, found in parts for p in found]
     info = {
         "vertices": len(g.vertices),
         "edges": g.n_edges(),
@@ -117,21 +117,22 @@ def _info_dict(g, theory):
         "internal_faces": len(internal),
         "external_faces": len(external),
         "external_half_edges": len(g.external_half_edges()),
-        "boundary_components": len(b.components()),
-        "boundary_code": iso.one_graph_code(b),
+        "boundary_components": len(bparts),
+        "boundary_code": iso._one_class(bparts)[0],
         "euler_characteristic": euler_characteristic(g),
         "canonical_code": iso.canonical_code(g),
         "automorphisms": iso.automorphism_count(g),
     }
     try:
-        info["genus"] = models.genus(g)
+        info["genus"] = sum(models._genus(c, len(found))
+                            for c, _, found in parts)
     except GraphError:
         pass
     if theory is not None:
         info["theory"] = theory.name
         info["superficial_degree"] = models.superficial_degree(theory, g)
         info["components"] = [dict(vars(rep))
-                              for rep in models.classify(theory, g)]
+                              for rep in models._classify(theory, parts)]
     return info
 
 
@@ -151,7 +152,7 @@ def _cmd_contract(args):
     by_text = {}
     for h in g.half_edges:
         by_text.setdefault(str(h), []).append(h)
-    named = set()
+    named, external = set(), set(g.external_half_edges())
     for t in tokens:
         hs = by_text.get(t)
         if not hs:
@@ -159,7 +160,7 @@ def _cmd_contract(args):
         if len(hs) > 1:
             raise GraphError(f"half-edge {t!r} is ambiguous: labels "
                              + " and ".join(json.dumps(h) for h in hs))
-        if g.iota[hs[0]] == hs[0]:
+        if hs[0] in external:
             raise GraphError(f"half-edge {t!r} is external, not an edge")
         named.add(hs[0])
     # edge_pairs() orders each pair and the pairs by label key

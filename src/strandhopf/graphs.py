@@ -16,40 +16,26 @@ Labels are opaque strings (or any sortable hashables of one type).  All
 value types are treated as immutable once built; operations return new
 graphs.
 
-What a 2-graph derives from its maps and keeps lives in one place, its
-``derived`` record (``Derived``), each value computed at most once.  Its
-component partition comes from the one union-find of ``_groups``, or is
-one group, set by ``rewrite._with_edges`` (growth children) and the
-materializer on graphs connected by construction.  Its integer view
-(``View``, from ``TwoGraph.view``) holds the five structure maps over
-positions; the face walk, ``iso``'s keys and encodings read it instead
-of the label dicts.  The label-to-position maps it is built from are not
-kept.  Its vertex classes (``iso.vertex_classes``) are the (code, |Aut|)
-pairs of its vertex graphs in vertex order, split from the view by the
-one 1-graph split of ``iso``; power counting and the central check weigh
-and match vertices by them.  The record holds no other graph and no
-other record.
+A 2-graph stores its sorted label tuples and one structure, its integer
+view (``View``): the two attachment maps and the three involutions as
+lists over positions.  Everything else, the label maps ``G.nu`` to
+``G.sigma2`` too, is derived from the view when first read and kept in
+its ``derived`` record (``Derived``).  The public constructor's label
+dicts become those kept maps and the view is built from them on first
+use, so ``validate`` sees a malformed input as it was given.  Every
+builder of the package writes a view and no label dict (``_joined``
+moves positions into label order where a relabelling changes it); only
+the I/O writers, ``validate``, ``to_complex``, the ``from_*``
+constructors and the public accessors read label dicts.  The coproduct
+canonizes the views of the piece and contraction builders
+(``_piece_view``, ``_contracted_view``) as they are, and only the
+materializer (``_materialized``) attaches the parent's labels to one.
 
-Pieces (a vertex set with some edges inside it) and contractions are
-built on positions: one piece builder (``_piece_view``) and one
-contraction builder (``_contracted_view``) each take a view and return
-the positions of the parent they keep with the new ``View``.  The
-coproduct canonizes that view as it is; only the materializer
-(``_materialized``) attaches the parent's labels, and it presets the
-graph's view and partition.  The view split (``_split_view``), the
-components of a graph or of a built view by the piece builder, serves
-``connected_components``, the canonization of a disconnected graph and
-the coproduct alike; ``connected_components``, ``contract`` and
-``residue`` materialize what it or the contraction builder gives, and
-``boundary`` reads the residue's view (``_residue_view``) unmaterialized.
-
-A growth child (``rewrite._with_edges``) is built without sorting or
-copying what it shares with its parent: the label tuples, the ``nu``,
-``mu`` and ``sigma1`` dicts, the ``nu``, ``mu`` and ``sigma1`` arrays
-of the view, and the ``half_edges_at`` and ``strands_at`` maps are the
-parent's own objects.  So nothing may write into a graph's label tuples,
-structure dicts, view or derived maps in place; no code in the package
-does (every write goes to a dict or list that the writing function
+A growth child (``rewrite._with_edges``) shares its label tuples, its
+fibre maps and all its view lists but ``iota`` and ``sigma2`` with its
+parent, and has no label dict.  So nothing may write into a graph's
+label tuples, view or derived maps in place; no code in the package
+does (every write goes to a list or dict that the writing function
 built).
 """
 
@@ -115,19 +101,6 @@ def _sorted_labels(xs):
     return tuple(sorted(xs, key=_label_key))
 
 
-def _pairs_of_involution(m):
-    """Size-2 orbits of an involution dict, as sorted tuples, sorted."""
-    seen = set()
-    out = []
-    for a, b in m.items():
-        if a == b or a in seen or b in seen:
-            continue
-        seen.add(a)
-        seen.add(b)
-        out.append(tuple(sorted((a, b), key=_label_key)))
-    return tuple(sorted(out, key=lambda p: (_label_key(p[0]), _label_key(p[1]))))
-
-
 def _involution_of_pairs(domain, pairs):
     m = {x: x for x in domain}
     for a, b in pairs:
@@ -174,7 +147,9 @@ class OneGraph:
     # derived views ---------------------------------------------------
 
     def edge_pairs(self):
-        return _pairs_of_involution(self.pairing)
+        hpos = _positions(self.half_edges)
+        return _label_pairs(self.half_edges,
+                            [hpos[self.pairing[h]] for h in self.half_edges])
 
     def external(self):
         return tuple(h for h in self.half_edges if self.pairing[h] == h)
@@ -209,24 +184,25 @@ class OneGraph:
 
 
 class Derived:
-    """The derived data of one 2-graph, each field None until computed.
+    """The view of one 2-graph and its derived data, None until computed.
 
-    ``edge_pairs`` is ``TwoGraph.edge_pairs()``, ``half_edges_at`` and
-    ``strands_at`` map each vertex to its half-edges and each half-edge to
-    its sections, ``faces`` is ``faces(G)`` and ``canon`` the (code,
-    |Aut|) pair of ``iso``.  ``groups`` is the component partition of
-    ``_groups``, ``view`` is ``TwoGraph.view()``, and ``vertex_classes``
-    the (code, |Aut|) pair of each vertex graph, in vertex order
-    (``iso.vertex_classes``).
+    ``view`` is ``TwoGraph.view()``, ``maps`` the label maps in ``View``
+    order (each None until read), ``edge_pairs`` ``TwoGraph.edge_pairs()``;
+    ``half_edges_at`` and ``strands_at`` map each vertex to its half-edges
+    and each half-edge to its sections, ``faces`` is ``faces(G)``,
+    ``canon`` the (code, |Aut|) pair of ``iso``, ``groups`` the component
+    partition (``_groups``, or one group, set on graphs connected by
+    construction) and ``vertex_classes`` the (code, |Aut|) pair of each
+    vertex graph, in vertex order (``iso.vertex_classes``).
     """
 
     __slots__ = ("edge_pairs", "half_edges_at", "strands_at", "faces",
-                 "canon", "groups", "view", "vertex_classes")
+                 "canon", "groups", "view", "maps", "vertex_classes")
 
-    def __init__(self):
+    def __init__(self, view=None, maps=None):
         self.edge_pairs = self.half_edges_at = self.strands_at = None
-        self.faces = self.canon = self.groups = self.view = None
-        self.vertex_classes = None
+        self.faces = self.canon = self.groups = None
+        self.view, self.maps, self.vertex_classes = view, maps, None
 
 
 View = namedtuple("View", "nu iota mu sigma1 sigma2")
@@ -235,10 +211,28 @@ View.__doc__ = """The integer view of a 2-graph: ``nu``, ``iota``, ``mu``,
 (in ``G.half_edges`` or ``G.strands``) of the positions their maps send
 them to (in ``G.vertices``, ``G.half_edges`` or ``G.strands``)."""
 
+# (domain, codomain) of each View map: 0 vertices, 1 half-edges, 2 sections
+_CARRIERS = ((1, 0), (1, 1), (2, 1), (2, 2), (2, 2))
+
 
 def _positions(labels):
     """Each label of a sorted label tuple mapped to its position."""
     return {x: k for k, x in enumerate(labels)}
+
+
+def _label_map(k):
+    """The ``View`` map ``k`` as a label dict, built when first read."""
+    def read(G):
+        maps = G.derived.maps
+        if maps is None:
+            maps = G.derived.maps = [None] * 5
+        if maps[k] is None:
+            labels = G.vertices, G.half_edges, G.strands
+            dom, cod = _CARRIERS[k]
+            maps[k] = dict(zip(labels[dom], map(labels[cod].__getitem__,
+                                                G.view()[k])))
+        return maps[k]
+    return property(read)
 
 
 class TwoGraph:
@@ -248,19 +242,21 @@ class TwoGraph:
     to half-edges.  ``iota`` pairs half-edges into edges (fixed points are
     external), ``sigma1`` pairs sections at a vertex (fixed-point free,
     vertex-local), ``sigma2`` pairs sections across edges (compatible with
-    ``iota``; fixes exactly the sections of external half-edges).  Every
-    value derived from these maps and kept is in ``derived`` (see the
-    module docstring).  Equal only to itself.
+    ``iota``; fixes exactly the sections of external half-edges).  The
+    maps are stored once, as the integer view; as label dicts they are
+    read-only properties (see the module docstring).  Every value derived
+    and kept is in ``derived``.  Equal only to itself.
     """
+
+    nu, iota, mu, sigma1, sigma2 = map(_label_map, range(5))
 
     def __init__(self, vertices, half_edges, strands, nu, mu, iota, sigma1,
                  sigma2):
         self.vertices = _sorted_labels(vertices)
         self.half_edges = _sorted_labels(half_edges)
         self.strands = _sorted_labels(strands)
-        self.nu, self.mu, self.iota = dict(nu), dict(mu), dict(iota)
-        self.sigma1, self.sigma2 = dict(sigma1), dict(sigma2)
-        self.derived = Derived()
+        self.derived = Derived(maps=[dict(nu), dict(iota), dict(mu),
+                                     dict(sigma1), dict(sigma2)])
 
     @classmethod
     def make(cls, vertices, half_edges, strands, nu, mu,
@@ -280,103 +276,115 @@ class TwoGraph:
     def half_edges_at(self, v):
         d = self.derived
         if d.half_edges_at is None:
-            d.half_edges_at = _fibres(self.vertices, self.half_edges, self.nu)
+            d.half_edges_at = _fibres(self.vertices, self.half_edges,
+                                      self.view().nu)
         return d.half_edges_at[v]
 
     def strands_at(self, h):
         d = self.derived
         if d.strands_at is None:
-            d.strands_at = _fibres(self.half_edges, self.strands, self.mu)
+            d.strands_at = _fibres(self.half_edges, self.strands,
+                                   self.view().mu)
         return d.strands_at[h]
 
     def edge_pairs(self):
         d = self.derived
         if d.edge_pairs is None:
-            d.edge_pairs = _pairs_of_involution(self.iota)
+            d.edge_pairs = _label_pairs(self.half_edges, self.view().iota)
         return d.edge_pairs
 
     def view(self):
-        """The integer view (``View``) of this graph, kept in ``derived``."""
+        """The integer view (``View``) of this graph, kept in ``derived``;
+        built from the constructor's label dicts on first use."""
         d = self.derived
         if d.view is None:
-            vpos, hpos, spos = map(_positions, (self.vertices,
-                                                self.half_edges,
-                                                self.strands))
-            hs, ss = self.half_edges, self.strands
-            d.view = View([vpos[self.nu[h]] for h in hs],
-                          [hpos[self.iota[h]] for h in hs],
-                          [hpos[self.mu[s]] for s in ss],
-                          [spos[self.sigma1[s]] for s in ss],
-                          [spos[self.sigma2[s]] for s in ss])
+            labels = self.vertices, self.half_edges, self.strands
+            pos = [_positions(xs) for xs in labels]
+            d.view = View(*([pos[cod][m[x]] for x in labels[dom]]
+                            for m, (dom, cod) in zip(d.maps, _CARRIERS)))
         return d.view
 
     def n_edges(self):
         return len(self.edge_pairs())
 
     def external_half_edges(self):
-        return tuple(h for h in self.half_edges if self.iota[h] == h)
+        hs = self.half_edges
+        return tuple(hs[i] for i, j in enumerate(self.view().iota) if i == j)
 
     def external_strands(self):
-        return tuple(s for s in self.strands if self.sigma2[s] == s)
+        ss = self.strands
+        return tuple(ss[i] for i, j in enumerate(self.view().sigma2) if i == j)
 
     def vertex_strand_pairs(self):
-        return _pairs_of_involution(self.sigma1)
+        return _label_pairs(self.strands, self.view().sigma1)
 
     def edge_strand_pairs(self):
-        return _pairs_of_involution(self.sigma2)
+        return _label_pairs(self.strands, self.view().sigma2)
 
     def strand_degree(self, h):
         return len(self.strands_at(h))
 
 
-def _assembled(vertices, half_edges, strands, nu, mu, iota, sigma1,
-               sigma2):
-    """The 2-graph with exactly these fields: label tuples already in
-    label order (such as subsequences of another graph's) and structure
-    dicts that become its own, neither sorted, copied nor checked."""
+def _assembled(vertices, half_edges, strands, view):
+    """The 2-graph with exactly these label tuples, already in label order
+    (such as subsequences of another graph's), and this integer view,
+    neither sorted, copied nor checked."""
     out = TwoGraph.__new__(TwoGraph)
     out.vertices, out.half_edges, out.strands = vertices, half_edges, strands
-    out.nu, out.mu, out.iota, out.sigma1, out.sigma2 = \
-        nu, mu, iota, sigma1, sigma2
-    out.derived = Derived()
+    out.derived = Derived(view)
     return out
 
 
-def _fibres(base, items, f):
-    """Each element of ``base`` mapped to the tuple of ``items`` that ``f``
-    sends to it, in ``items`` order."""
-    d = {b: [] for b in base}
-    for x in items:
-        d[f[x]].append(x)
-    return {b: tuple(xs) for b, xs in d.items()}
+def _label_pairs(labels, inv):
+    """The pairs of an involution on the positions of ``labels``, sorted."""
+    return tuple((labels[i], labels[j]) for i, j in enumerate(inv) if i < j)
 
 
-def _mapped_fields(G, fv, fh, fs):
-    """Constructor arguments of ``G`` (a 2-graph or a 1-graph) with its
-    vertex, half-edge and strand labels sent through ``fv``, ``fh``,
-    ``fs``; label lists become lists, structure maps dicts."""
-    vs = [fv(v) for v in G.vertices]
-    hs = [fh(h) for h in G.half_edges]
-    if isinstance(G, OneGraph):
-        return (vs, hs, {fh(h): fv(v) for h, v in G.attach.items()},
-                {fh(h): fh(k) for h, k in G.pairing.items()})
-    return (vs, hs, [fs(s) for s in G.strands],
-            {fh(h): fv(v) for h, v in G.nu.items()},
-            {fs(s): fh(h) for s, h in G.mu.items()},
-            {fh(h): fh(k) for h, k in G.iota.items()},
-            {fs(s): fs(t) for s, t in G.sigma1.items()},
-            {fs(s): fs(t) for s, t in G.sigma2.items()})
+def _fibres(base, items, at):
+    """Each of ``base`` mapped to the ``items`` that ``at`` sends to it."""
+    d = [[] for _ in base]
+    for x, p in zip(items, at):
+        d[p].append(x)
+    return dict(zip(base, map(tuple, d)))
+
+
+def _joined(parts):
+    """The 2-graph of the ``parts`` (G, fv, fh, fs) side by side, labels
+    sent through fv, fh and fs and positions shifted past the graphs
+    before, then moved to the places of their labels in label order."""
+    labels, maps = ([], [], []), ([], [], [], [], [])
+    for G, *fs in parts:
+        shift = [len(xs) for xs in labels]
+        for xs, f, own in zip(labels, fs, (G.vertices, G.half_edges,
+                                           G.strands)):
+            xs += map(f, own)
+        for m, own, (_, cod) in zip(maps, G.view(), _CARRIERS):
+            m += [p + shift[cod] for p in own]
+    orders = [sorted(range(len(xs)), key=list(map(_label_key, xs)).__getitem__)
+              for xs in labels]
+    if any(o != list(range(len(o))) for o in orders):
+        where = [_new_positions(o, len(o)) for o in orders]
+        labels = [[xs[i] for i in o] for xs, o in zip(labels, orders)]
+        maps = [[where[cod][m[i]] for i in orders[dom]]
+                for m, (dom, cod) in zip(maps, _CARRIERS)]
+    return _assembled(*map(tuple, labels), View(*maps))
+
+
+def _mapped_one(g, fv, fh):
+    """Constructor arguments of the 1-graph ``g`` relabelled by fv, fh."""
+    return ([fv(v) for v in g.vertices], [fh(h) for h in g.half_edges],
+            {fh(h): fv(v) for h, v in g.attach.items()},
+            {fh(h): fh(k) for h, k in g.pairing.items()})
 
 
 def relabel(G, vmap=None, hmap=None, smap=None):
     """Copy of a 2-graph or 1-graph with labels renamed through the maps;
     labels missing from a map are kept."""
-    vmap = vmap or {}
-    hmap = hmap or {}
-    smap = smap or {}
-    return type(G)(*_mapped_fields(G, lambda v: vmap.get(v, v),
-                                   lambda h: hmap.get(h, h),
-                                   lambda s: smap.get(s, s)))
+    fv, fh, fs = (lambda x, m=m or {}: m.get(x, x)
+                  for m in (vmap, hmap, smap))
+    if isinstance(G, OneGraph):
+        return OneGraph(*_mapped_one(G, fv, fh))
+    return _joined([(G, fv, fh, fs)])
 
 
 def disjoint_union(graphs, prefix=True):
@@ -390,18 +398,13 @@ def disjoint_union(graphs, prefix=True):
     its graph."""
     graphs = list(graphs)
     maps = _union_labels(graphs) if prefix else [lambda x: x] * len(graphs)
-    kind, acc = TwoGraph, ([], [], [], {}, {}, {}, {}, {})
-    for i, (g, f) in enumerate(zip(graphs, maps)):
-        parts = _mapped_fields(g, f, f, f)
-        if i == 0:
-            kind, acc = type(g), parts
-            continue
-        for a, p in zip(acc, parts):
-            if isinstance(a, dict):
-                a.update(p)
-            else:
-                a.extend(p)
-    return kind(*acc)
+    if not graphs or not isinstance(graphs[0], OneGraph):
+        return _joined([(g, f, f, f) for g, f in zip(graphs, maps)])
+    parts = [_mapped_one(g, f, f) for g, f in zip(graphs, maps)]
+    return OneGraph([v for p in parts for v in p[0]],
+                    [h for p in parts for h in p[1]],
+                    {h: v for p in parts for h, v in p[2].items()},
+                    {h: k for p in parts for h, k in p[3].items()})
 
 
 def _union_labels(graphs):
@@ -436,13 +439,14 @@ class ValidationReport(_Value):
 def validate(G):
     """Check the 2-graph axioms; violations are reported, not raised."""
     bad = []
+    nu, mu, iota, sigma1, sigma2 = G.nu, G.mu, G.iota, G.sigma1, G.sigma2
     hs, vs, ss = set(G.half_edges), set(G.vertices), set(G.strands)
     if len(hs) != len(G.half_edges) or len(vs) != len(G.vertices) \
             or len(ss) != len(G.strands):
         bad.append("duplicate labels")
-    if set(G.nu) != hs or not set(G.nu.values()) <= vs:
+    if set(nu) != hs or not set(nu.values()) <= vs:
         bad.append("nu is not a total map into the vertex set")
-    if set(G.mu) != ss or not set(G.mu.values()) <= hs:
+    if set(mu) != ss or not set(mu.values()) <= hs:
         bad.append("mu is not a total map into the half-edge set")
 
     def inv_ok(m, dom):
@@ -450,30 +454,30 @@ def validate(G):
             return False
         return all(m.get(m.get(x)) == x and m[x] in dom for x in dom)
 
-    if not inv_ok(G.iota, hs):
+    if not inv_ok(iota, hs):
         bad.append("iota is not an involution on the half-edges")
-    if not inv_ok(G.sigma1, ss):
+    if not inv_ok(sigma1, ss):
         bad.append("sigma1 is not an involution on the strand sections")
-    if not inv_ok(G.sigma2, ss):
+    if not inv_ok(sigma2, ss):
         bad.append("sigma2 is not an involution on the strand sections")
     if bad:
         return ValidationReport(False, bad)
 
     for s in G.strands:
-        if G.sigma1[s] == s:
+        if sigma1[s] == s:
             bad.append(f"sigma1 fixed point at {s!r}")
             break
     for s in G.strands:
-        if G.nu[G.mu[G.sigma1[s]]] != G.nu[G.mu[s]]:
+        if nu[mu[sigma1[s]]] != nu[mu[s]]:
             bad.append(f"sigma1 is not vertex-local at {s!r}")
             break
     for s in G.strands:
-        if G.mu[G.sigma2[s]] != G.iota[G.mu[s]]:
+        if mu[sigma2[s]] != iota[mu[s]]:
             bad.append("sigma2/iota incompatible")
             break
     for s in G.strands:
-        fixed_s = G.sigma2[s] == s
-        fixed_h = G.iota[G.mu[s]] == G.mu[s]
+        fixed_s = sigma2[s] == s
+        fixed_h = iota[mu[s]] == mu[s]
         if fixed_s != fixed_h:
             bad.append("sigma2 fixed points do not match external half-edges")
             break
@@ -502,7 +506,13 @@ def vertex_graphs_multiset(G):
 def vertex_graphs_union(G):
     """Lossy projection: the disjoint union of all vertex graphs (labels are
     shared with ``G`` so no prefixing is needed)."""
-    return OneGraph(G.half_edges, G.strands, dict(G.mu), dict(G.sigma1))
+    return _vertex_union(G.half_edges, G.strands, G.view())
+
+
+def _vertex_union(hs, ss, view):
+    """The vertex-graph union of ``view`` on the labels ``hs`` and ``ss``."""
+    return OneGraph(hs, ss, {s: hs[p] for s, p in zip(ss, view.mu)},
+                    {s: ss[p] for s, p in zip(ss, view.sigma1)})
 
 
 # ---------------------------------------------------------------------------
@@ -575,14 +585,14 @@ def subgraph_with_edges(G, kept):
     """The wide subgraph of ``G`` keeping exactly the edges in ``kept``
     (all vertices, half-edges and strands are retained)."""
     kept = {tuple(sorted(p, key=_label_key)) for p in kept}
-    all_edges = set(G.edge_pairs())
-    if not kept <= all_edges:
+    if not kept <= set(G.edge_pairs()):
         raise GraphError("edges to keep are not edges of the graph")
-    in_h = {h for p in kept for h in p}
-    iota = {h: (G.iota[h] if h in in_h else h) for h in G.half_edges}
-    sigma2 = {s: (G.sigma2[s] if G.mu[s] in in_h else s) for s in G.strands}
-    return TwoGraph(G.vertices, G.half_edges, G.strands,
-                    dict(G.nu), dict(G.mu), iota, dict(G.sigma1), sigma2)
+    hpos, view = _positions(G.half_edges), G.view()
+    in_h = {hpos[h] for p in kept for h in p}
+    return _assembled(G.vertices, G.half_edges, G.strands, view._replace(
+        iota=[j if i in in_h else i for i, j in enumerate(view.iota)],
+        sigma2=[t if view.mu[s] in in_h else s
+                for s, t in enumerate(view.sigma2)]))
 
 
 def _contract_edges(G, edges):
@@ -592,14 +602,15 @@ def _contract_edges(G, edges):
     not an edge of ``G`` (an external half-edge with itself included)
     raises ``GraphError``.  The contraction of a graph known to be
     connected is known to be so."""
-    hpos = _positions(G.half_edges)
+    hpos, view = _positions(G.half_edges), G.view()
     pairs = []
     for a, b in edges:
-        if a == b or G.iota.get(a) != b:
+        i, j = hpos.get(a), hpos.get(b)
+        if a == b or i is None or view.iota[i] != j:
             raise GraphError("edges to contract are not edges of the graph")
-        pairs.append((hpos[a], hpos[b]))
-    return _materialized(G, *_contracted_view(len(G.vertices), G.view(),
-                                              pairs), _known_connected(G))
+        pairs.append((i, j))
+    return _materialized(G, *_contracted_view(len(G.vertices), view, pairs),
+                         _known_connected(G))
 
 
 def _contracted_view(nv, view, edges):
@@ -680,19 +691,11 @@ def _materialized(G, kept, view, connected):
     half-edges, sections, each increasing) of ``G``, with the labels
     there and the structure maps of ``view``, which becomes its integer
     view.  Marked connected when ``connected`` is true."""
-    vs, hs, ss = kept
-    vs = tuple([G.vertices[i] for i in vs])
-    hs = tuple([G.half_edges[i] for i in hs])
-    ss = tuple([G.strands[i] for i in ss])
-    nu, iota, mu, s1, s2 = view
-    out = _assembled(vs, hs, ss, {h: vs[p] for h, p in zip(hs, nu)},
-                     {s: hs[p] for s, p in zip(ss, mu)},
-                     {h: hs[p] for h, p in zip(hs, iota)},
-                     {s: ss[p] for s, p in zip(ss, s1)},
-                     {s: ss[p] for s, p in zip(ss, s2)})
-    out.derived.view = view
+    out = _assembled(*(tuple([labels[i] for i in ks]) for labels, ks in
+                       zip((G.vertices, G.half_edges, G.strands), kept)),
+                     view)
     if connected:
-        out.derived.groups = (vs,)
+        out.derived.groups = (out.vertices,)
     return out
 
 
@@ -718,13 +721,6 @@ def _connected_groups(nodes, pairs):
     return list(groups.values())
 
 
-def _component_vertex_sets(G, edge_pairs):
-    """Vertex sets of the components of ``G`` restricted to
-    ``edge_pairs``, in the order of their least vertices."""
-    pairs = ((G.nu[a], G.nu[b]) for a, b in edge_pairs)
-    return [frozenset(g) for g in _connected_groups(G.vertices, pairs)]
-
-
 def residue(G):
     """Contract everything: one vertex per connected component, external
     structure only.  An edgeless graph is its own residue."""
@@ -741,19 +737,15 @@ def _residue_view(G):
 
 def skeleton(G):
     """Forget all edges and edge-strand pairs, keep everything else."""
-    return TwoGraph(G.vertices, G.half_edges, G.strands, dict(G.nu),
-                    dict(G.mu), {h: h for h in G.half_edges},
-                    dict(G.sigma1), {s: s for s in G.strands})
+    return subgraph_with_edges(G, ())
 
 
 def boundary(G):
     """The 1-graph of external half-edges with external-face endpoint
     pairs as edges (the vertex-graph union of ``_residue_view``)."""
     (_, hs, ss), view = _residue_view(G)
-    hs = [G.half_edges[i] for i in hs]
-    ss = [G.strands[i] for i in ss]
-    return OneGraph(hs, ss, {s: hs[p] for s, p in zip(ss, view.mu)},
-                    {s: ss[p] for s, p in zip(ss, view.sigma1)})
+    return _vertex_union([G.half_edges[i] for i in hs],
+                         [G.strands[i] for i in ss], view)
 
 
 def boundary_components(G):
@@ -782,9 +774,11 @@ def _groups(G):
     order of their least vertices."""
     d = G.derived
     if d.groups is None:
-        nu = G.nu
-        d.groups = tuple(map(tuple, _connected_groups(
-            G.vertices, ((nu[a], nu[b]) for a, b in G.edge_pairs()))))
+        vs, (nu, iota, *_) = G.vertices, G.view()
+        d.groups = tuple(tuple([vs[i] for i in group]) for group in
+                         _connected_groups(range(len(vs)), (
+                             (nu[a], nu[b]) for a, b in enumerate(iota)
+                             if a < b)))
     return d.groups
 
 
@@ -847,17 +841,14 @@ def is_connected(G):
 
 
 def is_bridgeless(G):
-    """True when no single edge disconnects its component (1PI)."""
-    edges = G.edge_pairs()
-    before = len(_groups(G))
-    for e in edges:
-        a, b = e
-        if G.nu[a] == G.nu[b]:
-            continue
-        rest = [p for p in edges if p != e]
-        if len(_component_vertex_sets(G, rest)) > before:
-            return False
-    return True
+    """True when no single edge disconnects its component (1PI): one
+    union-find over vertex positions per edge, on the other edges."""
+    view = G.view()
+    ends = [(view.nu[a], view.nu[b]) for a, b in _edge_positions(view)]
+    before, nodes = len(_groups(G)), range(len(G.vertices))
+    return all(a == b or len(_connected_groups(
+        nodes, ends[:k] + ends[k + 1:])) == before
+        for k, (a, b) in enumerate(ends))
 
 
 def euler_characteristic(G):
@@ -886,25 +877,25 @@ def to_complex(G):
     cells1 = tuple(one)
     internal, external = faces(G)
     cells2 = tuple(("f", f.sections) for f in internal + external)
-    covers = []
+    covers, nu, mu = [], G.nu, G.mu
     h_to_1 = {}
     for c in cells1:
         for h in c[1]:
             h_to_1[h] = c
     for c in cells1:
         for h in c[1]:
-            covers.append((("v", G.nu[h]), c))
+            covers.append((("v", nu[h]), c))
     for c in cells2:
         for s in c[1]:
-            covers.append((h_to_1[G.mu[s]], c))
+            covers.append((h_to_1[mu[s]], c))
     covers = tuple(sorted(set(covers), key=repr))
     pure = all(any(cov[1] == c for cov in covers) for c in cells1) or not cells1
     pure = pure and (all(any(cov[1] == c for cov in covers) for c in cells2)
                      or not cells2)
     # a complex of 2-graph type is 2-dimensional iff both attachment maps
     # are surjective (no bare vertices, no strandless half-edges)
-    nu_onto = set(G.nu.values()) == set(G.vertices)
-    mu_onto = set(G.mu.values()) == set(G.half_edges)
+    nu_onto = set(nu.values()) == set(G.vertices)
+    mu_onto = set(mu.values()) == set(G.half_edges)
     return CellComplexReport({0: cells0, 1: cells1, 2: cells2}, covers,
                              True if pure else False, nu_onto and mu_onto)
 

@@ -61,8 +61,8 @@ connected view: the coproduct canonizes the pieces and contractions it
 builds as views (``graphs._piece_view``, ``graphs._contracted_view``)
 with no labelled graph, and a 2-graph's components come from the view
 split (``graphs._split_view``; ``_two_entries``).  A growth child
-(``rewrite._with_edges``) shares its parent's view but for ``iota`` and
-``sigma2``, which it copies and patches.
+(``rewrite._with_edges``) is a view and no label dict: it shares its
+parent's view lists but ``iota`` and ``sigma2``, copied and patched.
 
 One routine canonizes a connected graph of either kind from its
 encoding and returns (code, |Aut|), the code of the search and its

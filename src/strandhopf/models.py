@@ -38,11 +38,10 @@ import math
 from fractions import Fraction
 from math import floor
 
-from .graphs import (GraphError, OneGraph, _connected_groups, boundary,
+from .graphs import (GraphError, OneGraph, _connected_groups,
                      connected_components, euler_characteristic,
                      internal_face_count, is_bridgeless, is_connected,
-                     vertex_graphs_union, _residue_view, _walk_faces,
-                     _Frozen, _Value)
+                     _residue_view, _walk_faces, _Frozen, _Value)
 from . import iso, series
 from .series import DressedType, _memo_on_type
 
@@ -272,7 +271,7 @@ def genus(G):
     negative result (pinched or twisted gluings, multi-trace vertices)
     raises GraphError.
     """
-    return sum(_genus(comp, len(boundary(comp).components()))
+    return sum(_genus(comp, _strand_classes(_residue_view(comp)[1]))
                for comp in connected_components(G))
 
 
@@ -445,13 +444,15 @@ def gurau_degree_open(G):
     return _coloured_graph_degree(*closed), _coloured_graph_degree(*bounding)
 
 
-def _incidence_count(G):
-    """The number of half-edge classes joined by edges or through-strands;
-    a multi-trace vertex graph does not tie its components together, so
-    this can exceed the number of connected components."""
-    _, iota, mu, s1, _ = G.view()
-    return len(_connected_groups(range(len(iota)), itertools.chain(
-        enumerate(iota), ((mu[s], mu[t]) for s, t in enumerate(s1)))))
+def _strand_classes(view, edges=()):
+    """The number of classes of half-edge positions of a view joined by
+    its through-strands and by the pairs ``edges`` (one union-find).  With
+    no edges: the bubbles of a graph's view, or the boundary components of
+    its ``_residue_view``.  With ``iota``: the incidence components, more
+    than the connected ones when a vertex graph is multi-trace."""
+    mu = view.mu
+    return len(_connected_groups(range(len(view.nu)), itertools.chain(
+        edges, ((mu[s], mu[t]) for s, t in enumerate(view.sigma1)))))
 
 
 def open_jacket_degree(G, colouring=None):
@@ -472,7 +473,7 @@ def open_jacket_degree(G, colouring=None):
 def _matrix_form(theory, G):
     """(matrix closed form, the invariants it reads)."""
     d = Fraction(theory.dimension)
-    k = len(boundary(G).components())
+    k = _strand_classes(_residue_view(G)[1])
     inv = v_ext, k, g, slot_sum, V = (
         len(G.external_half_edges()), k,
         _genus(G, k) if is_connected(G) else genus(G), len(G.half_edges),
@@ -499,11 +500,10 @@ def _tensorial_form(theory, G):
     opened, _, bounding = _jacket_graphs(G, infer_colouring(G), residue)
     wg = _coloured_graph_degree(*opened)
     wb = _coloured_graph_degree(*bounding)
-    bubbles = len(vertex_graphs_union(G).components())
     inv = v_ext, k, wg, wb, excess, n_inc = (
-        len(residue[0][1]), len(iso._union_components(residue[1])), wg, wb,
-        len(G.vertices) - bubbles,
-        _incidence_count(G) if G.half_edges else 1)
+        len(residue[0][1]), _strand_classes(residue[1]), wg, wb,
+        len(G.vertices) - _strand_classes(G.view()),
+        _strand_classes(G.view(), enumerate(G.view().iota)) or 1)
     jackets = Fraction(math.factorial(r - 1))
     return (d_r - (d_r - theory.zeta) / 2 * v_ext
             - d * ((wg - wb) * 2 / jackets + k - 1)
@@ -546,17 +546,28 @@ class DivergenceReport(_Value):
 
 
 def classify(theory, G):
-    """Per-component divergence report list.  Each component's residue
-    view and strand colouring are built once, and every report field is
-    read from them: the boundary's legs, code and components from the
-    view's ``iso._union_components``, with no residue or boundary graph
-    built, and the jacket degrees from ``_jacket_graphs``."""
+    """Per-component divergence report list."""
+    return _classify(theory, _boundaries(G))
+
+
+def _boundaries(G):
+    """Each connected component of ``G`` with its residue view and the
+    ``iso._union_components`` of that view (its boundary's), built once."""
     out = []
     for comp in connected_components(G):
+        residue = _residue_view(comp)
+        out.append((comp, residue, iso._union_components(residue[1])))
+    return out
+
+
+def _classify(theory, parts):
+    """The divergence report of each component of ``_boundaries``, read
+    from its residue view with no residue or boundary graph built, and
+    from ``_jacket_graphs`` under one strand colouring."""
+    out = []
+    for comp, residue, bparts in parts:
         deg = superficial_degree(theory, comp)
         bridgeless = is_bridgeless(comp)
-        residue = _residue_view(comp)
-        bparts = iso._union_components(residue[1])
         rep = DivergenceReport(
             iso.canonical_code(comp), len(comp.vertices), comp.n_edges(),
             internal_face_count(comp), len(residue[0][1]),

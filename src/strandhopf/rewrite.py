@@ -9,6 +9,8 @@ of another whose vertex graphs match its boundary components.  A vertex
 type (a 1-graph) is instantiated as a single-vertex 2-graph, and edges
 with their strand pairings are glued between half-edges; the edge growth
 of ``series`` builds its diagrams and its contraction closure from these.
+A growth child and an insertion are their parent's integer view with the
+``iota`` and ``sigma2`` lists patched; no label dict is written.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import itertools
 
 from .graphs import (GraphError, TwoGraph, boundary, connected_components,
                      subgraph_with_edges, validate, vertex_graphs_union,
-                     _assembled, _contract_edges, _Frozen)
+                     _assembled, _contract_edges, _positions, _Frozen)
 from . import iso
 
 
@@ -133,16 +135,21 @@ def insert(G2, H, ins):
         raise GraphError("insertion map does not cover the target half-edges")
     if set(smap.values()) != set(G2.strands):
         raise GraphError("insertion map does not cover the target strands")
-    if set(hmap) != set(H.external_half_edges()):
+    if set(hmap) != set(H.external_half_edges()) \
+            or set(smap) != set(H.external_strands()):
         raise GraphError("insertion map domain is not the source boundary")
-    inv_h = {b: a for a, b in hmap.items()}
-    inv_s = {b: a for a, b in smap.items()}
-    iota, sigma2 = dict(H.iota), dict(H.sigma2)
-    iota.update((inv_h[a], inv_h[b]) for a, b in G2.iota.items() if a != b)
-    sigma2.update((inv_s[a], inv_s[b]) for a, b in G2.sigma2.items()
-                  if a != b)
-    out = TwoGraph(H.vertices, H.half_edges, H.strands, dict(H.nu),
-                   dict(H.mu), iota, dict(H.sigma1), sigma2)
+    view = H.view()
+    iota, sigma2 = list(view.iota), list(view.sigma2)
+    for patched, pulled, labels, own, pull in (
+            (iota, G2.view().iota, G2.half_edges, H.half_edges, hmap),
+            (sigma2, G2.view().sigma2, G2.strands, H.strands, smap)):
+        pos, inv = _positions(own), {b: a for a, b in pull.items()}
+        back = [pos[inv[x]] for x in labels]
+        for i, j in enumerate(pulled):
+            if i != j:
+                patched[back[i]] = back[j]
+    out = _assembled(H.vertices, H.half_edges, H.strands,
+                     view._replace(iota=iota, sigma2=sigma2))
     rep = validate(out)
     if not rep.valid:
         raise GraphError("insertion produced an invalid graph: "
@@ -185,34 +192,22 @@ def _glue_options(G, pair):
 
 def _with_edges(G, matched, sigma2_pairs):
     """``G`` with the half-edge pairs ``matched`` joined into edges and the
-    sections ``sigma2_pairs`` paired across them.
-
-    The child is built from ``G`` without sorting or copying what they
-    share (see the ``graphs`` docstring): its label tuples, its ``nu``,
-    ``mu`` and ``sigma1`` dicts, the ``nu``, ``mu`` and ``sigma1`` arrays
-    of its view, and the ``half_edges_at`` and ``strands_at`` maps, if
-    built, are those of ``G``; only ``iota`` and ``sigma2`` are copied,
-    dicts and arrays, with the joined entries patched.  No position map
-    is kept or shared: the few positions patched are found by searching
-    the label tuples.  The child must be connected, as every growth child
-    is; its component partition is the one group of its vertices.
-    """
+    sections ``sigma2_pairs`` paired across them: a growth child, which
+    shares all but the ``iota`` and ``sigma2`` lists of its view with
+    ``G``, copied and patched at positions found by searching the label
+    tuples (see the ``graphs`` docstring).  The child must be connected,
+    as every growth child is; its partition is one group."""
     view, d = G.view(), G.derived
     hpos, spos = G.half_edges.index, G.strands.index
-    iota, s2 = dict(G.iota), dict(G.sigma2)
-    viota, vs2 = list(view.iota), list(view.sigma2)
-    for a, b in matched:
-        iota[a], iota[b] = b, a
-        i, j = hpos(a), hpos(b)
-        viota[i], viota[j] = j, i
-    for x, y in sigma2_pairs:
-        s2[x], s2[y] = y, x
-        i, j = spos(x), spos(y)
-        vs2[i], vs2[j] = j, i
-    out = _assembled(G.vertices, G.half_edges, G.strands, G.nu, G.mu, iota,
-                     G.sigma1, s2)
+    iota, s2 = list(view.iota), list(view.sigma2)
+    for pos, out, pairs in ((hpos, iota, matched),
+                            (spos, s2, sigma2_pairs)):
+        for x, y in pairs:
+            i, j = pos(x), pos(y)
+            out[i], out[j] = j, i
+    out = _assembled(G.vertices, G.half_edges, G.strands,
+                     view._replace(iota=iota, sigma2=s2))
     new = out.derived
-    new.view = view._replace(iota=viota, sigma2=vs2)
     new.half_edges_at, new.strands_at = d.half_edges_at, d.strands_at
     new.groups = (out.vertices,)
     return out

@@ -793,18 +793,30 @@ def sorted_walk_faces(G):
             tuple(sorted(external, key=key)))
 
 
+def involution_pairs(m):
+    """The size-2 orbits of the involution dict ``m``, each pair and the
+    pairs sorted by label key: ``edge_pairs`` read from label dicts, as
+    ``graphs._pairs_of_involution`` did before the view was the
+    structure."""
+    from strandhopf.graphs import _label_key
+    pairs = {tuple(sorted(p, key=_label_key)) for p in m.items()
+             if p[0] != p[1]}
+    return tuple(sorted(pairs, key=lambda p: tuple(map(_label_key, p))))
+
+
 def materialized_contract(G, edges):
     """Contraction of the wide subgraph spanned by ``edges`` through the
     subgraph itself: ``graphs._contract_edges`` before it walked the
     parent's strands, kept as the reference it must equal.  It builds the
     subgraph and pairs the two endpoints of each of its external faces."""
     from strandhopf.graphs import (TwoGraph, faces, subgraph_with_edges,
-                                   _component_vertex_sets, _label_key)
+                                   _label_key)
     H = subgraph_with_edges(G, edges)
     kept = set(H.edge_pairs())
     in_h = {h for p in kept for h in p}
     comp_of = {}
-    for vs in _component_vertex_sets(G, kept):
+    for vs in matching_components(G.vertices, [
+            {G.nu[a]: G.nu[b], G.nu[b]: G.nu[a]} for a, b in kept]):
         tag = min(vs, key=_label_key)
         for v in vs:
             comp_of[v] = tag

@@ -345,8 +345,7 @@ def test_derived_data_matches_a_fresh_computation(monkeypatch):
     # from scratch; a contraction of a connected graph is marked so
     from strandhopf import hopf
     from strandhopf.graphs import (_connected_groups,
-                                   _known_connected as known_connected,
-                                   _pairs_of_involution)
+                                   _known_connected as known_connected)
     from strandhopf.rewrite import subgraphs
     built = []
     real = hopf._materialized
@@ -377,7 +376,7 @@ def test_derived_data_matches_a_fresh_computation(monkeypatch):
         fresh = TwoGraph(G.vertices, G.half_edges, G.strands, G.nu, G.mu,
                          G.iota, G.sigma1, G.sigma2)
         assert G.view() == fresh.view(), k
-        assert G.edge_pairs() == _pairs_of_involution(G.iota), k
+        assert G.edge_pairs() == oracles.involution_pairs(G.iota), k
         if known_connected(G):
             marked += 1
             nu = G.nu
@@ -401,3 +400,185 @@ def test_one_graph_components():
     assert isinstance(b, OneGraph)
     assert len(b.components()) == 2
     assert b.external() == ()
+
+
+# ---------------------------------------------------------------------------
+# the integer view as the structure: position builders, label-map readers
+
+MAPS = ("nu", "mu", "iota", "sigma1", "sigma2")
+
+
+def _mapped(G, fv, fh, fs):
+    """Constructor arguments of ``G`` with its labels sent through ``fv``,
+    ``fh`` and ``fs``, built on its label dicts."""
+    return ([fv(v) for v in G.vertices], [fh(h) for h in G.half_edges],
+            [fs(s) for s in G.strands],
+            {fh(h): fv(v) for h, v in G.nu.items()},
+            {fs(s): fh(h) for s, h in G.mu.items()},
+            {fh(h): fh(k) for h, k in G.iota.items()},
+            {fs(s): fs(t) for s, t in G.sigma1.items()},
+            {fs(s): fs(t) for s, t in G.sigma2.items()})
+
+
+def _dict_union(graphs, maps):
+    acc = ([], [], [], {}, {}, {}, {}, {})
+    for g, f in zip(graphs, maps):
+        for a, p in zip(acc, _mapped(g, f, f, f)):
+            if isinstance(a, dict):
+                a.update(p)
+            else:
+                a.extend(p)
+    return TwoGraph(*acc)
+
+
+def _mixed_relabelling(G, rng):
+    """``G`` under random label bijections onto labels that mix negative
+    ints, floats and strings, so that the label order changes."""
+    def shuffled(xs, tag):
+        pool = [(-k - 1, k + 0.5, f"{tag}{k}")[k % 3] for k in range(len(xs))]
+        rng.shuffle(pool)
+        return dict(zip(xs, pool))
+    return (shuffled(G.vertices, "v"), shuffled(G.half_edges, "h"),
+            shuffled(G.strands, "s"))
+
+
+def _same_graph(got, want, what):
+    assert (got.vertices, got.half_edges, got.strands) == \
+        (want.vertices, want.half_edges, want.strands), what
+    for name in MAPS:
+        assert getattr(got, name) == getattr(want, name), (what, name)
+    assert got.view() == want.view(), what
+
+
+def test_position_builders_match_a_label_dict_build():
+    # relabel, disjoint_union, skeleton, subgraph_with_edges and insert
+    # build views; each equals the public constructor on label dicts
+    from strandhopf.graphs import _union_labels
+    from strandhopf.rewrite import insert, insertions, subgraphs
+    rng = random.Random(33)
+    graphs = []
+    for name, g in CORPUS.items():
+        maps = _mixed_relabelling(g, rng)
+        want = TwoGraph(*_mapped(g, *(m.get for m in maps)))
+        got = relabel(g, *maps)
+        _same_graph(got, want, name)
+        graphs += [(name, g), (f"{name} relabelled", got)]
+    for name, g in graphs:
+        want = TwoGraph(*_mapped(g, *(lambda x: x,) * 3))
+        _same_graph(relabel(g), want, name)
+        _same_graph(skeleton(g), TwoGraph(
+            g.vertices, g.half_edges, g.strands, g.nu, g.mu,
+            {h: h for h in g.half_edges}, g.sigma1,
+            {s: s for s in g.strands}), name)
+        for k in range(len(g.edge_pairs()) + 1):
+            kept = g.edge_pairs()[k:] if k % 2 else g.edge_pairs()[:k]
+            in_h = {h for p in kept for h in p}
+            _same_graph(subgraph_with_edges(g, kept), TwoGraph(
+                g.vertices, g.half_edges, g.strands, g.nu, g.mu,
+                {h: g.iota[h] if h in in_h else h for h in g.half_edges},
+                g.sigma1, {s: g.sigma2[s] if g.mu[s] in in_h else s
+                           for s in g.strands}), (name, kept))
+        if g.n_edges() <= 3:
+            for s in subgraphs(g)[1:4]:
+                H, G2 = s.materialize(), s.contract()
+                for ins in insertions(H, G2)[:3]:
+                    inv_h = {b: a for a, b in ins.half_edge_map().items()}
+                    inv_s = {b: a for a, b in ins.strand_map().items()}
+                    iota, sigma2 = dict(H.iota), dict(H.sigma2)
+                    iota.update((inv_h[a], inv_h[b])
+                                for a, b in G2.iota.items() if a != b)
+                    sigma2.update((inv_s[a], inv_s[b])
+                                  for a, b in G2.sigma2.items() if a != b)
+                    _same_graph(insert(G2, H, ins), TwoGraph(
+                        H.vertices, H.half_edges, H.strands, H.nu, H.mu,
+                        iota, H.sigma1, sigma2), (name, s.edges))
+    # more than ten graphs: "10:" sorts before "2:"; labels of every kind
+    members = [g for _, g in graphs][:13]
+    for sub in (members[:2], members[3:5], members):
+        _same_graph(disjoint_union(sub),
+                    _dict_union(sub, _union_labels(sub)), len(sub))
+    fish = CORPUS["fish_mixed"]
+    other = relabel(fish, *_mixed_relabelling(fish, rng))
+    for pair in ([fish, other], [other, fish]):
+        _same_graph(disjoint_union(pair, prefix=False),
+                    _dict_union(pair, [lambda x: x] * 2), "unprefixed")
+    assert disjoint_union([]).view() == TwoGraph(
+        [], [], [], {}, {}, {}, {}, {}).view()
+
+
+# the package functions that may read a 2-graph's label maps: validation,
+# the cell complex, the document writers and the constructors from maps
+MAP_READERS = {"graphs.validate", "graphs.to_complex",
+               "graphs.from_combinatorial_map", "graphs.from_coloured_graph",
+               "io.graph_to_document", "io.to_dot"}
+
+
+def _function_names():
+    """Each code object of the package, those of its comprehensions and
+    nested functions included, mapped to "module.function" of the
+    function or method it is written in."""
+    import types
+    from strandhopf import cli, graphs, hopf, models, rewrite, series
+    names = {}
+
+    def walk(code, name):
+        names[code] = name
+        for c in code.co_consts:
+            if isinstance(c, types.CodeType):
+                walk(c, name)
+
+    for mod in (cli, fixtures, graphs, hopf, io, iso, models, rewrite,
+                series):
+        short = mod.__name__.rsplit(".", 1)[1]
+        for obj in vars(mod).values():
+            members = vars(obj).values() if isinstance(obj, type) else ()
+            for f in (obj, *members):
+                f = getattr(f, "fget", None) or getattr(f, "__func__", None) \
+                    or getattr(f, "func", None) or f
+                code = getattr(f, "__code__", None)
+                if code is not None and code.co_filename == mod.__file__:
+                    walk(code, f"{short}.{f.__qualname__}")
+    return names
+
+
+def test_only_io_validation_and_constructors_read_label_maps(monkeypatch):
+    import functools
+    import sys
+    from strandhopf import hopf, models, preset, series
+    names, readers = _function_names(), set()
+
+    def recorded(name):
+        real = vars(TwoGraph).get(name)
+
+        def get(G):
+            frame = sys._getframe(1)
+            module = frame.f_globals.get("__name__", "")
+            if module.startswith("strandhopf"):
+                readers.add(names.get(frame.f_code, f"{module}."
+                                      f"{frame.f_code.co_name}"))
+            return G.__dict__[name] if real is None else real.__get__(G)
+
+        def put(G, value):
+            G.__dict__[name] = value
+        return property(get, put)
+
+    for name in MAPS:
+        monkeypatch.setattr(TwoGraph, name, recorded(name), raising=False)
+    for memo in ("_coproduct", "_antipode"):
+        monkeypatch.setattr(hopf, memo, functools.cache(
+            getattr(hopf, memo).__wrapped__))
+    theories = {name: preset(name) for name in ("gw4", "mq3", "bgr")}
+    for name, edges in (("gw4", 2), ("mq3", 2), ("bgr", 1)):
+        series.enumerate_diagrams(theories[name], edges)
+    for name in ("gw4", "mq3"):
+        assert series.check_central_identity(theories[name], 1).passed
+    for g in fixtures.all_fixtures().values():
+        hopf.coproduct(g)
+        hopf.antipode(g)
+        for theory in theories.values():
+            try:    # a fixture's vertex types may lie outside the theory
+                models.classify(theory, g)
+                models.superficial_degree(theory, g)
+            except GraphError:
+                pass
+    assert readers <= MAP_READERS, sorted(readers - MAP_READERS)

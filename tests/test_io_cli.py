@@ -264,6 +264,57 @@ def test_cli_info(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["genus"] == 0
 
 
+def _reference_info(g, theory):
+    """The ``info`` JSON text of ``g`` from the public functions, each
+    building its own residue."""
+    internal, external = graphs.faces(g)
+    b = boundary(g)
+    info = {"vertices": len(g.vertices), "edges": g.n_edges(),
+            "half_edges": len(g.half_edges), "strands": len(g.strands),
+            "internal_faces": len(internal),
+            "external_faces": len(external),
+            "external_half_edges": len(g.external_half_edges()),
+            "boundary_components": len(b.components()),
+            "boundary_code": one_graph_code(b),
+            "euler_characteristic": graphs.euler_characteristic(g),
+            "canonical_code": canonical_code(g),
+            "automorphisms": iso.automorphism_count(g)}
+    try:
+        info["genus"] = models.genus(g)
+    except graphs.GraphError:
+        pass
+    if theory is not None:
+        info["theory"] = theory
+        info["superficial_degree"] = models.superficial_degree(
+            preset(theory), g)
+        info["components"] = [dict(vars(rep)) for rep in
+                              models.classify(preset(theory), g)]
+    return json.dumps(cli._jsonable(info), indent=2, sort_keys=True) + "\n"
+
+
+def test_cli_info_builds_one_residue_view_per_component(tmp_path, capsys,
+                                                         monkeypatch):
+    calls = []
+    real = graphs._residue_view
+
+    def counted(G):
+        calls.append(G)
+        return real(G)
+
+    for mod in (graphs, models):
+        monkeypatch.setattr(mod, "_residue_view", counted)
+    fish = fixtures.fish(1, 2)
+    for g, theory in ((fish, "bgr"), (disjoint_union([fish, fish]), "bgr"),
+                      (fixtures.paper_map(), None),
+                      (disjoint_union([fixtures.paper_map(), fish]), None)):
+        path = _write(tmp_path, "g.json", io.dumps_graph(g))
+        del calls[:]
+        args = ["info", path] + (["--theory", theory] if theory else [])
+        assert cli.main(args) == 0
+        assert len(calls) == len(graphs.connected_components(g))
+        assert capsys.readouterr().out == _reference_info(g, theory)
+
+
 def test_cli_info_table_format(tmp_path, capsys):
     path = _fish_file(tmp_path)
     assert cli.main(["info", path, "--format", "table"]) == 0
@@ -439,8 +490,7 @@ def test_cli_enumerate_builds_no_union_and_no_boundary(monkeypatch, capsys):
     _count_calls(monkeypatch, calls, "disjoint_union",
                  (graphs, series, iso),
                  lambda gs, prefix=True: prefix)
-    _count_calls(monkeypatch, calls, "boundary",
-                 (graphs, series, models, cli))
+    _count_calls(monkeypatch, calls, "boundary", (graphs, series))
     _count_calls(monkeypatch, calls, "one_graph_code", (iso,))
     _count_calls(monkeypatch, calls, "_one_entries", (iso,))
     outs = {}

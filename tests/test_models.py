@@ -468,11 +468,12 @@ def test_classify_builds_one_boundary_and_colouring_per_component(
     # the boundary is read from one residue view per component; no
     # boundary 1-graph is built
     calls = {"_residue_view": 0, "infer_colouring": 0, "boundary": 0}
-    for name in calls:
-        def counting(G, real=getattr(models, name), name=name):
+    for module, name in ((models, "_residue_view"),
+                         (models, "infer_colouring"), (graphs, "boundary")):
+        def counting(G, real=getattr(module, name), name=name):
             calls[name] += 1
             return real(G)
-        monkeypatch.setattr(models, name, counting)
+        monkeypatch.setattr(module, name, counting)
     two = disjoint_union([fixtures.fish(1, 1),
                           fixtures.quartic_tadpole("cross")])
     for theory, g in ((BGR, two), (BGR, fixtures.closed_melon()),
